@@ -6,24 +6,22 @@ a query budget, fits an inverse-propensity pseudo-outcome ridge CATE model,
 and verifies its finite-sample and asymptotic guarantees empirically.
 """
 
-from .core import (FeatureMap, ObsRecord, PoolUnit, PropensityBounds,
-                   RctRecord, apply_feature_map, read_jsonl,
-                   validate_rct_stream, write_jsonl)
+from .core import (FeatureMap, ObsRecord, Pool, PropensityBounds, RctRecord,
+                   read_jsonl, validate_rct_stream, write_jsonl)
 from .envs import (BoxMarginal, HardInstance, LinearEnv, LogisticPolicy,
                    MarginalShift, SegmentMarginal, ThresholdPolicy,
-                   default_hard_delta, draw_outcome, env_from_json,
-                   env_to_json, sample_obs, sample_pool, true_cate)
-from .estimator import (AlignmentWeight, ConfidenceParams, InfoMatrix,
-                        PseudoOutcome, RidgeSolution, SandwichEstimate,
-                        beta_bound, compute_alignment_weights,
-                        confidence_width, default_sigma, fit_ridge,
-                        fit_weighted_ridge, pointwise_ci, predict_cate,
-                        pseudo_outcome, sandwich_variance)
-from .acquisition import (AcquisitionWeights, DomainClassifier,
+                   default_hard_delta, env_from_json, env_to_json, sample_obs,
+                   sample_pool)
+from .estimator import (ConfidenceParams, InfoMatrix, RidgeSolution,
+                        SandwichEstimate, beta_bound, compute_alignment_weights,
+                        confidence_width, default_sigma, fit_ridge_arrays,
+                        pointwise_ci, predict_cate_many, pseudo_outcome_values,
+                        sandwich_from_arrays)
+from .acquisition import (SCORE_DTYPE, AcquisitionWeights, DomainClassifier,
                           DomainTrainConfig, EnsembleSpec, PropensityModel,
-                          ScoreBreakdown, composite_scores, domain_score,
-                          ensemble_variance, fit_propensity, overlap_deficit,
-                          rank_normalize, select_top_m, train_domain_classifier)
+                          composite_scores, ensemble_variance, fit_propensity,
+                          overlap_deficit_many, rank_normalize, select_top_m,
+                          train_domain_classifier)
 from .protocol import (AffinePolicy, ConstantPolicy, ProtocolConfig,
                        VarianceOptimalPolicy, clip_probability, optimal_p,
                        run_protocol)

@@ -6,18 +6,13 @@ pool-vs-current domain discriminability (d), and historical overlap deficit
 weighted score used for top-m selection.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ._rng import rng_for
-from .core import RctRecord
-from .estimator import fit_ridge_arrays, pseudo_outcome_values
-
-
-def _sigmoid(z):
-    return 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500)))
-
+from .core import ObsRecord, sigmoid
+from .estimator import fit_ridge_arrays
 
 # ---------------------------------------------------------------------------
 # Logistic heads (shared by domain classifier and propensity model)
@@ -30,7 +25,7 @@ def _train_logistic(phis, labels, lr, steps, sample_weight=None):
     sw = np.ones(len(labels)) if sample_weight is None else np.asarray(sample_weight)
     sw = sw / sw.sum()
     for _ in range(steps):
-        s = _sigmoid(phis @ w + b)
+        s = sigmoid(phis @ w + b)
         g = (s - labels) * sw
         w -= lr * (phis.T @ g)
         b -= lr * g.sum()
@@ -45,7 +40,7 @@ class DomainClassifier:
     bias: float
 
     def score(self, phis):
-        return _sigmoid(np.atleast_2d(phis) @ self.weights + self.bias)
+        return sigmoid(np.atleast_2d(phis) @ self.weights + self.bias)
 
 
 @dataclass(frozen=True)
@@ -74,10 +69,6 @@ def train_domain_classifier(pool_phis, current_phis, config=DomainTrainConfig())
     return DomainClassifier(weights=w, bias=b)
 
 
-def domain_score(classifier, fmap, u):
-    return float(classifier.score(fmap(u)[None, :])[0])
-
-
 @dataclass
 class PropensityModel:
     """e_obs head; must only ever be fitted on observational records."""
@@ -87,12 +78,12 @@ class PropensityModel:
     trained_on: str = "obs"
 
     def predict(self, phis):
-        return _sigmoid(np.atleast_2d(phis) @ self.weights + self.bias)
+        return sigmoid(np.atleast_2d(phis) @ self.weights + self.bias)
 
 
 def fit_propensity(obs_records, fmap, lr=1.0, steps=2000):
     """Fit e_obs on the historical log; randomized records are rejected."""
-    if any(isinstance(r, RctRecord) or hasattr(r, "p") for r in obs_records):
+    if not all(isinstance(r, ObsRecord) for r in obs_records):
         raise ValueError("propensity model must be trained on OBS records only")
     if not obs_records:
         raise ValueError("empty observational log")
@@ -102,15 +93,8 @@ def fit_propensity(obs_records, fmap, lr=1.0, steps=2000):
     return PropensityModel(weights=w, bias=b, trained_on="obs")
 
 
-def overlap_deficit(propensity, fmap, u):
-    """o_u = 2 |e_obs(phi(u)) - 0.5|; near 1 where history was deterministic."""
-    if propensity.trained_on != "obs":
-        raise ValueError("overlap deficit requires an OBS-trained propensity model")
-    e = float(propensity.predict(fmap(u)[None, :])[0])
-    return 2.0 * abs(e - 0.5)
-
-
 def overlap_deficit_many(propensity, phis):
+    """o_u = 2 |e_obs(phi_u) - 0.5| per row; near 1 where history was deterministic."""
     if propensity.trained_on != "obs":
         raise ValueError("overlap deficit requires an OBS-trained propensity model")
     return 2.0 * np.abs(propensity.predict(phis) - 0.5)
@@ -191,77 +175,57 @@ class AcquisitionWeights:
             raise ValueError("at least one acquisition weight must be positive")
 
 
-@dataclass(frozen=True)
-class ScoreBreakdown:
-    unit_id: int
-    v: float
-    d: float
-    o: float
-    eta_v: float
-    eta_d: float
-    eta_o: float
-    score: float
+# One row per scored unit; the field names are the scores_round_*.csv columns.
+SCORE_DTYPE = np.dtype([("id", np.int64), ("v", float), ("d", float), ("o", float),
+                        ("eta_v", float), ("eta_d", float), ("eta_o", float),
+                        ("S", float)])
 
 
 def composite_scores(unit_ids, v, d, o, weights):
-    """Rank-normalize the raw signals over the pool and combine."""
-    eta_v = rank_normalize(v)
-    eta_d = rank_normalize(d)
-    eta_o = rank_normalize(o)
-    s = weights.alpha * eta_v + weights.beta * eta_d + weights.gamma * eta_o
-    return [
-        ScoreBreakdown(unit_id=int(unit_ids[i]), v=float(v[i]), d=float(d[i]),
-                       o=float(o[i]), eta_v=float(eta_v[i]), eta_d=float(eta_d[i]),
-                       eta_o=float(eta_o[i]), score=float(s[i]))
-        for i in range(len(unit_ids))
-    ]
+    """Rank-normalize the raw signals over the pool and combine into a score table."""
+    table = np.empty(len(unit_ids), dtype=SCORE_DTYPE)
+    table["id"] = unit_ids
+    for raw, value in (("v", v), ("d", d), ("o", o)):
+        table[raw] = value
+        table["eta_" + raw] = rank_normalize(value)
+    table["S"] = (weights.alpha * table["eta_v"] + weights.beta * table["eta_d"]
+                  + weights.gamma * table["eta_o"])
+    return table
 
 
-def select_top_m(breakdowns, m):
-    """ids of the m highest scores; exact ties break by lowest unit id."""
-    if m > len(breakdowns):
-        raise ValueError(f"m = {m} exceeds remaining pool size {len(breakdowns)}")
-    ranked = sorted(breakdowns, key=lambda b: (-b.score, b.unit_id))
-    return [b.unit_id for b in ranked[:m]]
+def select_top_m(table, m):
+    """Rows of the m highest scores; exact ties break by lowest unit id."""
+    if m > len(table):
+        raise ValueError(f"m = {m} exceeds remaining pool size {len(table)}")
+    return np.lexsort((table["id"], -table["S"]))[:m]
 
 
-def score_pool(pool_units, fmap, labeled_records, obs_phis, propensity, weights,
-               ensemble_spec, domain_config=DomainTrainConfig(), round_seed=0):
-    """One round of scoring: train round models, score every unqueried unit."""
-    candidates = [u for u in pool_units if not u.queried]
-    if not candidates:
-        return []
-    cand_ids = np.array([u.id for u in candidates])
-    cand_phis = fmap.apply_many([u.x for u in candidates])
+def score_pool(pool, fmap, labeled_phis, labeled_yts, obs_phis, propensity,
+               weights, ensemble_spec, domain_config=DomainTrainConfig(),
+               round_seed=0):
+    """One round of scoring: train round models, score every unit of pool.
+
+    pool holds the candidates (the unqueried units); labeled_phis and
+    labeled_yts are the randomized stream so far as features and
+    pseudo-outcomes.
+    """
+    cand_phis = fmap.apply_many(pool.xs)
 
     # v: bootstrap ensemble over the labeled randomized stream
-    if labeled_records:
-        lab_phis = fmap.apply_many([r.x for r in labeled_records])
-        lab_yts = pseudo_outcome_values([r.t for r in labeled_records],
-                                        [r.y for r in labeled_records],
-                                        [r.p for r in labeled_records])
-    else:
-        lab_phis = np.zeros((0, fmap.output_dim))
-        lab_yts = np.zeros(0)
-    spec = EnsembleSpec(n_members=ensemble_spec.n_members,
-                        resample_fraction=ensemble_spec.resample_fraction,
-                        perturb_lambda=ensemble_spec.perturb_lambda,
-                        bootstrap=ensemble_spec.bootstrap,
-                        lam=ensemble_spec.lam,
-                        seed=ensemble_spec.seed + round_seed)
-    v = ensemble_variance(lab_phis, lab_yts, cand_phis, spec)
+    spec = replace(ensemble_spec, seed=ensemble_spec.seed + round_seed)
+    v = ensemble_variance(labeled_phis, labeled_yts, cand_phis, spec)
 
     # d: pool vs obs + rct, retrained from zero each round
-    current_phis = obs_phis if not len(lab_phis) else (
-        np.vstack([obs_phis, lab_phis]) if len(obs_phis) else lab_phis)
+    current_phis = obs_phis if not len(labeled_phis) else (
+        np.vstack([obs_phis, labeled_phis]) if len(obs_phis) else labeled_phis)
     if len(current_phis) == 0:
-        d = np.full(len(candidates), 0.5)
+        d = np.full(len(pool), 0.5)
     else:
         clf = train_domain_classifier(cand_phis, current_phis, domain_config)
         d = clf.score(cand_phis)
 
     # o: overlap deficit from the OBS-trained propensity head
     o = overlap_deficit_many(propensity, cand_phis) if propensity is not None \
-        else np.zeros(len(candidates))
+        else np.zeros(len(pool))
 
-    return composite_scores(cand_ids, v, d, o, weights)
+    return composite_scores(pool.ids, v, d, o, weights)

@@ -25,8 +25,8 @@ import numpy as np
 
 from ._rng import derive_seed, rng_for
 from .acquisition import AcquisitionWeights, EnsembleSpec
-from .core import (PoolUnit, PropensityBounds, read_jsonl, write_jsonl)
-from .envs import MarginalShift, load_env, sample_obs, sample_pool
+from .core import PropensityBounds, read_jsonl, write_jsonl
+from .envs import SegmentMarginal, load_env, sample_obs, sample_pool
 from .estimator import solution_to_json, solution_from_json
 from .metrics import (ZeroGlobalLiftError, pehe, pehe_exact_segments,
                       randomized_eval_set, uplift_curve)
@@ -146,9 +146,8 @@ def cmd_run(args):
         cfg = replace(cfg, mode=mode)
         rep_dir = os.path.join(args.out, f"rep_{r:04d}")
         os.makedirs(rep_dir, exist_ok=True)
-        fresh_pool = [PoolUnit(id=u.id, x=u.x) for u in pool]
         t0 = time.perf_counter()
-        result = run_protocol(cfg, env, pool_units=fresh_pool,
+        result = run_protocol(cfg, env, pool_units=pool,
                               obs_records=obs, out_dir=rep_dir)
         elapsed = time.perf_counter() - t0
         write_jsonl(os.path.join(rep_dir, "rct.jsonl"), result.records)
@@ -228,7 +227,7 @@ def _sweep_cell(payload):
     result = run_protocol(cfg, env, pool_units=pool, obs_records=obs)
     predict = lambda xs: env.feature_map.apply_many(xs) @ result.solution.theta_hat
 
-    if hasattr(env.marginal, "probs"):
+    if isinstance(env.marginal, SegmentMarginal):
         pehe_val = pehe_exact_segments(predict, env)
     else:
         eval_xs = env.sample_x(4000, rng_for(seed, 0x6576))

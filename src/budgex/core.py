@@ -1,11 +1,14 @@
-"""Shared domain types: feature maps, records, datasets, and stream checks.
+"""Shared domain types: feature maps, records, the pool, and stream checks.
 
-All types are immutable value objects; datasets are plain lists of records
-plus newline-delimited JSON persistence (obs.jsonl / pool.jsonl / rct.jsonl).
+All types are immutable. The target pool is a pair of arrays (unit ids and
+covariate rows); the observational log and the randomized stream are lists
+of records, the form they take in obs.jsonl and rct.jsonl. Inside the loop
+the randomized stream is held as arrays, and records are built only to be
+written. All three persist as newline-delimited JSON.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,7 +50,9 @@ class FeatureMap:
             object.__setattr__(self, "offset", b)
 
     def __call__(self, x):
-        return apply_feature_map(self, x)
+        """phi(x) as a length-d vector, with the norm bound enforced."""
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        return self.apply_many(x[None, :])[0]
 
     def apply_many(self, xs):
         """Vectorized phi over rows of xs; returns an (n, d) array."""
@@ -75,10 +80,9 @@ class FeatureMap:
         return out
 
 
-def apply_feature_map(fmap, x):
-    """phi(x) as a length-d vector, with the norm bound enforced."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    return fmap.apply_many(x[None, :])[0]
+def sigmoid(z):
+    """Logistic function; z is clipped so that exp never overflows."""
+    return 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500)))
 
 
 @dataclass(frozen=True)
@@ -128,14 +132,33 @@ class RctRecord:
             raise ValueError("p must lie in (0, 1)")
 
 
-@dataclass
-class PoolUnit:
-    id: int
-    x: tuple
-    queried: bool = False
+@dataclass(frozen=True, eq=False)
+class Pool:
+    """Unlabeled target units: distinct int64 ids and an (n, k) covariate array.
+
+    A unit's id is not its position: selection works in positions, while
+    records and the per-unit random streams use ids. Both arrays are
+    read-only copies.
+    """
+
+    ids: np.ndarray
+    xs: np.ndarray
 
     def __post_init__(self):
-        self.x = tuple(float(v) for v in np.atleast_1d(self.x))
+        ids = np.array(self.ids, dtype=np.int64)
+        xs = np.array(self.xs, dtype=float)
+        if ids.ndim != 1 or xs.ndim != 2 or len(ids) != len(xs):
+            raise ValueError(f"need ids of shape (n,) and xs of shape (n, k), "
+                             f"got {ids.shape} and {xs.shape}")
+        if len(np.unique(ids)) != len(ids):
+            raise ValueError("pool unit ids must be distinct")
+        ids.flags.writeable = False
+        xs.flags.writeable = False
+        object.__setattr__(self, "ids", ids)
+        object.__setattr__(self, "xs", xs)
+
+    def __len__(self):
+        return len(self.ids)
 
 
 @dataclass(frozen=True)
@@ -169,29 +192,31 @@ def _rec_to_dict(r):
         return {"x": list(r.x), "t": r.t, "y": r.y, "p": r.p, "seq": r.seq}
     if isinstance(r, ObsRecord):
         return {"x": list(r.x), "t": r.t, "y": r.y}
-    if isinstance(r, PoolUnit):
-        return {"id": r.id, "x": list(r.x), "queried": r.queried}
     raise TypeError(f"cannot serialize {type(r).__name__}")
 
 
+def _pool_rows(pool):
+    # "queried" stays in the file format; a stored pool is always unqueried
+    return ({"id": i, "x": x, "queried": False}
+            for i, x in zip(pool.ids.tolist(), pool.xs.tolist()))
+
+
 def write_jsonl(path, records):
+    """Write records, or a Pool as one row per unit."""
+    rows = _pool_rows(records) if isinstance(records, Pool) else map(_rec_to_dict, records)
     with open(path, "w") as fh:
-        for r in records:
-            fh.write(json.dumps(_rec_to_dict(r), sort_keys=True) + "\n")
+        for d in rows:
+            fh.write(json.dumps(d, sort_keys=True) + "\n")
 
 
 def read_jsonl(path, kind):
-    """Read records back; kind is one of 'obs', 'rct', 'pool'."""
-    out = []
+    """Read records back; kind is one of 'obs', 'rct', 'pool' (a Pool)."""
+    if kind not in ("obs", "rct", "pool"):
+        raise ValueError(f"unknown record kind {kind!r}")
     with open(path) as fh:
-        for line in fh:
-            d = json.loads(line)
-            if kind == "obs":
-                out.append(ObsRecord(x=d["x"], t=d["t"], y=d["y"]))
-            elif kind == "rct":
-                out.append(RctRecord(x=d["x"], t=d["t"], y=d["y"], p=d["p"], seq=d["seq"]))
-            elif kind == "pool":
-                out.append(PoolUnit(id=d["id"], x=d["x"], queried=d["queried"]))
-            else:
-                raise ValueError(f"unknown record kind {kind!r}")
-    return out
+        docs = [json.loads(line) for line in fh]
+    if kind == "pool":
+        return Pool(ids=[d["id"] for d in docs], xs=[d["x"] for d in docs])
+    if kind == "obs":
+        return [ObsRecord(x=d["x"], t=d["t"], y=d["y"]) for d in docs]
+    return [RctRecord(x=d["x"], t=d["t"], y=d["y"], p=d["p"], seq=d["seq"]) for d in docs]

@@ -13,12 +13,12 @@ marginal; conditional outcome laws are shared with the pool by construction.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ._rng import rng_for
-from .core import FeatureMap, ObsRecord, PoolUnit
+from .core import FeatureMap, ObsRecord, Pool, sigmoid
 
 C_KL = 16.0 / 3.0
 
@@ -104,10 +104,6 @@ class BoxMarginal:
 # Historical (OBS) assignment policies
 
 
-def _sigmoid(z):
-    return 1.0 / (1.0 + np.exp(-z))
-
-
 @dataclass(frozen=True)
 class LogisticPolicy:
     """e_obs(x) = sigmoid(sharpness * <weights, phi(x)>)."""
@@ -116,7 +112,7 @@ class LogisticPolicy:
     sharpness: float = 1.0
 
     def propensity(self, phis):
-        return _sigmoid(self.sharpness * (phis @ np.asarray(self.weights)))
+        return sigmoid(self.sharpness * (phis @ np.asarray(self.weights)))
 
 
 @dataclass(frozen=True)
@@ -255,12 +251,11 @@ def default_hard_delta(d, budget):
 
 
 def sample_pool(env, n_pool, seed):
-    """n_pool i.i.d. units from the target marginal, ids 0..n_pool-1."""
+    """A Pool of n_pool i.i.d. units from the target marginal, ids 0..n_pool-1."""
     if n_pool < 1:
         raise ValueError("n_pool must be >= 1")
     rng = rng_for(seed, 0x706F6F6C)
-    xs = env.sample_x(n_pool, rng)
-    return [PoolUnit(id=i, x=xs[i]) for i in range(n_pool)]
+    return Pool(ids=np.arange(n_pool), xs=env.sample_x(n_pool, rng))
 
 
 def sample_obs(env, policy, shift, n_obs, seed):
@@ -275,16 +270,6 @@ def sample_obs(env, policy, shift, n_obs, seed):
     ts = (rng.random(n_obs) < e).astype(int)
     ys = env.draw_outcomes(xs, ts, rng.random(n_obs))
     return [ObsRecord(x=xs[i], t=int(ts[i]), y=float(ys[i])) for i in range(n_obs)]
-
-
-def draw_outcome(env, x, t, rng):
-    """Single outcome draw y ~ Bern(mu_t(x))."""
-    xs = np.atleast_2d(np.asarray(x, dtype=float))
-    return float(env.draw_outcomes(xs, [t], [rng.random()])[0])
-
-
-def true_cate(env, x):
-    return env.true_cate(x)
 
 
 # ---------------------------------------------------------------------------

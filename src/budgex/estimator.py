@@ -19,33 +19,18 @@ class SingularDesignError(np.linalg.LinAlgError):
     """lambda = 0 requested with a rank-deficient information matrix."""
 
 
-@dataclass(frozen=True)
-class PseudoOutcome:
-    value: float
-    source_seq: int
-
-
-def pseudo_outcome(record):
-    """Y~ = t y / p - (1 - t) y / (1 - p); an unbiased CATE label at x."""
-    if not (0.0 < record.p < 1.0):
-        raise ValueError(f"assignment probability {record.p} outside (0, 1)")
-    if record.t == 1:
-        value = record.y / record.p
-    else:
-        value = -record.y / (1.0 - record.p)
-    return PseudoOutcome(value=value, source_seq=record.seq)
-
-
 def pseudo_outcome_values(ts, ys, ps):
-    """Vectorized pseudo-outcomes for arrays of (t, y, p)."""
+    """Y~ = t y / p - (1 - t) y / (1 - p) per unit; unbiased CATE labels."""
     ts = np.asarray(ts)
     ys = np.asarray(ys, dtype=float)
     ps = np.asarray(ps, dtype=float)
+    if np.any((ps <= 0.0) | (ps >= 1.0)):
+        raise ValueError("assignment probability outside (0, 1)")
     return np.where(ts == 1, ys / ps, -ys / (1.0 - ps))
 
 
 class InfoMatrix:
-    """V = lambda I + sum_t w_t phi_t phi_t^T with incremental rank-one updates."""
+    """V = lambda I + sum_t w_t phi_t phi_t^T."""
 
     def __init__(self, dim, lam):
         if lam < 0:
@@ -53,10 +38,6 @@ class InfoMatrix:
         self.lam = float(lam)
         self.V = lam * np.eye(dim)
         self.n = 0
-
-    def update(self, phi, weight=1.0):
-        self.V += weight * np.outer(phi, phi)
-        self.n += 1
 
     @staticmethod
     def build(phis, lam, weights=None):
@@ -67,11 +48,6 @@ class InfoMatrix:
             out.V = lam * np.eye(dim) + (phis * w[:, None]).T @ phis
         out.n = len(phis)
         return out
-
-    def rebuild_check(self, phis, weights=None, atol=1e-8):
-        """Exactness reconciliation against a from-scratch rebuild."""
-        fresh = InfoMatrix.build(phis, self.lam, weights)
-        return np.allclose(self.V, fresh.V, atol=atol)
 
 
 @dataclass(frozen=True)
@@ -104,16 +80,12 @@ def default_sigma(bounds):
     return 2.0 * bounds.pseudo_outcome_bound
 
 
-def _design_arrays(records, fmap):
-    phis = fmap.apply_many([r.x for r in records]) if records else np.zeros((0, fmap.output_dim))
-    yt = np.array([pseudo_outcome(r).value for r in records])
-    return phis, yt
-
-
 def fit_ridge_arrays(phis, yts, lam, weights=None):
     """Solve (lambda I + sum w phi phi^T) theta = sum w phi Y~."""
     dim = phis.shape[1]
     w = np.ones(len(phis)) if weights is None else np.asarray(weights, dtype=float)
+    if len(w) != len(phis):
+        raise ValueError("weights length must match records")
     if np.any(w <= 0):
         raise ValueError("weights must be strictly positive")
     info = InfoMatrix.build(phis, lam, w if weights is not None else None)
@@ -132,24 +104,6 @@ def fit_ridge_arrays(phis, yts, lam, weights=None):
     return RidgeSolution(theta_hat=theta, info=info, moment=b)
 
 
-def fit_ridge(records, fmap, lam):
-    """Ridge / OLS on the pseudo-outcome stream."""
-    phis, yt = _design_arrays(records, fmap)
-    return fit_ridge_arrays(phis, yt, lam)
-
-
-def fit_weighted_ridge(records, weights, fmap, lam):
-    """Per-record weighted variant; unit weights reduce to fit_ridge exactly."""
-    if len(weights) != len(records):
-        raise ValueError("weights length must match records")
-    phis, yt = _design_arrays(records, fmap)
-    return fit_ridge_arrays(phis, yt, lam, weights=np.asarray(weights, dtype=float))
-
-
-def predict_cate(solution, fmap, x):
-    return float(fmap(x) @ solution.theta_hat)
-
-
 def predict_cate_many(solution, fmap, xs):
     return fmap.apply_many(xs) @ solution.theta_hat
 
@@ -161,22 +115,10 @@ GOLD_WEIGHT = 1.0
 SILVER_WEIGHT = 0.2
 
 
-@dataclass(frozen=True)
-class AlignmentWeight:
-    gap: float
-    weight: float
-
-
-def compute_alignment_weights(records, propensity_model, fmap):
-    """Gap |t - e_obs(phi(x))|; gold weight 1.0 iff the gap strictly exceeds 0.5."""
-    phis = fmap.apply_many([r.x for r in records])
-    e_hat = propensity_model.predict(phis)
-    out = []
-    for r, e in zip(records, e_hat):
-        gap = abs(r.t - float(e))
-        w = GOLD_WEIGHT if gap > 0.5 else SILVER_WEIGHT
-        out.append(AlignmentWeight(gap=gap, weight=w))
-    return out
+def compute_alignment_weights(phis, ts, propensity_model):
+    """Gaps |t - e_obs(phi)| and weights: gold 1.0 iff the gap strictly exceeds 0.5."""
+    gaps = np.abs(np.asarray(ts) - propensity_model.predict(phis))
+    return gaps, np.where(gaps > 0.5, GOLD_WEIGHT, SILVER_WEIGHT)
 
 
 # ---------------------------------------------------------------------------
@@ -216,13 +158,8 @@ class SandwichEstimate:
     avar: np.ndarray
 
 
-def sandwich_variance(records, solution, fmap):
-    """Plug-in Sigma^-1 Omega Sigma^-1 from the fitted residuals."""
-    phis, yt = _design_arrays(records, fmap)
-    return sandwich_from_arrays(phis, yt, solution)
-
-
 def sandwich_from_arrays(phis, yts, solution):
+    """Plug-in Sigma^-1 Omega Sigma^-1 from the fitted residuals."""
     n = len(phis)
     dim = phis.shape[1]
     if n < dim:

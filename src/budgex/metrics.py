@@ -11,6 +11,7 @@ import numpy as np
 from scipy import stats
 
 from ._rng import derive_seed, rng_for
+from .envs import SegmentMarginal, sample_pool
 from .estimator import (ConfidenceParams, beta_bound, default_sigma,
                         ellipsoid_radius, sandwich_from_arrays)
 from .protocol import run_protocol
@@ -98,10 +99,14 @@ def randomized_eval_set(env, n, seed, p=0.5):
 def _replicate(env, config, n_pool, r, master_seed):
     """One seeded protocol replication on a fresh pool."""
     seed_r = derive_seed(master_seed, 0x726570, r)
-    pool_xs = env.sample_x(n_pool, rng_for(seed_r, 0x706F6F6C))
-    cfg = replace(config, seed=seed_r)
-    result = run_protocol(cfg, env, pool_xs=pool_xs)
-    return result, pool_xs
+    pool = sample_pool(env, n_pool, seed_r)
+    result = run_protocol(replace(config, seed=seed_r), env, pool_units=pool)
+    return result, pool.xs
+
+
+def _check_replications(replications):
+    if replications < 1:
+        raise ValueError(f"need at least 1 replication, got {replications}")
 
 
 @dataclass(frozen=True)
@@ -126,6 +131,7 @@ def bound_violation_audit(env, config, n_pool, replications, delta,
     Also records, per replication, the measured PEHE over the pool and the
     bound beta * sqrt(mean pool leverage) for the PEHE-bound check.
     """
+    _check_replications(replications)
     if not (0.0 < delta < 1.0):
         raise ValueError("delta must lie in (0, 1)")
     if config.estimator_lambda <= 0:
@@ -165,6 +171,7 @@ class NormalityDiagnostic:
 
 def clt_diagnostic(env, config, n_pool, replications, x, master_seed=0):
     """Standardized errors sqrt(B)(tau_hat - tau)/se across replications."""
+    _check_replications(replications)
     phi = env.feature_map(np.atleast_1d(np.asarray(x, dtype=float)))
     if np.allclose(phi, 0.0):
         raise ValueError("phi(x) = 0: asymptotic variance degenerates")
@@ -209,7 +216,7 @@ def scaling_fit(env, config, budget_grid, replications, n_pool=None,
                                          derive_seed(master_seed, int(b)))
             predict = lambda xs: env.feature_map.apply_many(xs) @ result.solution.theta_hat
             vals[r] = pehe_exact_segments(predict, env) \
-                if hasattr(env.marginal, "probs") \
+                if isinstance(env.marginal, SegmentMarginal) \
                 else pehe(predict, env, pool_xs).value
         means[i] = vals.mean()
     slope, intercept = np.polyfit(np.log(budgets), np.log(means), 1)

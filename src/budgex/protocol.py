@@ -10,14 +10,14 @@ order can never alter an individual unit's assignment.
 
 import csv
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from ._rng import OUTCOME, TREATMENT, rng_for, unit_uniform
 from .acquisition import (AcquisitionWeights, EnsembleSpec, fit_propensity,
                           score_pool, select_top_m)
-from .core import PropensityBounds, RctRecord
+from .core import Pool, PropensityBounds, RctRecord
 from .estimator import (compute_alignment_weights, fit_ridge_arrays,
                         pseudo_outcome_values, RidgeSolution)
 
@@ -79,7 +79,6 @@ class ProtocolConfig:
     ensemble: EnsembleSpec = EnsembleSpec()
     estimator_lambda: float = 1.0
     mode: str = "theory"  # "theory" | "fusion"
-    ensemble_includes_obs: bool = False
     seed: int = 0
 
     def __post_init__(self):
@@ -97,17 +96,28 @@ class ProtocolConfig:
 
 @dataclass
 class RoundState:
-    k: int
-    sel_ids: list
-    xs: list
-    ts: list
-    ys: list
-    ps: list
-    unqueried: np.ndarray  # boolean mask over pool units
+    """The randomized stream so far, in arrays preallocated to the budget.
 
-    @property
-    def n_records(self):
-        return len(self.ts)
+    Rows [0, n_records) are filled; unqueried is a mask over pool positions.
+    """
+
+    k: int
+    n_records: int
+    ids: np.ndarray
+    xs: np.ndarray
+    ts: np.ndarray
+    ys: np.ndarray
+    ps: np.ndarray
+    unqueried: np.ndarray
+
+    @staticmethod
+    def empty(capacity, pool):
+        return RoundState(k=0, n_records=0,
+                          ids=np.empty(capacity, dtype=np.int64),
+                          xs=np.empty((capacity, pool.xs.shape[1])),
+                          ts=np.empty(capacity, dtype=int),
+                          ys=np.empty(capacity), ps=np.empty(capacity),
+                          unqueried=np.ones(len(pool), dtype=bool))
 
 
 @dataclass
@@ -118,7 +128,7 @@ class ProtocolResult:
     ys: np.ndarray
     ps: np.ndarray
     unit_ids: np.ndarray
-    breakdowns: list  # per-round lists of ScoreBreakdown (active strategy)
+    scores: list  # per-round score tables (active strategy)
     batch_sizes: list
 
     @property
@@ -145,7 +155,7 @@ def _assign_and_observe(env, config, ids, xs):
     return ts, ys, ps
 
 
-def run_round(state, config, env, pool_xs, context):
+def run_round(state, config, env, pool, context):
     """Execute one selection/experimentation round, mutating state."""
     remaining = config.budget - state.n_records
     if remaining <= 0:
@@ -155,133 +165,103 @@ def run_round(state, config, env, pool_xs, context):
         return state, None
     m_k = min(config.max_batch, remaining, len(candidates))
 
-    breakdowns = None
+    scores = None
     if config.strategy == "random":
         rng = rng_for(config.seed, 0x73656C, state.k)
         chosen = np.sort(rng.choice(candidates, size=m_k, replace=False))
     else:
-        breakdowns = context.score_round(state)
-        chosen = np.array(select_top_m(breakdowns, m_k))
+        scores = context.score_round(
+            state, Pool(ids=pool.ids[candidates], xs=pool.xs[candidates]))
+        chosen = candidates[select_top_m(scores, m_k)]
 
-    xs = pool_xs[chosen]
-    ts, ys, ps = _assign_and_observe(env, config, chosen, xs)
-
-    state.sel_ids.extend(int(i) for i in chosen)
-    state.xs.extend(xs)
-    state.ts.extend(int(t) for t in ts)
-    state.ys.extend(float(y) for y in ys)
-    state.ps.extend(float(p) for p in ps)
+    ids, xs = pool.ids[chosen], pool.xs[chosen]
+    batch = slice(state.n_records, state.n_records + m_k)
+    state.ids[batch] = ids
+    state.xs[batch] = xs
+    state.ts[batch], state.ys[batch], state.ps[batch] = \
+        _assign_and_observe(env, config, ids, xs)
+    state.n_records += m_k
     state.unqueried[chosen] = False
     state.k += 1
-    return state, breakdowns
+    return state, scores
 
 
 class _ActiveContext:
     """Frozen OBS-side models plus per-round scoring for the active strategy."""
 
-    def __init__(self, config, env, pool_units, obs_records):
+    def __init__(self, config, env, obs_records):
         self.config = config
-        self.env = env
-        self.pool_units = pool_units
         self.fmap = env.feature_map
         self.obs_phis = (self.fmap.apply_many([r.x for r in obs_records])
                          if obs_records else np.zeros((0, self.fmap.output_dim)))
         self.propensity = (fit_propensity(obs_records, self.fmap)
                            if obs_records else None)
 
-    def score_round(self, state):
-        labeled = [
-            RctRecord(x=state.xs[i], t=state.ts[i], y=state.ys[i],
-                      p=state.ps[i], seq=i + 1)
-            for i in range(state.n_records)
-        ]
-        units = [u for u in self.pool_units if state.unqueried[u.id]]
-        return score_pool(units, self.fmap, labeled, self.obs_phis,
-                          self.propensity, self.config.weights,
+    def score_round(self, state, unqueried):
+        """Score table over the unqueried Pool, from the stream so far."""
+        n = state.n_records
+        labeled_phis = self.fmap.apply_many(state.xs[:n])
+        labeled_yts = pseudo_outcome_values(state.ts[:n], state.ys[:n], state.ps[:n])
+        return score_pool(unqueried, self.fmap, labeled_phis, labeled_yts,
+                          self.obs_phis, self.propensity, self.config.weights,
                           self.config.ensemble, round_seed=state.k)
 
 
-def run_protocol(config, env, pool_units=None, obs_records=None, out_dir=None,
-                 pool_xs=None):
-    """Run the budget loop end to end and fit the final estimator.
+def run_protocol(config, env, pool_units, obs_records=None, out_dir=None):
+    """Run the budget loop on a Pool end to end and fit the final estimator.
 
-    Pass either a list of PoolUnits or a raw (n, xdim) covariate array
-    (pool_xs); the array form skips unit bookkeeping and only supports the
-    random strategy.
+    Selection works in positions of pool_units; the stream, the per-unit
+    random draws and the score dumps carry the pool's unit ids. The pool
+    itself is never modified.
     """
+    pool = pool_units
     obs_records = obs_records or []
     if config.mode == "fusion" and not obs_records:
         raise ValueError("fusion mode requires an observational log")
-    if pool_units is None:
-        if pool_xs is None:
-            raise ValueError("provide pool_units or pool_xs")
-        if config.strategy == "active":
-            raise ValueError("the active strategy needs PoolUnits, not raw covariates")
-        pool_xs = np.atleast_2d(np.asarray(pool_xs, dtype=float))
-        pool_units = []
-        n_pool = len(pool_xs)
-    else:
-        pool_xs = np.array([u.x for u in pool_units], dtype=float) if pool_units \
-            else np.zeros((0, 1))
-        n_pool = len(pool_units)
 
-    state = RoundState(k=0, sel_ids=[], xs=[], ts=[], ys=[], ps=[],
-                       unqueried=np.ones(n_pool, dtype=bool))
-    context = _ActiveContext(config, env, pool_units, obs_records) \
+    state = RoundState.empty(min(config.budget, len(pool)), pool)
+    context = _ActiveContext(config, env, obs_records) \
         if config.strategy == "active" else None
 
-    all_breakdowns = []
+    all_scores = []
     batch_sizes = []
     while state.n_records < config.budget and state.k < config.max_rounds:
         before = state.n_records
-        state, breakdowns = run_round(state, config, env, pool_xs, context)
+        state, scores = run_round(state, config, env, pool, context)
         gained = state.n_records - before
         if gained == 0:
             break  # pool exhausted
         batch_sizes.append(gained)
-        if breakdowns is not None:
-            all_breakdowns.append(breakdowns)
+        if scores is not None:
+            all_scores.append(scores)
             if out_dir is not None:
-                _dump_scores(out_dir, len(batch_sizes), breakdowns,
-                             set(state.sel_ids[before:]))
+                _dump_scores(out_dir, len(batch_sizes), scores,
+                             state.ids[before:state.n_records])
 
-    for u in pool_units:
-        if not state.unqueried[u.id]:
-            u.queried = True
-
-    xs = np.array(state.xs, dtype=float) if state.xs else np.zeros((0, pool_xs.shape[1]))
-    ts = np.array(state.ts, dtype=int)
-    ys = np.array(state.ys, dtype=float)
-    ps = np.array(state.ps, dtype=float)
-
+    n = state.n_records
+    xs, ts, ys, ps = state.xs[:n], state.ts[:n], state.ys[:n], state.ps[:n]
     fmap = env.feature_map
-    phis = fmap.apply_many(xs) if len(xs) else np.zeros((0, fmap.output_dim))
+    phis = fmap.apply_many(xs)
     yts = pseudo_outcome_values(ts, ys, ps)
     if config.mode == "fusion":
         prop = context.propensity if context is not None \
             else fit_propensity(obs_records, fmap)
-        records = [RctRecord(x=xs[i], t=int(ts[i]), y=float(ys[i]),
-                             p=float(ps[i]), seq=i + 1) for i in range(len(ts))]
-        aw = compute_alignment_weights(records, prop, fmap)
-        weights = np.array([w.weight for w in aw])
+        _, weights = compute_alignment_weights(phis, ts, prop)
         solution = fit_ridge_arrays(phis, yts, config.estimator_lambda, weights=weights)
     else:
         solution = fit_ridge_arrays(phis, yts, config.estimator_lambda)
 
     return ProtocolResult(solution=solution, xs=xs, ts=ts, ys=ys, ps=ps,
-                          unit_ids=np.array(state.sel_ids, dtype=int),
-                          breakdowns=all_breakdowns, batch_sizes=batch_sizes)
+                          unit_ids=state.ids[:n], scores=all_scores,
+                          batch_sizes=batch_sizes)
 
 
-SCORE_COLUMNS = ["id", "v", "d", "o", "eta_v", "eta_d", "eta_o", "S", "selected"]
-
-
-def _dump_scores(out_dir, round_index, breakdowns, selected_ids):
+def _dump_scores(out_dir, round_index, table, selected_ids):
     path = os.path.join(out_dir, f"scores_round_{round_index}.csv")
+    selected = np.isin(table["id"], selected_ids).tolist()
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(SCORE_COLUMNS)
-        for b in breakdowns:
-            w.writerow([b.unit_id, repr(b.v), repr(b.d), repr(b.o), repr(b.eta_v),
-                        repr(b.eta_d), repr(b.eta_o), repr(b.score),
-                        1 if b.unit_id in selected_ids else 0])
+        w.writerow(table.dtype.names + ("selected",))
+        # repr of Python floats: repr of a numpy float would change the bytes
+        for (uid, *values), sel in zip(table.tolist(), selected):
+            w.writerow([uid, *map(repr, values), int(sel)])

@@ -5,10 +5,10 @@ import pytest
 
 from budgex.acquisition import (AcquisitionWeights, DomainTrainConfig,
                                 EnsembleSpec, PropensityModel, composite_scores,
-                                domain_score, ensemble_variance, fit_propensity,
-                                overlap_deficit, rank_normalize, score_pool,
+                                ensemble_variance, fit_propensity,
+                                overlap_deficit_many, rank_normalize, score_pool,
                                 select_top_m, train_domain_classifier)
-from budgex.core import FeatureMap, ObsRecord, PoolUnit, RctRecord
+from budgex.core import FeatureMap, ObsRecord, Pool, RctRecord
 from budgex.envs import (LogisticPolicy, MarginalShift, SegmentMarginal,
                          sample_obs, sample_pool)
 from budgex.estimator import pseudo_outcome_values
@@ -16,6 +16,7 @@ from budgex._rng import rng_for
 
 IDENTITY_1 = FeatureMap(kind="identity", output_dim=1, norm_bound=10.0)
 IDENTITY_2 = FeatureMap(kind="identity", output_dim=2, norm_bound=10.0)
+NO_LABELS = (np.zeros((0, 1)), np.zeros(0))  # empty randomized stream, d = 1
 
 
 class TestEnsembleVariance:
@@ -91,22 +92,22 @@ class TestDomainClassifier:
     def test_score_formula(self):
         from budgex.acquisition import DomainClassifier
         clf = DomainClassifier(weights=np.array([1.0, 0.0]), bias=0.0)
-        assert domain_score(clf, IDENTITY_2, [np.log(3.0), 0.0]) == pytest.approx(0.75)
+        assert clf.score(IDENTITY_2([np.log(3.0), 0.0]))[0] == pytest.approx(0.75)
         zero = DomainClassifier(weights=np.zeros(2), bias=0.0)
-        assert domain_score(zero, IDENTITY_2, [1.0, 1.0]) == 0.5
+        assert zero.score(IDENTITY_2([1.0, 1.0]))[0] == 0.5
         saturated = DomainClassifier(weights=np.zeros(2), bias=1e4)
-        assert domain_score(saturated, IDENTITY_2, [0.0, 0.0]) == pytest.approx(1.0)
+        assert saturated.score(IDENTITY_2([0.0, 0.0]))[0] == pytest.approx(1.0)
 
 
 class TestPropensityAndOverlap:
     def test_overlap_deficit_values(self):
         m = PropensityModel(weights=np.zeros(1), bias=0.0)
-        assert overlap_deficit(m, IDENTITY_1, [0.0]) == 0.0
+        assert overlap_deficit_many(m, IDENTITY_1.apply_many([[0.0]]))[0] == 0.0
         m9 = PropensityModel(weights=np.zeros(1),
                              bias=float(np.log(9.0)))  # e_hat = 0.9
-        assert overlap_deficit(m9, IDENTITY_1, [0.0]) == pytest.approx(0.8)
+        assert overlap_deficit_many(m9, IDENTITY_1.apply_many([[0.0]]))[0] == pytest.approx(0.8)
         m99 = PropensityModel(weights=np.zeros(1), bias=float(np.log(99.0)))
-        assert overlap_deficit(m99, IDENTITY_1, [0.0]) == pytest.approx(0.98)
+        assert overlap_deficit_many(m99, IDENTITY_1.apply_many([[0.0]]))[0] == pytest.approx(0.98)
 
     def test_fit_rejects_randomized_records(self):
         recs = [RctRecord(x=[0.0], t=1, y=1.0, p=0.5, seq=1)]
@@ -116,7 +117,7 @@ class TestPropensityAndOverlap:
     def test_deficit_requires_obs_marker(self):
         m = PropensityModel(weights=np.zeros(1), bias=0.0, trained_on="rct")
         with pytest.raises(ValueError):
-            overlap_deficit(m, IDENTITY_1, [0.0])
+            overlap_deficit_many(m, IDENTITY_1.apply_many([[0.0]]))
 
     def test_fit_recovers_strong_targeting(self):
         rng = rng_for(61)
@@ -124,8 +125,8 @@ class TestPropensityAndOverlap:
         ts = (xs > 0).astype(int)  # deterministic targeting on the sign
         obs = [ObsRecord(x=[x], t=int(t), y=0.0) for x, t in zip(xs, ts)]
         model = fit_propensity(obs, IDENTITY_1)
-        assert overlap_deficit(model, IDENTITY_1, [1.0]) > 0.9
-        assert overlap_deficit(model, IDENTITY_1, [-1.0]) > 0.9
+        assert overlap_deficit_many(model, IDENTITY_1.apply_many([[1.0]]))[0] > 0.9
+        assert overlap_deficit_many(model, IDENTITY_1.apply_many([[-1.0]]))[0] > 0.9
 
 
 class TestRankNormalize:
@@ -165,7 +166,7 @@ class TestCompositeAndSelection:
         bds = composite_scores(np.array([0]), [1.0], [0.5], [0.5],
                                AcquisitionWeights(0.5, 1.0, 0.7))
         # single unit: every eta is 1.0, so S = 0.5 + 1.0 + 0.7
-        assert bds[0].score == pytest.approx(2.2)
+        assert bds["S"][0] == pytest.approx(2.2)
 
     def test_documented_arithmetic(self):
         w = AcquisitionWeights(0.5, 1.0, 0.7)
@@ -175,7 +176,7 @@ class TestCompositeAndSelection:
         rng = rng_for(73)
         v, d, o = rng.random(6), rng.random(6), rng.random(6)
         bds = composite_scores(np.arange(6), v, d, o, AcquisitionWeights(1.0, 0.0, 0.0))
-        np.testing.assert_allclose([b.score for b in bds], rank_normalize(v))
+        np.testing.assert_allclose(bds["S"], rank_normalize(v))
 
     def test_breakdown_identity(self):
         rng = rng_for(79)
@@ -183,20 +184,20 @@ class TestCompositeAndSelection:
         bds = composite_scores(np.arange(5), rng.random(5), rng.random(5),
                                rng.random(5), w)
         for b in bds:
-            assert b.score == pytest.approx(
-                w.alpha * b.eta_v + w.beta * b.eta_d + w.gamma * b.eta_o)
+            assert b["S"] == pytest.approx(
+                w.alpha * b["eta_v"] + w.beta * b["eta_d"] + w.gamma * b["eta_o"])
 
     def test_select_top_m(self):
         bds = composite_scores(np.array([0, 1, 2]), [0.9, 0.5, 0.7],
                                [0.0, 0.0, 0.0], [0.0, 0.0, 0.0],
                                AcquisitionWeights(1.0, 0.0, 0.0))
-        assert set(select_top_m(bds, 2)) == {0, 2}
+        assert set(bds["id"][select_top_m(bds, 2)]) == {0, 2}
 
     def test_tie_break_by_lowest_id(self):
         bds = composite_scores(np.array([2, 0, 1]), [1.0, 1.0, 1.0],
                                [1.0, 1.0, 1.0], [1.0, 1.0, 1.0],
                                AcquisitionWeights(0.5, 1.0, 0.7))
-        assert select_top_m(bds, 2) == [0, 1]
+        assert list(bds["id"][select_top_m(bds, 2)]) == [0, 1]
 
     def test_select_whole_pool(self):
         bds = composite_scores(np.arange(4), np.arange(4.0), np.arange(4.0),
@@ -220,8 +221,8 @@ class TestCompositeAndSelection:
             base = composite_scores(np.arange(20), v, d, o, AcquisitionWeights())
             warped = composite_scores(np.arange(20), v**3, np.exp(d), o,
                                       AcquisitionWeights())
-            assert [b.score for b in base] == [b.score for b in warped]
-            assert select_top_m(base, 5) == select_top_m(warped, 5)
+            assert list(base["S"]) == list(warped["S"])
+            assert list(select_top_m(base, 5)) == list(select_top_m(warped, 5))
 
 
 class TestScorePool:
@@ -241,11 +242,11 @@ class TestScorePool:
         env, fmap, pool, obs, _ = self.pool_and_obs(5)
         prop = fit_propensity(obs, fmap)
         obs_phis = fmap.apply_many([r.x for r in obs])
-        a = score_pool(pool, fmap, [], obs_phis, prop, AcquisitionWeights(),
+        a = score_pool(pool, fmap, *NO_LABELS, obs_phis, prop, AcquisitionWeights(),
                        EnsembleSpec(seed=9), round_seed=0)
-        b = score_pool(pool, fmap, [], obs_phis, prop, AcquisitionWeights(),
+        b = score_pool(pool, fmap, *NO_LABELS, obs_phis, prop, AcquisitionWeights(),
                        EnsembleSpec(seed=9), round_seed=0)
-        assert a == b
+        assert np.array_equal(a, b)
 
     def test_overlap_targeting_beats_pool_average(self):
         """gamma-only selection concentrates where history was deterministic."""
@@ -254,13 +255,13 @@ class TestScorePool:
             env, fmap, pool, obs, policy = self.pool_and_obs(100 + 3 * seed)
             prop = fit_propensity(obs, fmap)
             obs_phis = fmap.apply_many([r.x for r in obs])
-            bds = score_pool(pool, fmap, [], obs_phis, prop,
+            bds = score_pool(pool, fmap, *NO_LABELS, obs_phis, prop,
                              AcquisitionWeights(0.0, 0.0, 0.7),
                              EnsembleSpec(seed=1), round_seed=0)
-            chosen = set(select_top_m(bds, 15))
-            phis = fmap.apply_many([u.x for u in pool])
+            chosen = bds["id"][select_top_m(bds, 15)]
+            phis = fmap.apply_many(pool.xs)
             true_dev = np.abs(policy.propensity(phis) - 0.5)
-            sel_mask = np.array([u.id in chosen for u in pool])
+            sel_mask = np.isin(pool.ids, chosen)
             if true_dev[sel_mask].mean() >= true_dev.mean():
                 wins += 1
         assert wins >= 45
@@ -269,8 +270,8 @@ class TestScorePool:
         env, fmap, pool, obs, _ = self.pool_and_obs(7)
         prop = fit_propensity(obs, fmap)
         obs_phis = fmap.apply_many([r.x for r in obs])
-        pool[0].queried = True
-        bds = score_pool(pool, fmap, [], obs_phis, prop, AcquisitionWeights(),
-                         EnsembleSpec(), round_seed=0)
-        assert 0 not in {b.unit_id for b in bds}
+        unqueried = Pool(ids=pool.ids[1:], xs=pool.xs[1:])
+        bds = score_pool(unqueried, fmap, *NO_LABELS, obs_phis, prop,
+                         AcquisitionWeights(), EnsembleSpec(), round_seed=0)
+        assert 0 not in set(bds["id"])
         assert len(bds) == len(pool) - 1

@@ -50,7 +50,7 @@ class TestGenerate:
         pool = read_jsonl(out / "pool.jsonl", "pool")
         obs = read_jsonl(out / "obs.jsonl", "obs")
         assert len(pool) == 150 and len(obs) == 80
-        assert [u.id for u in pool] == list(range(150))
+        assert pool.ids.tolist() == list(range(150))
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["seed"] == 3 and "env_spec_sha256" in manifest
 

@@ -4,29 +4,28 @@ import numpy as np
 import pytest
 
 from budgex.core import (DimensionError, FeatureMap, NormBoundError, ObsRecord,
-                         PoolUnit, PropensityBounds, RctRecord, StreamViolation,
-                         apply_feature_map, read_jsonl, validate_rct_stream,
-                         write_jsonl)
+                         Pool, PropensityBounds, RctRecord, StreamViolation,
+                         read_jsonl, validate_rct_stream, write_jsonl)
 
 
 class TestFeatureMap:
     def test_segment_one_hot(self):
         fmap = FeatureMap(kind="segment-one-hot", output_dim=3, norm_bound=1.0)
-        np.testing.assert_array_equal(apply_feature_map(fmap, [1.0]), [0.0, 1.0, 0.0])
+        np.testing.assert_array_equal(fmap([1.0]), [0.0, 1.0, 0.0])
 
     def test_identity(self):
         fmap = FeatureMap(kind="identity", output_dim=2, norm_bound=2.0)
-        np.testing.assert_array_equal(apply_feature_map(fmap, [0.5, -1.0]), [0.5, -1.0])
+        np.testing.assert_array_equal(fmap([0.5, -1.0]), [0.5, -1.0])
 
     def test_affine_projection_and_norm_check(self):
         W = 2.0 * np.eye(2)
         fmap = FeatureMap(kind="affine-projection", output_dim=2, norm_bound=3.0,
                           weight=W)
-        np.testing.assert_allclose(apply_feature_map(fmap, [1.0, 1.0]), [2.0, 2.0])
+        np.testing.assert_allclose(fmap([1.0, 1.0]), [2.0, 2.0])
         tight = FeatureMap(kind="affine-projection", output_dim=2, norm_bound=2.0,
                            weight=W)
         with pytest.raises(NormBoundError):
-            apply_feature_map(tight, [1.0, 1.0])
+            tight([1.0, 1.0])
 
     def test_one_hot_is_exactly_one_hot(self):
         fmap = FeatureMap(kind="segment-one-hot", output_dim=5, norm_bound=1.0)
@@ -35,7 +34,7 @@ class TestFeatureMap:
 
     def test_output_length_matches_dim(self):
         fmap = FeatureMap(kind="segment-one-hot", output_dim=4, norm_bound=1.0)
-        assert apply_feature_map(fmap, [2.0]).shape == (4,)
+        assert fmap([2.0]).shape == (4,)
 
     def test_dimension_mismatch_rejected(self):
         fmap = FeatureMap(kind="identity", output_dim=2, norm_bound=10.0)
@@ -79,8 +78,24 @@ class TestRecords:
         with pytest.raises(ValueError):
             RctRecord(x=[0.0], t=1, y=-0.1, p=0.5, seq=1)
 
-    def test_pool_unit_starts_unqueried(self):
-        assert PoolUnit(id=0, x=[1.0]).queried is False
+
+
+class TestPool:
+    def test_duplicate_ids_rejected(self):
+        with pytest.raises(ValueError, match="distinct"):
+            Pool(ids=[4, 7, 4], xs=np.zeros((3, 2)))
+
+    def test_length_mismatch_rejected(self):
+        with pytest.raises(ValueError):
+            Pool(ids=[0, 1, 2], xs=np.zeros((2, 2)))
+
+    def test_arrays_are_read_only_copies(self):
+        ids, xs = np.array([5, 9]), np.ones((2, 1))
+        pool = Pool(ids=ids, xs=xs)
+        ids[0] = 7
+        assert pool.ids[0] == 5 and len(pool) == 2
+        with pytest.raises(ValueError):
+            pool.xs[0, 0] = 2.0
 
 
 class TestValidateRctStream:
@@ -118,8 +133,9 @@ class TestJsonlRoundTrip:
 
     def test_obs_and_pool_round_trip(self, tmp_path):
         obs = [ObsRecord(x=[0.5], t=0, y=1.0)]
-        pool = [PoolUnit(id=3, x=[2.0], queried=True)]
+        pool = Pool(ids=[3], xs=[[2.0]])
         write_jsonl(tmp_path / "obs.jsonl", obs)
         write_jsonl(tmp_path / "pool.jsonl", pool)
         assert read_jsonl(tmp_path / "obs.jsonl", "obs") == obs
-        assert read_jsonl(tmp_path / "pool.jsonl", "pool") == pool
+        back = read_jsonl(tmp_path / "pool.jsonl", "pool")
+        assert (back.ids.tolist(), back.xs.tolist()) == (pool.ids.tolist(), pool.xs.tolist())

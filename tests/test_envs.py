@@ -7,9 +7,8 @@ from scipy import stats
 from budgex.core import FeatureMap
 from budgex.envs import (BoxMarginal, EnvSpecError, HardInstance, LinearEnv,
                          LogisticPolicy, MarginalShift, SegmentMarginal,
-                         ThresholdPolicy, default_hard_delta, draw_outcome,
-                         env_from_json, env_to_json, sample_obs, sample_pool,
-                         true_cate)
+                         ThresholdPolicy, default_hard_delta, env_from_json,
+                         env_to_json, sample_obs, sample_pool)
 from budgex._rng import rng_for
 
 
@@ -22,24 +21,24 @@ class TestSamplePool:
     def test_segment_counts_near_uniform(self):
         env = HardInstance(d=4, delta=0.1, theta_signs=(1, 1, -1, -1))
         pool = sample_pool(env, 4000, seed=7)
-        counts = np.bincount([int(u.x[0]) for u in pool], minlength=4)
+        counts = np.bincount(pool.xs[:, 0].astype(int), minlength=4)
         sd = np.sqrt(4000 * 0.25 * 0.75)
         assert np.all(np.abs(counts - 1000) < 4 * sd)
 
     def test_single_unit(self):
         pool = sample_pool(hard_env(), 1, seed=0)
         assert len(pool) == 1
-        assert pool[0].id == 0
+        assert pool.ids[0] == 0
 
     def test_determinism(self):
         env = hard_env()
         a = sample_pool(env, 100, seed=3)
         b = sample_pool(env, 100, seed=3)
-        assert [u.x for u in a] == [u.x for u in b]
+        assert a.xs.tolist() == b.xs.tolist()
 
     def test_ids_are_consecutive(self):
         pool = sample_pool(hard_env(), 50, seed=1)
-        assert [u.id for u in pool] == list(range(50))
+        assert pool.ids.tolist() == list(range(50))
 
 
 class TestSampleObs:
@@ -95,21 +94,21 @@ class TestDrawOutcome:
 
     def test_single_draw_is_binary(self):
         env = hard_env()
-        y = draw_outcome(env, [0.0], 1, rng_for(3))
+        y = float(env.draw_outcomes(np.array([[0.0]]), [1], [rng_for(3).random()])[0])
         assert y in (0.0, 1.0)
 
 
 class TestTrueCate:
     def test_hard_instance_segments(self):
         env = hard_env(d=2, delta=0.25, signs=(1, -1))
-        assert true_cate(env, [0.0]) == 0.25
-        assert true_cate(env, [1.0]) == -0.25
+        assert env.true_cate([0.0]) == 0.25
+        assert env.true_cate([1.0]) == -0.25
 
     def test_linear_env_dot_product(self):
         fmap = FeatureMap(kind="identity", output_dim=2, norm_bound=2.0)
         env = LinearEnv(theta_star=(0.2, -0.1), feature_map=fmap, norm_budget=1.0,
                         marginal=BoxMarginal((-1.0, -1.0), (1.0, 1.0)))
-        assert abs(true_cate(env, [1.0, 1.0]) - 0.1) < 1e-15
+        assert abs(env.true_cate([1.0, 1.0]) - 0.1) < 1e-15
 
     def test_cate_equals_mean_difference(self):
         env = hard_env(d=3, delta=0.2, signs=(1, -1, 1))
@@ -175,7 +174,7 @@ class TestMarginals:
         pvals = []
         for seed in range(5):
             pool = sample_pool(env, 2000, seed=seed)
-            counts = np.bincount([int(u.x[0]) for u in pool], minlength=4)
+            counts = np.bincount(pool.xs[:, 0].astype(int), minlength=4)
             pvals.append(stats.chisquare(counts).pvalue)
         assert min(pvals) > 1e-4
 

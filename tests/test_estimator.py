@@ -5,14 +5,13 @@ import pytest
 from scipy import stats
 
 from budgex.core import FeatureMap, PropensityBounds, RctRecord
-from budgex.estimator import (AlignmentWeight, ConfidenceParams, InfoMatrix,
+from budgex.estimator import (ConfidenceParams, InfoMatrix,
                               SingularDesignError, beta_bound,
                               compute_alignment_weights, confidence_width,
-                              default_sigma, ellipsoid_radius, fit_ridge,
-                              fit_ridge_arrays, fit_weighted_ridge,
-                              pointwise_ci, predict_cate, pseudo_outcome,
-                              pseudo_outcome_values, sandwich_from_arrays,
-                              sandwich_variance, solution_from_json,
+                              default_sigma, ellipsoid_radius,
+                              fit_ridge_arrays, pointwise_ci,
+                              predict_cate_many, pseudo_outcome_values,
+                              sandwich_from_arrays, solution_from_json,
                               solution_to_json)
 from budgex.acquisition import PropensityModel
 from budgex._rng import rng_for
@@ -25,25 +24,33 @@ def rct(x, t, y, p, seq):
     return RctRecord(x=x, t=t, y=y, p=p, seq=seq)
 
 
+def design(records, fmap):
+    """Feature rows and pseudo-outcomes of a record stream."""
+    phis = fmap.apply_many([r.x for r in records])
+    return phis, pseudo_outcome_values([r.t for r in records],
+                                       [r.y for r in records],
+                                       [r.p for r in records])
+
+
 class TestPseudoOutcome:
     def test_treated_branch(self):
-        assert pseudo_outcome(rct([0.0], 1, 1.0, 0.5, 1)).value == 2.0
+        assert pseudo_outcome_values([1], [1.0], [0.5])[0] == 2.0
 
     def test_control_branch(self):
-        assert pseudo_outcome(rct([0.0], 0, 1.0, 0.5, 1)).value == -2.0
+        assert pseudo_outcome_values([0], [1.0], [0.5])[0] == -2.0
 
     def test_value_respects_envelope(self):
-        po = pseudo_outcome(rct([0.0], 1, 0.7, 0.2, 1))
-        assert po.value == pytest.approx(3.5)
+        po = pseudo_outcome_values([1], [0.7], [0.2])[0]
+        assert po == pytest.approx(3.5)
         bounds = PropensityBounds(0.2, 0.8)
-        assert abs(po.value) <= bounds.pseudo_outcome_bound
+        assert abs(po) <= bounds.pseudo_outcome_bound
         assert bounds.pseudo_outcome_bound == pytest.approx(5.0)
 
     def test_invalid_probability_rejected(self):
         bad = rct([0.0], 1, 1.0, 0.5, 1)
         object.__setattr__(bad, "p", 1.0)
         with pytest.raises(ValueError):
-            pseudo_outcome(bad)
+            pseudo_outcome_values([bad.t], [bad.y], [bad.p])
 
     def test_sampled_values_never_exceed_bound(self):
         bounds = PropensityBounds(0.2, 0.8)
@@ -58,20 +65,20 @@ class TestPseudoOutcome:
 class TestFitRidge:
     def test_single_record_hand_solution(self):
         recs = [rct([0.0], 1, 1.0, 0.5, 1)]  # phi = e1, pseudo-outcome 2
-        sol = fit_ridge(recs, ONE_HOT_2, lam=1.0)
+        sol = fit_ridge_arrays(*design(recs, ONE_HOT_2), 1.0)
         np.testing.assert_allclose(sol.info.V, np.diag([2.0, 1.0]))
         np.testing.assert_allclose(sol.moment, [2.0, 0.0])
         np.testing.assert_allclose(sol.theta_hat, [1.0, 0.0])
 
     def test_ols_is_sample_mean(self):
         recs = [rct([0.0], 1, 1.0, 0.5, s) for s in (1, 2)]
-        sol = fit_ridge(recs, ONE_HOT_1, lam=0.0)
+        sol = fit_ridge_arrays(*design(recs, ONE_HOT_1), 0.0)
         np.testing.assert_allclose(sol.theta_hat, [2.0])
 
     def test_singular_design_rejected(self):
         recs = [rct([0.0], 1, 1.0, 0.5, 1)]  # spans only e1 of d=2
         with pytest.raises(SingularDesignError, match="rank 1"):
-            fit_ridge(recs, ONE_HOT_2, lam=0.0)
+            fit_ridge_arrays(*design(recs, ONE_HOT_2), 0.0)
 
     def test_normal_equation_residual(self):
         rng = rng_for(23)
@@ -87,26 +94,26 @@ class TestFitRidge:
 class TestWeightedRidge:
     def test_unit_weights_reduce_to_ridge(self):
         recs = [rct([0.0], 1, 1.0, 0.5, 1), rct([1.0], 0, 0.5, 0.4, 2)]
-        a = fit_weighted_ridge(recs, [1.0, 1.0], ONE_HOT_2, lam=0.7)
-        b = fit_ridge(recs, ONE_HOT_2, lam=0.7)
+        a = fit_ridge_arrays(*design(recs, ONE_HOT_2), 0.7, weights=[1.0, 1.0])
+        b = fit_ridge_arrays(*design(recs, ONE_HOT_2), 0.7)
         np.testing.assert_array_equal(a.theta_hat, b.theta_hat)
 
     def test_downweighted_conflict(self):
         # phi = e1 twice with pseudo-outcomes +2 (weight 1) and -2 (weight 0.2):
         # theta = (2 - 0.4) / 1.2 = 4/3
         recs = [rct([0.0], 1, 1.0, 0.5, 1), rct([0.0], 0, 1.0, 0.5, 2)]
-        sol = fit_weighted_ridge(recs, [1.0, 0.2], ONE_HOT_1, lam=0.0)
+        sol = fit_ridge_arrays(*design(recs, ONE_HOT_1), 0.0, weights=[1.0, 0.2])
         np.testing.assert_allclose(sol.theta_hat, [4.0 / 3.0])
 
     def test_nonpositive_weight_rejected(self):
         recs = [rct([0.0], 1, 1.0, 0.5, 1)]
         with pytest.raises(ValueError):
-            fit_weighted_ridge(recs, [0.0], ONE_HOT_1, lam=1.0)
+            fit_ridge_arrays(*design(recs, ONE_HOT_1), 1.0, weights=[0.0])
 
     def test_weight_length_mismatch_rejected(self):
         recs = [rct([0.0], 1, 1.0, 0.5, 1)]
         with pytest.raises(ValueError):
-            fit_weighted_ridge(recs, [1.0, 1.0], ONE_HOT_1, lam=1.0)
+            fit_ridge_arrays(*design(recs, ONE_HOT_1), 1.0, weights=[1.0, 1.0])
 
 
 class TestAlignmentWeights:
@@ -118,49 +125,55 @@ class TestAlignmentWeights:
     def test_large_gap_is_gold(self):
         recs = [rct([0.0], 0, 1.0, 0.5, 1)]
         fmap = FeatureMap(kind="identity", output_dim=1, norm_bound=1.0)
-        (w,) = compute_alignment_weights(recs, self.model(0.9), fmap)
-        assert w.gap == pytest.approx(0.9)
-        assert w.weight == 1.0
+        phis = fmap.apply_many([r.x for r in recs])
+        (gap,), (weight,) = compute_alignment_weights(phis, [r.t for r in recs],
+                                                      self.model(0.9))
+        assert gap == pytest.approx(0.9)
+        assert weight == 1.0
 
     def test_small_gap_is_silver(self):
         recs = [rct([0.0], 1, 1.0, 0.5, 1)]
         fmap = FeatureMap(kind="identity", output_dim=1, norm_bound=1.0)
-        (w,) = compute_alignment_weights(recs, self.model(0.6), fmap)
-        assert w.gap == pytest.approx(0.4)
-        assert w.weight == 0.2
+        phis = fmap.apply_many([r.x for r in recs])
+        (gap,), (weight,) = compute_alignment_weights(phis, [r.t for r in recs],
+                                                      self.model(0.6))
+        assert gap == pytest.approx(0.4)
+        assert weight == 0.2
 
     def test_boundary_gap_is_silver(self):
         """gap = 0.5 exactly: strict inequality keeps the 0.2 weight."""
         recs = [rct([0.0], 1, 1.0, 0.5, 1)]
         fmap = FeatureMap(kind="identity", output_dim=1, norm_bound=1.0)
-        (w,) = compute_alignment_weights(recs, self.model(0.5), fmap)
-        assert w.gap == pytest.approx(0.5)
-        assert w.weight == 0.2
+        phis = fmap.apply_many([r.x for r in recs])
+        (gap,), (weight,) = compute_alignment_weights(phis, [r.t for r in recs],
+                                                      self.model(0.5))
+        assert gap == pytest.approx(0.5)
+        assert weight == 0.2
 
     def test_gold_weight_enters_fit(self):
         recs = [rct([0.0], 0, 1.0, 0.5, 1)]
         fmap = FeatureMap(kind="identity", output_dim=1, norm_bound=1.0)
-        ws = [w.weight for w in
-              compute_alignment_weights(recs, self.model(0.9), fmap)]
-        assert ws == [1.0]
+        phis = fmap.apply_many([r.x for r in recs])
+        _, ws = compute_alignment_weights(phis, [r.t for r in recs], self.model(0.9))
+        assert list(ws) == [1.0]
 
 
 class TestPredictCate:
     def test_one_hot_lookup(self):
         sol = fit_ridge_arrays(np.array([[1.0, 0.0]]), np.array([2.0]), 1.0)
-        assert predict_cate(sol, ONE_HOT_2, [0.0]) == pytest.approx(1.0)
-        assert predict_cate(sol, ONE_HOT_2, [1.0]) == 0.0
+        assert predict_cate_many(sol, ONE_HOT_2, [[0.0]])[0] == pytest.approx(1.0)
+        assert predict_cate_many(sol, ONE_HOT_2, [[1.0]])[0] == 0.0
 
     def test_zero_theta(self):
         sol = fit_ridge_arrays(np.zeros((0, 2)), np.zeros(0), 1.0)
         np.testing.assert_array_equal(sol.theta_hat, [0.0, 0.0])
-        assert predict_cate(sol, ONE_HOT_2, [1.0]) == 0.0
+        assert predict_cate_many(sol, ONE_HOT_2, [[1.0]])[0] == 0.0
 
     def test_dot_product(self):
         fmap = FeatureMap(kind="identity", output_dim=2, norm_bound=2.0)
         sol = solution_from_json({"theta_hat": [0.3, -0.2], "lambda": 1.0,
                                   "n": 0, "V": [1.0, 0.0, 0.0, 1.0]})
-        assert predict_cate(sol, fmap, [1.0, 1.0]) == pytest.approx(0.1)
+        assert predict_cate_many(sol, fmap, [[1.0, 1.0]])[0] == pytest.approx(0.1)
 
 
 class TestBetaBound:
@@ -254,8 +267,8 @@ class TestSandwich:
 
     def test_record_interface(self):
         recs = [rct([0.0], 1, 1.0, 0.5, s + 1) for s in range(3)]
-        sol = fit_ridge(recs, ONE_HOT_1, lam=0.0)
-        sw = sandwich_variance(recs, sol, ONE_HOT_1)
+        sol = fit_ridge_arrays(*design(recs, ONE_HOT_1), 0.0)
+        sw = sandwich_from_arrays(*design(recs, ONE_HOT_1), sol)
         assert sw.avar.shape == (1, 1)
 
 
@@ -292,15 +305,6 @@ class TestPointwiseCi:
 
 
 class TestInfoMatrix:
-    def test_incremental_matches_rebuild(self):
-        rng = rng_for(41)
-        phis = rng.standard_normal((25, 3))
-        inc = InfoMatrix(3, lam=0.5)
-        for phi in phis:
-            inc.update(phi)
-        assert inc.rebuild_check(phis)
-        assert inc.n == 25
-
     def test_minimum_eigenvalue_floor(self):
         rng = rng_for(43)
         phis = rng.standard_normal((10, 3))

@@ -204,6 +204,16 @@ class TestBoundAudit:
             bound_violation_audit(env, cfg, 50, 5, delta=0.1)
 
 
+@pytest.mark.parametrize("audit", [
+    lambda env, cfg: bound_violation_audit(env, cfg, 50, 0, delta=0.1).rate,
+    lambda env, cfg: clt_diagnostic(env, cfg, 50, 0, x=[0.0]),
+], ids=["bound_violation_audit", "clt_diagnostic"])
+def test_zero_replications_rejected(audit):
+    cfg = ProtocolConfig(budget=50, strategy="random", seed=0)
+    with pytest.raises(ValueError, match="replication"):
+        audit(hard4(), cfg)
+
+
 class TestCltDiagnostic:
     def test_degenerate_point_rejected(self):
         from budgex.core import FeatureMap

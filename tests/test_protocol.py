@@ -6,13 +6,15 @@ from scipy import stats
 
 from budgex.acquisition import (AcquisitionWeights, EnsembleSpec,
                                 fit_propensity, score_pool, select_top_m)
-from budgex.core import FeatureMap, PoolUnit, PropensityBounds, RctRecord
+from budgex.core import FeatureMap, Pool, PropensityBounds
 from budgex.envs import (HardInstance, LinearEnv, LogisticPolicy,
                          MarginalShift, SegmentMarginal, ThresholdPolicy,
                          sample_obs, sample_pool)
+from budgex.estimator import pseudo_outcome_values
 from budgex.protocol import (AffinePolicy, ConstantPolicy, ProtocolConfig,
                              VarianceOptimalPolicy, clip_probability,
                              optimal_p, run_protocol)
+from budgex._rng import rng_for
 
 BOUNDS = PropensityBounds(0.2, 0.8)
 
@@ -107,7 +109,7 @@ class TestRunProtocol:
         pool = sample_pool(env, 60, seed=7)
         result = run_protocol(cfg, env, pool_units=pool)
         assert len(set(result.unit_ids)) == len(result.unit_ids) == 40
-        assert sum(u.queried for u in pool) == 40
+        assert pool.ids.tolist() == list(range(60))  # the input is left as it was
 
     def test_treated_fraction_near_half(self):
         env = hard4()
@@ -136,9 +138,8 @@ class TestRunProtocol:
     def test_determinism(self):
         env, pool, obs = weak_overlap_world(13)
         cfg = ProtocolConfig(budget=40, max_batch=10, strategy="active", seed=14)
-        fresh = lambda: [PoolUnit(id=u.id, x=u.x) for u in pool]
-        a = run_protocol(cfg, env, pool_units=fresh(), obs_records=obs)
-        b = run_protocol(cfg, env, pool_units=fresh(), obs_records=obs)
+        a = run_protocol(cfg, env, pool_units=pool, obs_records=obs)
+        b = run_protocol(cfg, env, pool_units=pool, obs_records=obs)
         np.testing.assert_array_equal(a.unit_ids, b.unit_ids)
         np.testing.assert_array_equal(a.ts, b.ts)
         np.testing.assert_array_equal(a.solution.theta_hat, b.solution.theta_hat)
@@ -176,13 +177,12 @@ class TestRandomizationIndependence:
         """A unit's (t, y) must be identical no matter which strategy or
         round selected it."""
         env, pool, obs = weak_overlap_world(21)
-        fresh = lambda: [PoolUnit(id=u.id, x=u.x) for u in pool]
         cfg_r = ProtocolConfig(budget=120, max_batch=30, strategy="random",
                                seed=22)
         cfg_a = ProtocolConfig(budget=120, max_batch=30, strategy="active",
                                seed=22)
-        res_r = run_protocol(cfg_r, env, pool_units=fresh(), obs_records=obs)
-        res_a = run_protocol(cfg_a, env, pool_units=fresh(), obs_records=obs)
+        res_r = run_protocol(cfg_r, env, pool_units=pool, obs_records=obs)
+        res_a = run_protocol(cfg_a, env, pool_units=pool, obs_records=obs)
         by_id_r = {int(i): (int(t), float(y))
                    for i, t, y in zip(res_r.unit_ids, res_r.ts, res_r.ys)}
         by_id_a = {int(i): (int(t), float(y))
@@ -193,36 +193,68 @@ class TestRandomizationIndependence:
             assert by_id_r[uid] == by_id_a[uid]
 
 
+class TestIdsAreNotPositions:
+    """A unit's id is its name, not its position in the pool arrays."""
+
+    @staticmethod
+    def by_id(result):
+        return {int(i): (int(t), float(y))
+                for i, t, y in zip(result.unit_ids, result.ts, result.ys)}
+
+    def test_active_selection_ignores_pool_order(self):
+        env, pool, obs = weak_overlap_world(31)
+        perm = rng_for(32).permutation(len(pool))
+        shuffled = Pool(ids=pool.ids[perm], xs=pool.xs[perm])
+        cfg = ProtocolConfig(budget=60, max_batch=20, strategy="active", seed=33)
+        base = run_protocol(cfg, env, pool_units=pool, obs_records=obs)
+        moved = run_protocol(cfg, env, pool_units=shuffled, obs_records=obs)
+        assert set(moved.unit_ids) == set(base.unit_ids)
+        assert self.by_id(moved) == self.by_id(base)
+
+    def test_active_strategy_on_offset_ids(self):
+        env, pool, obs = weak_overlap_world(34)
+        offset = Pool(ids=pool.ids + 100, xs=pool.xs)
+        cfg = ProtocolConfig(budget=60, max_batch=20, strategy="active", seed=35)
+        base = run_protocol(cfg, env, pool_units=pool, obs_records=obs)
+        shifted = run_protocol(cfg, env, pool_units=offset, obs_records=obs)
+        assert len(shifted.unit_ids) == 60
+        assert set(shifted.unit_ids) <= set(offset.ids)
+        # later rounds may differ: the per-unit draws are keyed by id
+        np.testing.assert_array_equal(shifted.unit_ids[:20], base.unit_ids[:20] + 100)
+
+    def test_random_strategy_keeps_each_units_covariates(self):
+        env = hard4()
+        pool = sample_pool(env, 50, seed=36)
+        reversed_pool = Pool(ids=pool.ids[::-1], xs=pool.xs[::-1])
+        cfg = ProtocolConfig(budget=10, strategy="random", seed=37)
+        result = run_protocol(cfg, env, pool_units=reversed_pool)
+        np.testing.assert_array_equal(result.xs, pool.xs[result.unit_ids])
+
+
 class TestFiltrationSoundness:
     def test_round_scores_recomputable_from_truncated_stream(self):
         """Selection at round k must depend only on records queried before
         round k: recomputing scores from the truncated stream reproduces the
-        stored breakdowns exactly."""
+        stored score tables exactly."""
         env, pool, obs = weak_overlap_world(23)
         cfg = ProtocolConfig(budget=60, max_batch=20, strategy="active", seed=24)
-        fresh = [PoolUnit(id=u.id, x=u.x) for u in pool]
-        result = run_protocol(cfg, env, pool_units=fresh, obs_records=obs)
+        result = run_protocol(cfg, env, pool_units=pool, obs_records=obs)
         fmap = env.feature_map
         prop = fit_propensity(obs, fmap)
         obs_phis = fmap.apply_many([r.x for r in obs])
+        phis = fmap.apply_many(result.xs)
+        yts = pseudo_outcome_values(result.ts, result.ys, result.ps)
         start = 0
-        queried = set()
-        for k, (bds, m_k) in enumerate(zip(result.breakdowns,
+        for k, (bds, m_k) in enumerate(zip(result.scores,
                                            result.batch_sizes)):
-            truncated = [
-                RctRecord(x=result.xs[i], t=int(result.ts[i]),
-                          y=float(result.ys[i]), p=float(result.ps[i]),
-                          seq=i + 1)
-                for i in range(start)
-            ]
-            units = [PoolUnit(id=u.id, x=u.x) for u in pool
-                     if u.id not in queried]
-            redone = score_pool(units, fmap, truncated, obs_phis, prop,
-                                cfg.weights, cfg.ensemble, round_seed=k)
-            assert redone == bds
-            assert select_top_m(redone, m_k) == \
+            keep = ~np.isin(pool.ids, result.unit_ids[:start])
+            units = Pool(ids=pool.ids[keep], xs=pool.xs[keep])
+            redone = score_pool(units, fmap, phis[:start], yts[:start],
+                                obs_phis, prop, cfg.weights, cfg.ensemble,
+                                round_seed=k)
+            assert np.array_equal(redone, bds)
+            assert list(redone["id"][select_top_m(redone, m_k)]) == \
                 list(result.unit_ids[start:start + m_k])
-            queried.update(int(i) for i in result.unit_ids[start:start + m_k])
             start += m_k
 
 
@@ -234,13 +266,12 @@ class TestDesignShaping:
         n_pairs = 50
         for s in range(n_pairs):
             env, pool, obs = weak_overlap_world(1000 + 17 * s)
-            fresh = lambda: [PoolUnit(id=u.id, x=u.x) for u in pool]
             share = {}
             for strat, w in (("active", AcquisitionWeights(0.0, 0.1, 1.0)),
                              ("random", AcquisitionWeights())):
                 cfg = ProtocolConfig(budget=60, max_batch=20, strategy=strat,
                                      weights=w, seed=2000 + s)
-                res = run_protocol(cfg, env, pool_units=fresh(),
+                res = run_protocol(cfg, env, pool_units=pool,
                                    obs_records=obs)
                 share[strat] = np.mean(np.abs(res.xs[:, 1]) > 0.5)
             if share["active"] > share["random"]:
