@@ -5,11 +5,16 @@ Treatment and outcome draws use counter-style hashing keyed by
 downstream consumption can never change an individual unit's draws.
 Everything else (pool sampling, bootstrap resampling, tie shuffles)
 uses numpy Generators derived from a master seed.
+One splitmix64 with Python-int constants mixes both: on Python ints it is
+integer arithmetic masked to 64 bits; on uint64 arrays the constants take the
+array's dtype (NEP 50) and the same lines wrap modulo 2^64 to the same bits.
 """
+
+from operator import index
 
 import numpy as np
 
-_MASK = np.uint64(0xFFFFFFFFFFFFFFFF)
+_MASK = 0xFFFFFFFFFFFFFFFF
 
 # purpose tags for per-unit streams
 TREATMENT = 0x51ED270693E06F85
@@ -17,12 +22,11 @@ OUTCOME = 0x9E6C63D0976A0C27
 
 
 def _splitmix64(z):
-    """One round of splitmix64 on a uint64 array (wraparound intended)."""
-    with np.errstate(over="ignore"):
-        z = (z + np.uint64(0x9E3779B97F4A7C15)) & _MASK
-        z = ((z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)) & _MASK
-        z = ((z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)) & _MASK
-        return z ^ (z >> np.uint64(31))
+    """One round of splitmix64 on a Python int or a uint64 array."""
+    z = (z + 0x9E3779B97F4A7C15) & _MASK
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+    return z ^ (z >> 31)
 
 
 def unit_uniform(seed, unit_ids, purpose):
@@ -31,18 +35,18 @@ def unit_uniform(seed, unit_ids, purpose):
     Vectorized over unit_ids; the same triple always yields the same value.
     """
     ids = np.asarray(unit_ids, dtype=np.uint64)
-    h = _splitmix64(np.uint64(seed & 0xFFFFFFFFFFFFFFFF) ^ np.uint64(purpose))
-    z = _splitmix64(ids ^ h)
-    z = _splitmix64(z ^ np.uint64(purpose))
-    return (z >> np.uint64(11)).astype(np.float64) * (1.0 / (1 << 53))
+    h = _splitmix64((index(seed) & _MASK) ^ purpose)
+    with np.errstate(over="ignore"):  # a 0-d ids array computes in numpy scalars
+        z = _splitmix64(_splitmix64(ids ^ h) ^ purpose)
+    return (z >> 11).astype(np.float64) * (1.0 / (1 << 53))
 
 
 def derive_seed(master_seed, *parts):
     """Derive an integer sub-seed from a master seed and context parts."""
-    z = np.uint64(master_seed & 0xFFFFFFFFFFFFFFFF)
+    z = index(master_seed) & _MASK
     for p in parts:
-        z = _splitmix64(z ^ np.uint64(int(p) & 0xFFFFFFFFFFFFFFFF))
-    return int(z)
+        z = _splitmix64(z ^ (int(p) & _MASK))
+    return z
 
 
 def rng_for(master_seed, *parts):

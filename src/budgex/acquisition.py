@@ -200,17 +200,15 @@ def select_top_m(table, m):
     return np.lexsort((table["id"], -table["S"]))[:m]
 
 
-def score_pool(pool, fmap, labeled_phis, labeled_yts, obs_phis, propensity,
+def score_pool(ids, cand_phis, labeled_phis, labeled_yts, obs_phis, propensity,
                weights, ensemble_spec, domain_config=DomainTrainConfig(),
                round_seed=0):
-    """One round of scoring: train round models, score every unit of pool.
+    """One round of scoring: train round models, score every candidate.
 
-    pool holds the candidates (the unqueried units); labeled_phis and
-    labeled_yts are the randomized stream so far as features and
-    pseudo-outcomes.
+    ids and cand_phis are the candidates (the unqueried units) as unit ids
+    and feature rows, already mapped; labeled_phis and labeled_yts are the
+    randomized stream so far as features and pseudo-outcomes.
     """
-    cand_phis = fmap.apply_many(pool.xs)
-
     # v: bootstrap ensemble over the labeled randomized stream
     spec = replace(ensemble_spec, seed=ensemble_spec.seed + round_seed)
     v = ensemble_variance(labeled_phis, labeled_yts, cand_phis, spec)
@@ -219,13 +217,13 @@ def score_pool(pool, fmap, labeled_phis, labeled_yts, obs_phis, propensity,
     current_phis = obs_phis if not len(labeled_phis) else (
         np.vstack([obs_phis, labeled_phis]) if len(obs_phis) else labeled_phis)
     if len(current_phis) == 0:
-        d = np.full(len(pool), 0.5)
+        d = np.full(len(ids), 0.5)
     else:
         clf = train_domain_classifier(cand_phis, current_phis, domain_config)
         d = clf.score(cand_phis)
 
     # o: overlap deficit from the OBS-trained propensity head
     o = overlap_deficit_many(propensity, cand_phis) if propensity is not None \
-        else np.zeros(len(pool))
+        else np.zeros(len(ids))
 
-    return composite_scores(pool.ids, v, d, o, weights)
+    return composite_scores(ids, v, d, o, weights)

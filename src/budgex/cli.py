@@ -6,7 +6,8 @@ Subcommands:
   evaluate  env.json + solution.json -> metrics.csv, summary.json
   sweep     sweep.json -> one metrics row per (budget, strategy, replication)
 
-All outputs are byte-deterministic given identical configs and master seed.
+All outputs but run's wall-clock timing.json are byte-deterministic given
+identical configs and master seed.
 BUDGEX_THREADS caps worker parallelism for sweeps (default 1).
 """
 
@@ -158,8 +159,9 @@ def cmd_run(args):
             "budget_used": int(len(result.ts)),
             "batch_sizes": result.batch_sizes,
             "seed": seed_r,
-            "wall_time_s": round(elapsed, 3),
         })
+        _write_json(os.path.join(rep_dir, "timing.json"),
+                    {"wall_time_s": round(elapsed, 3)})
     _write_json(os.path.join(args.out, "manifest.json"), {
         "env_spec_sha256": _sha256_file(args.env),
         "protocol_sha256": _sha256_file(args.protocol),
@@ -220,8 +222,10 @@ def _sweep_cell(payload):
         cfg = replace(cfg, weights=AcquisitionWeights(a, b, g))
 
     pool = sample_pool(env, n_pool, derive_seed(seed, 0x706C))
+    # only active and fusion cells read the log; sample_obs draws from its own stream
+    reads_obs = cfg.strategy == "active" or cfg.mode == "fusion"
     obs = (sample_obs(env, policy, shift, n_obs, derive_seed(seed, 0x6F62))
-           if policy is not None and n_obs > 0 else [])
+           if reads_obs and policy is not None and n_obs > 0 else [])
     if cfg.strategy == "active" and not obs:
         raise ValueError("active sweep strategies need an obs policy and n_obs > 0")
     result = run_protocol(cfg, env, pool_units=pool, obs_records=obs)

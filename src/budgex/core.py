@@ -150,7 +150,8 @@ class Pool:
         if ids.ndim != 1 or xs.ndim != 2 or len(ids) != len(xs):
             raise ValueError(f"need ids of shape (n,) and xs of shape (n, k), "
                              f"got {ids.shape} and {xs.shape}")
-        if len(np.unique(ids)) != len(ids):
+        ordered = np.sort(ids)
+        if np.any(ordered[1:] == ordered[:-1]):
             raise ValueError("pool unit ids must be distinct")
         ids.flags.writeable = False
         xs.flags.writeable = False

@@ -155,8 +155,12 @@ class MarginalShift:
 class _BernoulliEnv:
     """Common machinery: Bernoulli outcomes around arm means mu_t(x)."""
 
-    def mu(self, xs, t):
+    def arm_means(self, xs):
+        """(mu_1(x), mu_0(x)) per row of xs."""
         raise NotImplementedError
+
+    def mu(self, xs, t):
+        return self.arm_means(xs)[0 if t == 1 else 1]
 
     def true_cate_many(self, xs):
         phis = self.feature_map.apply_many(xs)
@@ -167,7 +171,7 @@ class _BernoulliEnv:
 
     def second_moments(self, xs):
         """(E[Y(1)^2 | x], E[Y(0)^2 | x]); equal to the means for binary Y."""
-        return self.mu(xs, 1), self.mu(xs, 0)
+        return self.arm_means(xs)
 
     def sample_x(self, n, rng):
         return self.marginal.sample(n, rng)
@@ -175,7 +179,7 @@ class _BernoulliEnv:
     def draw_outcomes(self, xs, ts, uniforms):
         """y = 1{u < mu_t(x)} -- one uniform consumed per unit."""
         ts = np.asarray(ts)
-        m = np.where(ts == 1, self.mu(xs, 1), self.mu(xs, 0))
+        m = np.where(ts == 1, *self.arm_means(xs))
         return (np.asarray(uniforms) < m).astype(float)
 
     def _check_means(self):
@@ -209,12 +213,11 @@ class LinearEnv(_BernoulliEnv):
         self.feature_map.apply_many(self.marginal.support_points())
         self._check_means()
 
-    def baseline(self, xs):
+    def arm_means(self, xs):
         phis = self.feature_map.apply_many(xs)
-        return self.m0 + phis @ self.wm
-
-    def mu(self, xs, t):
-        return self.baseline(xs) + (1.0 if t == 1 else -1.0) * 0.5 * self.true_cate_many(xs)
+        base = self.m0 + phis @ self.wm
+        half = 0.5 * (phis @ self.theta_star)
+        return base + half, base - half
 
 
 class HardInstance(_BernoulliEnv):
@@ -236,9 +239,10 @@ class HardInstance(_BernoulliEnv):
         self.marginal = SegmentMarginal(tuple(np.full(d, 1.0 / d)))
         self._check_means()
 
-    def mu(self, xs, t):
+    def arm_means(self, xs):
         j = np.atleast_2d(np.asarray(xs))[:, 0].astype(int)
-        return 0.5 + (1.0 if t == 1 else -1.0) * 0.5 * self.theta_star[j]
+        half = 0.5 * self.theta_star[j]
+        return 0.5 + half, 0.5 - half
 
 
 def default_hard_delta(d, budget):

@@ -153,7 +153,7 @@ def bound_violation_audit(env, config, n_pool, replications, delta,
         pool_phis = env.feature_map.apply_many(pool_xs)
         lev = np.einsum("ij,ij->i", pool_phis,
                         np.linalg.solve(sol.info.V, pool_phis.T).T)
-        err = pool_phis @ sol.theta_hat - env.true_cate_many(pool_xs)
+        err = pool_phis @ sol.theta_hat - pool_phis @ env.theta_star
         pehes[r] = np.sqrt(np.mean(err**2))
         pbounds[r] = betas[r] * np.sqrt(max(np.mean(lev), 0.0))
     violations = int(np.sum(radii > betas))
@@ -179,9 +179,8 @@ def clt_diagnostic(env, config, n_pool, replications, x, master_seed=0):
     zs = np.empty(replications)
     for r in range(replications):
         result, _ = _replicate(env, config, n_pool, r, master_seed)
-        phis = env.feature_map.apply_many(result.xs)
-        yts = result.pseudo_outcomes()
-        sw = sandwich_from_arrays(phis, yts, result.solution)
+        sw = sandwich_from_arrays(result.phis, result.pseudo_outcomes(),
+                                  result.solution)
         se2 = float(phi @ sw.avar @ phi)
         b = len(result.ts)
         tau_hat = float(phi @ result.solution.theta_hat)

@@ -17,7 +17,7 @@ import numpy as np
 from ._rng import OUTCOME, TREATMENT, rng_for, unit_uniform
 from .acquisition import (AcquisitionWeights, EnsembleSpec, fit_propensity,
                           score_pool, select_top_m)
-from .core import Pool, PropensityBounds, RctRecord
+from .core import PropensityBounds, RctRecord
 from .estimator import (compute_alignment_weights, fit_ridge_arrays,
                         pseudo_outcome_values, RidgeSolution)
 
@@ -105,16 +105,18 @@ class RoundState:
     n_records: int
     ids: np.ndarray
     xs: np.ndarray
+    phis: np.ndarray
     ts: np.ndarray
     ys: np.ndarray
     ps: np.ndarray
     unqueried: np.ndarray
 
     @staticmethod
-    def empty(capacity, pool):
+    def empty(capacity, pool, dim):
         return RoundState(k=0, n_records=0,
                           ids=np.empty(capacity, dtype=np.int64),
                           xs=np.empty((capacity, pool.xs.shape[1])),
+                          phis=np.empty((capacity, dim)),
                           ts=np.empty(capacity, dtype=int),
                           ys=np.empty(capacity), ps=np.empty(capacity),
                           unqueried=np.ones(len(pool), dtype=bool))
@@ -124,6 +126,7 @@ class RoundState:
 class ProtocolResult:
     solution: RidgeSolution
     xs: np.ndarray
+    phis: np.ndarray
     ts: np.ndarray
     ys: np.ndarray
     ps: np.ndarray
@@ -143,9 +146,8 @@ class ProtocolResult:
         return pseudo_outcome_values(self.ts, self.ys, self.ps)
 
 
-def _assign_and_observe(env, config, ids, xs):
+def _assign_and_observe(env, config, ids, xs, phis):
     """Randomize treatments and draw outcomes for a selected batch."""
-    phis = env.feature_map.apply_many(xs)
     raw = config.randomization.raw(xs, phis, env)
     ps = clip_probability(raw, config.bounds)
     u_t = unit_uniform(config.seed, ids, TREATMENT)
@@ -155,7 +157,7 @@ def _assign_and_observe(env, config, ids, xs):
     return ts, ys, ps
 
 
-def run_round(state, config, env, pool, context):
+def run_round(state, config, env, pool, pool_phis, context):
     """Execute one selection/experimentation round, mutating state."""
     remaining = config.budget - state.n_records
     if remaining <= 0:
@@ -170,16 +172,17 @@ def run_round(state, config, env, pool, context):
         rng = rng_for(config.seed, 0x73656C, state.k)
         chosen = np.sort(rng.choice(candidates, size=m_k, replace=False))
     else:
-        scores = context.score_round(
-            state, Pool(ids=pool.ids[candidates], xs=pool.xs[candidates]))
+        scores = context.score_round(state, pool.ids[candidates],
+                                     pool_phis[candidates])
         chosen = candidates[select_top_m(scores, m_k)]
 
-    ids, xs = pool.ids[chosen], pool.xs[chosen]
+    ids, xs, phis = pool.ids[chosen], pool.xs[chosen], pool_phis[chosen]
     batch = slice(state.n_records, state.n_records + m_k)
     state.ids[batch] = ids
     state.xs[batch] = xs
+    state.phis[batch] = phis
     state.ts[batch], state.ys[batch], state.ps[batch] = \
-        _assign_and_observe(env, config, ids, xs)
+        _assign_and_observe(env, config, ids, xs, phis)
     state.n_records += m_k
     state.unqueried[chosen] = False
     state.k += 1
@@ -191,18 +194,17 @@ class _ActiveContext:
 
     def __init__(self, config, env, obs_records):
         self.config = config
-        self.fmap = env.feature_map
-        self.obs_phis = (self.fmap.apply_many([r.x for r in obs_records])
-                         if obs_records else np.zeros((0, self.fmap.output_dim)))
-        self.propensity = (fit_propensity(obs_records, self.fmap)
+        fmap = env.feature_map
+        self.obs_phis = (fmap.apply_many([r.x for r in obs_records])
+                         if obs_records else np.zeros((0, fmap.output_dim)))
+        self.propensity = (fit_propensity(obs_records, fmap)
                            if obs_records else None)
 
-    def score_round(self, state, unqueried):
-        """Score table over the unqueried Pool, from the stream so far."""
+    def score_round(self, state, ids, cand_phis):
+        """Score table over the unqueried units (ids, phi rows), from the stream so far."""
         n = state.n_records
-        labeled_phis = self.fmap.apply_many(state.xs[:n])
         labeled_yts = pseudo_outcome_values(state.ts[:n], state.ys[:n], state.ps[:n])
-        return score_pool(unqueried, self.fmap, labeled_phis, labeled_yts,
+        return score_pool(ids, cand_phis, state.phis[:n], labeled_yts,
                           self.obs_phis, self.propensity, self.config.weights,
                           self.config.ensemble, round_seed=state.k)
 
@@ -212,14 +214,17 @@ def run_protocol(config, env, pool_units, obs_records=None, out_dir=None):
 
     Selection works in positions of pool_units; the stream, the per-unit
     random draws and the score dumps carry the pool's unit ids. The pool
-    itself is never modified.
+    itself is never modified. Its phi rows are computed once, and scoring,
+    assignment and the final fit all read them: one phi per unit per run.
     """
     pool = pool_units
     obs_records = obs_records or []
     if config.mode == "fusion" and not obs_records:
         raise ValueError("fusion mode requires an observational log")
 
-    state = RoundState.empty(min(config.budget, len(pool)), pool)
+    fmap = env.feature_map
+    pool_phis = fmap.apply_many(pool.xs)
+    state = RoundState.empty(min(config.budget, len(pool)), pool, fmap.output_dim)
     context = _ActiveContext(config, env, obs_records) \
         if config.strategy == "active" else None
 
@@ -227,7 +232,7 @@ def run_protocol(config, env, pool_units, obs_records=None, out_dir=None):
     batch_sizes = []
     while state.n_records < config.budget and state.k < config.max_rounds:
         before = state.n_records
-        state, scores = run_round(state, config, env, pool, context)
+        state, scores = run_round(state, config, env, pool, pool_phis, context)
         gained = state.n_records - before
         if gained == 0:
             break  # pool exhausted
@@ -239,9 +244,8 @@ def run_protocol(config, env, pool_units, obs_records=None, out_dir=None):
                              state.ids[before:state.n_records])
 
     n = state.n_records
-    xs, ts, ys, ps = state.xs[:n], state.ts[:n], state.ys[:n], state.ps[:n]
-    fmap = env.feature_map
-    phis = fmap.apply_many(xs)
+    xs, phis = state.xs[:n], state.phis[:n]
+    ts, ys, ps = state.ts[:n], state.ys[:n], state.ps[:n]
     yts = pseudo_outcome_values(ts, ys, ps)
     if config.mode == "fusion":
         prop = context.propensity if context is not None \
@@ -251,7 +255,7 @@ def run_protocol(config, env, pool_units, obs_records=None, out_dir=None):
     else:
         solution = fit_ridge_arrays(phis, yts, config.estimator_lambda)
 
-    return ProtocolResult(solution=solution, xs=xs, ts=ts, ys=ys, ps=ps,
+    return ProtocolResult(solution=solution, xs=xs, phis=phis, ts=ts, ys=ys, ps=ps,
                           unit_ids=state.ids[:n], scores=all_scores,
                           batch_sizes=batch_sizes)
 

@@ -8,7 +8,7 @@ from budgex.acquisition import (AcquisitionWeights, DomainTrainConfig,
                                 ensemble_variance, fit_propensity,
                                 overlap_deficit_many, rank_normalize, score_pool,
                                 select_top_m, train_domain_classifier)
-from budgex.core import FeatureMap, ObsRecord, Pool, RctRecord
+from budgex.core import FeatureMap, ObsRecord, RctRecord
 from budgex.envs import (LogisticPolicy, MarginalShift, SegmentMarginal,
                          sample_obs, sample_pool)
 from budgex.estimator import pseudo_outcome_values
@@ -242,10 +242,11 @@ class TestScorePool:
         env, fmap, pool, obs, _ = self.pool_and_obs(5)
         prop = fit_propensity(obs, fmap)
         obs_phis = fmap.apply_many([r.x for r in obs])
-        a = score_pool(pool, fmap, *NO_LABELS, obs_phis, prop, AcquisitionWeights(),
-                       EnsembleSpec(seed=9), round_seed=0)
-        b = score_pool(pool, fmap, *NO_LABELS, obs_phis, prop, AcquisitionWeights(),
-                       EnsembleSpec(seed=9), round_seed=0)
+        cand_phis = fmap.apply_many(pool.xs)
+        a = score_pool(pool.ids, cand_phis, *NO_LABELS, obs_phis, prop,
+                       AcquisitionWeights(), EnsembleSpec(seed=9), round_seed=0)
+        b = score_pool(pool.ids, cand_phis, *NO_LABELS, obs_phis, prop,
+                       AcquisitionWeights(), EnsembleSpec(seed=9), round_seed=0)
         assert np.array_equal(a, b)
 
     def test_overlap_targeting_beats_pool_average(self):
@@ -255,7 +256,8 @@ class TestScorePool:
             env, fmap, pool, obs, policy = self.pool_and_obs(100 + 3 * seed)
             prop = fit_propensity(obs, fmap)
             obs_phis = fmap.apply_many([r.x for r in obs])
-            bds = score_pool(pool, fmap, *NO_LABELS, obs_phis, prop,
+            bds = score_pool(pool.ids, fmap.apply_many(pool.xs), *NO_LABELS,
+                             obs_phis, prop,
                              AcquisitionWeights(0.0, 0.0, 0.7),
                              EnsembleSpec(seed=1), round_seed=0)
             chosen = bds["id"][select_top_m(bds, 15)]
@@ -270,8 +272,8 @@ class TestScorePool:
         env, fmap, pool, obs, _ = self.pool_and_obs(7)
         prop = fit_propensity(obs, fmap)
         obs_phis = fmap.apply_many([r.x for r in obs])
-        unqueried = Pool(ids=pool.ids[1:], xs=pool.xs[1:])
-        bds = score_pool(unqueried, fmap, *NO_LABELS, obs_phis, prop,
-                         AcquisitionWeights(), EnsembleSpec(), round_seed=0)
+        bds = score_pool(pool.ids[1:], fmap.apply_many(pool.xs[1:]), *NO_LABELS,
+                         obs_phis, prop, AcquisitionWeights(), EnsembleSpec(),
+                         round_seed=0)
         assert 0 not in set(bds["id"])
         assert len(bds) == len(pool) - 1

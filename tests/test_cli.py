@@ -104,6 +104,26 @@ class TestRun:
                 assert (rep / f"scores_round_{k}.csv").exists()
         assert (out / "manifest.json").exists()
 
+    def test_run_is_byte_deterministic_apart_from_timing(self, generated, tmp_path):
+        env, data = generated
+        proto = write_protocol(tmp_path / "protocol.json")
+        files = []
+        for name in ("a", "b"):
+            out = tmp_path / name
+            assert main(["run", "--env", str(env), "--protocol", str(proto),
+                         "--data", str(data), "--out", str(out),
+                         "--reps", "2", "--seed", "7"]) == 0
+            files.append({p.relative_to(out): p.read_bytes()
+                          for p in out.rglob("*") if p.is_file()})
+        a, b = files
+        timing = {p for p in a if p.name == "timing.json"}
+        assert len(timing) == 2
+        for p in timing:
+            assert set(json.loads(a[p])) == {"wall_time_s"}
+        assert set(a) == set(b)
+        assert {p: v for p, v in a.items() if p not in timing} == \
+            {p: v for p, v in b.items() if p not in timing}
+
     def test_fusion_without_obs_fails(self, tmp_path):
         env = write_env(tmp_path / "env.json", with_policy=False)
         data = tmp_path / "data"

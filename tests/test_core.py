@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from budgex.core import (DimensionError, FeatureMap, NormBoundError, ObsRecord,
                          Pool, PropensityBounds, RctRecord, StreamViolation,
@@ -79,6 +80,11 @@ class TestRecords:
             RctRecord(x=[0.0], t=1, y=-0.1, p=0.5, seq=1)
 
 
+INT64_IDS = st.lists(st.one_of(st.integers(-3, 3),
+                               st.sampled_from([-2**63, -2**63 + 1, 2**63 - 2, 2**63 - 1]),
+                               st.integers(-2**63, 2**63 - 1)),
+                     max_size=30)
+
 
 class TestPool:
     def test_duplicate_ids_rejected(self):
@@ -96,6 +102,16 @@ class TestPool:
         assert pool.ids[0] == 5 and len(pool) == 2
         with pytest.raises(ValueError):
             pool.xs[0, 0] = 2.0
+
+    @given(INT64_IDS)
+    def test_rejects_exactly_repeated_ids(self, ids):
+        ids = np.array(ids, dtype=np.int64)
+        xs = np.zeros((len(ids), 1))
+        if len(set(ids.tolist())) != len(ids):
+            with pytest.raises(ValueError, match="distinct"):
+                Pool(ids=ids, xs=xs)
+        else:
+            assert Pool(ids=ids, xs=xs).ids.tolist() == ids.tolist()
 
 
 class TestValidateRctStream:

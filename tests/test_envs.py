@@ -98,6 +98,54 @@ class TestDrawOutcome:
         assert y in (0.0, 1.0)
 
 
+def affine_box_env():
+    fmap = FeatureMap(kind="affine-projection", output_dim=3, norm_bound=4.0,
+                      weight=[[0.4, -0.3, 0.2, 0.1], [0.1, 0.5, -0.2, 0.3],
+                              [-0.3, 0.2, 0.4, -0.1]],
+                      offset=[0.1, -0.2, 0.05])
+    return LinearEnv(theta_star=(0.1, -0.05, 0.08), feature_map=fmap,
+                     norm_budget=1.0, marginal=BoxMarginal((-1.0,) * 4, (1.0,) * 4),
+                     baseline_weights=(0.03, 0.0, -0.02))
+
+
+def identity_box_env():
+    fmap = FeatureMap(kind="identity", output_dim=3, norm_bound=2.0)
+    return LinearEnv(theta_star=(0.2, -0.1, 0.15), feature_map=fmap,
+                     norm_budget=1.0, marginal=BoxMarginal((-1.0,) * 3, (1.0,) * 3),
+                     baseline_intercept=0.45, baseline_weights=(0.05, 0.02, -0.04))
+
+
+def written_out_mu(env, xs, t):
+    """mu_t(x) = m(x) +- tau(x)/2, one arm at a time and without arm_means."""
+    sign = 1.0 if t == 1 else -1.0
+    if isinstance(env, HardInstance):
+        return 0.5 + sign * 0.5 * env.theta_star[xs[:, 0].astype(int)]
+    base = env.m0 + env.feature_map.apply_many(xs) @ env.wm
+    return base + sign * 0.5 * env.true_cate_many(xs)
+
+
+class TestArmMeans:
+    """Both arms come from one phi, bit for bit the written-out mu_t."""
+
+    @pytest.mark.parametrize("make_env", [
+        identity_box_env, affine_box_env,
+        lambda: hard_env(d=4, delta=0.2, signs=(1, -1, 1, -1))],
+        ids=["identity", "affine", "hard"])
+    def test_draw_outcomes_equals_two_mu_calls(self, make_env):
+        env = make_env()
+        rng = rng_for(12)
+        xs = env.sample_x(3000, rng)
+        ts = (rng.random(3000) < 0.5).astype(int)
+        m1, m0 = written_out_mu(env, xs, 1), written_out_mu(env, xs, 0)
+        np.testing.assert_array_equal(env.mu(xs, 1), m1)
+        np.testing.assert_array_equal(env.mu(xs, 0), m0)
+        means = np.where(ts == 1, m1, m0)
+        # u == mean gives y = 0 and u one ulp below gives y = 1 exactly when
+        # draw_outcomes compares against these very means
+        assert not env.draw_outcomes(xs, ts, means).any()
+        assert env.draw_outcomes(xs, ts, np.nextafter(means, 0.0)).all()
+
+
 class TestTrueCate:
     def test_hard_instance_segments(self):
         env = hard_env(d=2, delta=0.25, signs=(1, -1))

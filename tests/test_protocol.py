@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from budgex.acquisition import (AcquisitionWeights, EnsembleSpec,
@@ -222,6 +223,22 @@ class TestIdsAreNotPositions:
         # later rounds may differ: the per-unit draws are keyed by id
         np.testing.assert_array_equal(shifted.unit_ids[:20], base.unit_ids[:20] + 100)
 
+    @settings(max_examples=20, deadline=None)
+    @given(world_seed=st.integers(0, 2**16), perm_seed=st.integers(0, 2**16),
+           n_pool=st.integers(20, 60), budget=st.integers(1, 20),
+           max_batch=st.integers(1, 10))
+    def test_active_selection_invariant_to_any_permutation(
+            self, world_seed, perm_seed, n_pool, budget, max_batch):
+        env, pool, obs = weak_overlap_world(world_seed, n_pool=n_pool, n_obs=200)
+        perm = rng_for(perm_seed).permutation(n_pool)
+        shuffled = Pool(ids=pool.ids[perm], xs=pool.xs[perm])
+        cfg = ProtocolConfig(budget=budget, max_batch=max_batch,
+                             strategy="active", seed=world_seed + 1)
+        base = run_protocol(cfg, env, pool_units=pool, obs_records=obs)
+        moved = run_protocol(cfg, env, pool_units=shuffled, obs_records=obs)
+        assert set(moved.unit_ids) == set(base.unit_ids)
+        assert self.by_id(moved) == self.by_id(base)
+
     def test_random_strategy_keeps_each_units_covariates(self):
         env = hard4()
         pool = sample_pool(env, 50, seed=36)
@@ -248,10 +265,9 @@ class TestFiltrationSoundness:
         for k, (bds, m_k) in enumerate(zip(result.scores,
                                            result.batch_sizes)):
             keep = ~np.isin(pool.ids, result.unit_ids[:start])
-            units = Pool(ids=pool.ids[keep], xs=pool.xs[keep])
-            redone = score_pool(units, fmap, phis[:start], yts[:start],
-                                obs_phis, prop, cfg.weights, cfg.ensemble,
-                                round_seed=k)
+            redone = score_pool(pool.ids[keep], fmap.apply_many(pool.xs[keep]),
+                                phis[:start], yts[:start], obs_phis, prop,
+                                cfg.weights, cfg.ensemble, round_seed=k)
             assert np.array_equal(redone, bds)
             assert list(redone["id"][select_top_m(redone, m_k)]) == \
                 list(result.unit_ids[start:start + m_k])
