@@ -6,7 +6,7 @@ a query budget, fits an inverse-propensity pseudo-outcome ridge CATE model,
 and verifies its finite-sample and asymptotic guarantees empirically.
 """
 
-from .core import (FeatureMap, ObsRecord, Pool, PropensityBounds, RctRecord,
+from .core import (FeatureMap, ObsLog, Pool, PropensityBounds, RctRecord,
                    read_jsonl, validate_rct_stream, write_jsonl)
 from .envs import (BoxMarginal, HardInstance, LinearEnv, LogisticPolicy,
                    MarginalShift, SegmentMarginal, ThresholdPolicy,

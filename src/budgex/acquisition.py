@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._rng import rng_for
-from .core import ObsRecord, sigmoid
+from .core import ObsLog, sigmoid
 from .estimator import fit_ridge_arrays
 
 # ---------------------------------------------------------------------------
@@ -81,15 +81,14 @@ class PropensityModel:
         return sigmoid(np.atleast_2d(phis) @ self.weights + self.bias)
 
 
-def fit_propensity(obs_records, fmap, lr=1.0, steps=2000):
-    """Fit e_obs on the historical log; randomized records are rejected."""
-    if not all(isinstance(r, ObsRecord) for r in obs_records):
-        raise ValueError("propensity model must be trained on OBS records only")
-    if not obs_records:
-        raise ValueError("empty observational log")
-    phis = fmap.apply_many([r.x for r in obs_records])
-    labels = np.array([r.t for r in obs_records], dtype=float)
-    w, b = _train_logistic(phis, labels, lr, steps)
+def fit_propensity(obs, phis, lr=1.0, steps=2000):
+    """Fit e_obs on an ObsLog (labels obs.ts) from its phi rows, mapped by the
+    caller; randomized records are rejected."""
+    if not isinstance(obs, ObsLog):
+        raise ValueError("propensity model must be trained on an OBS log only")
+    if not len(obs) or len(phis) != len(obs):
+        raise ValueError("need a nonempty observational log and one phi row per row")
+    w, b = _train_logistic(phis, obs.ts.astype(float), lr, steps)
     return PropensityModel(weights=w, bias=b, trained_on="obs")
 
 

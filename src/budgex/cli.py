@@ -21,18 +21,19 @@ import time
 import zlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 
 from ._rng import derive_seed, rng_for
 from .acquisition import AcquisitionWeights, EnsembleSpec
-from .core import PropensityBounds, read_jsonl, write_jsonl
+from .core import read_jsonl, write_jsonl
 from .envs import SegmentMarginal, load_env, sample_obs, sample_pool
-from .estimator import solution_to_json, solution_from_json
+from .estimator import predict_cate_many, solution_to_json, solution_from_json
 from .metrics import (ZeroGlobalLiftError, pehe, pehe_exact_segments,
                       randomized_eval_set, uplift_curve)
-from .protocol import (AffinePolicy, ConstantPolicy, ProtocolConfig,
-                       VarianceOptimalPolicy, run_protocol)
+from .protocol import (DEFAULT_BOUNDS, AffinePolicy, ConstantPolicy,
+                       ProtocolConfig, VarianceOptimalPolicy, run_protocol)
 
 METRIC_COLUMNS = ["budget", "strategy", "replication", "seed", "pehe", "auuc",
                   "min_eig_normalized"]
@@ -59,41 +60,37 @@ def _write_json(path, doc):
         fh.write("\n")
 
 
+def _given(doc, *keys):
+    return {k: doc[k] for k in keys if k in doc}
+
+
 def _randomization_from_json(doc):
     kind = doc.get("kind", "constant")
     if kind == "constant":
-        return ConstantPolicy(doc.get("p", 0.5))
+        return ConstantPolicy(**_given(doc, "p"))
     if kind == "affine":
-        return AffinePolicy(tuple(doc["weights"]), doc.get("bias", 0.5))
+        return AffinePolicy(tuple(doc["weights"]), **_given(doc, "bias"))
     if kind == "variance-optimal":
         return VarianceOptimalPolicy()
     raise ValueError(f"unknown randomization kind {kind!r}")
 
 
 def protocol_config_from_json(doc, seed=0, strategy=None, budget=None):
-    bounds = PropensityBounds(doc.get("f_min", 0.2), doc.get("f_max", 0.8))
-    wj = doc.get("weights", {})
-    weights = AcquisitionWeights(alpha=wj.get("alpha", 0.5),
-                                 beta=wj.get("beta", 1.0),
-                                 gamma=wj.get("gamma", 0.7))
+    """A ProtocolConfig from protocol.json; each key it leaves out keeps its
+    dataclass default, but the ensemble's lambda defaults to estimator_lambda."""
     ej = doc.get("ensemble", {})
-    ensemble = EnsembleSpec(n_members=ej.get("n_members", 15),
-                            resample_fraction=ej.get("resample_fraction", 0.8),
-                            perturb_lambda=ej.get("perturb_lambda", 0.0),
-                            lam=ej.get("lambda", doc.get("estimator_lambda", 1.0)))
+    ensemble = _given(ej, "n_members", "resample_fraction", "perturb_lambda")
+    if "lambda" in ej or "estimator_lambda" in doc:
+        ensemble["lam"] = ej.get("lambda", doc.get("estimator_lambda"))
+    given = _given(doc, "max_rounds", "max_batch", "strategy", "estimator_lambda", "mode")
+    if strategy is not None:
+        given["strategy"] = strategy
     return ProtocolConfig(
-        budget=budget if budget is not None else doc["budget"],
-        max_rounds=doc.get("max_rounds", 1_000_000),
-        max_batch=doc.get("max_batch", 1_000_000),
-        bounds=bounds,
+        budget=doc["budget"] if budget is None else budget, seed=seed,
+        bounds=replace(DEFAULT_BOUNDS, **_given(doc, "f_min", "f_max")),
         randomization=_randomization_from_json(doc.get("randomization", {})),
-        strategy=strategy if strategy is not None else doc.get("strategy", "active"),
-        weights=weights,
-        ensemble=ensemble,
-        estimator_lambda=doc.get("estimator_lambda", 1.0),
-        mode=doc.get("mode", "theory"),
-        seed=seed,
-    )
+        weights=AcquisitionWeights(**_given(doc.get("weights", {}), "alpha", "beta", "gamma")),
+        ensemble=EnsembleSpec(**ensemble), **given)
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +125,7 @@ def cmd_run(args):
     pool_path = os.path.join(args.data, "pool.jsonl")
     obs_path = os.path.join(args.data, "obs.jsonl")
     pool = read_jsonl(pool_path, "pool")
-    obs = read_jsonl(obs_path, "obs") if os.path.exists(obs_path) else []
+    obs = read_jsonl(obs_path, "obs") if os.path.exists(obs_path) else None
     mode = args.mode or pdoc.get("mode", "theory")
     if mode == "fusion" and not obs:
         print("error: fusion mode requires obs.jsonl", file=sys.stderr)
@@ -148,8 +145,7 @@ def cmd_run(args):
         rep_dir = os.path.join(args.out, f"rep_{r:04d}")
         os.makedirs(rep_dir, exist_ok=True)
         t0 = time.perf_counter()
-        result = run_protocol(cfg, env, pool_units=pool,
-                              obs_records=obs, out_dir=rep_dir)
+        result = run_protocol(cfg, env, pool_units=pool, obs=obs, out_dir=rep_dir)
         elapsed = time.perf_counter() - t0
         write_jsonl(os.path.join(rep_dir, "rct.jsonl"), result.records)
         _write_json(os.path.join(rep_dir, "solution.json"),
@@ -181,7 +177,7 @@ def cmd_evaluate(args):
     with open(args.solution) as fh:
         solution = solution_from_json(json.load(fh))
     os.makedirs(args.out, exist_ok=True)
-    predict = lambda xs: env.feature_map.apply_many(xs) @ solution.theta_hat
+    predict = partial(predict_cate_many, solution, env.feature_map)
 
     eval_xs = env.sample_x(args.n_eval, rng_for(args.seed, 0x65786576))
     pr = pehe(predict, env, eval_xs)
@@ -212,24 +208,20 @@ def _sweep_cell(payload):
     env, policy, shift = env_from_json(json.loads(env_doc_json))
     seed = derive_seed(master_seed, budget,
                        zlib.crc32(strategy.encode()) & 0xFFFF, rep)
-    if strategy == "random":
-        cfg = protocol_config_from_json(pdoc, seed=seed, strategy="random",
-                                        budget=budget)
-    else:
-        a, b, g = STRATEGY_WEIGHTS[strategy]
-        cfg = protocol_config_from_json(pdoc, seed=seed, strategy="active",
-                                        budget=budget)
-        cfg = replace(cfg, weights=AcquisitionWeights(a, b, g))
+    cfg = protocol_config_from_json(pdoc, seed=seed, budget=budget,
+                                    strategy="random" if strategy == "random" else "active")
+    if strategy != "random":
+        cfg = replace(cfg, weights=AcquisitionWeights(*STRATEGY_WEIGHTS[strategy]))
 
     pool = sample_pool(env, n_pool, derive_seed(seed, 0x706C))
     # only active and fusion cells read the log; sample_obs draws from its own stream
     reads_obs = cfg.strategy == "active" or cfg.mode == "fusion"
     obs = (sample_obs(env, policy, shift, n_obs, derive_seed(seed, 0x6F62))
-           if reads_obs and policy is not None and n_obs > 0 else [])
+           if reads_obs and policy is not None and n_obs > 0 else None)
     if cfg.strategy == "active" and not obs:
         raise ValueError("active sweep strategies need an obs policy and n_obs > 0")
-    result = run_protocol(cfg, env, pool_units=pool, obs_records=obs)
-    predict = lambda xs: env.feature_map.apply_many(xs) @ result.solution.theta_hat
+    result = run_protocol(cfg, env, pool_units=pool, obs=obs)
+    predict = partial(predict_cate_many, result.solution, env.feature_map)
 
     if isinstance(env.marginal, SegmentMarginal):
         pehe_val = pehe_exact_segments(predict, env)

@@ -1,10 +1,10 @@
-"""Shared domain types: feature maps, records, the pool, and stream checks.
+"""Shared domain types: feature maps, the pool, the log, records, stream checks.
 
-All types are immutable. The target pool is a pair of arrays (unit ids and
-covariate rows); the observational log and the randomized stream are lists
-of records, the form they take in obs.jsonl and rct.jsonl. Inside the loop
-the randomized stream is held as arrays, and records are built only to be
-written. All three persist as newline-delimited JSON.
+All types are immutable. The target pool (unit ids, covariate rows) and the
+observational log (covariate rows, treatments, outcomes) are array columns
+from where they are drawn or read to where they are used. The randomized
+stream is arrays inside the loop; RctRecord rows exist only for rct.jsonl.
+All three persist as newline-delimited JSON.
 """
 
 import json
@@ -101,20 +101,6 @@ class PropensityBounds:
 
 
 @dataclass(frozen=True)
-class ObsRecord:
-    x: tuple
-    t: int
-    y: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", tuple(float(v) for v in np.atleast_1d(self.x)))
-        if self.t not in (0, 1):
-            raise ValueError("t must be 0 or 1")
-        if not (0.0 <= self.y <= 1.0):
-            raise ValueError("y must lie in [0, 1]")
-
-
-@dataclass(frozen=True)
 class RctRecord:
     x: tuple
     t: int
@@ -145,21 +131,59 @@ class Pool:
     xs: np.ndarray
 
     def __post_init__(self):
-        ids = np.array(self.ids, dtype=np.int64)
-        xs = np.array(self.xs, dtype=float)
-        if ids.ndim != 1 or xs.ndim != 2 or len(ids) != len(xs):
-            raise ValueError(f"need ids of shape (n,) and xs of shape (n, k), "
-                             f"got {ids.shape} and {xs.shape}")
+        ids = _exact_int64(self.ids, "pool unit ids")
         ordered = np.sort(ids)
         if np.any(ordered[1:] == ordered[:-1]):
             raise ValueError("pool unit ids must be distinct")
-        ids.flags.writeable = False
-        xs.flags.writeable = False
-        object.__setattr__(self, "ids", ids)
-        object.__setattr__(self, "xs", xs)
+        _freeze(self, ids=ids, xs=_rows_of(self.xs, ids))
 
     def __len__(self):
         return len(self.ids)
+
+
+@dataclass(frozen=True, eq=False)
+class ObsLog:
+    """The observational log: (n, k) covariate rows, treatments in {0, 1} and
+    outcomes in [0, 1], as read-only copies."""
+
+    xs: np.ndarray
+    ts: np.ndarray
+    ys: np.ndarray
+
+    def __post_init__(self):
+        ts, ys = _exact_int64(self.ts, "t"), np.asarray(self.ys)
+        if ys.dtype.kind not in "biuf" or ys.shape != ts.shape \
+                or np.any((ts != 0) & (ts != 1)) \
+                or not np.all((ys >= 0) & (ys <= 1)):  # NaN fails both
+            raise ValueError("need one t in {0, 1} and one y in [0, 1] per row")
+        _freeze(self, xs=_rows_of(self.xs, ts), ts=ts, ys=ys.astype(float))
+
+    def __len__(self):
+        return len(self.ts)
+
+
+def _exact_int64(values, name):
+    """values as a 1-d int64 array; a cast that would change any value is an error."""
+    given = np.asarray(values)
+    with np.errstate(invalid="ignore"):
+        ints = given.astype(np.int64) if given.dtype.kind in "biuf" else None
+    if ints is None or given.ndim != 1 or np.any(ints != given):
+        raise ValueError(f"{name} must be a 1-d array of int64 values")
+    return ints
+
+
+def _rows_of(xs, column):
+    """xs as an (n, k) float array with one row per entry of column."""
+    xs = np.array(xs, dtype=float)
+    if xs.ndim != 2 or len(xs) != len(column):
+        raise ValueError(f"need xs of shape ({len(column)}, k), got {xs.shape}")
+    return xs
+
+
+def _freeze(obj, **arrays):
+    for name, a in arrays.items():
+        a.flags.writeable = False
+        object.__setattr__(obj, name, a)
 
 
 @dataclass(frozen=True)
@@ -188,30 +212,27 @@ def validate_rct_stream(records, bounds):
 # JSONL persistence
 
 
-def _rec_to_dict(r):
-    if isinstance(r, RctRecord):
-        return {"x": list(r.x), "t": r.t, "y": r.y, "p": r.p, "seq": r.seq}
-    if isinstance(r, ObsRecord):
-        return {"x": list(r.x), "t": r.t, "y": r.y}
-    raise TypeError(f"cannot serialize {type(r).__name__}")
-
-
-def _pool_rows(pool):
-    # "queried" stays in the file format; a stored pool is always unqueried
-    return ({"id": i, "x": x, "queried": False}
-            for i, x in zip(pool.ids.tolist(), pool.xs.tolist()))
+def _rows(records):
+    if isinstance(records, Pool):
+        # "queried" stays in the file format; a stored pool is always unqueried
+        return ({"id": i, "x": x, "queried": False}
+                for i, x in zip(records.ids.tolist(), records.xs.tolist()))
+    if isinstance(records, ObsLog):
+        return ({"x": x, "t": t, "y": y} for x, t, y in
+                zip(records.xs.tolist(), records.ts.tolist(), records.ys.tolist()))
+    return ({"x": list(r.x), "t": r.t, "y": r.y, "p": r.p, "seq": r.seq}
+            for r in records)
 
 
 def write_jsonl(path, records):
-    """Write records, or a Pool as one row per unit."""
-    rows = _pool_rows(records) if isinstance(records, Pool) else map(_rec_to_dict, records)
+    """Write a Pool or an ObsLog as one row per unit, or a list of RctRecords."""
     with open(path, "w") as fh:
-        for d in rows:
+        for d in _rows(records):
             fh.write(json.dumps(d, sort_keys=True) + "\n")
 
 
 def read_jsonl(path, kind):
-    """Read records back; kind is one of 'obs', 'rct', 'pool' (a Pool)."""
+    """Read back a 'pool' (a Pool), an 'obs' log (an ObsLog) or 'rct' records."""
     if kind not in ("obs", "rct", "pool"):
         raise ValueError(f"unknown record kind {kind!r}")
     with open(path) as fh:
@@ -219,5 +240,7 @@ def read_jsonl(path, kind):
     if kind == "pool":
         return Pool(ids=[d["id"] for d in docs], xs=[d["x"] for d in docs])
     if kind == "obs":
-        return [ObsRecord(x=d["x"], t=d["t"], y=d["y"]) for d in docs]
+        # a file with no rows is a log with no rows
+        return ObsLog(xs=[d["x"] for d in docs] or np.empty((0, 0)),
+                      ts=[d["t"] for d in docs], ys=[d["y"] for d in docs])
     return [RctRecord(x=d["x"], t=d["t"], y=d["y"], p=d["p"], seq=d["seq"]) for d in docs]

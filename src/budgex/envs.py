@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rng import rng_for
-from .core import FeatureMap, ObsRecord, Pool, sigmoid
+from .core import FeatureMap, ObsLog, Pool, sigmoid
 
 C_KL = 16.0 / 3.0
 
@@ -263,7 +263,7 @@ def sample_pool(env, n_pool, seed):
 
 
 def sample_obs(env, policy, shift, n_obs, seed):
-    """Historical log: shifted marginal, t ~ Bern(e_obs(x)), shared outcome laws."""
+    """Historical ObsLog: shifted marginal, t ~ Bern(e_obs(x)), shared outcome laws."""
     if n_obs < 1:
         raise ValueError("n_obs must be >= 1")
     rng = rng_for(seed, 0x6F6273)
@@ -273,7 +273,7 @@ def sample_obs(env, policy, shift, n_obs, seed):
     e = policy.propensity(phis)
     ts = (rng.random(n_obs) < e).astype(int)
     ys = env.draw_outcomes(xs, ts, rng.random(n_obs))
-    return [ObsRecord(x=xs[i], t=int(ts[i]), y=float(ys[i])) for i in range(n_obs)]
+    return ObsLog(xs=xs, ts=ts, ys=ys)
 
 
 # ---------------------------------------------------------------------------

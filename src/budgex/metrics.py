@@ -6,6 +6,7 @@ log-log budget scaling fits.
 """
 
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 from scipy import stats
@@ -13,7 +14,7 @@ from scipy import stats
 from ._rng import derive_seed, rng_for
 from .envs import SegmentMarginal, sample_pool
 from .estimator import (ConfidenceParams, beta_bound, default_sigma,
-                        ellipsoid_radius, sandwich_from_arrays)
+                        ellipsoid_radius, predict_cate_many, sandwich_from_arrays)
 from .protocol import run_protocol
 
 
@@ -213,7 +214,7 @@ def scaling_fit(env, config, budget_grid, replications, n_pool=None,
         for r in range(replications):
             result, pool_xs = _replicate(env, cfg, pool, r,
                                          derive_seed(master_seed, int(b)))
-            predict = lambda xs: env.feature_map.apply_many(xs) @ result.solution.theta_hat
+            predict = partial(predict_cate_many, result.solution, env.feature_map)
             vals[r] = pehe_exact_segments(predict, env) \
                 if isinstance(env.marginal, SegmentMarginal) \
                 else pehe(predict, env, pool_xs).value

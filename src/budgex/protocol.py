@@ -29,15 +29,19 @@ def clip_probability(raw, bounds):
     return np.minimum(np.maximum(raw, bounds.f_min), bounds.f_max)
 
 
+def _variance_optimal(a, bm):
+    """sqrt(A) / (sqrt(A) + sqrt(B)), and 0.5 where both moments vanish."""
+    denom = np.sqrt(a) + np.sqrt(bm)
+    return np.where(denom > 0, np.sqrt(a) / np.where(denom > 0, denom, 1.0), 0.5)
+
+
 def optimal_p(a, bm, bounds):
     """Variance-optimal assignment sqrt(A) / (sqrt(A) + sqrt(B)), clipped."""
     a = np.asarray(a, dtype=float)
     bm = np.asarray(bm, dtype=float)
     if np.any(a < 0) or np.any(bm < 0):
         raise ValueError("second moments must be nonnegative")
-    denom = np.sqrt(a) + np.sqrt(bm)
-    p = np.where(denom > 0, np.sqrt(a) / np.where(denom > 0, denom, 1.0), 0.5)
-    return clip_probability(p, bounds)
+    return clip_probability(_variance_optimal(a, bm), bounds)
 
 
 @dataclass(frozen=True)
@@ -62,9 +66,7 @@ class VarianceOptimalPolicy:
     """Uses the environment's conditional second moments (oracle policy)."""
 
     def raw(self, xs, phis, env):
-        a, bm = env.second_moments(xs)
-        denom = np.sqrt(a) + np.sqrt(bm)
-        return np.where(denom > 0, np.sqrt(a) / np.where(denom > 0, denom, 1.0), 0.5)
+        return _variance_optimal(*env.second_moments(xs))
 
 
 @dataclass(frozen=True)
@@ -189,16 +191,13 @@ def run_round(state, config, env, pool, pool_phis, context):
     return state, scores
 
 
+@dataclass(frozen=True)
 class _ActiveContext:
-    """Frozen OBS-side models plus per-round scoring for the active strategy."""
+    """The log's phi rows and e_obs head, plus per-round scoring for the active strategy."""
 
-    def __init__(self, config, env, obs_records):
-        self.config = config
-        fmap = env.feature_map
-        self.obs_phis = (fmap.apply_many([r.x for r in obs_records])
-                         if obs_records else np.zeros((0, fmap.output_dim)))
-        self.propensity = (fit_propensity(obs_records, fmap)
-                           if obs_records else None)
+    config: ProtocolConfig
+    obs_phis: np.ndarray
+    propensity: object
 
     def score_round(self, state, ids, cand_phis):
         """Score table over the unqueried units (ids, phi rows), from the stream so far."""
@@ -209,23 +208,28 @@ class _ActiveContext:
                           self.config.ensemble, round_seed=state.k)
 
 
-def run_protocol(config, env, pool_units, obs_records=None, out_dir=None):
+def run_protocol(config, env, pool_units, obs=None, out_dir=None):
     """Run the budget loop on a Pool end to end and fit the final estimator.
 
     Selection works in positions of pool_units; the stream, the per-unit
     random draws and the score dumps carry the pool's unit ids. The pool
     itself is never modified. Its phi rows are computed once, and scoring,
     assignment and the final fit all read them: one phi per unit per run.
+    obs is an ObsLog (None or no rows: no log). A run that reads it, active
+    or fusion, maps it and fits e_obs once, for scoring and fusion weights.
     """
     pool = pool_units
-    obs_records = obs_records or []
-    if config.mode == "fusion" and not obs_records:
+    if config.mode == "fusion" and not obs:
         raise ValueError("fusion mode requires an observational log")
 
     fmap = env.feature_map
     pool_phis = fmap.apply_many(pool.xs)
     state = RoundState.empty(min(config.budget, len(pool)), pool, fmap.output_dim)
-    context = _ActiveContext(config, env, obs_records) \
+    obs_phis, propensity = np.zeros((0, fmap.output_dim)), None
+    if obs and (config.strategy == "active" or config.mode == "fusion"):
+        obs_phis = fmap.apply_many(obs.xs)
+        propensity = fit_propensity(obs, obs_phis)
+    context = _ActiveContext(config, obs_phis, propensity) \
         if config.strategy == "active" else None
 
     all_scores = []
@@ -248,9 +252,7 @@ def run_protocol(config, env, pool_units, obs_records=None, out_dir=None):
     ts, ys, ps = state.ts[:n], state.ys[:n], state.ps[:n]
     yts = pseudo_outcome_values(ts, ys, ps)
     if config.mode == "fusion":
-        prop = context.propensity if context is not None \
-            else fit_propensity(obs_records, fmap)
-        _, weights = compute_alignment_weights(phis, ts, prop)
+        _, weights = compute_alignment_weights(phis, ts, propensity)
         solution = fit_ridge_arrays(phis, yts, config.estimator_lambda, weights=weights)
     else:
         solution = fit_ridge_arrays(phis, yts, config.estimator_lambda)

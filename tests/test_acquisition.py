@@ -8,7 +8,7 @@ from budgex.acquisition import (AcquisitionWeights, DomainTrainConfig,
                                 ensemble_variance, fit_propensity,
                                 overlap_deficit_many, rank_normalize, score_pool,
                                 select_top_m, train_domain_classifier)
-from budgex.core import FeatureMap, ObsRecord, RctRecord
+from budgex.core import FeatureMap, ObsLog, RctRecord
 from budgex.envs import (LogisticPolicy, MarginalShift, SegmentMarginal,
                          sample_obs, sample_pool)
 from budgex.estimator import pseudo_outcome_values
@@ -112,7 +112,7 @@ class TestPropensityAndOverlap:
     def test_fit_rejects_randomized_records(self):
         recs = [RctRecord(x=[0.0], t=1, y=1.0, p=0.5, seq=1)]
         with pytest.raises(ValueError, match="OBS"):
-            fit_propensity(recs, IDENTITY_1)
+            fit_propensity(recs, IDENTITY_1.apply_many([[0.0]]))
 
     def test_deficit_requires_obs_marker(self):
         m = PropensityModel(weights=np.zeros(1), bias=0.0, trained_on="rct")
@@ -123,8 +123,8 @@ class TestPropensityAndOverlap:
         rng = rng_for(61)
         xs = np.where(rng.random(800) < 0.5, 1.0, -1.0)
         ts = (xs > 0).astype(int)  # deterministic targeting on the sign
-        obs = [ObsRecord(x=[x], t=int(t), y=0.0) for x, t in zip(xs, ts)]
-        model = fit_propensity(obs, IDENTITY_1)
+        obs = ObsLog(xs=xs[:, None], ts=ts, ys=np.zeros(len(ts)))
+        model = fit_propensity(obs, IDENTITY_1.apply_many(obs.xs))
         assert overlap_deficit_many(model, IDENTITY_1.apply_many([[1.0]]))[0] > 0.9
         assert overlap_deficit_many(model, IDENTITY_1.apply_many([[-1.0]]))[0] > 0.9
 
@@ -240,8 +240,8 @@ class TestScorePool:
 
     def test_scoring_determinism(self):
         env, fmap, pool, obs, _ = self.pool_and_obs(5)
-        prop = fit_propensity(obs, fmap)
-        obs_phis = fmap.apply_many([r.x for r in obs])
+        obs_phis = fmap.apply_many(obs.xs)
+        prop = fit_propensity(obs, obs_phis)
         cand_phis = fmap.apply_many(pool.xs)
         a = score_pool(pool.ids, cand_phis, *NO_LABELS, obs_phis, prop,
                        AcquisitionWeights(), EnsembleSpec(seed=9), round_seed=0)
@@ -254,8 +254,8 @@ class TestScorePool:
         wins = 0
         for seed in range(50):
             env, fmap, pool, obs, policy = self.pool_and_obs(100 + 3 * seed)
-            prop = fit_propensity(obs, fmap)
-            obs_phis = fmap.apply_many([r.x for r in obs])
+            obs_phis = fmap.apply_many(obs.xs)
+            prop = fit_propensity(obs, obs_phis)
             bds = score_pool(pool.ids, fmap.apply_many(pool.xs), *NO_LABELS,
                              obs_phis, prop,
                              AcquisitionWeights(0.0, 0.0, 0.7),
@@ -270,8 +270,8 @@ class TestScorePool:
 
     def test_queried_units_excluded(self):
         env, fmap, pool, obs, _ = self.pool_and_obs(7)
-        prop = fit_propensity(obs, fmap)
-        obs_phis = fmap.apply_many([r.x for r in obs])
+        obs_phis = fmap.apply_many(obs.xs)
+        prop = fit_propensity(obs, obs_phis)
         bds = score_pool(pool.ids[1:], fmap.apply_many(pool.xs[1:]), *NO_LABELS,
                          obs_phis, prop, AcquisitionWeights(), EnsembleSpec(),
                          round_seed=0)

@@ -6,9 +6,11 @@ import os
 
 import pytest
 
-from budgex.cli import main
-from budgex.core import read_jsonl
+from budgex.acquisition import AcquisitionWeights, EnsembleSpec
+from budgex.cli import main, protocol_config_from_json
+from budgex.core import PropensityBounds, read_jsonl
 from budgex.envs import EnvSpecError
+from budgex.protocol import AffinePolicy, ProtocolConfig
 
 
 def write_env(path, n_obs=80, n_pool=150, delta=0.2, with_policy=True):
@@ -134,6 +136,16 @@ class TestRun:
                    "--mode", "fusion"])
         assert rc == 2
 
+    def test_obs_file_without_rows_acts_as_no_log(self, generated, tmp_path):
+        env, data = generated
+        (data / "obs.jsonl").write_text("")
+        proto = write_protocol(tmp_path / "protocol.json")
+        base = ["run", "--env", str(env), "--protocol", str(proto),
+                "--data", str(data)]
+        assert main(base + ["--out", str(tmp_path / "active")]) == 0
+        assert main(base + ["--out", str(tmp_path / "fusion"),
+                            "--mode", "fusion"]) == 2
+
     def test_strict_budget_flag(self, generated, tmp_path):
         env, data = generated
         proto = write_protocol(tmp_path / "protocol.json", budget=500,
@@ -146,6 +158,37 @@ class TestRun:
         summary = json.loads(
             (tmp_path / "r2" / "rep_0000" / "run_summary.json").read_text())
         assert summary["budget_used"] == 150  # pool exhausted
+
+
+class TestProtocolConfigFromJson:
+    def test_unset_keys_keep_the_dataclass_defaults(self):
+        assert protocol_config_from_json({"budget": 7}) == ProtocolConfig(budget=7)
+
+    def test_estimator_lambda_is_the_ensemble_default(self):
+        cfg = protocol_config_from_json({"budget": 7, "estimator_lambda": 3.0})
+        assert cfg.estimator_lambda == 3.0 and cfg.ensemble.lam == 3.0
+        cfg = protocol_config_from_json({"budget": 7, "estimator_lambda": 3.0,
+                                         "ensemble": {"lambda": 0.5}})
+        assert cfg.estimator_lambda == 3.0 and cfg.ensemble.lam == 0.5
+
+    def test_every_set_key_is_used(self):
+        doc = {"budget": 9, "max_rounds": 4, "max_batch": 3, "f_min": 0.1,
+               "f_max": 0.7, "strategy": "random", "mode": "fusion",
+               "estimator_lambda": 2.0,
+               "randomization": {"kind": "affine", "weights": [0.1], "bias": 0.4},
+               "weights": {"alpha": 0.1, "beta": 0.2, "gamma": 0.3},
+               "ensemble": {"n_members": 4, "resample_fraction": 0.5,
+                            "perturb_lambda": 0.1}}
+        cfg = protocol_config_from_json(doc, seed=5)
+        assert cfg == ProtocolConfig(
+            budget=9, max_rounds=4, max_batch=3,
+            bounds=PropensityBounds(0.1, 0.7),
+            randomization=AffinePolicy((0.1,), 0.4), strategy="random",
+            weights=AcquisitionWeights(0.1, 0.2, 0.3),
+            ensemble=EnsembleSpec(n_members=4, resample_fraction=0.5,
+                                  perturb_lambda=0.1, lam=2.0),
+            estimator_lambda=2.0, mode="fusion", seed=5)
+        assert protocol_config_from_json(doc, strategy="active", budget=1).strategy == "active"
 
 
 class TestEvaluate:

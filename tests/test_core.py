@@ -2,9 +2,9 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from budgex.core import (DimensionError, FeatureMap, NormBoundError, ObsRecord,
+from budgex.core import (DimensionError, FeatureMap, NormBoundError, ObsLog,
                          Pool, PropensityBounds, RctRecord, StreamViolation,
                          read_jsonl, validate_rct_stream, write_jsonl)
 
@@ -69,9 +69,9 @@ class TestPropensityBounds:
 class TestRecords:
     def test_obs_record_validation(self):
         with pytest.raises(ValueError):
-            ObsRecord(x=[0.0], t=2, y=0.5)
+            ObsLog(xs=[[0.0]], ts=[2], ys=[0.5])
         with pytest.raises(ValueError):
-            ObsRecord(x=[0.0], t=1, y=1.5)
+            ObsLog(xs=[[0.0]], ts=[1], ys=[1.5])
 
     def test_rct_record_validation(self):
         with pytest.raises(ValueError):
@@ -103,6 +103,13 @@ class TestPool:
         with pytest.raises(ValueError):
             pool.xs[0, 0] = 2.0
 
+    def test_non_integer_ids_rejected_not_truncated(self):
+        with pytest.raises(ValueError, match="int64"):
+            Pool(ids=[1.5, 7.9], xs=[[0.0], [1.0]])
+        with pytest.raises(ValueError, match="int64"):
+            Pool(ids=[0.0, np.nan], xs=[[0.0], [1.0]])
+        assert Pool(ids=[1.0, 7.0], xs=[[0.0], [1.0]]).ids.tolist() == [1, 7]
+
     @given(INT64_IDS)
     def test_rejects_exactly_repeated_ids(self, ids):
         ids = np.array(ids, dtype=np.int64)
@@ -112,6 +119,41 @@ class TestPool:
                 Pool(ids=ids, xs=xs)
         else:
             assert Pool(ids=ids, xs=xs).ids.tolist() == ids.tolist()
+
+
+class TestObsLog:
+    @pytest.mark.parametrize("t", [1.5, 2, -1, np.nan])
+    def test_treatment_outside_zero_one_rejected(self, t):
+        with pytest.raises(ValueError):
+            ObsLog(xs=[[0.0], [1.0]], ts=[0, t], ys=[0.5, 0.5])
+
+    @pytest.mark.parametrize("y", [-0.1, 1.5, np.nan, "0.5"])
+    def test_outcome_outside_unit_interval_rejected(self, y):
+        with pytest.raises(ValueError):
+            ObsLog(xs=[[0.0], [1.0]], ts=[0, 1], ys=[0.5, y])
+
+    @pytest.mark.parametrize("xs, ts, ys", [
+        ([[0.0]], [0, 1], [0.5, 0.5]),
+        ([[0.0], [1.0]], [0, 1], [0.5]),
+        ([0.0, 1.0], [0, 1], [0.5, 0.5]),
+    ])
+    def test_length_mismatch_rejected(self, xs, ts, ys):
+        with pytest.raises(ValueError):
+            ObsLog(xs=xs, ts=ts, ys=ys)
+
+    def test_accepts_what_a_record_accepted(self):
+        log = ObsLog(xs=[[0.5, -1.0], [0.0, 2.0]], ts=[True, 0.0], ys=[1, -0.0])
+        assert log.ts.tolist() == [1, 0] and log.ts.dtype == np.int64
+        assert log.ys.tolist() == [1.0, 0.0] and len(log) == 2
+
+    def test_arrays_are_read_only_copies(self):
+        xs, ts, ys = np.ones((2, 1)), np.array([0, 1]), np.array([0.0, 1.0])
+        log = ObsLog(xs=xs, ts=ts, ys=ys)
+        ts[0] = 1
+        assert log.ts[0] == 0
+        for column in (log.xs, log.ts, log.ys):
+            with pytest.raises(ValueError):
+                column[0] = 0
 
 
 class TestValidateRctStream:
@@ -148,10 +190,89 @@ class TestJsonlRoundTrip:
         assert back == recs
 
     def test_obs_and_pool_round_trip(self, tmp_path):
-        obs = [ObsRecord(x=[0.5], t=0, y=1.0)]
+        obs = ObsLog(xs=[[0.5]], ts=[0], ys=[1.0])
         pool = Pool(ids=[3], xs=[[2.0]])
         write_jsonl(tmp_path / "obs.jsonl", obs)
         write_jsonl(tmp_path / "pool.jsonl", pool)
-        assert read_jsonl(tmp_path / "obs.jsonl", "obs") == obs
+        obs_back = read_jsonl(tmp_path / "obs.jsonl", "obs")
+        assert (obs_back.xs.tolist(), obs_back.ts.tolist(), obs_back.ys.tolist()) == \
+            (obs.xs.tolist(), obs.ts.tolist(), obs.ys.tolist())
         back = read_jsonl(tmp_path / "pool.jsonl", "pool")
         assert (back.ids.tolist(), back.xs.tolist()) == (pool.ids.tolist(), pool.xs.tolist())
+
+
+# Floats whose text form is easy to get wrong: signed zeros, subnormals and
+# the extremes of the exponent range.
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+               1.7976931348623157e308, -1.7976931348623157e308, 1e-300, 0.1]
+ANY_FLOAT = st.one_of(st.sampled_from(EDGE_FLOATS),
+                      st.floats(allow_nan=False, allow_infinity=False))
+UNIT_FLOAT = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, 1.0, 1.0 - 2**-53]),
+                       st.floats(min_value=-0.0, max_value=1.0))
+OPEN_UNIT_FLOAT = st.floats(min_value=0.0, max_value=1.0,
+                            exclude_min=True, exclude_max=True)
+
+
+def bits(values):
+    """The IEEE-754 bytes of values, so that -0.0 and 0.0 differ."""
+    return np.asarray(values, dtype=float).tobytes()
+
+
+@st.composite
+def columns(draw, min_rows=0):
+    n = draw(st.integers(min_rows, 8))
+    k = draw(st.integers(1, 3))
+    xs = draw(st.lists(st.lists(ANY_FLOAT, min_size=k, max_size=k),
+                       min_size=n, max_size=n))
+    return n, np.array(xs, dtype=float).reshape(n, k)
+
+
+class TestJsonlRoundTripProperty:
+    """write_jsonl then read_jsonl gives back the same bits, stream by stream."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(columns(min_rows=1), st.data())
+    def test_pool(self, tmp_path_factory, nx, data):
+        n, xs = nx
+        ids = data.draw(st.lists(st.integers(-2**63, 2**63 - 1), min_size=n,
+                                 max_size=n, unique=True))
+        pool = Pool(ids=ids, xs=xs)
+        path = tmp_path_factory.mktemp("rt") / "pool.jsonl"
+        write_jsonl(path, pool)
+        back = read_jsonl(path, "pool")
+        assert back.ids.tolist() == pool.ids.tolist()
+        assert bits(back.xs) == bits(pool.xs) and back.xs.shape == pool.xs.shape
+
+    @settings(max_examples=60, deadline=None)
+    @given(columns(min_rows=1), st.data())
+    def test_obs_log(self, tmp_path_factory, nx, data):
+        n, xs = nx
+        ts = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+        ys = data.draw(st.lists(UNIT_FLOAT, min_size=n, max_size=n))
+        obs = ObsLog(xs=xs, ts=ts, ys=ys)
+        path = tmp_path_factory.mktemp("rt") / "obs.jsonl"
+        write_jsonl(path, obs)
+        back = read_jsonl(path, "obs")
+        assert back.ts.tolist() == obs.ts.tolist() and back.ts.dtype == np.int64
+        assert bits(back.ys) == bits(obs.ys)
+        assert bits(back.xs) == bits(obs.xs) and back.xs.shape == obs.xs.shape
+
+    @settings(max_examples=60, deadline=None)
+    @given(columns(), st.data())
+    def test_rct_records(self, tmp_path_factory, nx, data):
+        n, xs = nx
+        recs = [RctRecord(x=x, t=data.draw(st.integers(0, 1)),
+                          y=data.draw(UNIT_FLOAT), p=data.draw(OPEN_UNIT_FLOAT),
+                          seq=i + 1) for i, x in enumerate(xs)]
+        path = tmp_path_factory.mktemp("rt") / "rct.jsonl"
+        write_jsonl(path, recs)
+        back = read_jsonl(path, "rct")
+        assert [(r.t, r.seq) for r in back] == [(r.t, r.seq) for r in recs]
+        for field in ("x", "y", "p"):
+            assert bits([getattr(r, field) for r in back]) == \
+                bits([getattr(r, field) for r in recs])
+
+    def test_empty_obs_file_is_a_log_with_no_rows(self, tmp_path):
+        path = tmp_path / "obs.jsonl"
+        path.write_text("")
+        assert len(read_jsonl(path, "obs")) == 0

@@ -46,15 +46,15 @@ class TestSampleObs:
         env = hard_env(d=2)
         policy = ThresholdPolicy(direction=(1.0, 0.0), cutoff=0.5, leak=0.0)
         obs = sample_obs(env, policy, MarginalShift(), 2000, seed=11)
-        for r in obs:
-            expected = 1 if int(r.x[0]) == 0 else 0
-            assert r.t == expected
+        for x, t in zip(obs.xs, obs.ts):
+            expected = 1 if int(x[0]) == 0 else 0
+            assert t == expected
 
     def test_balanced_logistic_policy(self):
         env = hard_env(d=2)
         policy = LogisticPolicy(weights=(0.0, 0.0))
         obs = sample_obs(env, policy, MarginalShift(), 4000, seed=5)
-        treated = sum(r.t for r in obs)
+        treated = int(obs.ts.sum())
         assert abs(treated - 2000) < 4 * np.sqrt(4000 * 0.25)
 
     def test_determinism(self):
@@ -62,7 +62,8 @@ class TestSampleObs:
         policy = LogisticPolicy(weights=(1.0, -1.0))
         a = sample_obs(env, policy, MarginalShift(), 200, seed=9)
         b = sample_obs(env, policy, MarginalShift(), 200, seed=9)
-        assert a == b
+        assert all(np.array_equal(getattr(a, c), getattr(b, c))
+                   for c in ("xs", "ts", "ys"))
 
     def test_outcome_laws_shared_with_pool(self):
         """P(Y=1 | x, t) matches the environment's conditional mean."""
@@ -71,7 +72,7 @@ class TestSampleObs:
         obs = sample_obs(env, policy, MarginalShift(), 100_000, seed=21)
         for j in (0, 1):
             for t in (0, 1):
-                ys = [r.y for r in obs if int(r.x[0]) == j and r.t == t]
+                ys = obs.ys[(obs.xs[:, 0].astype(int) == j) & (obs.ts == t)]
                 mu = float(env.mu(np.array([[float(j)]]), t)[0])
                 se = np.sqrt(mu * (1 - mu) / len(ys))
                 assert abs(np.mean(ys) - mu) < 3 * se

@@ -1,5 +1,7 @@
 """Tests for the round-based budgeted experimentation loop."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,7 +9,7 @@ from scipy import stats
 
 from budgex.acquisition import (AcquisitionWeights, EnsembleSpec,
                                 fit_propensity, score_pool, select_top_m)
-from budgex.core import FeatureMap, Pool, PropensityBounds
+from budgex.core import FeatureMap, ObsLog, Pool, PropensityBounds
 from budgex.envs import (HardInstance, LinearEnv, LogisticPolicy,
                          MarginalShift, SegmentMarginal, ThresholdPolicy,
                          sample_obs, sample_pool)
@@ -63,6 +65,16 @@ class TestClipAndOptimalP:
     def test_negative_moment_rejected(self):
         with pytest.raises(ValueError):
             optimal_p(-1.0, 1.0, BOUNDS)
+
+    def test_policy_matches_optimal_p_bitwise(self):
+        env = hard4()
+        xs = env.marginal.support_points()
+        raw = VarianceOptimalPolicy().raw(xs, env.feature_map.apply_many(xs), env)
+        a, bm = env.second_moments(xs)
+        written_out = np.sqrt(a) / (np.sqrt(a) + np.sqrt(bm))
+        assert raw.tobytes() == written_out.tobytes()
+        assert clip_probability(raw, BOUNDS).tobytes() == \
+            optimal_p(a, bm, BOUNDS).tobytes()
 
 
 class TestConfigValidation:
@@ -139,8 +151,8 @@ class TestRunProtocol:
     def test_determinism(self):
         env, pool, obs = weak_overlap_world(13)
         cfg = ProtocolConfig(budget=40, max_batch=10, strategy="active", seed=14)
-        a = run_protocol(cfg, env, pool_units=pool, obs_records=obs)
-        b = run_protocol(cfg, env, pool_units=pool, obs_records=obs)
+        a = run_protocol(cfg, env, pool_units=pool, obs=obs)
+        b = run_protocol(cfg, env, pool_units=pool, obs=obs)
         np.testing.assert_array_equal(a.unit_ids, b.unit_ids)
         np.testing.assert_array_equal(a.ts, b.ts)
         np.testing.assert_array_equal(a.solution.theta_hat, b.solution.theta_hat)
@@ -182,8 +194,8 @@ class TestRandomizationIndependence:
                                seed=22)
         cfg_a = ProtocolConfig(budget=120, max_batch=30, strategy="active",
                                seed=22)
-        res_r = run_protocol(cfg_r, env, pool_units=pool, obs_records=obs)
-        res_a = run_protocol(cfg_a, env, pool_units=pool, obs_records=obs)
+        res_r = run_protocol(cfg_r, env, pool_units=pool, obs=obs)
+        res_a = run_protocol(cfg_a, env, pool_units=pool, obs=obs)
         by_id_r = {int(i): (int(t), float(y))
                    for i, t, y in zip(res_r.unit_ids, res_r.ts, res_r.ys)}
         by_id_a = {int(i): (int(t), float(y))
@@ -207,8 +219,8 @@ class TestIdsAreNotPositions:
         perm = rng_for(32).permutation(len(pool))
         shuffled = Pool(ids=pool.ids[perm], xs=pool.xs[perm])
         cfg = ProtocolConfig(budget=60, max_batch=20, strategy="active", seed=33)
-        base = run_protocol(cfg, env, pool_units=pool, obs_records=obs)
-        moved = run_protocol(cfg, env, pool_units=shuffled, obs_records=obs)
+        base = run_protocol(cfg, env, pool_units=pool, obs=obs)
+        moved = run_protocol(cfg, env, pool_units=shuffled, obs=obs)
         assert set(moved.unit_ids) == set(base.unit_ids)
         assert self.by_id(moved) == self.by_id(base)
 
@@ -216,8 +228,8 @@ class TestIdsAreNotPositions:
         env, pool, obs = weak_overlap_world(34)
         offset = Pool(ids=pool.ids + 100, xs=pool.xs)
         cfg = ProtocolConfig(budget=60, max_batch=20, strategy="active", seed=35)
-        base = run_protocol(cfg, env, pool_units=pool, obs_records=obs)
-        shifted = run_protocol(cfg, env, pool_units=offset, obs_records=obs)
+        base = run_protocol(cfg, env, pool_units=pool, obs=obs)
+        shifted = run_protocol(cfg, env, pool_units=offset, obs=obs)
         assert len(shifted.unit_ids) == 60
         assert set(shifted.unit_ids) <= set(offset.ids)
         # later rounds may differ: the per-unit draws are keyed by id
@@ -234,8 +246,8 @@ class TestIdsAreNotPositions:
         shuffled = Pool(ids=pool.ids[perm], xs=pool.xs[perm])
         cfg = ProtocolConfig(budget=budget, max_batch=max_batch,
                              strategy="active", seed=world_seed + 1)
-        base = run_protocol(cfg, env, pool_units=pool, obs_records=obs)
-        moved = run_protocol(cfg, env, pool_units=shuffled, obs_records=obs)
+        base = run_protocol(cfg, env, pool_units=pool, obs=obs)
+        moved = run_protocol(cfg, env, pool_units=shuffled, obs=obs)
         assert set(moved.unit_ids) == set(base.unit_ids)
         assert self.by_id(moved) == self.by_id(base)
 
@@ -248,6 +260,45 @@ class TestIdsAreNotPositions:
         np.testing.assert_array_equal(result.xs, pool.xs[result.unit_ids])
 
 
+class TestObservationalLog:
+    def log_maps(self, monkeypatch, cfg, obs, world_seed):
+        """How many apply_many calls receive exactly the log's rows in one run."""
+        env, pool, _ = weak_overlap_world(world_seed)
+        seen = []
+        apply_many = FeatureMap.apply_many
+
+        def recording(fmap, xs):
+            seen.append(np.array(xs, dtype=float))
+            return apply_many(fmap, xs)
+
+        monkeypatch.setattr(FeatureMap, "apply_many", recording)
+        run_protocol(cfg, env, pool_units=pool, obs=obs)
+        return sum(xs.shape == obs.xs.shape and np.array_equal(xs, obs.xs)
+                   for xs in seen)
+
+    def test_active_fusion_run_maps_the_log_once(self, monkeypatch):
+        _, _, obs = weak_overlap_world(41)
+        cfg = ProtocolConfig(budget=40, max_batch=20, strategy="active",
+                             mode="fusion", seed=42)
+        assert self.log_maps(monkeypatch, cfg, obs, 41) == 1
+
+    def test_random_theory_run_never_maps_the_log(self, monkeypatch):
+        _, _, obs = weak_overlap_world(43)
+        cfg = ProtocolConfig(budget=40, max_batch=20, strategy="random", seed=44)
+        assert self.log_maps(monkeypatch, cfg, obs, 43) == 0
+
+    def test_log_without_rows_is_no_log(self):
+        env, pool, _ = weak_overlap_world(45)
+        empty = ObsLog(xs=np.zeros((0, 2)), ts=[], ys=[])
+        cfg = ProtocolConfig(budget=40, max_batch=20, strategy="active", seed=46)
+        a = run_protocol(cfg, env, pool_units=pool, obs=None)
+        b = run_protocol(cfg, env, pool_units=pool, obs=empty)
+        assert np.array_equal(a.unit_ids, b.unit_ids)
+        assert all(np.array_equal(x, y) for x, y in zip(a.scores, b.scores))
+        with pytest.raises(ValueError, match="observational log"):
+            run_protocol(replace(cfg, mode="fusion"), env, pool_units=pool, obs=empty)
+
+
 class TestFiltrationSoundness:
     def test_round_scores_recomputable_from_truncated_stream(self):
         """Selection at round k must depend only on records queried before
@@ -255,10 +306,10 @@ class TestFiltrationSoundness:
         stored score tables exactly."""
         env, pool, obs = weak_overlap_world(23)
         cfg = ProtocolConfig(budget=60, max_batch=20, strategy="active", seed=24)
-        result = run_protocol(cfg, env, pool_units=pool, obs_records=obs)
+        result = run_protocol(cfg, env, pool_units=pool, obs=obs)
         fmap = env.feature_map
-        prop = fit_propensity(obs, fmap)
-        obs_phis = fmap.apply_many([r.x for r in obs])
+        obs_phis = fmap.apply_many(obs.xs)
+        prop = fit_propensity(obs, obs_phis)
         phis = fmap.apply_many(result.xs)
         yts = pseudo_outcome_values(result.ts, result.ys, result.ps)
         start = 0
@@ -288,7 +339,7 @@ class TestDesignShaping:
                 cfg = ProtocolConfig(budget=60, max_batch=20, strategy=strat,
                                      weights=w, seed=2000 + s)
                 res = run_protocol(cfg, env, pool_units=pool,
-                                   obs_records=obs)
+                                   obs=obs)
                 share[strat] = np.mean(np.abs(res.xs[:, 1]) > 0.5)
             if share["active"] > share["random"]:
                 wins += 1
