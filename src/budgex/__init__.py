@@ -18,8 +18,8 @@ from .estimator import (ConfidenceParams, InfoMatrix, RidgeSolution,
                         pointwise_ci, predict_cate_many, pseudo_outcome_values,
                         sandwich_from_arrays)
 from .acquisition import (SCORE_DTYPE, AcquisitionWeights, DomainClassifier,
-                          DomainTrainConfig, EnsembleSpec, PropensityModel,
-                          composite_scores, ensemble_variance, fit_propensity,
+                          EnsembleSpec, PropensityModel, composite_scores,
+                          ensemble_variance, fit_propensity,
                           overlap_deficit_many, rank_normalize, select_top_m,
                           train_domain_classifier)
 from .protocol import (AffinePolicy, ConstantPolicy, ProtocolConfig,

@@ -4,6 +4,10 @@ Three per-candidate signals -- bootstrap-ensemble prediction variance (v),
 pool-vs-current domain discriminability (d), and historical overlap deficit
 (o) -- are rank-normalized over the current pool and combined into a single
 weighted score used for top-m selection.
+
+d and o come from logistic heads fitted by ridge-penalized IRLS (ESL 4.4):
+Newton steps from zero on the weighted mean cross-entropy + (RIDGE / 2) ||w||^2
+(bias free) until no step component exceeds TOLERANCE, or RuntimeError at MAX_ITER.
 """
 
 from dataclasses import dataclass, replace
@@ -17,19 +21,30 @@ from .estimator import fit_ridge_arrays
 # ---------------------------------------------------------------------------
 # Logistic heads (shared by domain classifier and propensity model)
 
+RIDGE = 1e-3
+TOLERANCE = 1e-8
+MAX_ITER = 50
 
-def _train_logistic(phis, labels, lr, steps, sample_weight=None):
-    """Full-batch gradient descent on (weighted) mean cross-entropy, zero init."""
-    w = np.zeros(phis.shape[1])
-    b = 0.0
-    sw = np.ones(len(labels)) if sample_weight is None else np.asarray(sample_weight)
-    sw = sw / sw.sum()
-    for _ in range(steps):
-        s = sigmoid(phis @ w + b)
-        g = (s - labels) * sw
-        w -= lr * (phis.T @ g)
-        b -= lr * g.sum()
-    return w, b
+
+def _fit_logistic(phis, labels, sw):
+    """(w, b) of the module's penalized loss under sample weights sw (sum 1);
+    one (d+1) x (d+1) solve per Newton step."""
+    phis = np.asarray(phis, dtype=float)
+    if not (np.all(np.isfinite(phis)) and np.all(np.isfinite(labels))) \
+            or np.all(labels == labels[0]):
+        raise ValueError("a logistic head needs finite rows and both classes")
+    design = np.vstack([phis.T, np.ones(len(phis))])  # one row per weight, bias last
+    penalty = np.append(np.full(phis.shape[1], RIDGE), 0.0)
+    theta = np.zeros(len(design))
+    for _ in range(MAX_ITER):
+        s = sigmoid(theta @ design)
+        grad = design @ (sw * (s - labels)) + penalty * theta
+        hess = (design * (sw * s * (1.0 - s))) @ design.T + np.diag(penalty)
+        step = np.linalg.solve(hess, grad)
+        theta -= step
+        if np.max(np.abs(step)) < TOLERANCE:
+            return theta[:-1], float(theta[-1])
+    raise RuntimeError(f"logistic head did not converge in {MAX_ITER} Newton steps")
 
 
 @dataclass
@@ -43,29 +58,17 @@ class DomainClassifier:
         return sigmoid(np.atleast_2d(phis) @ self.weights + self.bias)
 
 
-@dataclass(frozen=True)
-class DomainTrainConfig:
-    learning_rate: float = 1e-3
-    max_steps: int = 100
-
-
-def train_domain_classifier(pool_phis, current_phis, config=DomainTrainConfig()):
-    """Fit pool (label 1) vs current training sample (label 0)."""
-    if len(pool_phis) == 0 or len(current_phis) == 0:
+def train_domain_classifier(pool_phis, current_phis):
+    """Fit pool (label 1) vs current sample (label 0) by IRLS on the class-
+    balanced mean cross-entropy + (RIDGE / 2) ||w||^2, steps below TOLERANCE
+    within MAX_ITER. Balance keeps unequal sizes from faking a shift; the
+    penalty keeps w finite where the classes separate perfectly."""
+    n1, n0 = len(pool_phis), len(current_phis)
+    if n1 == 0 or n0 == 0:
         raise ValueError("both classes must be nonempty")
-    phis = np.vstack([pool_phis, current_phis])
-    labels = np.concatenate([np.ones(len(pool_phis)), np.zeros(len(current_phis))])
-    # Balance the classes so unequal pool/history sizes do not masquerade
-    # as a distribution shift signal.
-    sw = np.concatenate(
-        [
-            np.full(len(pool_phis), 0.5 / len(pool_phis)),
-            np.full(len(current_phis), 0.5 / len(current_phis)),
-        ]
-    )
-    w, b = _train_logistic(
-        phis, labels, config.learning_rate, config.max_steps, sample_weight=sw
-    )
+    w, b = _fit_logistic(np.vstack([pool_phis, current_phis]),
+                         np.repeat([1.0, 0.0], [n1, n0]),
+                         np.repeat([0.5 / n1, 0.5 / n0], [n1, n0]))
     return DomainClassifier(weights=w, bias=b)
 
 
@@ -81,14 +84,16 @@ class PropensityModel:
         return sigmoid(np.atleast_2d(phis) @ self.weights + self.bias)
 
 
-def fit_propensity(obs, phis, lr=1.0, steps=2000):
+def fit_propensity(obs, phis):
     """Fit e_obs on an ObsLog (labels obs.ts) from its phi rows, mapped by the
-    caller; randomized records are rejected."""
+    caller; randomized records are rejected. IRLS on the mean cross-entropy +
+    (RIDGE / 2) ||w||^2, steps below TOLERANCE within MAX_ITER; the penalty
+    keeps e_obs inside (0, 1) on a log that phi separates perfectly."""
     if not isinstance(obs, ObsLog):
         raise ValueError("propensity model must be trained on an OBS log only")
     if not len(obs) or len(phis) != len(obs):
         raise ValueError("need a nonempty observational log and one phi row per row")
-    w, b = _train_logistic(phis, obs.ts.astype(float), lr, steps)
+    w, b = _fit_logistic(phis, obs.ts, np.full(len(obs), 1.0 / len(obs)))
     return PropensityModel(weights=w, bias=b, trained_on="obs")
 
 
@@ -200,8 +205,7 @@ def select_top_m(table, m):
 
 
 def score_pool(ids, cand_phis, labeled_phis, labeled_yts, obs_phis, propensity,
-               weights, ensemble_spec, domain_config=DomainTrainConfig(),
-               round_seed=0):
+               weights, ensemble_spec, round_seed=0):
     """One round of scoring: train round models, score every candidate.
 
     ids and cand_phis are the candidates (the unqueried units) as unit ids
@@ -213,13 +217,9 @@ def score_pool(ids, cand_phis, labeled_phis, labeled_yts, obs_phis, propensity,
     v = ensemble_variance(labeled_phis, labeled_yts, cand_phis, spec)
 
     # d: pool vs obs + rct, retrained from zero each round
-    current_phis = obs_phis if not len(labeled_phis) else (
-        np.vstack([obs_phis, labeled_phis]) if len(obs_phis) else labeled_phis)
-    if len(current_phis) == 0:
-        d = np.full(len(ids), 0.5)
-    else:
-        clf = train_domain_classifier(cand_phis, current_phis, domain_config)
-        d = clf.score(cand_phis)
+    current = np.vstack([obs_phis, labeled_phis])
+    d = train_domain_classifier(cand_phis, current).score(cand_phis) if len(current) \
+        else np.full(len(ids), 0.5)
 
     # o: overlap deficit from the OBS-trained propensity head
     o = overlap_deficit_many(propensity, cand_phis) if propensity is not None \

@@ -147,11 +147,10 @@ def bound_violation_audit(env, config, n_pool, replications, delta,
     pehes = np.empty(replications)
     pbounds = np.empty(replications)
     for r in range(replications):
-        result, pool_xs = _replicate(env, config, n_pool, r, master_seed)
-        sol = result.solution
+        result, _ = _replicate(env, config, n_pool, r, master_seed)
+        sol, pool_phis = result.solution, result.pool_phis
         radii[r] = ellipsoid_radius(sol, env.theta_star)
         betas[r] = beta_bound(params, sol.info)
-        pool_phis = env.feature_map.apply_many(pool_xs)
         lev = np.einsum("ij,ij->i", pool_phis,
                         np.linalg.solve(sol.info.V, pool_phis.T).T)
         err = pool_phis @ sol.theta_hat - pool_phis @ env.theta_star

@@ -135,6 +135,7 @@ class ProtocolResult:
     unit_ids: np.ndarray
     scores: list  # per-round score tables (active strategy)
     batch_sizes: list
+    pool_phis: np.ndarray  # the phi row of every pool unit, in pool order
 
     @property
     def records(self):
@@ -213,8 +214,8 @@ def run_protocol(config, env, pool_units, obs=None, out_dir=None):
 
     Selection works in positions of pool_units; the stream, the per-unit
     random draws and the score dumps carry the pool's unit ids. The pool
-    itself is never modified. Its phi rows are computed once, and scoring,
-    assignment and the final fit all read them: one phi per unit per run.
+    itself is never modified. Its phi rows (the result's pool_phis) are mapped
+    once for scoring, assignment and the final fit: one phi per unit per run.
     obs is an ObsLog (None or no rows: no log). A run that reads it, active
     or fusion, maps it and fits e_obs once, for scoring and fusion weights.
     """
@@ -259,7 +260,7 @@ def run_protocol(config, env, pool_units, obs=None, out_dir=None):
 
     return ProtocolResult(solution=solution, xs=xs, phis=phis, ts=ts, ys=ys, ps=ps,
                           unit_ids=state.ids[:n], scores=all_scores,
-                          batch_sizes=batch_sizes)
+                          batch_sizes=batch_sizes, pool_phis=pool_phis)
 
 
 def _dump_scores(out_dir, round_index, table, selected_ids):

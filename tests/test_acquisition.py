@@ -2,16 +2,21 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
+from scipy import stats
 
-from budgex.acquisition import (AcquisitionWeights, DomainTrainConfig,
-                                EnsembleSpec, PropensityModel, composite_scores,
+from budgex import acquisition
+from budgex.acquisition import (AcquisitionWeights, EnsembleSpec,
+                                PropensityModel, composite_scores,
                                 ensemble_variance, fit_propensity,
                                 overlap_deficit_many, rank_normalize, score_pool,
                                 select_top_m, train_domain_classifier)
-from budgex.core import FeatureMap, ObsLog, RctRecord
-from budgex.envs import (LogisticPolicy, MarginalShift, SegmentMarginal,
-                         sample_obs, sample_pool)
+from budgex.core import FeatureMap, ObsLog, RctRecord, sigmoid
+from budgex.envs import (BoxMarginal, LinearEnv, LogisticPolicy, MarginalShift,
+                         SegmentMarginal, ThresholdPolicy, sample_obs,
+                         sample_pool)
 from budgex.estimator import pseudo_outcome_values
+from budgex.protocol import ProtocolConfig, run_protocol
 from budgex._rng import rng_for
 
 IDENTITY_1 = FeatureMap(kind="identity", output_dim=1, norm_bound=10.0)
@@ -61,19 +66,17 @@ class TestDomainClassifier:
         held_out = rng.standard_normal((1000, 2))
         assert abs(float(clf.score(held_out).mean()) - 0.5) < 0.05
 
-    def test_zero_steps_all_scores_half(self):
+    def test_identical_classes_score_half(self):
         rng = rng_for(53)
-        clf = train_domain_classifier(rng.standard_normal((10, 2)),
-                                      rng.standard_normal((10, 2)),
-                                      DomainTrainConfig(max_steps=0))
-        np.testing.assert_array_equal(clf.score(rng.standard_normal((5, 2))), 0.5)
+        rows = rng.standard_normal((10, 2))
+        clf = train_domain_classifier(rows, rows.copy())
+        np.testing.assert_allclose(clf.score(rng.standard_normal((5, 2))), 0.5,
+                                   rtol=0, atol=1e-12)
 
     def test_separable_classes_scored_apart(self):
         pool = np.column_stack([np.full(200, 3.0), np.zeros(200)])
         current = np.column_stack([np.full(200, -3.0), np.zeros(200)])
-        clf = train_domain_classifier(pool, current,
-                                      DomainTrainConfig(learning_rate=1.0,
-                                                        max_steps=2000))
+        clf = train_domain_classifier(pool, current)
         assert float(clf.score(pool).mean()) > 0.9
 
     def test_class_imbalance_does_not_fake_shift(self):
@@ -97,6 +100,122 @@ class TestDomainClassifier:
         assert zero.score(IDENTITY_2([1.0, 1.0]))[0] == 0.5
         saturated = DomainClassifier(weights=np.zeros(2), bias=1e4)
         assert saturated.score(IDENTITY_2([0.0, 0.0]))[0] == pytest.approx(1.0)
+
+
+FEATURE = st.floats(-3.0, 3.0)
+
+
+def draw_rows(data, n, d):
+    return np.array(data.draw(st.lists(st.lists(FEATURE, min_size=d, max_size=d),
+                                       min_size=n, max_size=n)))
+
+
+def assert_stationary(phis, labels, sample_weight, w, b):
+    """(w, b) zeroes the gradient of the weighted mean cross-entropy
+    + (1e-3 / 2) ||w||^2, with the bias unpenalized."""
+    assert np.all(np.isfinite(w)) and np.isfinite(b)
+    sw = sample_weight / np.sum(sample_weight)
+    r = sw * (sigmoid(phis @ w + b) - labels)
+    grad = np.append(phis.T @ r + 1e-3 * w, r.sum())
+    assert np.max(np.abs(grad)) < 1e-8
+
+
+class TestLogisticHeadFit:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 40), st.integers(1, 4), st.booleans(), st.data())
+    def test_propensity_head_is_stationary(self, n, d, separable, data):
+        """Random labels, or labels a hyperplane separates perfectly."""
+        phis = draw_rows(data, n, d)
+        if separable:
+            u = np.array(data.draw(st.lists(FEATURE, min_size=d, max_size=d)))
+            ts = (phis @ u > 0).astype(int)
+        else:
+            ts = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n,
+                                             max_size=n)))
+        assume(0 < ts.sum() < n)
+        model = fit_propensity(ObsLog(xs=phis, ts=ts, ys=np.zeros(n)), phis)
+        assert_stationary(phis, ts, np.ones(n), model.weights, model.bias)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 30), st.integers(1, 30), st.integers(1, 4),
+           st.floats(0.0, 8.0), st.data())
+    def test_balanced_domain_head_is_stationary(self, n_pool, n_cur, d, shift, data):
+        """Class-balanced weights; a shift above 6 separates the classes."""
+        pool = draw_rows(data, n_pool, d) + shift
+        current = draw_rows(data, n_cur, d)
+        clf = train_domain_classifier(pool, current)
+        sw = np.concatenate([np.full(n_pool, 0.5 / n_pool),
+                             np.full(n_cur, 0.5 / n_cur)])
+        labels = np.concatenate([np.ones(n_pool), np.zeros(n_cur)])
+        assert_stationary(np.vstack([pool, current]), labels, sw, clf.weights,
+                          clf.bias)
+
+    def test_non_finite_input_rejected(self):
+        rng = rng_for(87)
+        rows = rng.standard_normal((10, 2))
+        rows[3, 1] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            train_domain_classifier(rows, rng.standard_normal((10, 2)))
+        obs = ObsLog(xs=np.zeros((10, 1)), ts=np.arange(10) % 2, ys=np.zeros(10))
+        with pytest.raises(ValueError, match="finite"):
+            fit_propensity(obs, rows)
+        with pytest.raises(ValueError, match="finite"):
+            acquisition._fit_logistic(np.ones((2, 1)), np.array([1.0, np.nan]),
+                                      np.full(2, 0.5))
+
+    def test_one_class_log_rejected(self):
+        obs = ObsLog(xs=np.zeros((4, 1)), ts=np.ones(4, dtype=int), ys=np.zeros(4))
+        with pytest.raises(ValueError, match="both classes"):
+            fit_propensity(obs, IDENTITY_1.apply_many(obs.xs))
+
+    def test_iteration_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(acquisition, "MAX_ITER", 1)
+        pool = np.column_stack([np.full(20, 3.0), np.zeros(20)])
+        current = np.column_stack([np.full(20, -3.0), np.zeros(20)])
+        with pytest.raises(RuntimeError, match="converge"):
+            train_domain_classifier(pool, current)
+
+
+def box_threshold_world(seed, n_pool=2000, n_obs=2000):
+    """The 5-d box world and a log treated iff x_0 > 0, up to a 0.02 leak."""
+    fmap = FeatureMap(kind="identity", output_dim=5, norm_bound=np.sqrt(5.0))
+    env = LinearEnv(theta_star=(0.08, -0.06, 0.05, -0.04, 0.03), feature_map=fmap,
+                    norm_budget=0.2, marginal=BoxMarginal((-1.0,) * 5, (1.0,) * 5))
+    policy = ThresholdPolicy(direction=(1.0, 0.0, 0.0, 0.0, 0.0), cutoff=0.0,
+                             leak=0.02)
+    return (env, sample_pool(env, n_pool, seed),
+            sample_obs(env, policy, MarginalShift(), n_obs, seed + 1))
+
+
+def gradient_descent_fit(phis, labels, lr=1.0, steps=2000):
+    """The propensity fit that IRLS replaced: full-batch gradient descent on
+    the unpenalized mean cross-entropy, from zero."""
+    w, b = np.zeros(phis.shape[1]), 0.0
+    for _ in range(steps):
+        g = (sigmoid(phis @ w + b) - labels) / len(labels)
+        w -= lr * (phis.T @ g)
+        b -= lr * g.sum()
+    return w, b
+
+
+class TestBoxThresholdLog:
+    def test_overlap_ranking_matches_gradient_descent_fit(self):
+        env, pool, obs = box_threshold_world(89)
+        obs_phis = env.feature_map.apply_many(obs.xs)
+        pool_phis = env.feature_map.apply_many(pool.xs)
+        o = overlap_deficit_many(fit_propensity(obs, obs_phis), pool_phis)
+        w, b = gradient_descent_fit(obs_phis, obs.ts)
+        o_old = overlap_deficit_many(PropensityModel(weights=w, bias=b), pool_phis)
+        assert stats.spearmanr(o, o_old).statistic >= 0.99
+
+    def test_first_round_domain_signal_is_not_flat(self):
+        """The raw d of the first active round spans more than 0.01; an
+        unconverged head leaves it within 1e-3 of 0.5 for rank_normalize
+        to stretch into noise."""
+        env, pool, obs = box_threshold_world(97)
+        cfg = ProtocolConfig(budget=100, max_batch=50, strategy="active", seed=98)
+        result = run_protocol(cfg, env, pool_units=pool, obs=obs)
+        assert np.ptp(result.scores[0]["d"]) > 0.01
 
 
 class TestPropensityAndOverlap:

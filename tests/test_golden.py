@@ -53,26 +53,26 @@ RUNS = {
 GOLDEN = {
     "box/obs.jsonl": "08275489fab22a4ed675ad6de77a85f5195bcefe89f5baf9496571b0eb4d755d",
     "box/pool.jsonl": "48da91d4d8d7162768987abb6211b977a9a87587c943470d7bdb3397969ebb20",
-    "evaluate/metrics.csv": "a0319fc1f027e5a974ed0f9b894ebc378f6b61b0ac18c9d9cbe088bfacedc0af",
-    "evaluate/summary.json": "63b550be1b240074eac4133986ff378afa610e3cb07bf1e309c5a854d79f93ed",
+    "evaluate/metrics.csv": "452ace2678a366fe7438625e3fcd7e8f244ca421c3d8e02d3eeddb01df958220",
+    "evaluate/summary.json": "ed24142ea951fda4930d394e424522c54a31aabe10843ed372e2ced88cba1e1f",
     "hard/obs.jsonl": "aa117d5b3665314034ebcb2a232c7eeb4b370670a6b9298f2affc31baa03378b",
     "hard/pool.jsonl": "275912da401942bf33a0a426f16a82a0ea15a83cd555d8a8c312424634ab61b1",
-    "run-active-fusion/rep_0000/rct.jsonl": "857891b202cbc0614e26571877a981380e9aeb24b06bad2844650fc8ed71be8e",
-    "run-active-fusion/rep_0000/scores_round_1.csv": "7c11738679f453d9c7fa5b616ef86d256616ec9bd29c1d923730aec431c4fb34",
-    "run-active-fusion/rep_0000/scores_round_2.csv": "34705478288a4ec41817899351c7071881809ea0f5a1b7fb88486b4c0280ae67",
-    "run-active-fusion/rep_0000/scores_round_3.csv": "095772ed083941f7bdab413b6dda4173c5ac478a1ac6142b34b2f3772b387d30",
-    "run-active-fusion/rep_0000/solution.json": "2442452f8f5d5a5cc7da4e4cd6aa4bc854c9d5d9b23093cf9e5af8fd3bef60b2",
-    "run-active/rep_0000/rct.jsonl": "857891b202cbc0614e26571877a981380e9aeb24b06bad2844650fc8ed71be8e",
-    "run-active/rep_0000/scores_round_1.csv": "7c11738679f453d9c7fa5b616ef86d256616ec9bd29c1d923730aec431c4fb34",
-    "run-active/rep_0000/scores_round_2.csv": "34705478288a4ec41817899351c7071881809ea0f5a1b7fb88486b4c0280ae67",
-    "run-active/rep_0000/scores_round_3.csv": "095772ed083941f7bdab413b6dda4173c5ac478a1ac6142b34b2f3772b387d30",
-    "run-active/rep_0000/solution.json": "8926f997a11c0f0b9d13c4cb7ab4dd0ec6a3f2a6947af0fc07aeb376c0c87dd2",
+    "run-active-fusion/rep_0000/rct.jsonl": "5e013977e0c397676e89de1a93cf86f66eab48df9c5d3a797d3d18f13ee0fa14",
+    "run-active-fusion/rep_0000/scores_round_1.csv": "406df359c7f191afeebcf088ceb61b10eae520c3f2d5160daccea3a65c47171a",
+    "run-active-fusion/rep_0000/scores_round_2.csv": "5b8fef366c8127187010c74e48c3c189fdf401a986790d6575841499e760fa7c",
+    "run-active-fusion/rep_0000/scores_round_3.csv": "b848db0748686c83d50d2d82534db1261bf8f4866f2d8db599baedcd7948079e",
+    "run-active-fusion/rep_0000/solution.json": "41c9b20d11fe69b1eeb48a8c60c5db6a1594bb6f89ceae5227236aec567722fb",
+    "run-active/rep_0000/rct.jsonl": "5e013977e0c397676e89de1a93cf86f66eab48df9c5d3a797d3d18f13ee0fa14",
+    "run-active/rep_0000/scores_round_1.csv": "406df359c7f191afeebcf088ceb61b10eae520c3f2d5160daccea3a65c47171a",
+    "run-active/rep_0000/scores_round_2.csv": "5b8fef366c8127187010c74e48c3c189fdf401a986790d6575841499e760fa7c",
+    "run-active/rep_0000/scores_round_3.csv": "b848db0748686c83d50d2d82534db1261bf8f4866f2d8db599baedcd7948079e",
+    "run-active/rep_0000/solution.json": "cd99c7bb77bda8f2590b425633c8aaf9dc5aeec679ff31bc128bb653f97b2fec",
     "run-random-fusion/rep_0000/rct.jsonl": "cad188a661f01d2f52e8fc237555b9a7b56370abf7178a4aa3d70b8921aaa0f1",
     "run-random-fusion/rep_0000/solution.json": "67d355b966d63ffb6bbbd73b69d8449473ac6995e0014143a7d7b7b17b5ce57d",
     "run-random/rep_0000/rct.jsonl": "cad188a661f01d2f52e8fc237555b9a7b56370abf7178a4aa3d70b8921aaa0f1",
     "run-random/rep_0000/solution.json": "2df67f0be845771f129df78cce3fda47fcfb3f6b3b4e9701a09fbde72decdd51",
-    "sweep/metrics.csv": "e3bfdd0c6270fbefff821c7bd886188fe1d41c4bd4860a145498fd40f36b6b1d",
-    "sweep/summary.json": "b8e718db46035e66ac20777cfac0d4943b2dc45c43a5f570cf27ab4bbd1066f6",
+    "sweep/metrics.csv": "7c7f266ef5a27e24c666941a97a2cb7ad9405110a6d7784db145b56754960296",
+    "sweep/summary.json": "5d0f834fbf071042298f0322ed31fefabf8860d4ce45c3798ffe10ba54adf7c6",
 }
 
 

@@ -6,6 +6,7 @@ from itertools import permutations, product
 import numpy as np
 import pytest
 
+from budgex.core import FeatureMap
 from budgex.envs import HardInstance, default_hard_delta
 from budgex.metrics import (ZeroGlobalLiftError, bound_violation_audit,
                             clt_diagnostic, pehe, pehe_exact_segments,
@@ -189,6 +190,20 @@ class TestBoundAudit:
                                       master_seed=3)
         assert np.all(small.betas >= big.betas)
         assert small.violations <= big.violations
+
+    def test_maps_each_pool_once_per_replication(self, monkeypatch):
+        """The audit reads the run's pool phi rows instead of mapping again."""
+        rows = []
+        apply_many = FeatureMap.apply_many
+
+        def recording(fmap, xs):
+            rows.append(len(xs))
+            return apply_many(fmap, xs)
+
+        monkeypatch.setattr(FeatureMap, "apply_many", recording)
+        cfg = ProtocolConfig(budget=40, strategy="random", seed=0)
+        bound_violation_audit(hard4(), cfg, 60, 3, delta=0.1, master_seed=5)
+        assert rows.count(60) == 3
 
     def test_invalid_delta_rejected(self):
         env = hard4()

@@ -124,6 +124,14 @@ class TestRunProtocol:
         assert len(set(result.unit_ids)) == len(result.unit_ids) == 40
         assert pool.ids.tolist() == list(range(60))  # the input is left as it was
 
+    def test_result_carries_the_pool_phi_rows(self):
+        env = hard4()
+        cfg = ProtocolConfig(budget=20, max_batch=6, strategy="random", seed=8)
+        pool = sample_pool(env, 30, seed=9)
+        result = run_protocol(cfg, env, pool_units=pool)
+        np.testing.assert_array_equal(result.pool_phis,
+                                      env.feature_map.apply_many(pool.xs))
+
     def test_treated_fraction_near_half(self):
         env = hard4()
         cfg = ProtocolConfig(budget=2000, strategy="random",
