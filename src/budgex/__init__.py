@@ -6,13 +6,13 @@ a query budget, fits an inverse-propensity pseudo-outcome ridge CATE model,
 and verifies its finite-sample and asymptotic guarantees empirically.
 """
 
-from .core import (FeatureMap, ObsLog, Pool, PropensityBounds, RctRecord,
+from .core import (FeatureMap, ObsLog, Pool, PropensityBounds, RctStream,
                    read_jsonl, validate_rct_stream, write_jsonl)
 from .envs import (BoxMarginal, HardInstance, LinearEnv, LogisticPolicy,
                    MarginalShift, SegmentMarginal, ThresholdPolicy,
                    default_hard_delta, env_from_json, env_to_json, sample_obs,
                    sample_pool)
-from .estimator import (ConfidenceParams, InfoMatrix, RidgeSolution,
+from .estimator import (ConfidenceParams, RidgeSolution,
                         SandwichEstimate, beta_bound, compute_alignment_weights,
                         confidence_width, default_sigma, fit_ridge_arrays,
                         pointwise_ci, predict_cate_many, pseudo_outcome_values,

@@ -64,7 +64,15 @@ def _given(doc, *keys):
     return {k: doc[k] for k in keys if k in doc}
 
 
+def _known(doc, where, *keys):
+    """doc, once it has no key outside keys: a misspelt key is an error."""
+    if not set(doc) <= set(keys):
+        raise ValueError(f"unknown key(s) in {where}: {sorted(set(doc) - set(keys))}")
+    return doc
+
+
 def _randomization_from_json(doc):
+    _known(doc, "protocol.json randomization", "kind", "p", "weights", "bias")
     kind = doc.get("kind", "constant")
     if kind == "constant":
         return ConstantPolicy(**_given(doc, "p"))
@@ -77,8 +85,13 @@ def _randomization_from_json(doc):
 
 def protocol_config_from_json(doc, seed=0, strategy=None, budget=None):
     """A ProtocolConfig from protocol.json; each key it leaves out keeps its
-    dataclass default, but the ensemble's lambda defaults to estimator_lambda."""
-    ej = doc.get("ensemble", {})
+    dataclass default, but the ensemble's lambda defaults to estimator_lambda.
+    A key it does not know is a ValueError."""
+    _known(doc, "protocol.json", "budget", "max_rounds", "max_batch", "strategy",
+           "estimator_lambda", "mode", "f_min", "f_max", "randomization",
+           "weights", "ensemble")
+    ej = _known(doc.get("ensemble", {}), "protocol.json ensemble",
+                "n_members", "resample_fraction", "perturb_lambda", "lambda")
     ensemble = _given(ej, "n_members", "resample_fraction", "perturb_lambda")
     if "lambda" in ej or "estimator_lambda" in doc:
         ensemble["lam"] = ej.get("lambda", doc.get("estimator_lambda"))
@@ -89,7 +102,8 @@ def protocol_config_from_json(doc, seed=0, strategy=None, budget=None):
         budget=doc["budget"] if budget is None else budget, seed=seed,
         bounds=replace(DEFAULT_BOUNDS, **_given(doc, "f_min", "f_max")),
         randomization=_randomization_from_json(doc.get("randomization", {})),
-        weights=AcquisitionWeights(**_given(doc.get("weights", {}), "alpha", "beta", "gamma")),
+        weights=AcquisitionWeights(**_known(doc.get("weights", {}), "protocol.json weights",
+                                            "alpha", "beta", "gamma")),
         ensemble=EnsembleSpec(**ensemble), **given)
 
 
@@ -147,12 +161,12 @@ def cmd_run(args):
         t0 = time.perf_counter()
         result = run_protocol(cfg, env, pool_units=pool, obs=obs, out_dir=rep_dir)
         elapsed = time.perf_counter() - t0
-        write_jsonl(os.path.join(rep_dir, "rct.jsonl"), result.records)
+        write_jsonl(os.path.join(rep_dir, "rct.jsonl"), result.stream)
         _write_json(os.path.join(rep_dir, "solution.json"),
-                    solution_to_json(result.solution, cfg.estimator_lambda))
+                    solution_to_json(result.solution))
         _write_json(os.path.join(rep_dir, "run_summary.json"), {
             "budget": cfg.budget,
-            "budget_used": int(len(result.ts)),
+            "budget_used": len(result.stream),
             "batch_sizes": result.batch_sizes,
             "seed": seed_r,
         })
@@ -233,15 +247,16 @@ def _sweep_cell(payload):
         auuc = uplift_curve(predict(xs), ts, ys).auuc_normalized
     except ZeroGlobalLiftError:
         auuc = float("nan")
-    b_used = max(len(result.ts), 1)
-    v0 = result.solution.info.V - cfg.estimator_lambda * np.eye(env.feature_map.output_dim)
+    b_used = max(len(result.stream), 1)
+    v0 = result.solution.V - result.solution.lam * np.eye(env.feature_map.output_dim)
     min_eig = float(np.linalg.eigvalsh(v0).min() / b_used)
     return [budget, strategy, rep, seed, repr(pehe_val), repr(auuc), repr(min_eig)]
 
 
 def cmd_sweep(args):
     with open(args.sweep) as fh:
-        sdoc = json.load(fh)
+        sdoc = _known(json.load(fh), "sweep.json", "env", "budgets", "strategies",
+                      "replications", "n_pool", "n_obs", "protocol")
     os.makedirs(args.out, exist_ok=True)
     with open(sdoc["env"]) as fh:
         env_doc_json = fh.read()

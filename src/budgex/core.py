@@ -1,14 +1,15 @@
-"""Shared domain types: feature maps, the pool, the log, records, stream checks.
+"""Shared domain types: feature maps, the pool, the log, the stream, stream checks.
 
-All types are immutable. The target pool (unit ids, covariate rows) and the
-observational log (covariate rows, treatments, outcomes) are array columns
-from where they are drawn or read to where they are used. The randomized
-stream is arrays inside the loop; RctRecord rows exist only for rct.jsonl.
-All three persist as newline-delimited JSON.
+All types are immutable. The target pool (unit ids, covariate rows), the
+observational log (covariate rows, treatments, outcomes) and the randomized
+stream (the log's columns plus assignment probabilities and sequence numbers)
+are read-only array columns from where they are drawn or read to where they
+are used. Rows exist only in the files: all three persist as newline-delimited
+JSON, one object per unit.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -74,7 +75,7 @@ class FeatureMap:
                 raise DimensionError(f"expected dim {self.weight.shape[1]}, got {xs.shape[1]}")
             out = xs @ self.weight.T + self.offset
         norms = np.linalg.norm(out, axis=1)
-        if np.any(norms > self.norm_bound + 1e-12):
+        if not np.all(norms <= self.norm_bound + 1e-12):  # a NaN row fails too
             bad = float(norms.max())
             raise NormBoundError(f"||phi(x)|| = {bad:.6g} exceeds declared bound {self.norm_bound}")
         return out
@@ -98,24 +99,6 @@ class PropensityBounds:
     def pseudo_outcome_bound(self):
         """L_p = max{1/f_min, 1/(1 - f_max)}."""
         return max(1.0 / self.f_min, 1.0 / (1.0 - self.f_max))
-
-
-@dataclass(frozen=True)
-class RctRecord:
-    x: tuple
-    t: int
-    y: float
-    p: float
-    seq: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", tuple(float(v) for v in np.atleast_1d(self.x)))
-        if self.t not in (0, 1):
-            raise ValueError("t must be 0 or 1")
-        if not (0.0 <= self.y <= 1.0):
-            raise ValueError("y must lie in [0, 1]")
-        if not (0.0 < self.p < 1.0):
-            raise ValueError("p must lie in (0, 1)")
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,15 +134,43 @@ class ObsLog:
     ys: np.ndarray
 
     def __post_init__(self):
-        ts, ys = _exact_int64(self.ts, "t"), np.asarray(self.ys)
-        if ys.dtype.kind not in "biuf" or ys.shape != ts.shape \
-                or np.any((ts != 0) & (ts != 1)) \
-                or not np.all((ys >= 0) & (ys <= 1)):  # NaN fails both
-            raise ValueError("need one t in {0, 1} and one y in [0, 1] per row")
-        _freeze(self, xs=_rows_of(self.xs, ts), ts=ts, ys=ys.astype(float))
+        _freeze_arms(self)
 
     def __len__(self):
         return len(self.ts)
+
+
+@dataclass(frozen=True, eq=False)
+class RctStream:
+    """The randomized stream in order: an ObsLog's columns plus p in (0, 1) and
+    int64 seq, as read-only copies. Not an ObsLog subclass: fit_propensity
+    accepts only an ObsLog, which keeps e_obs off randomized data."""
+
+    xs: np.ndarray
+    ts: np.ndarray
+    ys: np.ndarray
+    ps: np.ndarray
+    seq: np.ndarray
+
+    def __post_init__(self):
+        ps = np.asarray(self.ps)
+        if ps.dtype.kind not in "biuf" or not np.all((ps > 0) & (ps < 1)):  # NaN fails both
+            raise ValueError("need every p in (0, 1)")
+        _freeze_arms(self, ps=ps.astype(float), seq=_exact_int64(self.seq, "seq"))
+
+    def __len__(self):
+        return len(self.ts)
+
+
+def _freeze_arms(obj, **columns):
+    """Check and freeze obj's xs rows, ts in {0, 1} and ys in [0, 1] (not NaN),
+    with the further checked 1-d columns: one entry of each per row."""
+    ts, ys = _exact_int64(obj.ts, "t"), np.asarray(obj.ys)
+    if ys.dtype.kind not in "biuf" or np.any((ts != 0) & (ts != 1)) \
+            or not np.all((ys >= 0) & (ys <= 1)) \
+            or any(c.shape != ts.shape for c in (ys, *columns.values())):
+        raise ValueError("need one t in {0, 1}, one y in [0, 1] and one of each column per row")
+    _freeze(obj, xs=_rows_of(obj.xs, ts), ts=ts, ys=ys.astype(float), **columns)
 
 
 def _exact_int64(values, name):
@@ -192,20 +203,19 @@ class StreamViolation:
     reason: str
 
 
-def validate_rct_stream(records, bounds):
-    """Check every stream invariant; return None if ok, else the first violation."""
-    prev_seq = None
-    for i, r in enumerate(records):
-        if not (bounds.f_min <= r.p <= bounds.f_max):
-            return StreamViolation(i, f"p={r.p} outside [{bounds.f_min}, {bounds.f_max}] at seq {r.seq}")
-        if not (0.0 <= r.y <= 1.0):
-            return StreamViolation(i, f"y={r.y} outside [0, 1] at seq {r.seq}")
-        if r.t not in (0, 1):
-            return StreamViolation(i, f"t={r.t} not binary at seq {r.seq}")
-        if prev_seq is not None and r.seq <= prev_seq:
-            return StreamViolation(i, f"seq {r.seq} not strictly increasing after {prev_seq}")
-        prev_seq = r.seq
-    return None
+def validate_rct_stream(stream, bounds):
+    """The first row whose p is outside the bounds (checked first) or whose seq
+    does not exceed the last one, as a StreamViolation; None if there is none."""
+    ps, seq = stream.ps, stream.seq
+    bad = (ps < bounds.f_min) | (ps > bounds.f_max)
+    bad[1:] |= seq[1:] <= seq[:-1]
+    if not bad.any():
+        return None
+    i = int(np.argmax(bad))
+    p, s = float(ps[i]), int(seq[i])
+    if not (bounds.f_min <= p <= bounds.f_max):
+        return StreamViolation(i, f"p={p} outside [{bounds.f_min}, {bounds.f_max}] at seq {s}")
+    return StreamViolation(i, f"seq {s} not strictly increasing after {int(seq[i - 1])}")
 
 
 # ---------------------------------------------------------------------------
@@ -217,30 +227,30 @@ def _rows(records):
         # "queried" stays in the file format; a stored pool is always unqueried
         return ({"id": i, "x": x, "queried": False}
                 for i, x in zip(records.ids.tolist(), records.xs.tolist()))
-    if isinstance(records, ObsLog):
-        return ({"x": x, "t": t, "y": y} for x, t, y in
-                zip(records.xs.tolist(), records.ts.tolist(), records.ys.tolist()))
-    return ({"x": list(r.x), "t": r.t, "y": r.y, "p": r.p, "seq": r.seq}
-            for r in records)
+    # an ObsLog's or an RctStream's columns, keyed x, t, y (, p, seq)
+    keys = ("x", "t", "y", "p", "seq")
+    columns = [getattr(records, f.name).tolist() for f in fields(records)]
+    return (dict(zip(keys, row)) for row in zip(*columns))
 
 
 def write_jsonl(path, records):
-    """Write a Pool or an ObsLog as one row per unit, or a list of RctRecords."""
+    """Write a Pool, an ObsLog or an RctStream as one JSON object per row."""
     with open(path, "w") as fh:
         for d in _rows(records):
             fh.write(json.dumps(d, sort_keys=True) + "\n")
 
 
 def read_jsonl(path, kind):
-    """Read back a 'pool' (a Pool), an 'obs' log (an ObsLog) or 'rct' records."""
+    """Read back a 'pool' (a Pool), an 'obs' log (an ObsLog) or an 'rct' stream
+    (an RctStream); a log or stream file with no rows has no rows."""
     if kind not in ("obs", "rct", "pool"):
         raise ValueError(f"unknown record kind {kind!r}")
     with open(path) as fh:
         docs = [json.loads(line) for line in fh]
     if kind == "pool":
         return Pool(ids=[d["id"] for d in docs], xs=[d["x"] for d in docs])
+    arms = {"xs": [d["x"] for d in docs] or np.empty((0, 0)),
+            "ts": [d["t"] for d in docs], "ys": [d["y"] for d in docs]}
     if kind == "obs":
-        # a file with no rows is a log with no rows
-        return ObsLog(xs=[d["x"] for d in docs] or np.empty((0, 0)),
-                      ts=[d["t"] for d in docs], ys=[d["y"] for d in docs])
-    return [RctRecord(x=d["x"], t=d["t"], y=d["y"], p=d["p"], seq=d["seq"]) for d in docs]
+        return ObsLog(**arms)
+    return RctStream(**arms, ps=[d["p"] for d in docs], seq=[d["seq"] for d in docs])

@@ -3,7 +3,8 @@
 The chronological stream (x_t, t_t, y_t, p_t) is converted to inverse
 propensity pseudo-outcomes and fit by (weighted) ridge / OLS in a fixed
 feature space, with the self-normalized confidence width and a sandwich
-variance estimate for asymptotic intervals.
+variance estimate for asymptotic intervals. A fit is one frozen RidgeSolution
+holding lambda once, for V and for the width's det(lambda I) alike.
 """
 
 from dataclasses import dataclass
@@ -29,36 +30,23 @@ def pseudo_outcome_values(ts, ys, ps):
     return np.where(ts == 1, ys / ps, -ys / (1.0 - ps))
 
 
-class InfoMatrix:
-    """V = lambda I + sum_t w_t phi_t phi_t^T."""
-
-    def __init__(self, dim, lam):
-        if lam < 0:
-            raise ValueError("lambda must be nonnegative")
-        self.lam = float(lam)
-        self.V = lam * np.eye(dim)
-        self.n = 0
-
-    @staticmethod
-    def build(phis, lam, weights=None):
-        dim = phis.shape[1]
-        out = InfoMatrix(dim, lam)
-        if len(phis):
-            w = np.ones(len(phis)) if weights is None else np.asarray(weights, dtype=float)
-            out.V = lam * np.eye(dim) + (phis * w[:, None]).T @ phis
-        out.n = len(phis)
-        return out
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RidgeSolution:
-    theta_hat: np.ndarray
-    info: InfoMatrix
-    moment: np.ndarray
+    """theta_hat, the information matrix V = lam I + sum_t w_t phi_t phi_t^T
+    over n rows, and lam; theta_hat and V are read-only copies."""
 
-    @property
-    def dim(self):
-        return len(self.theta_hat)
+    theta_hat: np.ndarray
+    V: np.ndarray
+    lam: float
+    n: int
+
+    def __post_init__(self):
+        if not self.lam >= 0:
+            raise ValueError("lambda must be nonnegative")
+        for name in ("theta_hat", "V"):
+            a = np.array(getattr(self, name), dtype=float)
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
 
 
 @dataclass(frozen=True)
@@ -66,7 +54,6 @@ class ConfidenceParams:
     sigma: float
     S: float
     delta: float
-    lam: float
 
     def __post_init__(self):
         if self.sigma <= 0:
@@ -88,20 +75,20 @@ def fit_ridge_arrays(phis, yts, lam, weights=None):
         raise ValueError("weights length must match records")
     if np.any(w <= 0):
         raise ValueError("weights must be strictly positive")
-    info = InfoMatrix.build(phis, lam, w if weights is not None else None)
-    b = (phis * (w * yts)[:, None]).sum(axis=0) if len(phis) else np.zeros(dim)
+    V = lam * np.eye(dim) + (phis * w[:, None]).T @ phis
+    b = (phis * (w * yts)[:, None]).sum(axis=0)
     if lam == 0.0:
-        cond = np.linalg.cond(info.V) if len(phis) else np.inf
+        cond = np.linalg.cond(V) if len(phis) else np.inf
         if not np.isfinite(cond) or cond > MAX_CONDITION:
-            rank = np.linalg.matrix_rank(info.V) if len(phis) else 0
+            rank = np.linalg.matrix_rank(V) if len(phis) else 0
             raise SingularDesignError(
                 f"lambda = 0 with singular design: rank {rank} < {dim}"
             )
-    theta = np.linalg.solve(info.V, b)
-    resid = np.linalg.norm(info.V @ theta - b) / (1.0 + np.linalg.norm(b))
+    theta = np.linalg.solve(V, b)
+    resid = np.linalg.norm(V @ theta - b) / (1.0 + np.linalg.norm(b))
     if resid > SOLVE_RTOL:
-        theta, *_ = np.linalg.lstsq(info.V, b, rcond=None)
-    return RidgeSolution(theta_hat=theta, info=info, moment=b)
+        theta, *_ = np.linalg.lstsq(V, b, rcond=None)
+    return RidgeSolution(theta_hat=theta, V=V, lam=lam, n=len(phis))
 
 
 def predict_cate_many(solution, fmap, xs):
@@ -125,30 +112,32 @@ def compute_alignment_weights(phis, ts, propensity_model):
 # Finite-sample confidence machinery
 
 
-def beta_bound(params, info):
-    """sigma sqrt(2 log(det(V)^1/2 / (det(lambda I)^1/2 delta))) + sqrt(lambda) S."""
-    if params.lam <= 0:
+def beta_bound(params, solution):
+    """sigma sqrt(2 log(det(V)^1/2 / (det(lambda I)^1/2 delta))) + sqrt(lambda) S,
+    with the solution's V and the lambda that V was built with."""
+    lam = solution.lam
+    if lam <= 0:
         raise ValueError("the determinant-ratio bound requires lambda > 0")
-    dim = info.V.shape[0]
-    sign, logdet = np.linalg.slogdet(info.V)
+    dim = solution.V.shape[0]
+    sign, logdet = np.linalg.slogdet(solution.V)
     if sign <= 0:
         raise np.linalg.LinAlgError("information matrix is not positive definite")
-    log_ratio = 0.5 * logdet - 0.5 * dim * np.log(params.lam) - np.log(params.delta)
-    return params.sigma * np.sqrt(2.0 * log_ratio) + np.sqrt(params.lam) * params.S
+    log_ratio = 0.5 * logdet - 0.5 * dim * np.log(lam) - np.log(params.delta)
+    return params.sigma * np.sqrt(2.0 * log_ratio) + np.sqrt(lam) * params.S
 
 
 def confidence_width(solution, params, fmap, x):
     """Half-width beta * sqrt(phi^T V^-1 phi) of the pointwise CATE bound."""
-    beta = beta_bound(params, solution.info)
+    beta = beta_bound(params, solution)
     phi = fmap(x)
-    lev = float(phi @ np.linalg.solve(solution.info.V, phi))
+    lev = float(phi @ np.linalg.solve(solution.V, phi))
     return beta * np.sqrt(max(lev, 0.0))
 
 
 def ellipsoid_radius(solution, theta_star):
     """||theta_hat - theta*||_V, the self-normalized deviation."""
     diff = solution.theta_hat - np.asarray(theta_star)
-    return float(np.sqrt(diff @ solution.info.V @ diff))
+    return float(np.sqrt(diff @ solution.V @ diff))
 
 
 @dataclass(frozen=True)
@@ -187,19 +176,16 @@ def pointwise_ci(solution, sandwich, fmap, x, level, n):
 # Serialization (solution.json)
 
 
-def solution_to_json(solution, lam):
+def solution_to_json(solution):
     return {
         "theta_hat": list(map(float, solution.theta_hat)),
-        "lambda": lam,
-        "n": solution.info.n,
-        "V": np.asarray(solution.info.V).ravel().tolist(),
+        "lambda": solution.lam,
+        "n": solution.n,
+        "V": solution.V.ravel().tolist(),
     }
 
 
 def solution_from_json(doc):
-    theta = np.asarray(doc["theta_hat"], dtype=float)
-    dim = len(theta)
-    info = InfoMatrix(dim, doc["lambda"])
-    info.V = np.asarray(doc["V"], dtype=float).reshape(dim, dim)
-    info.n = doc["n"]
-    return RidgeSolution(theta_hat=theta, info=info, moment=info.V @ theta)
+    dim = len(doc["theta_hat"])
+    return RidgeSolution(theta_hat=doc["theta_hat"], lam=doc["lambda"], n=doc["n"],
+                         V=np.reshape(doc["V"], (dim, dim)))

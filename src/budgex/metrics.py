@@ -140,8 +140,7 @@ def bound_violation_audit(env, config, n_pool, replications, delta,
     if sigma is None:
         sigma = default_sigma(config.bounds)
     S = env.S if norm_budget is None else norm_budget
-    params = ConfidenceParams(sigma=sigma, S=S, delta=delta,
-                              lam=config.estimator_lambda)
+    params = ConfidenceParams(sigma=sigma, S=S, delta=delta)
     radii = np.empty(replications)
     betas = np.empty(replications)
     pehes = np.empty(replications)
@@ -150,9 +149,9 @@ def bound_violation_audit(env, config, n_pool, replications, delta,
         result, _ = _replicate(env, config, n_pool, r, master_seed)
         sol, pool_phis = result.solution, result.pool_phis
         radii[r] = ellipsoid_radius(sol, env.theta_star)
-        betas[r] = beta_bound(params, sol.info)
+        betas[r] = beta_bound(params, sol)
         lev = np.einsum("ij,ij->i", pool_phis,
-                        np.linalg.solve(sol.info.V, pool_phis.T).T)
+                        np.linalg.solve(sol.V, pool_phis.T).T)
         err = pool_phis @ sol.theta_hat - pool_phis @ env.theta_star
         pehes[r] = np.sqrt(np.mean(err**2))
         pbounds[r] = betas[r] * np.sqrt(max(np.mean(lev), 0.0))
@@ -179,14 +178,13 @@ def clt_diagnostic(env, config, n_pool, replications, x, master_seed=0):
     zs = np.empty(replications)
     for r in range(replications):
         result, _ = _replicate(env, config, n_pool, r, master_seed)
-        sw = sandwich_from_arrays(result.phis, result.pseudo_outcomes(),
-                                  result.solution)
+        sw = sandwich_from_arrays(result.phis, result.yts, result.solution)
         se2 = float(phi @ sw.avar @ phi)
-        b = len(result.ts)
+        b = len(result.stream)
         tau_hat = float(phi @ result.solution.theta_hat)
         zs[r] = np.sqrt(b) * (tau_hat - tau_x) / np.sqrt(se2)
     ks = float(stats.kstest(zs, "norm").statistic)
-    small_b = len(result.ts) < 100 * env.feature_map.output_dim
+    small_b = len(result.stream) < 100 * env.feature_map.output_dim
     return NormalityDiagnostic(z_scores=zs, ks_statistic=ks,
                                small_budget_warning=small_b)
 

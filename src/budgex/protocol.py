@@ -17,7 +17,7 @@ import numpy as np
 from ._rng import OUTCOME, TREATMENT, rng_for, unit_uniform
 from .acquisition import (AcquisitionWeights, EnsembleSpec, fit_propensity,
                           score_pool, select_top_m)
-from .core import PropensityBounds, RctRecord
+from .core import PropensityBounds, RctStream
 from .estimator import (compute_alignment_weights, fit_ridge_arrays,
                         pseudo_outcome_values, RidgeSolution)
 
@@ -124,29 +124,16 @@ class RoundState:
                           unqueried=np.ones(len(pool), dtype=bool))
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProtocolResult:
     solution: RidgeSolution
-    xs: np.ndarray
-    phis: np.ndarray
-    ts: np.ndarray
-    ys: np.ndarray
-    ps: np.ndarray
-    unit_ids: np.ndarray
+    stream: RctStream  # the randomized stream, seq 1..n in selection order
+    phis: np.ndarray  # the phi row of every stream row
+    yts: np.ndarray  # the pseudo-outcome of every stream row, as fitted
+    unit_ids: np.ndarray  # the pool unit id of every stream row
     scores: list  # per-round score tables (active strategy)
     batch_sizes: list
     pool_phis: np.ndarray  # the phi row of every pool unit, in pool order
-
-    @property
-    def records(self):
-        return [
-            RctRecord(x=self.xs[i], t=int(self.ts[i]), y=float(self.ys[i]),
-                      p=float(self.ps[i]), seq=i + 1)
-            for i in range(len(self.ts))
-        ]
-
-    def pseudo_outcomes(self):
-        return pseudo_outcome_values(self.ts, self.ys, self.ps)
 
 
 def _assign_and_observe(env, config, ids, xs, phis):
@@ -212,10 +199,13 @@ class _ActiveContext:
 def run_protocol(config, env, pool_units, obs=None, out_dir=None):
     """Run the budget loop on a Pool end to end and fit the final estimator.
 
-    Selection works in positions of pool_units; the stream, the per-unit
-    random draws and the score dumps carry the pool's unit ids. The pool
-    itself is never modified. Its phi rows (the result's pool_phis) are mapped
-    once for scoring, assignment and the final fit: one phi per unit per run.
+    Selection works in positions of pool_units; the per-unit random draws,
+    the score dumps and the result's unit_ids carry the pool's unit ids. The
+    loop fills budget-sized arrays in place; the result holds them as one
+    read-only RctStream (seq 1..n) and one frozen RidgeSolution fitted with
+    config.estimator_lambda. The pool itself is never modified. Its phi rows
+    (the result's pool_phis) are mapped once for scoring, assignment and the
+    final fit: one phi per unit per run.
     obs is an ObsLog (None or no rows: no log). A run that reads it, active
     or fusion, maps it and fits e_obs once, for scoring and fusion weights.
     """
@@ -249,16 +239,15 @@ def run_protocol(config, env, pool_units, obs=None, out_dir=None):
                              state.ids[before:state.n_records])
 
     n = state.n_records
-    xs, phis = state.xs[:n], state.phis[:n]
-    ts, ys, ps = state.ts[:n], state.ys[:n], state.ps[:n]
-    yts = pseudo_outcome_values(ts, ys, ps)
-    if config.mode == "fusion":
-        _, weights = compute_alignment_weights(phis, ts, propensity)
-        solution = fit_ridge_arrays(phis, yts, config.estimator_lambda, weights=weights)
-    else:
-        solution = fit_ridge_arrays(phis, yts, config.estimator_lambda)
+    stream = RctStream(xs=state.xs[:n], ts=state.ts[:n], ys=state.ys[:n],
+                       ps=state.ps[:n], seq=np.arange(1, n + 1))
+    phis = state.phis[:n]
+    yts = pseudo_outcome_values(stream.ts, stream.ys, stream.ps)
+    weights = compute_alignment_weights(phis, stream.ts, propensity)[1] \
+        if config.mode == "fusion" else None
+    solution = fit_ridge_arrays(phis, yts, config.estimator_lambda, weights=weights)
 
-    return ProtocolResult(solution=solution, xs=xs, phis=phis, ts=ts, ys=ys, ps=ps,
+    return ProtocolResult(solution=solution, stream=stream, phis=phis, yts=yts,
                           unit_ids=state.ids[:n], scores=all_scores,
                           batch_sizes=batch_sizes, pool_phis=pool_phis)
 

@@ -11,7 +11,7 @@ from budgex.acquisition import (AcquisitionWeights, EnsembleSpec,
                                 ensemble_variance, fit_propensity,
                                 overlap_deficit_many, rank_normalize, score_pool,
                                 select_top_m, train_domain_classifier)
-from budgex.core import FeatureMap, ObsLog, RctRecord, sigmoid
+from budgex.core import FeatureMap, ObsLog, RctStream, sigmoid
 from budgex.envs import (BoxMarginal, LinearEnv, LogisticPolicy, MarginalShift,
                          SegmentMarginal, ThresholdPolicy, sample_obs,
                          sample_pool)
@@ -229,9 +229,9 @@ class TestPropensityAndOverlap:
         assert overlap_deficit_many(m99, IDENTITY_1.apply_many([[0.0]]))[0] == pytest.approx(0.98)
 
     def test_fit_rejects_randomized_records(self):
-        recs = [RctRecord(x=[0.0], t=1, y=1.0, p=0.5, seq=1)]
+        stream = RctStream(xs=[[0.0]], ts=[1], ys=[1.0], ps=[0.5], seq=[1])
         with pytest.raises(ValueError, match="OBS"):
-            fit_propensity(recs, IDENTITY_1.apply_many([[0.0]]))
+            fit_propensity(stream, IDENTITY_1.apply_many([[0.0]]))
 
     def test_deficit_requires_obs_marker(self):
         m = PropensityModel(weights=np.zeros(1), bias=0.0, trained_on="rct")
@@ -278,6 +278,17 @@ class TestRankNormalize:
     def test_empty_pool_rejected(self):
         with pytest.raises(ValueError):
             rank_normalize([])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(st.sampled_from([-1.0, -0.0, 0.0, 2.5]),
+                              st.floats(allow_nan=False)), min_size=1, max_size=30))
+    def test_monotone_and_tied_values_share_one_rank(self, values):
+        v = np.array(values)
+        eta = rank_normalize(v)
+        pairs = eta[:, None], eta[None, :]
+        assert np.all((pairs[0] < pairs[1])[v[:, None] < v[None, :]])
+        assert np.all((pairs[0] == pairs[1])[v[:, None] == v[None, :]])
+        np.testing.assert_array_equal(eta, (v[None, :] <= v[:, None]).sum(axis=1) / len(v))
 
 
 class TestCompositeAndSelection:

@@ -191,6 +191,17 @@ class TestProtocolConfigFromJson:
         assert protocol_config_from_json(doc, strategy="active", budget=1).strategy == "active"
 
 
+    @pytest.mark.parametrize("doc, key", [
+        ({"budget": 5, "max_bach": 3}, "'max_bach'"),
+        ({"budget": 5, "weights": {"alfa": 0.0}}, "'alfa'"),
+        ({"budget": 5, "randomization": {"kind": "constant", "q": 0.5}}, "'q'"),
+        ({"budget": 5, "ensemble": {"n_member": 4}}, "'n_member'"),
+    ])
+    def test_unknown_keys_rejected(self, doc, key):
+        with pytest.raises(ValueError, match=key):
+            protocol_config_from_json(doc)
+
+
 class TestEvaluate:
     def test_outputs(self, generated, tmp_path):
         env, data = generated
@@ -240,6 +251,16 @@ class TestSweep:
         assert set(summary["cells"]) == {"random", "active-full"}
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["master_seed"] == 11 and manifest["replications"] == 3
+
+    @pytest.mark.parametrize("typo", [{"replication": 2},
+                                      {"protocol": {"max_bach": 20}}])
+    def test_unknown_keys_rejected(self, tmp_path, typo):
+        env = write_env(tmp_path / "env.json")
+        sweep = tmp_path / "sweep.json"
+        sweep.write_text(json.dumps({"env": str(env), "budgets": [40],
+                                     "strategies": ["random"], **typo}))
+        with pytest.raises(ValueError, match="unknown key"):
+            main(["sweep", "--sweep", str(sweep), "--out", str(tmp_path / "out")])
 
     def test_parallel_matches_serial_bytes(self, tmp_path, monkeypatch):
         env = write_env(tmp_path / "env.json")

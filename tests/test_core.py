@@ -1,11 +1,13 @@
 """Tests for the shared domain types and the chronological stream checks."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from budgex.core import (DimensionError, FeatureMap, NormBoundError, ObsLog,
-                         Pool, PropensityBounds, RctRecord, StreamViolation,
+                         Pool, PropensityBounds, RctStream, StreamViolation,
                          read_jsonl, validate_rct_stream, write_jsonl)
 
 
@@ -51,6 +53,16 @@ class TestFeatureMap:
         with pytest.raises(ValueError):
             FeatureMap(kind="fourier", output_dim=2, norm_bound=1.0)
 
+    @pytest.mark.parametrize("fmap", [
+        FeatureMap(kind="identity", output_dim=2, norm_bound=2.0),
+        FeatureMap(kind="affine-projection", output_dim=2, norm_bound=2.0,
+                   weight=np.eye(2)),
+    ])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_row_rejected(self, fmap, bad):
+        with pytest.raises(NormBoundError):
+            fmap.apply_many([[0.5, 0.5], [bad, 0.0]])
+
 
 class TestPropensityBounds:
     def test_pseudo_outcome_bound(self):
@@ -75,9 +87,9 @@ class TestRecords:
 
     def test_rct_record_validation(self):
         with pytest.raises(ValueError):
-            RctRecord(x=[0.0], t=1, y=0.5, p=0.0, seq=1)
+            RctStream(xs=[[0.0]], ts=[1], ys=[0.5], ps=[0.0], seq=[1])
         with pytest.raises(ValueError):
-            RctRecord(x=[0.0], t=1, y=-0.1, p=0.5, seq=1)
+            RctStream(xs=[[0.0]], ts=[1], ys=[-0.1], ps=[0.5], seq=[1])
 
 
 INT64_IDS = st.lists(st.one_of(st.integers(-3, 3),
@@ -156,38 +168,101 @@ class TestObsLog:
                 column[0] = 0
 
 
+class TestRctStream:
+    ROW = {"xs": [[0.0], [1.0]], "ts": [0, 1], "ys": [0.5, 0.5],
+           "ps": [0.5, 0.5], "seq": [1, 2]}
+
+    @pytest.mark.parametrize("column, bad", [
+        ("ts", [0, 2]), ("ts", [0, 0.5]), ("ys", [0.5, 1.5]), ("ys", [0.5, np.nan]),
+        ("ps", [0.5, 0.0]), ("ps", [0.5, 1.0]), ("ps", [0.5, np.nan]),
+        ("ps", [0.5, "0.5"]), ("seq", [1, 2.5]), ("seq", [1]), ("xs", [[0.0]]),
+    ])
+    def test_bad_column_rejected(self, column, bad):
+        with pytest.raises(ValueError):
+            RctStream(**{**self.ROW, column: bad})
+
+    def test_arrays_are_read_only_copies(self):
+        ps = np.array([0.5, 0.25])
+        stream = RctStream(**{**self.ROW, "ps": ps})
+        ps[0] = 0.75
+        assert stream.ps[0] == 0.5 and len(stream) == 2
+        assert stream.seq.dtype == np.int64
+        for name in ("xs", "ts", "ys", "ps", "seq"):
+            with pytest.raises(ValueError):
+                getattr(stream, name)[0] = 0
+
+    def test_is_not_an_observational_log(self):
+        assert not isinstance(RctStream(**self.ROW), ObsLog)
+
+
+def stream_of(ps, seq, t=1, y=1.0):
+    """A one-covariate stream with the given p and seq columns."""
+    n = len(ps)
+    return RctStream(xs=np.zeros((n, 1)), ts=[t] * n, ys=[y] * n, ps=ps, seq=seq)
+
+
+def first_violation_per_row(stream, bounds):
+    """The stream check as a loop over rows, in the order it tests them."""
+    prev_seq = None
+    rows = zip(stream.ts.tolist(), stream.ys.tolist(), stream.ps.tolist(),
+               stream.seq.tolist())
+    for i, (t, y, p, seq) in enumerate(rows):
+        if not (bounds.f_min <= p <= bounds.f_max):
+            return StreamViolation(i, f"p={p} outside [{bounds.f_min}, {bounds.f_max}] at seq {seq}")
+        if not (0.0 <= y <= 1.0):
+            return StreamViolation(i, f"y={y} outside [0, 1] at seq {seq}")
+        if t not in (0, 1):
+            return StreamViolation(i, f"t={t} not binary at seq {seq}")
+        if prev_seq is not None and seq <= prev_seq:
+            return StreamViolation(i, f"seq {seq} not strictly increasing after {prev_seq}")
+        prev_seq = seq
+    return None
+
+
 class TestValidateRctStream:
     bounds = PropensityBounds(0.2, 0.8)
 
     def test_empty_stream_ok(self):
-        assert validate_rct_stream([], self.bounds) is None
+        assert validate_rct_stream(stream_of([], []), self.bounds) is None
 
     def test_probability_out_of_bounds(self):
-        recs = [RctRecord(x=[0.0], t=1, y=1.0, p=0.05, seq=1)]
-        v = validate_rct_stream(recs, self.bounds)
+        v = validate_rct_stream(stream_of([0.05], [1]), self.bounds)
         assert isinstance(v, StreamViolation)
         assert v.index == 0
         assert "p=0.05" in v.reason
 
     def test_sequence_ordering_violation(self):
-        recs = [RctRecord(x=[0.0], t=1, y=1.0, p=0.5, seq=s) for s in (1, 3, 2)]
-        v = validate_rct_stream(recs, self.bounds)
+        v = validate_rct_stream(stream_of([0.5] * 3, [1, 3, 2]), self.bounds)
         assert v.index == 2
         assert "seq" in v.reason
 
     def test_valid_stream_passes(self):
-        recs = [RctRecord(x=[0.0], t=0, y=0.0, p=0.5, seq=s) for s in (1, 2, 5)]
-        assert validate_rct_stream(recs, self.bounds) is None
+        stream = stream_of([0.5] * 3, [1, 2, 5], t=0, y=0.0)
+        assert validate_rct_stream(stream, self.bounds) is None
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(
+        st.one_of(st.sampled_from([0.2, 0.8, 0.2 - 2**-54, 0.8 + 2**-53]),
+                  st.floats(min_value=0.0, max_value=1.0,
+                            exclude_min=True, exclude_max=True)),
+        st.one_of(st.integers(-3, 6), st.sampled_from([-2**63, 2**63 - 1]))),
+        max_size=12))
+    def test_matches_the_per_row_check(self, rows):
+        stream = stream_of([p for p, _ in rows], [s for _, s in rows])
+        assert validate_rct_stream(stream, self.bounds) == \
+            first_violation_per_row(stream, self.bounds)
 
 
 class TestJsonlRoundTrip:
     def test_rct_round_trip_bit_exact(self, tmp_path):
-        recs = [RctRecord(x=[0.123456789012345, -1.0], t=1, y=0.7,
-                          p=1.0 / 3.0, seq=i + 1) for i in range(5)]
+        stream = RctStream(xs=[[0.123456789012345, -1.0]] * 5, ts=[1] * 5,
+                           ys=[0.7] * 5, ps=[1.0 / 3.0] * 5, seq=range(1, 6))
         path = tmp_path / "rct.jsonl"
-        write_jsonl(path, recs)
+        write_jsonl(path, stream)
         back = read_jsonl(path, "rct")
-        assert back == recs
+        for name in ("xs", "ts", "ys", "ps", "seq"):
+            a, b = getattr(back, name), getattr(stream, name)
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
     def test_obs_and_pool_round_trip(self, tmp_path):
         obs = ObsLog(xs=[[0.5]], ts=[0], ys=[1.0])
@@ -261,16 +336,18 @@ class TestJsonlRoundTripProperty:
     @given(columns(), st.data())
     def test_rct_records(self, tmp_path_factory, nx, data):
         n, xs = nx
-        recs = [RctRecord(x=x, t=data.draw(st.integers(0, 1)),
-                          y=data.draw(UNIT_FLOAT), p=data.draw(OPEN_UNIT_FLOAT),
-                          seq=i + 1) for i, x in enumerate(xs)]
+        column = partial(st.lists, min_size=n, max_size=n)
+        stream = RctStream(xs=xs, ts=data.draw(column(st.integers(0, 1))),
+                           ys=data.draw(column(UNIT_FLOAT)),
+                           ps=data.draw(column(OPEN_UNIT_FLOAT)),
+                           seq=data.draw(column(st.integers(-2**63, 2**63 - 1))))
         path = tmp_path_factory.mktemp("rt") / "rct.jsonl"
-        write_jsonl(path, recs)
+        write_jsonl(path, stream)
         back = read_jsonl(path, "rct")
-        assert [(r.t, r.seq) for r in back] == [(r.t, r.seq) for r in recs]
-        for field in ("x", "y", "p"):
-            assert bits([getattr(r, field) for r in back]) == \
-                bits([getattr(r, field) for r in recs])
+        assert back.ts.tolist() == stream.ts.tolist() and back.ts.dtype == np.int64
+        assert back.seq.tolist() == stream.seq.tolist() and back.seq.dtype == np.int64
+        for name in ("xs", "ys", "ps"):
+            assert bits(getattr(back, name)) == bits(getattr(stream, name))
 
     def test_empty_obs_file_is_a_log_with_no_rows(self, tmp_path):
         path = tmp_path / "obs.jsonl"

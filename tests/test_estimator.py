@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-from budgex.core import FeatureMap, PropensityBounds, RctRecord
-from budgex.estimator import (ConfidenceParams, InfoMatrix,
+from budgex.core import FeatureMap, PropensityBounds, RctStream
+from budgex.estimator import (ConfidenceParams, RidgeSolution,
                               SingularDesignError, beta_bound,
                               compute_alignment_weights, confidence_width,
                               default_sigma, ellipsoid_radius,
@@ -21,15 +22,25 @@ ONE_HOT_1 = FeatureMap(kind="segment-one-hot", output_dim=1, norm_bound=1.0)
 
 
 def rct(x, t, y, p, seq):
-    return RctRecord(x=x, t=t, y=y, p=p, seq=seq)
+    """One stream row as a dict of its fields."""
+    return {"x": x, "t": t, "y": y, "p": p, "seq": seq}
 
 
-def design(records, fmap):
-    """Feature rows and pseudo-outcomes of a record stream."""
-    phis = fmap.apply_many([r.x for r in records])
-    return phis, pseudo_outcome_values([r.t for r in records],
-                                       [r.y for r in records],
-                                       [r.p for r in records])
+def stream(rows):
+    return RctStream(xs=[r["x"] for r in rows], ts=[r["t"] for r in rows],
+                     ys=[r["y"] for r in rows], ps=[r["p"] for r in rows],
+                     seq=[r["seq"] for r in rows])
+
+
+def design(rows, fmap):
+    """Feature rows and pseudo-outcomes of a randomized stream."""
+    s = stream(rows)
+    return fmap.apply_many(s.xs), pseudo_outcome_values(s.ts, s.ys, s.ps)
+
+
+def prior_only(dim, lam):
+    """The fit on no rows: theta_hat = 0 and V = lam I."""
+    return fit_ridge_arrays(np.zeros((0, dim)), np.zeros(0), lam)
 
 
 class TestPseudoOutcome:
@@ -47,10 +58,9 @@ class TestPseudoOutcome:
         assert bounds.pseudo_outcome_bound == pytest.approx(5.0)
 
     def test_invalid_probability_rejected(self):
-        bad = rct([0.0], 1, 1.0, 0.5, 1)
-        object.__setattr__(bad, "p", 1.0)
+        bad = rct([0.0], 1, 1.0, 1.0, 1)
         with pytest.raises(ValueError):
-            pseudo_outcome_values([bad.t], [bad.y], [bad.p])
+            pseudo_outcome_values([bad["t"]], [bad["y"]], [bad["p"]])
 
     def test_sampled_values_never_exceed_bound(self):
         bounds = PropensityBounds(0.2, 0.8)
@@ -66,8 +76,8 @@ class TestFitRidge:
     def test_single_record_hand_solution(self):
         recs = [rct([0.0], 1, 1.0, 0.5, 1)]  # phi = e1, pseudo-outcome 2
         sol = fit_ridge_arrays(*design(recs, ONE_HOT_2), 1.0)
-        np.testing.assert_allclose(sol.info.V, np.diag([2.0, 1.0]))
-        np.testing.assert_allclose(sol.moment, [2.0, 0.0])
+        np.testing.assert_allclose(sol.V, np.diag([2.0, 1.0]))
+        np.testing.assert_allclose(sol.V @ sol.theta_hat, [2.0, 0.0])
         np.testing.assert_allclose(sol.theta_hat, [1.0, 0.0])
 
     def test_ols_is_sample_mean(self):
@@ -87,8 +97,32 @@ class TestFitRidge:
             yts = rng.standard_normal(30)
             lam = float(rng.uniform(0.01, 2.0))
             sol = fit_ridge_arrays(phis, yts, lam)
-            resid = np.linalg.norm(sol.info.V @ sol.theta_hat - sol.moment)
-            assert resid / (1.0 + np.linalg.norm(sol.moment)) < 1e-10
+            moment = phis.T @ yts
+            resid = np.linalg.norm(sol.V @ sol.theta_hat - moment)
+            assert resid / (1.0 + np.linalg.norm(moment)) < 1e-10
+
+
+class TestFitRidgeAgainstLstsq:
+    """theta_hat solves the stacked least squares [sqrt(w) Phi; sqrt(lam) I] theta
+    = [sqrt(w) Y~; 0], with and without weights."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 20), st.integers(1, 4), st.floats(0.01, 10.0),
+           st.booleans(), st.data())
+    def test_matches_the_stacked_system(self, n, d, lam, weighted, data):
+        entries = st.floats(-10.0, 10.0)
+        phis = np.array(data.draw(st.lists(entries, min_size=n * d, max_size=n * d)),
+                        dtype=float).reshape(n, d)
+        yts = np.array(data.draw(st.lists(entries, min_size=n, max_size=n)), dtype=float)
+        w = np.array(data.draw(st.lists(st.floats(0.05, 5.0), min_size=n, max_size=n))) \
+            if weighted else np.ones(n)
+        sol = fit_ridge_arrays(phis, yts, lam, weights=w if weighted else None)
+        root_w = np.sqrt(w)[:, None]
+        ref, *_ = np.linalg.lstsq(np.vstack([root_w * phis, np.sqrt(lam) * np.eye(d)]),
+                                  np.concatenate([root_w[:, 0] * yts, np.zeros(d)]),
+                                  rcond=None)
+        np.testing.assert_allclose(sol.theta_hat, ref, rtol=1e-6,
+                                   atol=1e-9 * (1.0 + np.abs(ref).max()))
 
 
 class TestWeightedRidge:
@@ -125,8 +159,8 @@ class TestAlignmentWeights:
     def test_large_gap_is_gold(self):
         recs = [rct([0.0], 0, 1.0, 0.5, 1)]
         fmap = FeatureMap(kind="identity", output_dim=1, norm_bound=1.0)
-        phis = fmap.apply_many([r.x for r in recs])
-        (gap,), (weight,) = compute_alignment_weights(phis, [r.t for r in recs],
+        phis = fmap.apply_many([r["x"] for r in recs])
+        (gap,), (weight,) = compute_alignment_weights(phis, [r["t"] for r in recs],
                                                       self.model(0.9))
         assert gap == pytest.approx(0.9)
         assert weight == 1.0
@@ -134,8 +168,8 @@ class TestAlignmentWeights:
     def test_small_gap_is_silver(self):
         recs = [rct([0.0], 1, 1.0, 0.5, 1)]
         fmap = FeatureMap(kind="identity", output_dim=1, norm_bound=1.0)
-        phis = fmap.apply_many([r.x for r in recs])
-        (gap,), (weight,) = compute_alignment_weights(phis, [r.t for r in recs],
+        phis = fmap.apply_many([r["x"] for r in recs])
+        (gap,), (weight,) = compute_alignment_weights(phis, [r["t"] for r in recs],
                                                       self.model(0.6))
         assert gap == pytest.approx(0.4)
         assert weight == 0.2
@@ -144,8 +178,8 @@ class TestAlignmentWeights:
         """gap = 0.5 exactly: strict inequality keeps the 0.2 weight."""
         recs = [rct([0.0], 1, 1.0, 0.5, 1)]
         fmap = FeatureMap(kind="identity", output_dim=1, norm_bound=1.0)
-        phis = fmap.apply_many([r.x for r in recs])
-        (gap,), (weight,) = compute_alignment_weights(phis, [r.t for r in recs],
+        phis = fmap.apply_many([r["x"] for r in recs])
+        (gap,), (weight,) = compute_alignment_weights(phis, [r["t"] for r in recs],
                                                       self.model(0.5))
         assert gap == pytest.approx(0.5)
         assert weight == 0.2
@@ -153,8 +187,8 @@ class TestAlignmentWeights:
     def test_gold_weight_enters_fit(self):
         recs = [rct([0.0], 0, 1.0, 0.5, 1)]
         fmap = FeatureMap(kind="identity", output_dim=1, norm_bound=1.0)
-        phis = fmap.apply_many([r.x for r in recs])
-        _, ws = compute_alignment_weights(phis, [r.t for r in recs], self.model(0.9))
+        phis = fmap.apply_many([r["x"] for r in recs])
+        _, ws = compute_alignment_weights(phis, [r["t"] for r in recs], self.model(0.9))
         assert list(ws) == [1.0]
 
 
@@ -178,41 +212,49 @@ class TestPredictCate:
 
 class TestBetaBound:
     def test_empty_design_closed_form(self):
-        info = InfoMatrix(2, lam=1.0)
-        params = ConfidenceParams(sigma=1.0, S=1.0, delta=np.exp(-0.5), lam=1.0)
-        assert beta_bound(params, info) == pytest.approx(2.0)
+        params = ConfidenceParams(sigma=1.0, S=1.0, delta=np.exp(-0.5))
+        assert beta_bound(params, prior_only(2, 1.0)) == pytest.approx(2.0)
 
     def test_monotone_in_delta(self):
-        info = InfoMatrix.build(rng_for(5).standard_normal((10, 2)), 1.0)
-        widths = [beta_bound(ConfidenceParams(1.0, 1.0, d, 1.0), info)
+        phis = rng_for(5).standard_normal((10, 2))
+        sol = fit_ridge_arrays(phis, np.zeros(10), 1.0)
+        widths = [beta_bound(ConfidenceParams(1.0, 1.0, d), sol)
                   for d in (0.01, 0.05, 0.1, 0.2, 0.4, 0.8)]
         assert all(a > b for a, b in zip(widths, widths[1:]))
 
     def test_scalar_one_record(self):
         # V = 2, det ratio sqrt(2), S = 0:
         # beta = sqrt(2 (0.5 ln 2 + 0.5)) = sqrt(ln 2 + 1)
-        info = InfoMatrix.build(np.array([[1.0]]), 1.0)
-        params = ConfidenceParams(sigma=1.0, S=0.0, delta=np.exp(-0.5), lam=1.0)
-        assert beta_bound(params, info) == pytest.approx(np.sqrt(np.log(2.0) + 1.0))
+        sol = fit_ridge_arrays(np.array([[1.0]]), np.zeros(1), 1.0)
+        params = ConfidenceParams(sigma=1.0, S=0.0, delta=np.exp(-0.5))
+        assert beta_bound(params, sol) == pytest.approx(np.sqrt(np.log(2.0) + 1.0))
 
     def test_lambda_zero_unsupported(self):
-        info = InfoMatrix.build(np.array([[1.0]]), 0.0)
+        sol = fit_ridge_arrays(np.array([[1.0]]), np.zeros(1), 0.0)
         with pytest.raises(ValueError):
-            beta_bound(ConfidenceParams(1.0, 1.0, 0.1, 0.0), info)
+            beta_bound(ConfidenceParams(1.0, 1.0, 0.1), sol)
 
     def test_delta_domain(self):
         with pytest.raises(ValueError):
-            ConfidenceParams(sigma=1.0, S=1.0, delta=1.0, lam=1.0)
+            ConfidenceParams(sigma=1.0, S=1.0, delta=1.0)
+
+    def test_lambda_is_the_one_v_was_built_with(self):
+        # V = 4 I from the prior alone: det V = det(lam I), so the log-det
+        # ratio is 0 and beta = sqrt(2 ln(1 / delta)) + sqrt(4) S = 4.15.
+        params = ConfidenceParams(sigma=1.0, S=1.0, delta=0.1)
+        beta = beta_bound(params, prior_only(2, 4.0))
+        assert beta == pytest.approx(np.sqrt(2.0 * np.log(10.0)) + 2.0)
+        assert beta == pytest.approx(4.15, abs=5e-3)
 
 
 class TestConfidenceWidth:
     def test_empty_design_width(self):
         sol = fit_ridge_arrays(np.zeros((0, 2)), np.zeros(0), 1.0)
-        params = ConfidenceParams(sigma=1.0, S=1.0, delta=np.exp(-0.5), lam=1.0)
+        params = ConfidenceParams(sigma=1.0, S=1.0, delta=np.exp(-0.5))
         assert confidence_width(sol, params, ONE_HOT_2, [0.0]) == pytest.approx(2.0)
 
     def test_width_shrinks_with_data(self):
-        params = ConfidenceParams(sigma=1.0, S=1.0, delta=0.1, lam=1.0)
+        params = ConfidenceParams(sigma=1.0, S=1.0, delta=0.1)
         fmap = ONE_HOT_1
         # leverage shrinks linearly while beta grows only logarithmically
         prev = np.inf
@@ -226,7 +268,7 @@ class TestConfidenceWidth:
     def test_zero_feature_zero_width(self):
         fmap = FeatureMap(kind="identity", output_dim=2, norm_bound=2.0)
         sol = fit_ridge_arrays(np.eye(2), np.ones(2), 1.0)
-        params = ConfidenceParams(sigma=1.0, S=1.0, delta=0.1, lam=1.0)
+        params = ConfidenceParams(sigma=1.0, S=1.0, delta=0.1)
         assert confidence_width(sol, params, fmap, [0.0, 0.0]) == 0.0
 
 
@@ -308,12 +350,12 @@ class TestInfoMatrix:
     def test_minimum_eigenvalue_floor(self):
         rng = rng_for(43)
         phis = rng.standard_normal((10, 3))
-        info = InfoMatrix.build(phis, lam=2.0)
-        assert np.linalg.eigvalsh(info.V).min() >= 2.0 - 1e-9
+        sol = fit_ridge_arrays(phis, np.zeros(10), lam=2.0)
+        assert np.linalg.eigvalsh(sol.V).min() >= 2.0 - 1e-9
 
     def test_negative_lambda_rejected(self):
         with pytest.raises(ValueError):
-            InfoMatrix(2, lam=-1.0)
+            RidgeSolution(theta_hat=np.zeros(2), V=-np.eye(2), lam=-1.0, n=0)
 
 
 class TestSerialization:
@@ -321,13 +363,28 @@ class TestSerialization:
         rng = rng_for(47)
         phis = rng.standard_normal((12, 2))
         sol = fit_ridge_arrays(phis, rng.standard_normal(12), 1.0)
-        doc = solution_to_json(sol, 1.0)
+        doc = solution_to_json(sol)
         back = solution_from_json(doc)
         np.testing.assert_allclose(back.theta_hat, sol.theta_hat)
-        np.testing.assert_allclose(back.info.V, sol.info.V)
+        np.testing.assert_allclose(back.V, sol.V)
 
     def test_default_sigma(self):
         assert default_sigma(PropensityBounds(0.2, 0.8)) == pytest.approx(10.0)
+
+    def test_solution_round_trip_keeps_lambda_and_n(self):
+        sol = fit_ridge_arrays(np.eye(3), np.ones(3), 0.5)
+        back = solution_from_json(solution_to_json(sol))
+        assert (back.lam, back.n) == (sol.lam, sol.n) == (0.5, 3)
+        assert back.V.tobytes() == sol.V.tobytes()
+
+    def test_solution_arrays_are_read_only_copies(self):
+        V = 2.0 * np.eye(2)
+        sol = RidgeSolution(theta_hat=np.ones(2), V=V, lam=2.0, n=0)
+        V[0, 0] = 5.0
+        assert sol.V[0, 0] == 2.0
+        for a in (sol.theta_hat, sol.V):
+            with pytest.raises(ValueError):
+                a[0] = 0.0
 
     def test_ellipsoid_radius(self):
         sol = solution_from_json({"theta_hat": [1.0, 0.0], "lambda": 0.0,

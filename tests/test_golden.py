@@ -3,9 +3,11 @@
 Each digest below is the sha256 of one output file at fixed seeds: generate
 on a 5-d box world and on the hard instance; run on the box world as
 active, random, active fusion and random fusion, with an evaluate of the
-active run; and one serial sweep of the hard instance. A refactor must
-leave every digest as it is. A change meant to alter outputs updates the
-digests it alters and says so, with the reason, in CHANGES.md.
+active run; and one serial sweep of the hard instance. The sweep's
+manifest is left out: it hashes sweep.json, which names the env file by
+its temporary path. A refactor must leave every digest as it is. A change
+meant to alter outputs updates the digests it alters and says so, with the
+reason, in CHANGES.md.
 """
 
 import hashlib
@@ -51,25 +53,35 @@ RUNS = {
 }
 
 GOLDEN = {
+    "box/manifest.json": "a13065acf75b2b845547d1cffbc929780f0803b78e21108ba13f03153815a378",
     "box/obs.jsonl": "08275489fab22a4ed675ad6de77a85f5195bcefe89f5baf9496571b0eb4d755d",
     "box/pool.jsonl": "48da91d4d8d7162768987abb6211b977a9a87587c943470d7bdb3397969ebb20",
     "evaluate/metrics.csv": "452ace2678a366fe7438625e3fcd7e8f244ca421c3d8e02d3eeddb01df958220",
     "evaluate/summary.json": "ed24142ea951fda4930d394e424522c54a31aabe10843ed372e2ced88cba1e1f",
+    "hard/manifest.json": "85bf15d9527832a372a7c1583e8c7448b0690add2de396344228d89ced1290a8",
     "hard/obs.jsonl": "aa117d5b3665314034ebcb2a232c7eeb4b370670a6b9298f2affc31baa03378b",
     "hard/pool.jsonl": "275912da401942bf33a0a426f16a82a0ea15a83cd555d8a8c312424634ab61b1",
+    "run-active-fusion/manifest.json": "96ffbc72ff0655d05b9cad931c35ff58663cd6b4df321d4db32abd79608e51f0",
     "run-active-fusion/rep_0000/rct.jsonl": "5e013977e0c397676e89de1a93cf86f66eab48df9c5d3a797d3d18f13ee0fa14",
+    "run-active-fusion/rep_0000/run_summary.json": "51afbb826aa56ed248e96a7fde6c69f35d87265321d0566e709ecb348fcf004f",
     "run-active-fusion/rep_0000/scores_round_1.csv": "406df359c7f191afeebcf088ceb61b10eae520c3f2d5160daccea3a65c47171a",
     "run-active-fusion/rep_0000/scores_round_2.csv": "5b8fef366c8127187010c74e48c3c189fdf401a986790d6575841499e760fa7c",
     "run-active-fusion/rep_0000/scores_round_3.csv": "b848db0748686c83d50d2d82534db1261bf8f4866f2d8db599baedcd7948079e",
     "run-active-fusion/rep_0000/solution.json": "41c9b20d11fe69b1eeb48a8c60c5db6a1594bb6f89ceae5227236aec567722fb",
+    "run-active/manifest.json": "cb7a670736d631b8c058c8ca675ae0d9472fa9d54af976ab07ca2e17841b9720",
     "run-active/rep_0000/rct.jsonl": "5e013977e0c397676e89de1a93cf86f66eab48df9c5d3a797d3d18f13ee0fa14",
+    "run-active/rep_0000/run_summary.json": "51afbb826aa56ed248e96a7fde6c69f35d87265321d0566e709ecb348fcf004f",
     "run-active/rep_0000/scores_round_1.csv": "406df359c7f191afeebcf088ceb61b10eae520c3f2d5160daccea3a65c47171a",
     "run-active/rep_0000/scores_round_2.csv": "5b8fef366c8127187010c74e48c3c189fdf401a986790d6575841499e760fa7c",
     "run-active/rep_0000/scores_round_3.csv": "b848db0748686c83d50d2d82534db1261bf8f4866f2d8db599baedcd7948079e",
     "run-active/rep_0000/solution.json": "cd99c7bb77bda8f2590b425633c8aaf9dc5aeec679ff31bc128bb653f97b2fec",
+    "run-random-fusion/manifest.json": "662eb0252b0a68b8f8c02006d5caf35e614c233ab0e2f32a2218dc77d3b70bc7",
     "run-random-fusion/rep_0000/rct.jsonl": "cad188a661f01d2f52e8fc237555b9a7b56370abf7178a4aa3d70b8921aaa0f1",
+    "run-random-fusion/rep_0000/run_summary.json": "51afbb826aa56ed248e96a7fde6c69f35d87265321d0566e709ecb348fcf004f",
     "run-random-fusion/rep_0000/solution.json": "67d355b966d63ffb6bbbd73b69d8449473ac6995e0014143a7d7b7b17b5ce57d",
+    "run-random/manifest.json": "a63a73f74cdaf86ddf5dd8a5ab141021e4cd2df1019785f8ac9cdb33ff3d8fea",
     "run-random/rep_0000/rct.jsonl": "cad188a661f01d2f52e8fc237555b9a7b56370abf7178a4aa3d70b8921aaa0f1",
+    "run-random/rep_0000/run_summary.json": "51afbb826aa56ed248e96a7fde6c69f35d87265321d0566e709ecb348fcf004f",
     "run-random/rep_0000/solution.json": "2df67f0be845771f129df78cce3fda47fcfb3f6b3b4e9701a09fbde72decdd51",
     "sweep/metrics.csv": "7c7f266ef5a27e24c666941a97a2cb7ad9405110a6d7784db145b56754960296",
     "sweep/summary.json": "5d0f834fbf071042298f0322ed31fefabf8860d4ce45c3798ffe10ba54adf7c6",
@@ -106,7 +118,8 @@ def build_outputs(root):
 
     patterns = ["*/pool.jsonl", "*/obs.jsonl", "*/rep_*/rct.jsonl",
                 "*/rep_*/solution.json", "*/rep_*/scores_round_*.csv",
-                "*/metrics.csv", "*/summary.json"]
+                "*/metrics.csv", "*/summary.json", "*/rep_*/run_summary.json",
+                "box/manifest.json", "hard/manifest.json", "run-*/manifest.json"]
     return {path.relative_to(root).as_posix():
             hashlib.sha256(path.read_bytes()).hexdigest()
             for pattern in patterns for path in root.glob(pattern)}

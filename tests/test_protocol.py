@@ -9,7 +9,8 @@ from scipy import stats
 
 from budgex.acquisition import (AcquisitionWeights, EnsembleSpec,
                                 fit_propensity, score_pool, select_top_m)
-from budgex.core import FeatureMap, ObsLog, Pool, PropensityBounds
+from budgex.core import (FeatureMap, NormBoundError, ObsLog, Pool,
+                         PropensityBounds, read_jsonl, write_jsonl)
 from budgex.envs import (HardInstance, LinearEnv, LogisticPolicy,
                          MarginalShift, SegmentMarginal, ThresholdPolicy,
                          sample_obs, sample_pool)
@@ -93,6 +94,15 @@ class TestConfigValidation:
 
 
 class TestRunProtocol:
+    def test_non_finite_covariate_fails_loudly(self, tmp_path):
+        env, pool, _ = weak_overlap_world(5, n_pool=50)
+        xs = pool.xs.copy()
+        xs[7, 0] = np.nan  # json writes NaN and reads it back
+        write_jsonl(tmp_path / "pool.jsonl", Pool(ids=pool.ids, xs=xs))
+        cfg = ProtocolConfig(budget=10, max_batch=5, strategy="random", seed=1)
+        with pytest.raises(NormBoundError):
+            run_protocol(cfg, env, read_jsonl(tmp_path / "pool.jsonl", "pool"))
+
     def test_batch_sizes_follow_min_rule(self):
         env = hard4()
         cfg = ProtocolConfig(budget=10, max_batch=4, strategy="random", seed=1)
@@ -104,7 +114,7 @@ class TestRunProtocol:
         env = hard4()
         cfg = ProtocolConfig(budget=0, strategy="random", seed=1)
         result = run_protocol(cfg, env, pool_units=sample_pool(env, 10, 3))
-        assert len(result.ts) == 0
+        assert len(result.stream.ts) == 0
         np.testing.assert_array_equal(result.solution.theta_hat, np.zeros(4))
 
     def test_budget_exactness(self):
@@ -113,8 +123,8 @@ class TestRunProtocol:
             cfg = ProtocolConfig(budget=budget, max_batch=7, strategy="random",
                                  seed=4)
             result = run_protocol(cfg, env, pool_units=sample_pool(env, n_pool, 5))
-            assert len(result.ts) == min(budget, n_pool)
-            assert sum(result.batch_sizes) == len(result.ts)
+            assert len(result.stream.ts) == min(budget, n_pool)
+            assert sum(result.batch_sizes) == len(result.stream.ts)
 
     def test_pool_selection_without_replacement(self):
         env = hard4()
@@ -137,13 +147,13 @@ class TestRunProtocol:
         cfg = ProtocolConfig(budget=2000, strategy="random",
                              randomization=ConstantPolicy(0.5), seed=8)
         result = run_protocol(cfg, env, pool_units=sample_pool(env, 2500, 9))
-        assert abs(result.ts.mean() - 0.5) < 4 * np.sqrt(0.25 / 2000)
+        assert abs(result.stream.ts.mean() - 0.5) < 4 * np.sqrt(0.25 / 2000)
 
     def test_per_segment_counts_random_strategy(self):
         env = hard4()
         cfg = ProtocolConfig(budget=400, strategy="random", seed=10)
         result = run_protocol(cfg, env, pool_units=sample_pool(env, 4000, 11))
-        counts = np.bincount(result.xs[:, 0].astype(int), minlength=4)
+        counts = np.bincount(result.stream.xs[:, 0].astype(int), minlength=4)
         sd = np.sqrt(400 * 0.25 * 0.75)
         assert np.all(np.abs(counts - 100) < 4 * sd)
 
@@ -162,7 +172,7 @@ class TestRunProtocol:
         a = run_protocol(cfg, env, pool_units=pool, obs=obs)
         b = run_protocol(cfg, env, pool_units=pool, obs=obs)
         np.testing.assert_array_equal(a.unit_ids, b.unit_ids)
-        np.testing.assert_array_equal(a.ts, b.ts)
+        np.testing.assert_array_equal(a.stream.ts, b.stream.ts)
         np.testing.assert_array_equal(a.solution.theta_hat, b.solution.theta_hat)
 
     def test_emitted_probabilities_respect_bounds(self):
@@ -172,25 +182,25 @@ class TestRunProtocol:
                                                         bias=0.5),
                              seed=15)
         result = run_protocol(cfg, env, pool_units=sample_pool(env, 80, 16))
-        assert np.all(result.ps >= BOUNDS.f_min)
-        assert np.all(result.ps <= BOUNDS.f_max)
+        assert np.all(result.stream.ps >= BOUNDS.f_min)
+        assert np.all(result.stream.ps <= BOUNDS.f_max)
 
     def test_variance_optimal_policy_uses_moments(self):
         env = hard4()
         cfg = ProtocolConfig(budget=30, strategy="random",
                              randomization=VarianceOptimalPolicy(), seed=17)
         result = run_protocol(cfg, env, pool_units=sample_pool(env, 60, 18))
-        xs = result.xs
+        xs = result.stream.xs
         a, bm = env.second_moments(xs)
         expected = clip_probability(np.sqrt(a) / (np.sqrt(a) + np.sqrt(bm)),
                                     BOUNDS)
-        np.testing.assert_allclose(result.ps, expected)
+        np.testing.assert_allclose(result.stream.ps, expected)
 
     def test_pool_exhaustion_stops_gracefully(self):
         env = hard4()
         cfg = ProtocolConfig(budget=100, strategy="random", seed=19)
         result = run_protocol(cfg, env, pool_units=sample_pool(env, 25, 20))
-        assert len(result.ts) == 25
+        assert len(result.stream.ts) == 25
 
 
 class TestRandomizationIndependence:
@@ -205,9 +215,9 @@ class TestRandomizationIndependence:
         res_r = run_protocol(cfg_r, env, pool_units=pool, obs=obs)
         res_a = run_protocol(cfg_a, env, pool_units=pool, obs=obs)
         by_id_r = {int(i): (int(t), float(y))
-                   for i, t, y in zip(res_r.unit_ids, res_r.ts, res_r.ys)}
+                   for i, t, y in zip(res_r.unit_ids, res_r.stream.ts, res_r.stream.ys)}
         by_id_a = {int(i): (int(t), float(y))
-                   for i, t, y in zip(res_a.unit_ids, res_a.ts, res_a.ys)}
+                   for i, t, y in zip(res_a.unit_ids, res_a.stream.ts, res_a.stream.ys)}
         common = set(by_id_r) & set(by_id_a)
         assert len(common) > 20
         for uid in common:
@@ -220,7 +230,7 @@ class TestIdsAreNotPositions:
     @staticmethod
     def by_id(result):
         return {int(i): (int(t), float(y))
-                for i, t, y in zip(result.unit_ids, result.ts, result.ys)}
+                for i, t, y in zip(result.unit_ids, result.stream.ts, result.stream.ys)}
 
     def test_active_selection_ignores_pool_order(self):
         env, pool, obs = weak_overlap_world(31)
@@ -265,7 +275,7 @@ class TestIdsAreNotPositions:
         reversed_pool = Pool(ids=pool.ids[::-1], xs=pool.xs[::-1])
         cfg = ProtocolConfig(budget=10, strategy="random", seed=37)
         result = run_protocol(cfg, env, pool_units=reversed_pool)
-        np.testing.assert_array_equal(result.xs, pool.xs[result.unit_ids])
+        np.testing.assert_array_equal(result.stream.xs, pool.xs[result.unit_ids])
 
 
 class TestObservationalLog:
@@ -318,8 +328,8 @@ class TestFiltrationSoundness:
         fmap = env.feature_map
         obs_phis = fmap.apply_many(obs.xs)
         prop = fit_propensity(obs, obs_phis)
-        phis = fmap.apply_many(result.xs)
-        yts = pseudo_outcome_values(result.ts, result.ys, result.ps)
+        phis = fmap.apply_many(result.stream.xs)
+        yts = pseudo_outcome_values(result.stream.ts, result.stream.ys, result.stream.ps)
         start = 0
         for k, (bds, m_k) in enumerate(zip(result.scores,
                                            result.batch_sizes)):
@@ -348,7 +358,7 @@ class TestDesignShaping:
                                      weights=w, seed=2000 + s)
                 res = run_protocol(cfg, env, pool_units=pool,
                                    obs=obs)
-                share[strat] = np.mean(np.abs(res.xs[:, 1]) > 0.5)
+                share[strat] = np.mean(np.abs(res.stream.xs[:, 1]) > 0.5)
             if share["active"] > share["random"]:
                 wins += 1
         assert wins >= 0.9 * n_pairs
