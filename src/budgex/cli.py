@@ -27,7 +27,7 @@ import numpy as np
 
 from ._rng import derive_seed, rng_for
 from .acquisition import AcquisitionWeights, EnsembleSpec
-from .core import read_jsonl, write_jsonl
+from .core import known_keys, read_jsonl, write_jsonl
 from .envs import SegmentMarginal, load_env, sample_obs, sample_pool
 from .estimator import predict_cate_many, solution_to_json, solution_from_json
 from .metrics import (ZeroGlobalLiftError, pehe, pehe_exact_segments,
@@ -64,15 +64,8 @@ def _given(doc, *keys):
     return {k: doc[k] for k in keys if k in doc}
 
 
-def _known(doc, where, *keys):
-    """doc, once it has no key outside keys: a misspelt key is an error."""
-    if not set(doc) <= set(keys):
-        raise ValueError(f"unknown key(s) in {where}: {sorted(set(doc) - set(keys))}")
-    return doc
-
-
 def _randomization_from_json(doc):
-    _known(doc, "protocol.json randomization", "kind", "p", "weights", "bias")
+    known_keys(doc, "protocol.json randomization", "kind", "p", "weights", "bias")
     kind = doc.get("kind", "constant")
     if kind == "constant":
         return ConstantPolicy(**_given(doc, "p"))
@@ -87,11 +80,11 @@ def protocol_config_from_json(doc, seed=0, strategy=None, budget=None):
     """A ProtocolConfig from protocol.json; each key it leaves out keeps its
     dataclass default, but the ensemble's lambda defaults to estimator_lambda.
     A key it does not know is a ValueError."""
-    _known(doc, "protocol.json", "budget", "max_rounds", "max_batch", "strategy",
-           "estimator_lambda", "mode", "f_min", "f_max", "randomization",
-           "weights", "ensemble")
-    ej = _known(doc.get("ensemble", {}), "protocol.json ensemble",
-                "n_members", "resample_fraction", "perturb_lambda", "lambda")
+    known_keys(doc, "protocol.json", "budget", "max_rounds", "max_batch", "strategy",
+               "estimator_lambda", "mode", "f_min", "f_max", "randomization",
+               "weights", "ensemble")
+    ej = known_keys(doc.get("ensemble", {}), "protocol.json ensemble",
+                    "n_members", "resample_fraction", "perturb_lambda", "lambda")
     ensemble = _given(ej, "n_members", "resample_fraction", "perturb_lambda")
     if "lambda" in ej or "estimator_lambda" in doc:
         ensemble["lam"] = ej.get("lambda", doc.get("estimator_lambda"))
@@ -102,8 +95,9 @@ def protocol_config_from_json(doc, seed=0, strategy=None, budget=None):
         budget=doc["budget"] if budget is None else budget, seed=seed,
         bounds=replace(DEFAULT_BOUNDS, **_given(doc, "f_min", "f_max")),
         randomization=_randomization_from_json(doc.get("randomization", {})),
-        weights=AcquisitionWeights(**_known(doc.get("weights", {}), "protocol.json weights",
-                                            "alpha", "beta", "gamma")),
+        weights=AcquisitionWeights(**known_keys(doc.get("weights", {}),
+                                                "protocol.json weights",
+                                                "alpha", "beta", "gamma")),
         ensemble=EnsembleSpec(**ensemble), **given)
 
 
@@ -255,8 +249,8 @@ def _sweep_cell(payload):
 
 def cmd_sweep(args):
     with open(args.sweep) as fh:
-        sdoc = _known(json.load(fh), "sweep.json", "env", "budgets", "strategies",
-                      "replications", "n_pool", "n_obs", "protocol")
+        sdoc = known_keys(json.load(fh), "sweep.json", "env", "budgets", "strategies",
+                          "replications", "n_pool", "n_obs", "protocol")
     os.makedirs(args.out, exist_ok=True)
     with open(sdoc["env"]) as fh:
         env_doc_json = fh.read()

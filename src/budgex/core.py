@@ -58,6 +58,10 @@ class FeatureMap:
     def apply_many(self, xs):
         """Vectorized phi over rows of xs; returns an (n, d) array."""
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
+        finite = np.isfinite(xs).all(axis=1)
+        if not finite.all():  # before the product, which would warn on it
+            row = int(np.argmin(finite))
+            raise NormBoundError(f"covariate row {row} is not finite")
         if self.kind == "identity":
             if xs.shape[1] != self.output_dim:
                 raise DimensionError(f"expected dim {self.output_dim}, got {xs.shape[1]}")
@@ -79,6 +83,13 @@ class FeatureMap:
             bad = float(norms.max())
             raise NormBoundError(f"||phi(x)|| = {bad:.6g} exceeds declared bound {self.norm_bound}")
         return out
+
+
+def known_keys(doc, where, *keys):
+    """doc, once it has no key outside keys: a misspelt key is an error."""
+    if not set(doc) <= set(keys):
+        raise ValueError(f"unknown key(s) in {where}: {sorted(set(doc) - set(keys))}")
+    return doc
 
 
 def sigmoid(z):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rng import rng_for
-from .core import FeatureMap, ObsLog, Pool, sigmoid
+from .core import FeatureMap, ObsLog, Pool, known_keys, sigmoid
 
 C_KL = 16.0 / 3.0
 
@@ -336,24 +336,35 @@ def _policy_to_json(p):
 
 
 def env_from_json(doc):
-    """Rebuild (env, obs_policy, obs_shift) from an env.json document."""
+    """Rebuild (env, obs_policy, obs_shift) from an env.json document.
+    A key that env_to_json does not write is a ValueError."""
+    known_keys(doc, "env.json", "seed", "n_obs", "n_pool", "env", "obs_policy",
+               "obs_shift")
     e = doc["env"]
     if e["kind"] == "hard":
+        known_keys(e, "env.json env", "kind", "d", "delta", "theta_signs", "S")
         env = HardInstance(d=e["d"], delta=e["delta"], theta_signs=e["theta_signs"],
                            norm_budget=e.get("S"))
     elif e["kind"] == "linear":
-        fmj = e["feature_map"]
+        known_keys(e, "env.json env", "kind", "theta_star", "S", "baseline_intercept",
+                   "baseline_weights", "feature_map", "marginal")
+        fmj = known_keys(e["feature_map"], "env.json feature_map", "kind", "output_dim",
+                         "norm_bound", "weight", "offset")
         fmap = FeatureMap(kind=fmj["kind"], output_dim=fmj["output_dim"],
                           norm_bound=fmj["norm_bound"], weight=fmj.get("weight"),
                           offset=fmj.get("offset"))
         mj = e["marginal"]
         if mj["kind"] == "segments":
+            known_keys(mj, "env.json marginal", "kind", "probs", "points")
             pts = mj.get("points")
             marginal = SegmentMarginal(
                 tuple(mj["probs"]), None if pts is None else tuple(map(tuple, pts))
             )
-        else:
+        elif mj["kind"] == "box":
+            known_keys(mj, "env.json marginal", "kind", "lows", "highs")
             marginal = BoxMarginal(tuple(mj["lows"]), tuple(mj["highs"]))
+        else:
+            raise EnvSpecError(f"unknown marginal kind {mj['kind']!r}")
         env = LinearEnv(theta_star=e["theta_star"], feature_map=fmap, norm_budget=e["S"],
                         marginal=marginal, baseline_intercept=e["baseline_intercept"],
                         baseline_weights=e["baseline_weights"])
@@ -364,14 +375,17 @@ def env_from_json(doc):
     if "obs_policy" in doc:
         pj = doc["obs_policy"]
         if pj["kind"] == "logistic":
+            known_keys(pj, "env.json obs_policy", "kind", "weights", "sharpness")
             policy = LogisticPolicy(tuple(pj["weights"]), pj.get("sharpness", 1.0))
         elif pj["kind"] == "threshold":
+            known_keys(pj, "env.json obs_policy", "kind", "direction", "cutoff", "leak")
             policy = ThresholdPolicy(tuple(pj["direction"]), pj["cutoff"], pj.get("leak", 0.0))
         else:
             raise EnvSpecError(f"unknown policy kind {pj['kind']!r}")
     shift = MarginalShift()
     if "obs_shift" in doc:
-        sj = doc["obs_shift"]
+        sj = known_keys(doc["obs_shift"], "env.json obs_shift", "kind", "direction",
+                        "strength")
         shift = MarginalShift(kind=sj["kind"], direction=tuple(sj.get("direction", ())),
                               strength=sj.get("strength", 0.0))
     return env, policy, shift

@@ -8,9 +8,9 @@ holding lambda once, for V and for the width's det(lambda I) alike.
 """
 
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy import stats
 
 MAX_CONDITION = 1e12
 SOLVE_RTOL = 1e-10
@@ -167,7 +167,7 @@ def pointwise_ci(solution, sandwich, fmap, x, level, n):
     """tau_hat(x) +- z sqrt(phi^T avar phi / B)."""
     phi = fmap(x)
     center = float(phi @ solution.theta_hat)
-    z = stats.norm.ppf(0.5 + level / 2.0)
+    z = NormalDist().inv_cdf(0.5 + level / 2.0)
     half = z * np.sqrt(max(float(phi @ sandwich.avar @ phi), 0.0) / n)
     return center - half, center + half
 

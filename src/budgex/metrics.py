@@ -5,11 +5,11 @@ deviation-bound coverage audits, martingale-CLT normality diagnostics, and
 log-log budget scaling fits.
 """
 
+import math
 from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
-from scipy import stats
 
 from ._rng import derive_seed, rng_for
 from .envs import SegmentMarginal, sample_pool
@@ -183,10 +183,20 @@ def clt_diagnostic(env, config, n_pool, replications, x, master_seed=0):
         b = len(result.stream)
         tau_hat = float(phi @ result.solution.theta_hat)
         zs[r] = np.sqrt(b) * (tau_hat - tau_x) / np.sqrt(se2)
-    ks = float(stats.kstest(zs, "norm").statistic)
+    ks = ks_distance_normal(zs)
     small_b = len(result.stream) < 100 * env.feature_map.output_dim
     return NormalityDiagnostic(z_scores=zs, ks_statistic=ks,
                                small_budget_warning=small_b)
+
+
+def ks_distance_normal(zs):
+    """Two-sided one-sample Kolmogorov-Smirnov distance of zs from N(0, 1):
+    max_i max(i/n - F(z_(i)), F(z_(i)) - (i-1)/n) over the sorted sample."""
+    z = np.sort(np.asarray(zs, dtype=float))
+    n = len(z)
+    cdf = np.array([0.5 * math.erfc(-v / math.sqrt(2.0)) for v in z.tolist()])
+    return float(max(np.max(np.arange(1.0, n + 1) / n - cdf),
+                     np.max(cdf - np.arange(0.0, n) / n)))
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,6 @@ dedicated per-unit streams keyed by (seed, unit id, purpose), so selection
 order can never alter an individual unit's assignment.
 """
 
-import csv
 import os
 from dataclasses import dataclass
 
@@ -254,10 +253,13 @@ def run_protocol(config, env, pool_units, obs=None, out_dir=None):
 
 def _dump_scores(out_dir, round_index, table, selected_ids):
     path = os.path.join(out_dir, f"scores_round_{round_index}.csv")
-    selected = np.isin(table["id"], selected_ids).tolist()
+    names = table.dtype.names
+    # Column by column, in csv's excel dialect: no field needs quoting, and each
+    # row ends in "\r\n", carried by its selected flag. repr of Python floats:
+    # repr of a numpy float would change the bytes.
+    columns = [map(str, table["id"].tolist()),
+               *(map(repr, table[name].tolist()) for name in names[1:]),
+               np.where(np.isin(table["id"], selected_ids), "1\r\n", "0\r\n").tolist()]
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(table.dtype.names + ("selected",))
-        # repr of Python floats: repr of a numpy float would change the bytes
-        for (uid, *values), sel in zip(table.tolist(), selected):
-            w.writerow([uid, *map(repr, values), int(sel)])
+        fh.writelines([",".join(names + ("selected",)) + "\r\n",
+                       *map(",".join, zip(*columns))])

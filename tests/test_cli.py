@@ -3,9 +3,12 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import budgex
 from budgex.acquisition import AcquisitionWeights, EnsembleSpec
 from budgex.cli import main, protocol_config_from_json
 from budgex.core import PropensityBounds, read_jsonl
@@ -65,6 +68,14 @@ class TestGenerate:
     def test_invalid_spec_rejected(self, tmp_path):
         env = write_env(tmp_path / "env.json", delta=0.6)
         with pytest.raises(EnvSpecError):
+            main(["generate", "--env", str(env), "--out", str(tmp_path / "d")])
+
+    def test_misspelt_env_key_rejected(self, tmp_path):
+        env = write_env(tmp_path / "env.json")
+        doc = json.loads(env.read_text())
+        doc["obs_policy"]["sharpnes"] = doc["obs_policy"].pop("sharpness")
+        env.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="'sharpnes'"):
             main(["generate", "--env", str(env), "--out", str(tmp_path / "d")])
 
     def test_regeneration_is_byte_identical(self, tmp_path):
@@ -276,3 +287,14 @@ class TestSweep:
             (parallel / "metrics.csv").read_bytes()
         assert (serial / "summary.json").read_bytes() == \
             (parallel / "summary.json").read_bytes()
+
+
+def test_import_loads_no_scipy():
+    """numpy is the only runtime dependency: importing scipy.stats costs more
+    than the rest of a budgex call's import, and no command needs it."""
+    src = os.path.dirname(os.path.dirname(budgex.__file__))
+    code = (f"import sys; sys.path.insert(0, {src!r}); import budgex, budgex.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.strip() == "[]"

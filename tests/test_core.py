@@ -1,5 +1,6 @@
 """Tests for the shared domain types and the chronological stream checks."""
 
+import warnings
 from functools import partial
 
 import numpy as np
@@ -62,6 +63,21 @@ class TestFeatureMap:
     def test_non_finite_row_rejected(self, fmap, bad):
         with pytest.raises(NormBoundError):
             fmap.apply_many([[0.5, 0.5], [bad, 0.0]])
+
+    @pytest.mark.parametrize("fmap, row", [
+        (FeatureMap(kind="identity", output_dim=2, norm_bound=2.0), [np.inf, 0.0]),
+        (FeatureMap(kind="affine-projection", output_dim=2, norm_bound=2.0,
+                    weight=np.eye(2)), [-np.inf, 0.0]),
+        (FeatureMap(kind="affine-projection", output_dim=2, norm_bound=2.0,
+                    weight=np.eye(2)), [np.nan, 0.0]),
+        (FeatureMap(kind="segment-one-hot", output_dim=2, norm_bound=1.0), [np.nan]),
+    ])
+    def test_non_finite_row_rejected_without_a_warning(self, fmap, row):
+        """The rejection comes before the product, which warned on inf rows."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NormBoundError, match="row 1 is not finite"):
+                fmap.apply_many([np.zeros(len(row)), row])
 
 
 class TestPropensityBounds:

@@ -270,3 +270,48 @@ class TestEnvJson:
     def test_unknown_kind_rejected(self):
         with pytest.raises(EnvSpecError):
             env_from_json({"env": {"kind": "cubic"}})
+
+    def box_doc(self):
+        fmap = FeatureMap(kind="identity", output_dim=2, norm_bound=2.0)
+        env = LinearEnv(theta_star=(0.2, 0.1), feature_map=fmap, norm_budget=1.0,
+                        marginal=BoxMarginal((-1.0, -1.0), (1.0, 1.0)))
+        return env_to_json(env, obs_policy=ThresholdPolicy((1.0, 0.0), 0.0, 0.05),
+                           obs_shift=MarginalShift("tilt", (1.0, 0.0), 0.5))
+
+    def segment_doc(self):
+        fmap = FeatureMap(kind="identity", output_dim=2, norm_bound=2.0)
+        env = LinearEnv(theta_star=(0.2, 0.1), feature_map=fmap, norm_budget=1.0,
+                        marginal=SegmentMarginal((0.4, 0.6), ((-1.0, 0.0), (1.0, 0.0))))
+        return env_to_json(env, obs_policy=LogisticPolicy((1.0, 0.0), 2.0))
+
+    def hard_doc(self):
+        return env_to_json(HardInstance(d=2, delta=0.2, theta_signs=(1, -1)), seed=1,
+                           n_obs=10, n_pool=10)
+
+    @pytest.mark.parametrize("world, block, key", [
+        ("box_doc", None, "obs_shfit"),
+        ("hard_doc", "env", "Delta"),
+        ("box_doc", "env", "theta"),
+        ("box_doc", "feature_map", "norm"),
+        ("box_doc", "marginal", "low"),
+        ("segment_doc", "marginal", "prob"),
+        ("box_doc", "obs_policy", "leek"),
+        ("segment_doc", "obs_policy", "sharpnes"),
+        ("box_doc", "obs_shift", "strenght"),
+    ])
+    def test_unknown_keys_rejected(self, world, block, key):
+        """A misspelt key used to be dropped: "leek" gave leak=0 and a
+        top-level "obs_shfit" gave no covariate shift, without an error."""
+        doc = getattr(self, world)()
+        env_from_json(doc)
+        target = doc if block is None else doc[block] if block in doc \
+            else doc["env"][block]
+        target[key] = 0.05
+        with pytest.raises(ValueError, match=f"'{key}'"):
+            env_from_json(doc)
+
+    def test_unknown_marginal_kind_rejected(self):
+        doc = self.box_doc()
+        doc["env"]["marginal"]["kind"] = "boxes"
+        with pytest.raises(EnvSpecError, match="boxes"):
+            env_from_json(doc)

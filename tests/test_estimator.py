@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy import stats
 
 from budgex.core import FeatureMap, PropensityBounds, RctStream
@@ -338,6 +338,18 @@ class TestPointwiseCi:
         lo, hi = pointwise_ci(self.solution([0.0]), self.sandwich([[1.0]]),
                               fmap, [1.0], level=0.5, n=1)
         assert hi == pytest.approx(0.6745, abs=1e-4)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    def test_quantile_matches_scipy(self, level):
+        """With phi = 1, avar = 1 and n = 1 the half-width is the quantile.
+        The one level whose 0.5 + level / 2 rounds to 1 has an infinite
+        quantile and is left out."""
+        assume(0.5 + level / 2.0 < 1.0)
+        fmap = FeatureMap(kind="identity", output_dim=1, norm_bound=1.0)
+        _, hi = pointwise_ci(self.solution([0.0]), self.sandwich([[1.0]]),
+                             fmap, [1.0], level=level, n=1)
+        assert abs(hi - stats.norm.ppf(0.5 + level / 2.0)) <= 1e-12
 
     def test_zero_feature_degenerate(self):
         fmap = FeatureMap(kind="identity", output_dim=2, norm_bound=2.0)

@@ -5,12 +5,15 @@ from itertools import permutations, product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy import stats
 
 from budgex.core import FeatureMap
 from budgex.envs import HardInstance, default_hard_delta
 from budgex.metrics import (ZeroGlobalLiftError, bound_violation_audit,
-                            clt_diagnostic, pehe, pehe_exact_segments,
-                            randomized_eval_set, scaling_fit, uplift_curve)
+                            clt_diagnostic, ks_distance_normal, pehe,
+                            pehe_exact_segments, randomized_eval_set,
+                            scaling_fit, uplift_curve)
 from budgex.protocol import ProtocolConfig
 from budgex._rng import rng_for
 
@@ -258,6 +261,19 @@ class TestCltDiagnostic:
         diag = clt_diagnostic(env, cfg, 400, 200, x=[0.0], master_seed=7)
         assert diag.ks_statistic < 0.12
         assert not diag.small_budget_warning
+
+
+class TestKsDistance:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(-6.0, 6.0) | st.sampled_from([-1.0, 0.0, 0.5]),
+                    min_size=1, max_size=500),
+           st.floats(-3.0, 3.0), st.floats(0.05, 20.0))
+    def test_matches_scipy_kstest(self, values, shift, scale):
+        """The distance clt_diagnostic reports, against scipy's reference,
+        on shifted and scaled samples with ties."""
+        zs = shift + scale * np.asarray(values)
+        expected = stats.kstest(zs, "norm").statistic
+        assert abs(ks_distance_normal(zs) - expected) <= 1e-12
 
 
 class TestScalingFit:

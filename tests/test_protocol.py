@@ -1,5 +1,8 @@
 """Tests for the round-based budgeted experimentation loop."""
 
+import csv
+import os
+import tempfile
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-from budgex.acquisition import (AcquisitionWeights, EnsembleSpec,
+from budgex.acquisition import (SCORE_DTYPE, AcquisitionWeights, EnsembleSpec,
                                 fit_propensity, score_pool, select_top_m)
 from budgex.core import (FeatureMap, NormBoundError, ObsLog, Pool,
                          PropensityBounds, read_jsonl, write_jsonl)
@@ -16,8 +19,8 @@ from budgex.envs import (HardInstance, LinearEnv, LogisticPolicy,
                          sample_obs, sample_pool)
 from budgex.estimator import pseudo_outcome_values
 from budgex.protocol import (AffinePolicy, ConstantPolicy, ProtocolConfig,
-                             VarianceOptimalPolicy, clip_probability,
-                             optimal_p, run_protocol)
+                             VarianceOptimalPolicy, _dump_scores,
+                             clip_probability, optimal_p, run_protocol)
 from budgex._rng import rng_for
 
 BOUNDS = PropensityBounds(0.2, 0.8)
@@ -362,3 +365,41 @@ class TestDesignShaping:
             if share["active"] > share["random"]:
                 wins += 1
         assert wins >= 0.9 * n_pairs
+
+
+def reference_dump(path, table, selected_ids):
+    """The row-wise score dump: csv.writer over repr of each row's floats."""
+    selected = np.isin(table["id"], selected_ids).tolist()
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(table.dtype.names + ("selected",))
+        for (uid, *values), sel in zip(table.tolist(), selected):
+            w.writerow([uid, *map(repr, values), int(sel)])
+
+
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, np.inf, -np.inf,
+               np.nan, 1e-5, 9.999999999999999e-06, -1e-5, 1e16, 9999999999999998.0,
+               -1e16, 0.1, 1.0]
+ID_EXTREMES = [np.iinfo(np.int64).min, np.iinfo(np.int64).max, -1, 0]
+
+
+class TestScoreDump:
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(ID_EXTREMES)
+                              | st.integers(np.iinfo(np.int64).min, np.iinfo(np.int64).max),
+                              *[st.sampled_from(EDGE_FLOATS) | st.floats()] * 7),
+                    max_size=200, unique_by=lambda row: row[0]),
+           st.sampled_from(["none", "some", "all"]), st.randoms(use_true_random=False))
+    def test_bytes_match_the_row_wise_writer(self, rows, which, rnd):
+        table = np.array(rows, dtype=SCORE_DTYPE)
+        ids = table["id"].tolist()
+        selected = {"none": [], "all": ids,
+                    "some": rnd.sample(ids, len(ids) // 2)}[which]
+        selected = np.array(selected, dtype=np.int64)
+        with tempfile.TemporaryDirectory() as out:
+            _dump_scores(out, 3, table, selected)
+            reference_dump(os.path.join(out, "reference.csv"), table, selected)
+            with open(os.path.join(out, "scores_round_3.csv"), "rb") as fh:
+                dumped = fh.read()
+            with open(os.path.join(out, "reference.csv"), "rb") as fh:
+                assert dumped == fh.read()
