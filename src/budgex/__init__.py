@@ -17,16 +17,15 @@ from .estimator import (ConfidenceParams, RidgeSolution,
                         confidence_width, default_sigma, fit_ridge_arrays,
                         pointwise_ci, predict_cate_many, pseudo_outcome_values,
                         sandwich_from_arrays)
-from .acquisition import (SCORE_DTYPE, AcquisitionWeights, DomainClassifier,
-                          EnsembleSpec, PropensityModel, composite_scores,
-                          ensemble_variance, fit_propensity,
+from .acquisition import (SCORE_DTYPE, AcquisitionWeights, LogisticHead,
+                          composite_scores, ensemble_variance, fit_propensity,
                           overlap_deficit_many, rank_normalize, select_top_m,
                           train_domain_classifier)
 from .protocol import (AffinePolicy, ConstantPolicy, ProtocolConfig,
                        VarianceOptimalPolicy, clip_probability, optimal_p,
                        run_protocol)
-from .metrics import (BoundCheckResult, NormalityDiagnostic, PeheResult,
-                      ScalingFit, UpliftCurve, bound_violation_audit,
-                      clt_diagnostic, pehe, scaling_fit, uplift_curve)
+from .metrics import (BoundCheckResult, NormalityDiagnostic, ScalingFit,
+                      UpliftCurve, bound_violation_audit, clt_diagnostic, pehe,
+                      scaling_fit, uplift_curve)
 
 __version__ = "0.1.0"

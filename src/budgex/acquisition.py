@@ -10,7 +10,7 @@ Newton steps from zero on the weighted mean cross-entropy + (RIDGE / 2) ||w||^2
 (bias free) until no step component exceeds TOLERANCE, or RuntimeError at MAX_ITER.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,33 +28,46 @@ MAX_ITER = 50
 
 def _fit_logistic(phis, labels, sw):
     """(w, b) of the module's penalized loss under sample weights sw (sum 1);
-    one (d+1) x (d+1) solve per Newton step."""
+    one (d+1) x (d+1) solve per Newton step. A step that raises the loss
+    (beyond rounding) is halved until it does not, so no step can saturate
+    every sigmoid and leave the bias without curvature."""
     phis = np.asarray(phis, dtype=float)
     if not (np.all(np.isfinite(phis)) and np.all(np.isfinite(labels))) \
             or np.all(labels == labels[0]):
         raise ValueError("a logistic head needs finite rows and both classes")
     design = np.vstack([phis.T, np.ones(len(phis))])  # one row per weight, bias last
     penalty = np.append(np.full(phis.shape[1], RIDGE), 0.0)
+
+    def loss(theta):
+        # labels are 0/1: the cross-entropy is softplus of the signed logit
+        return sw @ np.logaddexp(0.0, (1.0 - 2.0 * labels) * (theta @ design)) \
+            + 0.5 * penalty @ theta**2
+
     theta = np.zeros(len(design))
+    current = loss(theta)
     for _ in range(MAX_ITER):
         s = sigmoid(theta @ design)
         grad = design @ (sw * (s - labels)) + penalty * theta
         hess = (design * (sw * s * (1.0 - s))) @ design.T + np.diag(penalty)
         step = np.linalg.solve(hess, grad)
-        theta -= step
         if np.max(np.abs(step)) < TOLERANCE:
+            theta -= step
             return theta[:-1], float(theta[-1])
+        while (trial := loss(theta - step)) > current * (1.0 + 1e-12):
+            step *= 0.5
+        theta, current = theta - step, trial
     raise RuntimeError(f"logistic head did not converge in {MAX_ITER} Newton steps")
 
 
-@dataclass
-class DomainClassifier:
-    """Affine logistic head scoring membership in the target pool (label 1)."""
+@dataclass(frozen=True)
+class LogisticHead:
+    """An affine logistic head: the domain classifier (label 1 = target pool)
+    or the e_obs propensity model (label 1 = treated in the log)."""
 
     weights: np.ndarray
     bias: float
 
-    def score(self, phis):
+    def predict(self, phis):
         return sigmoid(np.atleast_2d(phis) @ self.weights + self.bias)
 
 
@@ -66,22 +79,9 @@ def train_domain_classifier(pool_phis, current_phis):
     n1, n0 = len(pool_phis), len(current_phis)
     if n1 == 0 or n0 == 0:
         raise ValueError("both classes must be nonempty")
-    w, b = _fit_logistic(np.vstack([pool_phis, current_phis]),
-                         np.repeat([1.0, 0.0], [n1, n0]),
-                         np.repeat([0.5 / n1, 0.5 / n0], [n1, n0]))
-    return DomainClassifier(weights=w, bias=b)
-
-
-@dataclass
-class PropensityModel:
-    """e_obs head; must only ever be fitted on observational records."""
-
-    weights: np.ndarray
-    bias: float
-    trained_on: str = "obs"
-
-    def predict(self, phis):
-        return sigmoid(np.atleast_2d(phis) @ self.weights + self.bias)
+    return LogisticHead(*_fit_logistic(np.vstack([pool_phis, current_phis]),
+                                       np.repeat([1.0, 0.0], [n1, n0]),
+                                       np.repeat([0.5 / n1, 0.5 / n0], [n1, n0])))
 
 
 def fit_propensity(obs, phis):
@@ -93,60 +93,39 @@ def fit_propensity(obs, phis):
         raise ValueError("propensity model must be trained on an OBS log only")
     if not len(obs) or len(phis) != len(obs):
         raise ValueError("need a nonempty observational log and one phi row per row")
-    w, b = _fit_logistic(phis, obs.ts, np.full(len(obs), 1.0 / len(obs)))
-    return PropensityModel(weights=w, bias=b, trained_on="obs")
+    return LogisticHead(*_fit_logistic(phis, obs.ts, np.full(len(obs), 1.0 / len(obs))))
 
 
 def overlap_deficit_many(propensity, phis):
     """o_u = 2 |e_obs(phi_u) - 0.5| per row; near 1 where history was deterministic."""
-    if propensity.trained_on != "obs":
-        raise ValueError("overlap deficit requires an OBS-trained propensity model")
     return 2.0 * np.abs(propensity.predict(phis) - 0.5)
 
 
 # ---------------------------------------------------------------------------
 # Ensemble uncertainty
 
-
-@dataclass(frozen=True)
-class EnsembleSpec:
-    n_members: int = 15
-    resample_fraction: float = 0.8
-    perturb_lambda: float = 0.0
-    bootstrap: bool = True
-    lam: float = 1.0
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.n_members < 2:
-            raise ValueError("need at least 2 ensemble members")
-        if not (0.0 < self.resample_fraction <= 1.0):
-            raise ValueError("resample_fraction must lie in (0, 1]")
+MEMBERS = 15
+RESAMPLE_FRACTION = 0.8
 
 
-def ensemble_variance(labeled_phis, labeled_yts, candidate_phis, spec):
+def ensemble_variance(labeled_phis, labeled_yts, candidate_phis, lam, seed, k):
     """Population variance of member CATE predictions per candidate.
 
-    Members are ridge fits on bootstrap resamples of the labeled pseudo-
-    outcome set. With no labeled data, every member predicts 0 (cold start).
+    MEMBERS ridge fits with penalty lam, each on a bootstrap resample of
+    RESAMPLE_FRACTION of the labeled pseudo-outcome set, drawn from the
+    stream of (run seed, round k). With no labeled data, every member
+    predicts 0 (cold start).
     """
     n = len(labeled_phis)
-    n_cand = len(candidate_phis)
     if n == 0:
-        return np.zeros(n_cand)
-    rng = rng_for(spec.seed, 0x656E73, n)
-    preds = np.empty((spec.n_members, n_cand))
-    m = max(1, int(round(spec.resample_fraction * n)))
-    for j in range(spec.n_members):
-        if spec.bootstrap:
-            idx = rng.integers(0, n, size=m)
-        else:
-            idx = np.arange(n)
-        lam_j = spec.lam
-        if spec.perturb_lambda > 0:
-            lam_j = spec.lam * np.exp(spec.perturb_lambda * rng.standard_normal())
-        sol = fit_ridge_arrays(labeled_phis[idx], labeled_yts[idx], lam_j)
-        preds[j] = candidate_phis @ sol.theta_hat
+        return np.zeros(len(candidate_phis))
+    rng = rng_for(k, 0x656E73, n)
+    m = max(1, int(round(RESAMPLE_FRACTION * n)))
+    preds = np.empty((MEMBERS, len(candidate_phis)))
+    for j in range(MEMBERS):
+        idx = rng.integers(0, n, size=m)
+        preds[j] = candidate_phis @ fit_ridge_arrays(labeled_phis[idx],
+                                                     labeled_yts[idx], lam).theta_hat
     return preds.var(axis=0)
 
 
@@ -205,20 +184,21 @@ def select_top_m(table, m):
 
 
 def score_pool(ids, cand_phis, labeled_phis, labeled_yts, obs_phis, propensity,
-               weights, ensemble_spec, round_seed=0):
-    """One round of scoring: train round models, score every candidate.
+               weights, lam, seed, k):
+    """Round k's scoring in the run of this seed: train round models, score
+    every candidate.
 
     ids and cand_phis are the candidates (the unqueried units) as unit ids
     and feature rows, already mapped; labeled_phis and labeled_yts are the
-    randomized stream so far as features and pseudo-outcomes.
+    randomized stream so far as features and pseudo-outcomes; lam is the
+    run's ridge penalty.
     """
     # v: bootstrap ensemble over the labeled randomized stream
-    spec = replace(ensemble_spec, seed=ensemble_spec.seed + round_seed)
-    v = ensemble_variance(labeled_phis, labeled_yts, cand_phis, spec)
+    v = ensemble_variance(labeled_phis, labeled_yts, cand_phis, lam, seed, k)
 
     # d: pool vs obs + rct, retrained from zero each round
     current = np.vstack([obs_phis, labeled_phis])
-    d = train_domain_classifier(cand_phis, current).score(cand_phis) if len(current) \
+    d = train_domain_classifier(cand_phis, current).predict(cand_phis) if len(current) \
         else np.full(len(ids), 0.5)
 
     # o: overlap deficit from the OBS-trained propensity head

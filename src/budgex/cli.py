@@ -26,7 +26,7 @@ from functools import partial
 import numpy as np
 
 from ._rng import derive_seed, rng_for
-from .acquisition import AcquisitionWeights, EnsembleSpec
+from .acquisition import AcquisitionWeights
 from .core import known_keys, read_jsonl, write_jsonl
 from .envs import SegmentMarginal, load_env, sample_obs, sample_pool
 from .estimator import predict_cate_many, solution_to_json, solution_from_json
@@ -78,17 +78,11 @@ def _randomization_from_json(doc):
 
 def protocol_config_from_json(doc, seed=0, strategy=None, budget=None):
     """A ProtocolConfig from protocol.json; each key it leaves out keeps its
-    dataclass default, but the ensemble's lambda defaults to estimator_lambda.
-    A key it does not know is a ValueError."""
-    known_keys(doc, "protocol.json", "budget", "max_rounds", "max_batch", "strategy",
+    dataclass default. A key it does not know is a ValueError."""
+    known_keys(doc, "protocol.json", "budget", "max_batch", "strategy",
                "estimator_lambda", "mode", "f_min", "f_max", "randomization",
-               "weights", "ensemble")
-    ej = known_keys(doc.get("ensemble", {}), "protocol.json ensemble",
-                    "n_members", "resample_fraction", "perturb_lambda", "lambda")
-    ensemble = _given(ej, "n_members", "resample_fraction", "perturb_lambda")
-    if "lambda" in ej or "estimator_lambda" in doc:
-        ensemble["lam"] = ej.get("lambda", doc.get("estimator_lambda"))
-    given = _given(doc, "max_rounds", "max_batch", "strategy", "estimator_lambda", "mode")
+               "weights")
+    given = _given(doc, "max_batch", "strategy", "estimator_lambda", "mode")
     if strategy is not None:
         given["strategy"] = strategy
     return ProtocolConfig(
@@ -98,7 +92,7 @@ def protocol_config_from_json(doc, seed=0, strategy=None, budget=None):
         weights=AcquisitionWeights(**known_keys(doc.get("weights", {}),
                                                 "protocol.json weights",
                                                 "alpha", "beta", "gamma")),
-        ensemble=EnsembleSpec(**ensemble), **given)
+        **given)
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +182,7 @@ def cmd_evaluate(args):
     predict = partial(predict_cate_many, solution, env.feature_map)
 
     eval_xs = env.sample_x(args.n_eval, rng_for(args.seed, 0x65786576))
-    pr = pehe(predict, env, eval_xs)
+    pehe_val = pehe(predict, env, eval_xs)
     xs, ts, ys = randomized_eval_set(env, args.n_eval, args.seed)
     try:
         auuc = uplift_curve(predict(xs), ts, ys).auuc_normalized
@@ -198,9 +192,9 @@ def cmd_evaluate(args):
     with open(os.path.join(args.out, "metrics.csv"), "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["pehe", "auuc", "n_eval"])
-        w.writerow([repr(pr.value), repr(auuc), pr.n_eval])
+        w.writerow([repr(pehe_val), repr(auuc), len(eval_xs)])
     _write_json(os.path.join(args.out, "summary.json"),
-                {"pehe": pr.value, "auuc": auuc, "n_eval": pr.n_eval})
+                {"pehe": pehe_val, "auuc": auuc, "n_eval": len(eval_xs)})
     return 0
 
 
@@ -235,7 +229,7 @@ def _sweep_cell(payload):
         pehe_val = pehe_exact_segments(predict, env)
     else:
         eval_xs = env.sample_x(4000, rng_for(seed, 0x6576))
-        pehe_val = pehe(predict, env, eval_xs).value
+        pehe_val = pehe(predict, env, eval_xs)
     xs, ts, ys = randomized_eval_set(env, 4000, derive_seed(master_seed, budget, rep))
     try:
         auuc = uplift_curve(predict(xs), ts, ys).auuc_normalized

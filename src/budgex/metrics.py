@@ -18,19 +18,13 @@ from .estimator import (ConfidenceParams, beta_bound, default_sigma,
 from .protocol import run_protocol
 
 
-@dataclass(frozen=True)
-class PeheResult:
-    value: float
-    n_eval: int
-
-
 def pehe(predict_fn, env, eval_xs):
     """Root-mean-square CATE error over an evaluation sample from P_X."""
     eval_xs = np.atleast_2d(np.asarray(eval_xs, dtype=float))
     if len(eval_xs) == 0:
         raise ValueError("evaluation sample is empty")
     err = predict_fn(eval_xs) - env.true_cate_many(eval_xs)
-    return PeheResult(value=float(np.sqrt(np.mean(err**2))), n_eval=len(eval_xs))
+    return float(np.sqrt(np.mean(err**2)))
 
 
 def pehe_exact_segments(predict_fn, env):
@@ -224,7 +218,7 @@ def scaling_fit(env, config, budget_grid, replications, n_pool=None,
             predict = partial(predict_cate_many, result.solution, env.feature_map)
             vals[r] = pehe_exact_segments(predict, env) \
                 if isinstance(env.marginal, SegmentMarginal) \
-                else pehe(predict, env, pool_xs).value
+                else pehe(predict, env, pool_xs)
         means[i] = vals.mean()
     slope, intercept = np.polyfit(np.log(budgets), np.log(means), 1)
     return ScalingFit(budgets=budgets, mean_pehe=means,

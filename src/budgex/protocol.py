@@ -14,8 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rng import OUTCOME, TREATMENT, rng_for, unit_uniform
-from .acquisition import (AcquisitionWeights, EnsembleSpec, fit_propensity,
-                          score_pool, select_top_m)
+from .acquisition import AcquisitionWeights, fit_propensity, score_pool, select_top_m
 from .core import PropensityBounds, RctStream
 from .estimator import (compute_alignment_weights, fit_ridge_arrays,
                         pseudo_outcome_values, RidgeSolution)
@@ -71,13 +70,11 @@ class VarianceOptimalPolicy:
 @dataclass(frozen=True)
 class ProtocolConfig:
     budget: int
-    max_rounds: int = 1_000_000
     max_batch: int = 1_000_000
     bounds: PropensityBounds = DEFAULT_BOUNDS
     randomization: object = ConstantPolicy(0.5)
     strategy: str = "active"  # "active" | "random"
     weights: AcquisitionWeights = AcquisitionWeights()
-    ensemble: EnsembleSpec = EnsembleSpec()
     estimator_lambda: float = 1.0
     mode: str = "theory"  # "theory" | "fusion"
     seed: int = 0
@@ -85,14 +82,12 @@ class ProtocolConfig:
     def __post_init__(self):
         if self.budget < 0:
             raise ValueError("budget must be nonnegative")
-        if self.max_rounds < 1 or self.max_batch < 1:
-            raise ValueError("max_rounds and max_batch must be >= 1")
+        if self.max_batch < 1:
+            raise ValueError("max_batch must be >= 1")
         if self.strategy not in ("active", "random"):
             raise ValueError(f"unknown strategy {self.strategy!r}")
         if self.mode not in ("theory", "fusion"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.max_rounds * self.max_batch < self.budget:
-            raise ValueError("max_rounds * max_batch cannot cover the budget")
 
 
 @dataclass
@@ -190,9 +185,10 @@ class _ActiveContext:
         """Score table over the unqueried units (ids, phi rows), from the stream so far."""
         n = state.n_records
         labeled_yts = pseudo_outcome_values(state.ts[:n], state.ys[:n], state.ps[:n])
-        return score_pool(ids, cand_phis, state.phis[:n], labeled_yts,
-                          self.obs_phis, self.propensity, self.config.weights,
-                          self.config.ensemble, round_seed=state.k)
+        cfg = self.config
+        return score_pool(ids, cand_phis, state.phis[:n], labeled_yts, self.obs_phis,
+                          self.propensity, cfg.weights, cfg.estimator_lambda,
+                          cfg.seed, state.k)
 
 
 def run_protocol(config, env, pool_units, obs=None, out_dir=None):
@@ -224,7 +220,7 @@ def run_protocol(config, env, pool_units, obs=None, out_dir=None):
 
     all_scores = []
     batch_sizes = []
-    while state.n_records < config.budget and state.k < config.max_rounds:
+    while state.n_records < config.budget:
         before = state.n_records
         state, scores = run_round(state, config, env, pool, pool_phis, context)
         gained = state.n_records - before

@@ -6,9 +6,8 @@ from hypothesis import assume, given, settings, strategies as st
 from scipy import stats
 
 from budgex import acquisition
-from budgex.acquisition import (AcquisitionWeights, EnsembleSpec,
-                                PropensityModel, composite_scores,
-                                ensemble_variance, fit_propensity,
+from budgex.acquisition import (AcquisitionWeights, LogisticHead,
+                                composite_scores, ensemble_variance, fit_propensity,
                                 overlap_deficit_many, rank_normalize, score_pool,
                                 select_top_m, train_domain_classifier)
 from budgex.core import FeatureMap, ObsLog, RctStream, sigmoid
@@ -26,35 +25,28 @@ NO_LABELS = (np.zeros((0, 1)), np.zeros(0))  # empty randomized stream, d = 1
 
 class TestEnsembleVariance:
     def test_identical_members_zero_variance(self):
-        spec = EnsembleSpec(n_members=5, resample_fraction=1.0,
-                            perturb_lambda=0.0, bootstrap=False)
+        """Identical labeled rows: every resample is the same set, so every
+        member is the same fit."""
         phis = np.ones((4, 1))
-        yts = np.array([2.0, -2.0, 1.0, 0.5])
-        v = ensemble_variance(phis, yts, np.ones((3, 1)), spec)
+        yts = np.full(4, 2.0)
+        v = ensemble_variance(phis, yts, np.ones((3, 1)), 1.0, 0, 1)
         np.testing.assert_array_equal(v, 0.0)
 
     def test_cold_start_zero_everywhere(self):
-        spec = EnsembleSpec(n_members=5)
-        v = ensemble_variance(np.zeros((0, 1)), np.zeros(0), np.ones((7, 1)), spec)
+        v = ensemble_variance(*NO_LABELS, np.ones((7, 1)), 1.0, 0, 0)
         np.testing.assert_array_equal(v, 0.0)
 
-    def test_bootstrap_variance_matches_enumeration(self):
+    def test_bootstrap_variance_matches_enumeration(self, monkeypatch):
         """Two conflicting labels: member predictions are -4/(lam+2), 0, or
         +4/(lam+2) with probabilities 1/4, 1/2, 1/4 over resample draws, so
         the variance of member predictions converges to 8/(lam+2)^2."""
+        monkeypatch.setattr(acquisition, "MEMBERS", 800)
         lam = 1.0
         phis = np.ones((2, 1))
         yts = np.array([2.0, -2.0])
-        spec = EnsembleSpec(n_members=800, resample_fraction=1.0, lam=lam, seed=3)
-        v = float(ensemble_variance(phis, yts, np.ones((1, 1)), spec)[0])
+        v = float(ensemble_variance(phis, yts, np.ones((1, 1)), lam, 3, 1)[0])
         assert v > 0.0
         assert abs(v - 8.0 / (lam + 2.0) ** 2) < 0.15
-
-    def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            EnsembleSpec(n_members=1)
-        with pytest.raises(ValueError):
-            EnsembleSpec(resample_fraction=0.0)
 
 
 class TestDomainClassifier:
@@ -64,20 +56,20 @@ class TestDomainClassifier:
         current = rng.standard_normal((400, 2))
         clf = train_domain_classifier(pool, current)
         held_out = rng.standard_normal((1000, 2))
-        assert abs(float(clf.score(held_out).mean()) - 0.5) < 0.05
+        assert abs(float(clf.predict(held_out).mean()) - 0.5) < 0.05
 
     def test_identical_classes_score_half(self):
         rng = rng_for(53)
         rows = rng.standard_normal((10, 2))
         clf = train_domain_classifier(rows, rows.copy())
-        np.testing.assert_allclose(clf.score(rng.standard_normal((5, 2))), 0.5,
+        np.testing.assert_allclose(clf.predict(rng.standard_normal((5, 2))), 0.5,
                                    rtol=0, atol=1e-12)
 
     def test_separable_classes_scored_apart(self):
         pool = np.column_stack([np.full(200, 3.0), np.zeros(200)])
         current = np.column_stack([np.full(200, -3.0), np.zeros(200)])
         clf = train_domain_classifier(pool, current)
-        assert float(clf.score(pool).mean()) > 0.9
+        assert float(clf.predict(pool).mean()) > 0.9
 
     def test_class_imbalance_does_not_fake_shift(self):
         """Same marginal in both classes but 5x more pool rows: scores must
@@ -85,7 +77,7 @@ class TestDomainClassifier:
         rng = rng_for(57)
         base = rng.standard_normal((200, 2))
         clf = train_domain_classifier(np.repeat(base, 5, axis=0), base)
-        scores = clf.score(base)
+        scores = clf.predict(base)
         assert abs(float(scores.mean()) - 0.5) < 0.02
 
     def test_empty_class_rejected(self):
@@ -93,13 +85,12 @@ class TestDomainClassifier:
             train_domain_classifier(np.zeros((0, 2)), np.ones((3, 2)))
 
     def test_score_formula(self):
-        from budgex.acquisition import DomainClassifier
-        clf = DomainClassifier(weights=np.array([1.0, 0.0]), bias=0.0)
-        assert clf.score(IDENTITY_2([np.log(3.0), 0.0]))[0] == pytest.approx(0.75)
-        zero = DomainClassifier(weights=np.zeros(2), bias=0.0)
-        assert zero.score(IDENTITY_2([1.0, 1.0]))[0] == 0.5
-        saturated = DomainClassifier(weights=np.zeros(2), bias=1e4)
-        assert saturated.score(IDENTITY_2([0.0, 0.0]))[0] == pytest.approx(1.0)
+        clf = LogisticHead(weights=np.array([1.0, 0.0]), bias=0.0)
+        assert clf.predict(IDENTITY_2([np.log(3.0), 0.0]))[0] == pytest.approx(0.75)
+        zero = LogisticHead(weights=np.zeros(2), bias=0.0)
+        assert zero.predict(IDENTITY_2([1.0, 1.0]))[0] == 0.5
+        saturated = LogisticHead(weights=np.zeros(2), bias=1e4)
+        assert saturated.predict(IDENTITY_2([0.0, 0.0]))[0] == pytest.approx(1.0)
 
 
 FEATURE = st.floats(-3.0, 3.0)
@@ -168,6 +159,17 @@ class TestLogisticHeadFit:
         with pytest.raises(ValueError, match="both classes"):
             fit_propensity(obs, IDENTITY_1.apply_many(obs.xs))
 
+    def test_large_features_do_not_saturate_the_fit(self):
+        """Features near 100 in size: a full Newton step from zero pushes
+        every logit past the sigmoid's range, and the bias then has no
+        curvature left (a singular Hessian). Halving that step keeps the
+        fit on its way to the stationary point."""
+        rng = rng_for(559)
+        phis = rng.uniform(-100.0, 100.0, (12, 2))
+        ts = (phis @ rng.standard_normal(2) > 0).astype(int)
+        model = fit_propensity(ObsLog(xs=phis, ts=ts, ys=np.zeros(12)), phis)
+        assert_stationary(phis, ts, np.ones(12), model.weights, model.bias)
+
     def test_iteration_cap_raises(self, monkeypatch):
         monkeypatch.setattr(acquisition, "MAX_ITER", 1)
         pool = np.column_stack([np.full(20, 3.0), np.zeros(20)])
@@ -205,7 +207,7 @@ class TestBoxThresholdLog:
         pool_phis = env.feature_map.apply_many(pool.xs)
         o = overlap_deficit_many(fit_propensity(obs, obs_phis), pool_phis)
         w, b = gradient_descent_fit(obs_phis, obs.ts)
-        o_old = overlap_deficit_many(PropensityModel(weights=w, bias=b), pool_phis)
+        o_old = overlap_deficit_many(LogisticHead(weights=w, bias=b), pool_phis)
         assert stats.spearmanr(o, o_old).statistic >= 0.99
 
     def test_first_round_domain_signal_is_not_flat(self):
@@ -220,23 +222,18 @@ class TestBoxThresholdLog:
 
 class TestPropensityAndOverlap:
     def test_overlap_deficit_values(self):
-        m = PropensityModel(weights=np.zeros(1), bias=0.0)
+        m = LogisticHead(weights=np.zeros(1), bias=0.0)
         assert overlap_deficit_many(m, IDENTITY_1.apply_many([[0.0]]))[0] == 0.0
-        m9 = PropensityModel(weights=np.zeros(1),
-                             bias=float(np.log(9.0)))  # e_hat = 0.9
+        m9 = LogisticHead(weights=np.zeros(1),
+                          bias=float(np.log(9.0)))  # e_hat = 0.9
         assert overlap_deficit_many(m9, IDENTITY_1.apply_many([[0.0]]))[0] == pytest.approx(0.8)
-        m99 = PropensityModel(weights=np.zeros(1), bias=float(np.log(99.0)))
+        m99 = LogisticHead(weights=np.zeros(1), bias=float(np.log(99.0)))
         assert overlap_deficit_many(m99, IDENTITY_1.apply_many([[0.0]]))[0] == pytest.approx(0.98)
 
     def test_fit_rejects_randomized_records(self):
         stream = RctStream(xs=[[0.0]], ts=[1], ys=[1.0], ps=[0.5], seq=[1])
         with pytest.raises(ValueError, match="OBS"):
             fit_propensity(stream, IDENTITY_1.apply_many([[0.0]]))
-
-    def test_deficit_requires_obs_marker(self):
-        m = PropensityModel(weights=np.zeros(1), bias=0.0, trained_on="rct")
-        with pytest.raises(ValueError):
-            overlap_deficit_many(m, IDENTITY_1.apply_many([[0.0]]))
 
     def test_fit_recovers_strong_targeting(self):
         rng = rng_for(61)
@@ -374,9 +371,9 @@ class TestScorePool:
         prop = fit_propensity(obs, obs_phis)
         cand_phis = fmap.apply_many(pool.xs)
         a = score_pool(pool.ids, cand_phis, *NO_LABELS, obs_phis, prop,
-                       AcquisitionWeights(), EnsembleSpec(seed=9), round_seed=0)
+                       AcquisitionWeights(), 1.0, 9, 0)
         b = score_pool(pool.ids, cand_phis, *NO_LABELS, obs_phis, prop,
-                       AcquisitionWeights(), EnsembleSpec(seed=9), round_seed=0)
+                       AcquisitionWeights(), 1.0, 9, 0)
         assert np.array_equal(a, b)
 
     def test_overlap_targeting_beats_pool_average(self):
@@ -388,8 +385,7 @@ class TestScorePool:
             prop = fit_propensity(obs, obs_phis)
             bds = score_pool(pool.ids, fmap.apply_many(pool.xs), *NO_LABELS,
                              obs_phis, prop,
-                             AcquisitionWeights(0.0, 0.0, 0.7),
-                             EnsembleSpec(seed=1), round_seed=0)
+                             AcquisitionWeights(0.0, 0.0, 0.7), 1.0, 1, 0)
             chosen = bds["id"][select_top_m(bds, 15)]
             phis = fmap.apply_many(pool.xs)
             true_dev = np.abs(policy.propensity(phis) - 0.5)
@@ -403,7 +399,6 @@ class TestScorePool:
         obs_phis = fmap.apply_many(obs.xs)
         prop = fit_propensity(obs, obs_phis)
         bds = score_pool(pool.ids[1:], fmap.apply_many(pool.xs[1:]), *NO_LABELS,
-                         obs_phis, prop, AcquisitionWeights(), EnsembleSpec(),
-                         round_seed=0)
+                         obs_phis, prop, AcquisitionWeights(), 1.0, 0, 0)
         assert 0 not in set(bds["id"])
         assert len(bds) == len(pool) - 1

@@ -9,7 +9,8 @@ import sys
 import pytest
 
 import budgex
-from budgex.acquisition import AcquisitionWeights, EnsembleSpec
+from budgex import acquisition
+from budgex.acquisition import AcquisitionWeights
 from budgex.cli import main, protocol_config_from_json
 from budgex.core import PropensityBounds, read_jsonl
 from budgex.envs import EnvSpecError
@@ -175,29 +176,35 @@ class TestProtocolConfigFromJson:
     def test_unset_keys_keep_the_dataclass_defaults(self):
         assert protocol_config_from_json({"budget": 7}) == ProtocolConfig(budget=7)
 
-    def test_estimator_lambda_is_the_ensemble_default(self):
-        cfg = protocol_config_from_json({"budget": 7, "estimator_lambda": 3.0})
-        assert cfg.estimator_lambda == 3.0 and cfg.ensemble.lam == 3.0
-        cfg = protocol_config_from_json({"budget": 7, "estimator_lambda": 3.0,
-                                         "ensemble": {"lambda": 0.5}})
-        assert cfg.estimator_lambda == 3.0 and cfg.ensemble.lam == 0.5
+    def test_estimator_lambda_is_the_ensemble_default(self, generated, tmp_path,
+                                                      monkeypatch):
+        """Every bootstrap member of an active run is fitted with the
+        protocol's estimator_lambda, as the final fit is."""
+        env, data = generated
+        lams, fit = [], acquisition.fit_ridge_arrays
+        monkeypatch.setattr(acquisition, "fit_ridge_arrays",
+                            lambda phis, yts, lam: lams.append(lam) or fit(phis, yts, lam))
+        proto = tmp_path / "protocol.json"
+        proto.write_text(json.dumps({"budget": 30, "max_batch": 10,
+                                     "estimator_lambda": 3.0}))
+        assert main(["run", "--env", str(env), "--protocol", str(proto),
+                     "--data", str(data), "--out", str(tmp_path / "run")]) == 0
+        assert len(lams) == 2 * acquisition.MEMBERS and set(lams) == {3.0}
+        solution = json.loads((tmp_path / "run" / "rep_0000" / "solution.json").read_text())
+        assert solution["lambda"] == 3.0
 
     def test_every_set_key_is_used(self):
-        doc = {"budget": 9, "max_rounds": 4, "max_batch": 3, "f_min": 0.1,
+        doc = {"budget": 9, "max_batch": 3, "f_min": 0.1,
                "f_max": 0.7, "strategy": "random", "mode": "fusion",
                "estimator_lambda": 2.0,
                "randomization": {"kind": "affine", "weights": [0.1], "bias": 0.4},
-               "weights": {"alpha": 0.1, "beta": 0.2, "gamma": 0.3},
-               "ensemble": {"n_members": 4, "resample_fraction": 0.5,
-                            "perturb_lambda": 0.1}}
+               "weights": {"alpha": 0.1, "beta": 0.2, "gamma": 0.3}}
         cfg = protocol_config_from_json(doc, seed=5)
         assert cfg == ProtocolConfig(
-            budget=9, max_rounds=4, max_batch=3,
+            budget=9, max_batch=3,
             bounds=PropensityBounds(0.1, 0.7),
             randomization=AffinePolicy((0.1,), 0.4), strategy="random",
             weights=AcquisitionWeights(0.1, 0.2, 0.3),
-            ensemble=EnsembleSpec(n_members=4, resample_fraction=0.5,
-                                  perturb_lambda=0.1, lam=2.0),
             estimator_lambda=2.0, mode="fusion", seed=5)
         assert protocol_config_from_json(doc, strategy="active", budget=1).strategy == "active"
 
@@ -206,7 +213,8 @@ class TestProtocolConfigFromJson:
         ({"budget": 5, "max_bach": 3}, "'max_bach'"),
         ({"budget": 5, "weights": {"alfa": 0.0}}, "'alfa'"),
         ({"budget": 5, "randomization": {"kind": "constant", "q": 0.5}}, "'q'"),
-        ({"budget": 5, "ensemble": {"n_member": 4}}, "'n_member'"),
+        ({"budget": 5, "ensemble": {"n_members": 4}}, "'ensemble'"),
+        ({"budget": 5, "max_rounds": 4}, "'max_rounds'"),
     ])
     def test_unknown_keys_rejected(self, doc, key):
         with pytest.raises(ValueError, match=key):

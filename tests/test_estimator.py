@@ -14,7 +14,7 @@ from budgex.estimator import (ConfidenceParams, RidgeSolution,
                               predict_cate_many, pseudo_outcome_values,
                               sandwich_from_arrays, solution_from_json,
                               solution_to_json)
-from budgex.acquisition import PropensityModel
+from budgex.acquisition import LogisticHead
 from budgex._rng import rng_for
 
 ONE_HOT_2 = FeatureMap(kind="segment-one-hot", output_dim=2, norm_bound=1.0)
@@ -154,7 +154,7 @@ class TestAlignmentWeights:
     def model(self, e_hat):
         # bias chosen so the head predicts e_hat for the all-zero feature
         logit = np.log(e_hat / (1.0 - e_hat))
-        return PropensityModel(weights=np.zeros(1), bias=logit)
+        return LogisticHead(weights=np.zeros(1), bias=logit)
 
     def test_large_gap_is_gold(self):
         recs = [rct([0.0], 0, 1.0, 0.5, 1)]

@@ -45,26 +45,26 @@ class TestPehe:
     def test_perfect_predictor(self):
         env = hard4()
         xs = env.sample_x(100, rng_for(1))
-        assert pehe(env.true_cate_many, env, xs).value == 0.0
+        assert pehe(env.true_cate_many, env, xs) == 0.0
 
     def test_constant_offset(self):
         env = hard4()
         xs = env.sample_x(100, rng_for(2))
         shifted = lambda x: env.true_cate_many(x) + 0.1
-        assert pehe(shifted, env, xs).value == pytest.approx(0.1)
+        assert pehe(shifted, env, xs) == pytest.approx(0.1)
 
     def test_zero_predictor_on_hard_instance(self):
         env = hard4(delta=0.25)
         xs = env.sample_x(500, rng_for(3))
         zero = lambda x: np.zeros(len(np.atleast_2d(x)))
-        assert pehe(zero, env, xs).value == pytest.approx(0.25)
+        assert pehe(zero, env, xs) == pytest.approx(0.25)
 
     def test_order_invariance(self):
         env = hard4()
         xs = env.sample_x(200, rng_for(4))
         pred = lambda x: np.atleast_2d(x)[:, 0] * 0.05
-        a = pehe(pred, env, xs).value
-        b = pehe(pred, env, xs[::-1]) .value
+        a = pehe(pred, env, xs)
+        b = pehe(pred, env, xs[::-1])
         assert a == pytest.approx(b)
 
     def test_empty_sample_rejected(self):

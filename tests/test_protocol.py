@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
-from budgex.acquisition import (SCORE_DTYPE, AcquisitionWeights, EnsembleSpec,
-                                fit_propensity, score_pool, select_top_m)
+from budgex.acquisition import (SCORE_DTYPE, AcquisitionWeights, fit_propensity,
+                                score_pool, select_top_m)
 from budgex.core import (FeatureMap, NormBoundError, ObsLog, Pool,
                          PropensityBounds, read_jsonl, write_jsonl)
 from budgex.envs import (HardInstance, LinearEnv, LogisticPolicy,
@@ -85,10 +85,6 @@ class TestConfigValidation:
     def test_strategy_names(self):
         with pytest.raises(ValueError):
             ProtocolConfig(budget=10, strategy="greedy")
-
-    def test_rounds_must_cover_budget(self):
-        with pytest.raises(ValueError):
-            ProtocolConfig(budget=10, max_rounds=2, max_batch=4)
 
     def test_zero_weights_rejected_at_construction(self):
         with pytest.raises(ValueError):
@@ -339,7 +335,7 @@ class TestFiltrationSoundness:
             keep = ~np.isin(pool.ids, result.unit_ids[:start])
             redone = score_pool(pool.ids[keep], fmap.apply_many(pool.xs[keep]),
                                 phis[:start], yts[:start], obs_phis, prop,
-                                cfg.weights, cfg.ensemble, round_seed=k)
+                                cfg.weights, cfg.estimator_lambda, cfg.seed, k)
             assert np.array_equal(redone, bds)
             assert list(redone["id"][select_top_m(redone, m_k)]) == \
                 list(result.unit_ids[start:start + m_k])
