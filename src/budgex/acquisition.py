@@ -5,9 +5,13 @@ pool-vs-current domain discriminability (d), and historical overlap deficit
 (o) -- are rank-normalized over the current pool and combined into a single
 weighted score used for top-m selection.
 
+v comes from a fixed ensemble: MEMBERS ridge fits with the run's penalty, on
+resamples of RESAMPLE_FRACTION of the labeled rows drawn from the stream of
+(run seed, round k), so replications and seeds resample independently.
 d and o come from logistic heads fitted by ridge-penalized IRLS (ESL 4.4):
 Newton steps from zero on the weighted mean cross-entropy + (RIDGE / 2) ||w||^2
-(bias free) until no step component exceeds TOLERANCE, or RuntimeError at MAX_ITER.
+(bias free), halved while they raise it, until no step component exceeds
+TOLERANCE, or RuntimeError at MAX_ITER.
 """
 
 from dataclasses import dataclass
@@ -38,24 +42,25 @@ def _fit_logistic(phis, labels, sw):
     design = np.vstack([phis.T, np.ones(len(phis))])  # one row per weight, bias last
     penalty = np.append(np.full(phis.shape[1], RIDGE), 0.0)
 
-    def loss(theta):
+    def logits_and_loss(theta):
+        z = theta @ design
         # labels are 0/1: the cross-entropy is softplus of the signed logit
-        return sw @ np.logaddexp(0.0, (1.0 - 2.0 * labels) * (theta @ design)) \
+        return z, sw @ np.logaddexp(0.0, (1.0 - 2.0 * labels) * z) \
             + 0.5 * penalty @ theta**2
 
     theta = np.zeros(len(design))
-    current = loss(theta)
+    z, current = logits_and_loss(theta)
     for _ in range(MAX_ITER):
-        s = sigmoid(theta @ design)
+        s = sigmoid(z)
         grad = design @ (sw * (s - labels)) + penalty * theta
         hess = (design * (sw * s * (1.0 - s))) @ design.T + np.diag(penalty)
         step = np.linalg.solve(hess, grad)
         if np.max(np.abs(step)) < TOLERANCE:
             theta -= step
             return theta[:-1], float(theta[-1])
-        while (trial := loss(theta - step)) > current * (1.0 + 1e-12):
+        while (trial := logits_and_loss(theta - step))[1] > current * (1.0 + 1e-12):
             step *= 0.5
-        theta, current = theta - step, trial
+        theta, (z, current) = theta - step, trial
     raise RuntimeError(f"logistic head did not converge in {MAX_ITER} Newton steps")
 
 
@@ -119,7 +124,7 @@ def ensemble_variance(labeled_phis, labeled_yts, candidate_phis, lam, seed, k):
     n = len(labeled_phis)
     if n == 0:
         return np.zeros(len(candidate_phis))
-    rng = rng_for(k, 0x656E73, n)
+    rng = rng_for(seed, 0x656E73, k)
     m = max(1, int(round(RESAMPLE_FRACTION * n)))
     preds = np.empty((MEMBERS, len(candidate_phis)))
     for j in range(MEMBERS):

@@ -36,6 +36,20 @@ class TestEnsembleVariance:
         v = ensemble_variance(*NO_LABELS, np.ones((7, 1)), 1.0, 0, 0)
         np.testing.assert_array_equal(v, 0.0)
 
+    def test_runs_at_two_seeds_draw_different_bootstrap_keys(self, monkeypatch):
+        """Round k resamples from the stream of (run seed, k): replications
+        and --seed values do not share bootstrap indices."""
+        env, pool, obs = box_threshold_world(11, n_pool=200, n_obs=200)
+        keys = {}
+        for seed in (11, 9999):
+            seen = keys[seed] = []
+            monkeypatch.setattr(acquisition, "rng_for",
+                                lambda *key, seen=seen: seen.append(key) or rng_for(*key))
+            cfg = ProtocolConfig(budget=60, max_batch=20, strategy="active", seed=seed)
+            run_protocol(cfg, env, pool_units=pool, obs=obs)
+        assert len(keys[11]) == len(keys[9999]) == 2  # rounds 2 and 3 have labels
+        assert not set(keys[11]) & set(keys[9999])
+
     def test_bootstrap_variance_matches_enumeration(self, monkeypatch):
         """Two conflicting labels: member predictions are -4/(lam+2), 0, or
         +4/(lam+2) with probabilities 1/4, 1/2, 1/4 over resample draws, so

@@ -56,25 +56,25 @@ GOLDEN = {
     "box/manifest.json": "a13065acf75b2b845547d1cffbc929780f0803b78e21108ba13f03153815a378",
     "box/obs.jsonl": "08275489fab22a4ed675ad6de77a85f5195bcefe89f5baf9496571b0eb4d755d",
     "box/pool.jsonl": "48da91d4d8d7162768987abb6211b977a9a87587c943470d7bdb3397969ebb20",
-    "evaluate/metrics.csv": "452ace2678a366fe7438625e3fcd7e8f244ca421c3d8e02d3eeddb01df958220",
-    "evaluate/summary.json": "ed24142ea951fda4930d394e424522c54a31aabe10843ed372e2ced88cba1e1f",
+    "evaluate/metrics.csv": "827485a99e1d3c1fa1131426ecfa3c7bb772a1eb504b0eda5bf903f2b9775e42",
+    "evaluate/summary.json": "e4a05ffe75fc9c12157aba763a2186f9ee408f3c77831aabd221cc4fd59a47b3",
     "hard/manifest.json": "85bf15d9527832a372a7c1583e8c7448b0690add2de396344228d89ced1290a8",
     "hard/obs.jsonl": "aa117d5b3665314034ebcb2a232c7eeb4b370670a6b9298f2affc31baa03378b",
     "hard/pool.jsonl": "275912da401942bf33a0a426f16a82a0ea15a83cd555d8a8c312424634ab61b1",
     "run-active-fusion/manifest.json": "96ffbc72ff0655d05b9cad931c35ff58663cd6b4df321d4db32abd79608e51f0",
-    "run-active-fusion/rep_0000/rct.jsonl": "5e013977e0c397676e89de1a93cf86f66eab48df9c5d3a797d3d18f13ee0fa14",
+    "run-active-fusion/rep_0000/rct.jsonl": "5587abf0deebb6edf4d618664f7fb0ee9dee9b55b8e132b195f61d42d55cee7b",
     "run-active-fusion/rep_0000/run_summary.json": "51afbb826aa56ed248e96a7fde6c69f35d87265321d0566e709ecb348fcf004f",
     "run-active-fusion/rep_0000/scores_round_1.csv": "406df359c7f191afeebcf088ceb61b10eae520c3f2d5160daccea3a65c47171a",
-    "run-active-fusion/rep_0000/scores_round_2.csv": "5b8fef366c8127187010c74e48c3c189fdf401a986790d6575841499e760fa7c",
-    "run-active-fusion/rep_0000/scores_round_3.csv": "b848db0748686c83d50d2d82534db1261bf8f4866f2d8db599baedcd7948079e",
-    "run-active-fusion/rep_0000/solution.json": "41c9b20d11fe69b1eeb48a8c60c5db6a1594bb6f89ceae5227236aec567722fb",
+    "run-active-fusion/rep_0000/scores_round_2.csv": "d4ba21229a0854def45bc6a839485de962994eb909791951d12bc9afc38b9048",
+    "run-active-fusion/rep_0000/scores_round_3.csv": "3840477332dfe76e0cba28616cf37f70ec66be4e6faa083ac817125b7577ef78",
+    "run-active-fusion/rep_0000/solution.json": "fd2b8f4a060a512874adeb6f5f73ce88cba7453a9ba8ee1b8218cc5a78b6a58f",
     "run-active/manifest.json": "cb7a670736d631b8c058c8ca675ae0d9472fa9d54af976ab07ca2e17841b9720",
-    "run-active/rep_0000/rct.jsonl": "5e013977e0c397676e89de1a93cf86f66eab48df9c5d3a797d3d18f13ee0fa14",
+    "run-active/rep_0000/rct.jsonl": "5587abf0deebb6edf4d618664f7fb0ee9dee9b55b8e132b195f61d42d55cee7b",
     "run-active/rep_0000/run_summary.json": "51afbb826aa56ed248e96a7fde6c69f35d87265321d0566e709ecb348fcf004f",
     "run-active/rep_0000/scores_round_1.csv": "406df359c7f191afeebcf088ceb61b10eae520c3f2d5160daccea3a65c47171a",
-    "run-active/rep_0000/scores_round_2.csv": "5b8fef366c8127187010c74e48c3c189fdf401a986790d6575841499e760fa7c",
-    "run-active/rep_0000/scores_round_3.csv": "b848db0748686c83d50d2d82534db1261bf8f4866f2d8db599baedcd7948079e",
-    "run-active/rep_0000/solution.json": "cd99c7bb77bda8f2590b425633c8aaf9dc5aeec679ff31bc128bb653f97b2fec",
+    "run-active/rep_0000/scores_round_2.csv": "d4ba21229a0854def45bc6a839485de962994eb909791951d12bc9afc38b9048",
+    "run-active/rep_0000/scores_round_3.csv": "3840477332dfe76e0cba28616cf37f70ec66be4e6faa083ac817125b7577ef78",
+    "run-active/rep_0000/solution.json": "5d84a3f8d385b2604704c4f740bdc715e885b227a7e1fa363746b955e16399ca",
     "run-random-fusion/manifest.json": "662eb0252b0a68b8f8c02006d5caf35e614c233ab0e2f32a2218dc77d3b70bc7",
     "run-random-fusion/rep_0000/rct.jsonl": "cad188a661f01d2f52e8fc237555b9a7b56370abf7178a4aa3d70b8921aaa0f1",
     "run-random-fusion/rep_0000/run_summary.json": "51afbb826aa56ed248e96a7fde6c69f35d87265321d0566e709ecb348fcf004f",

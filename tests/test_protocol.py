@@ -19,8 +19,9 @@ from budgex.envs import (HardInstance, LinearEnv, LogisticPolicy,
                          sample_obs, sample_pool)
 from budgex.estimator import pseudo_outcome_values
 from budgex.protocol import (AffinePolicy, ConstantPolicy, ProtocolConfig,
-                             VarianceOptimalPolicy, _dump_scores,
-                             clip_probability, optimal_p, run_protocol)
+                             VarianceOptimalPolicy, _assign_and_observe,
+                             _dump_scores, clip_probability, optimal_p,
+                             run_protocol)
 from budgex._rng import rng_for
 
 BOUNDS = PropensityBounds(0.2, 0.8)
@@ -202,25 +203,28 @@ class TestRunProtocol:
         assert len(result.stream.ts) == 25
 
 
+WORLD_21 = weak_overlap_world(21)
+
+
 class TestRandomizationIndependence:
-    def test_assignment_keyed_by_unit_not_selection_order(self):
-        """A unit's (t, y) must be identical no matter which strategy or
-        round selected it."""
-        env, pool, obs = weak_overlap_world(21)
-        cfg_r = ProtocolConfig(budget=120, max_batch=30, strategy="random",
-                               seed=22)
-        cfg_a = ProtocolConfig(budget=120, max_batch=30, strategy="active",
-                               seed=22)
-        res_r = run_protocol(cfg_r, env, pool_units=pool, obs=obs)
-        res_a = run_protocol(cfg_a, env, pool_units=pool, obs=obs)
-        by_id_r = {int(i): (int(t), float(y))
-                   for i, t, y in zip(res_r.unit_ids, res_r.stream.ts, res_r.stream.ys)}
-        by_id_a = {int(i): (int(t), float(y))
-                   for i, t, y in zip(res_a.unit_ids, res_a.stream.ts, res_a.stream.ys)}
-        common = set(by_id_r) & set(by_id_a)
-        assert len(common) > 20
-        for uid in common:
-            assert by_id_r[uid] == by_id_a[uid]
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2**64 - 1), st.integers(1, 60),
+           st.sampled_from(["random", "active"]), st.permutations(range(300)))
+    def test_assignment_keyed_by_unit_not_selection_order(self, seed, max_batch,
+                                                          strategy, order):
+        """A unit's (t, y) depends on the run seed and its id alone: whatever
+        strategy, batch size, round or pool order selects it, it gets the
+        draws it gets when the whole pool is assigned in one batch."""
+        env, pool, obs = WORLD_21
+        shuffled = Pool(ids=pool.ids[list(order)], xs=pool.xs[list(order)])
+        cfg = ProtocolConfig(budget=60, max_batch=max_batch, strategy=strategy,
+                             seed=seed)
+        result = run_protocol(cfg, env, pool_units=shuffled, obs=obs)
+        ts, ys, _ = _assign_and_observe(env, cfg, pool.ids, pool.xs,
+                                        env.feature_map.apply_many(pool.xs))
+        at = np.searchsorted(pool.ids, result.unit_ids)
+        assert result.stream.ts.tolist() == ts[at].tolist()
+        assert result.stream.ys.tolist() == ys[at].tolist()
 
 
 class TestIdsAreNotPositions:
