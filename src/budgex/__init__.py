@@ -12,11 +12,10 @@ from .envs import (BoxMarginal, HardInstance, LinearEnv, LogisticPolicy,
                    MarginalShift, SegmentMarginal, ThresholdPolicy,
                    default_hard_delta, env_from_json, env_to_json, sample_obs,
                    sample_pool)
-from .estimator import (ConfidenceParams, RidgeSolution,
-                        SandwichEstimate, beta_bound, compute_alignment_weights,
-                        confidence_width, default_sigma, fit_ridge_arrays,
-                        pointwise_ci, predict_cate_many, pseudo_outcome_values,
-                        sandwich_from_arrays)
+from .estimator import (ConfidenceParams, RidgeSolution, SandwichEstimate,
+                        beta_bound, confidence_width, default_sigma,
+                        fit_ridge_arrays, pointwise_ci, predict_cate_many,
+                        pseudo_outcome_values, sandwich_from_arrays)
 from .acquisition import (SCORE_DTYPE, AcquisitionWeights, LogisticHead,
                           composite_scores, ensemble_variance, fit_propensity,
                           overlap_deficit_many, rank_normalize, select_top_m,
@@ -24,8 +23,7 @@ from .acquisition import (SCORE_DTYPE, AcquisitionWeights, LogisticHead,
 from .protocol import (AffinePolicy, ConstantPolicy, ProtocolConfig,
                        VarianceOptimalPolicy, clip_probability, optimal_p,
                        run_protocol)
-from .metrics import (BoundCheckResult, NormalityDiagnostic, ScalingFit,
-                      UpliftCurve, bound_violation_audit, clt_diagnostic, pehe,
-                      scaling_fit, uplift_curve)
+from .metrics import (BoundCheckResult, NormalityDiagnostic, UpliftCurve,
+                      bound_violation_audit, clt_diagnostic, pehe, uplift_curve)
 
 __version__ = "0.1.0"

@@ -80,9 +80,8 @@ def protocol_config_from_json(doc, seed=0, strategy=None, budget=None):
     """A ProtocolConfig from protocol.json; each key it leaves out keeps its
     dataclass default. A key it does not know is a ValueError."""
     known_keys(doc, "protocol.json", "budget", "max_batch", "strategy",
-               "estimator_lambda", "mode", "f_min", "f_max", "randomization",
-               "weights")
-    given = _given(doc, "max_batch", "strategy", "estimator_lambda", "mode")
+               "estimator_lambda", "f_min", "f_max", "randomization", "weights")
+    given = _given(doc, "max_batch", "strategy", "estimator_lambda")
     if strategy is not None:
         given["strategy"] = strategy
     return ProtocolConfig(
@@ -128,10 +127,6 @@ def cmd_run(args):
     obs_path = os.path.join(args.data, "obs.jsonl")
     pool = read_jsonl(pool_path, "pool")
     obs = read_jsonl(obs_path, "obs") if os.path.exists(obs_path) else None
-    mode = args.mode or pdoc.get("mode", "theory")
-    if mode == "fusion" and not obs:
-        print("error: fusion mode requires obs.jsonl", file=sys.stderr)
-        return 2
     budget = pdoc["budget"]
     if budget > len(pool):
         msg = f"budget {budget} exceeds pool size {len(pool)}"
@@ -143,7 +138,6 @@ def cmd_run(args):
     for r in range(args.reps):
         seed_r = derive_seed(args.seed, r)
         cfg = protocol_config_from_json(pdoc, seed=seed_r)
-        cfg = replace(cfg, mode=mode)
         rep_dir = os.path.join(args.out, f"rep_{r:04d}")
         os.makedirs(rep_dir, exist_ok=True)
         t0 = time.perf_counter()
@@ -165,7 +159,6 @@ def cmd_run(args):
         "protocol_sha256": _sha256_file(args.protocol),
         "master_seed": args.seed,
         "replications": args.reps,
-        "mode": mode,
     })
     return 0
 
@@ -216,8 +209,8 @@ def _sweep_cell(payload):
         cfg = replace(cfg, weights=AcquisitionWeights(*STRATEGY_WEIGHTS[strategy]))
 
     pool = sample_pool(env, n_pool, derive_seed(seed, 0x706C))
-    # only active and fusion cells read the log; sample_obs draws from its own stream
-    reads_obs = cfg.strategy == "active" or cfg.mode == "fusion"
+    # only active cells read the log; sample_obs draws from its own stream
+    reads_obs = cfg.strategy == "active"
     obs = (sample_obs(env, policy, shift, n_obs, derive_seed(seed, 0x6F62))
            if reads_obs and policy is not None and n_obs > 0 else None)
     if cfg.strategy == "active" and not obs:
@@ -320,7 +313,6 @@ def main(argv=None):
     r.add_argument("--out", required=True)
     r.add_argument("--reps", type=int, default=1)
     r.add_argument("--seed", type=int, default=0)
-    r.add_argument("--mode", choices=["theory", "fusion"], default=None)
     r.add_argument("--strict-budget", action="store_true")
     r.set_defaults(func=cmd_run)
 

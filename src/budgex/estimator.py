@@ -1,7 +1,7 @@
 """Pseudo-outcome regression for adaptively collected randomized data.
 
 The chronological stream (x_t, t_t, y_t, p_t) is converted to inverse
-propensity pseudo-outcomes and fit by (weighted) ridge / OLS in a fixed
+propensity pseudo-outcomes and fit by ridge / OLS in a fixed
 feature space, with the self-normalized confidence width and a sandwich
 variance estimate for asymptotic intervals. A fit is one frozen RidgeSolution
 holding lambda once, for V and for the width's det(lambda I) alike.
@@ -32,7 +32,7 @@ def pseudo_outcome_values(ts, ys, ps):
 
 @dataclass(frozen=True, eq=False)
 class RidgeSolution:
-    """theta_hat, the information matrix V = lam I + sum_t w_t phi_t phi_t^T
+    """theta_hat, the information matrix V = lam I + sum_t phi_t phi_t^T
     over n rows, and lam; theta_hat and V are read-only copies."""
 
     theta_hat: np.ndarray
@@ -67,16 +67,13 @@ def default_sigma(bounds):
     return 2.0 * bounds.pseudo_outcome_bound
 
 
-def fit_ridge_arrays(phis, yts, lam, weights=None):
-    """Solve (lambda I + sum w phi phi^T) theta = sum w phi Y~."""
+def fit_ridge_arrays(phis, yts, lam):
+    """Solve (lambda I + sum phi phi^T) theta = sum phi Y~."""
     dim = phis.shape[1]
-    w = np.ones(len(phis)) if weights is None else np.asarray(weights, dtype=float)
-    if len(w) != len(phis):
-        raise ValueError("weights length must match records")
-    if np.any(w <= 0):
-        raise ValueError("weights must be strictly positive")
-    V = lam * np.eye(dim) + (phis * w[:, None]).T @ phis
-    b = (phis * (w * yts)[:, None]).sum(axis=0)
+    # The copy keeps the general matrix product: phis.T @ phis itself takes
+    # BLAS's symmetric rank-k path, which rounds differently in the last bits.
+    V = lam * np.eye(dim) + phis.T @ phis.copy()
+    b = (phis * yts[:, None]).sum(axis=0)
     if lam == 0.0:
         cond = np.linalg.cond(V) if len(phis) else np.inf
         if not np.isfinite(cond) or cond > MAX_CONDITION:
@@ -93,19 +90,6 @@ def fit_ridge_arrays(phis, yts, lam, weights=None):
 
 def predict_cate_many(solution, fmap, xs):
     return fmap.apply_many(xs) @ solution.theta_hat
-
-
-# ---------------------------------------------------------------------------
-# Counterfactual-alignment weights (fusion mode)
-
-GOLD_WEIGHT = 1.0
-SILVER_WEIGHT = 0.2
-
-
-def compute_alignment_weights(phis, ts, propensity_model):
-    """Gaps |t - e_obs(phi)| and weights: gold 1.0 iff the gap strictly exceeds 0.5."""
-    gaps = np.abs(np.asarray(ts) - propensity_model.predict(phis))
-    return gaps, np.where(gaps > 0.5, GOLD_WEIGHT, SILVER_WEIGHT)
 
 
 # ---------------------------------------------------------------------------

@@ -1,20 +1,19 @@
 """Evaluation and empirical verification of the statistical guarantees.
 
 PEHE against ground truth, normalized AUUC on randomized held-out data,
-deviation-bound coverage audits, martingale-CLT normality diagnostics, and
-log-log budget scaling fits.
+deviation-bound coverage audits and martingale-CLT normality diagnostics.
+The log-log budget scaling slope is fitted by `budgex sweep`'s summary.
 """
 
 import math
 from dataclasses import dataclass, replace
-from functools import partial
 
 import numpy as np
 
 from ._rng import derive_seed, rng_for
-from .envs import SegmentMarginal, sample_pool
+from .envs import sample_pool
 from .estimator import (ConfidenceParams, beta_bound, default_sigma,
-                        ellipsoid_radius, predict_cate_many, sandwich_from_arrays)
+                        ellipsoid_radius, sandwich_from_arrays)
 from .protocol import run_protocol
 
 
@@ -191,35 +190,3 @@ def ks_distance_normal(zs):
     cdf = np.array([0.5 * math.erfc(-v / math.sqrt(2.0)) for v in z.tolist()])
     return float(max(np.max(np.arange(1.0, n + 1) / n - cdf),
                      np.max(cdf - np.arange(0.0, n) / n)))
-
-
-@dataclass(frozen=True)
-class ScalingFit:
-    budgets: np.ndarray
-    mean_pehe: np.ndarray
-    slope: float
-    intercept: float
-
-
-def scaling_fit(env, config, budget_grid, replications, n_pool=None,
-                master_seed=0):
-    """Mean PEHE per budget and the least-squares log-log slope."""
-    budgets = np.asarray(sorted(budget_grid), dtype=int)
-    if len(budgets) < 4 or np.any(np.diff(budgets) <= 0):
-        raise ValueError("need a strictly increasing grid of >= 4 budgets")
-    means = np.empty(len(budgets))
-    for i, b in enumerate(budgets):
-        cfg = replace(config, budget=int(b))
-        pool = int(b) if n_pool is None else n_pool
-        vals = np.empty(replications)
-        for r in range(replications):
-            result, pool_xs = _replicate(env, cfg, pool, r,
-                                         derive_seed(master_seed, int(b)))
-            predict = partial(predict_cate_many, result.solution, env.feature_map)
-            vals[r] = pehe_exact_segments(predict, env) \
-                if isinstance(env.marginal, SegmentMarginal) \
-                else pehe(predict, env, pool_xs)
-        means[i] = vals.mean()
-    slope, intercept = np.polyfit(np.log(budgets), np.log(means), 1)
-    return ScalingFit(budgets=budgets, mean_pehe=means,
-                      slope=float(slope), intercept=float(intercept))

@@ -16,8 +16,7 @@ import numpy as np
 from ._rng import OUTCOME, TREATMENT, rng_for, unit_uniform
 from .acquisition import AcquisitionWeights, fit_propensity, score_pool, select_top_m
 from .core import PropensityBounds, RctStream
-from .estimator import (compute_alignment_weights, fit_ridge_arrays,
-                        pseudo_outcome_values, RidgeSolution)
+from .estimator import fit_ridge_arrays, pseudo_outcome_values, RidgeSolution
 
 DEFAULT_BOUNDS = PropensityBounds(0.2, 0.8)
 
@@ -76,7 +75,6 @@ class ProtocolConfig:
     strategy: str = "active"  # "active" | "random"
     weights: AcquisitionWeights = AcquisitionWeights()
     estimator_lambda: float = 1.0
-    mode: str = "theory"  # "theory" | "fusion"
     seed: int = 0
 
     def __post_init__(self):
@@ -86,8 +84,6 @@ class ProtocolConfig:
             raise ValueError("max_batch must be >= 1")
         if self.strategy not in ("active", "random"):
             raise ValueError(f"unknown strategy {self.strategy!r}")
-        if self.mode not in ("theory", "fusion"):
-            raise ValueError(f"unknown mode {self.mode!r}")
 
 
 @dataclass
@@ -201,22 +197,21 @@ def run_protocol(config, env, pool_units, obs=None, out_dir=None):
     config.estimator_lambda. The pool itself is never modified. Its phi rows
     (the result's pool_phis) are mapped once for scoring, assignment and the
     final fit: one phi per unit per run.
-    obs is an ObsLog (None or no rows: no log). A run that reads it, active
-    or fusion, maps it and fits e_obs once, for scoring and fusion weights.
+    obs is an ObsLog (None or no rows: no log). Only the active strategy
+    reads it: it maps the log and fits e_obs once, for scoring. The final fit
+    is the ridge on the stream's IPW pseudo-outcomes, whatever the strategy.
     """
     pool = pool_units
-    if config.mode == "fusion" and not obs:
-        raise ValueError("fusion mode requires an observational log")
-
     fmap = env.feature_map
     pool_phis = fmap.apply_many(pool.xs)
     state = RoundState.empty(min(config.budget, len(pool)), pool, fmap.output_dim)
-    obs_phis, propensity = np.zeros((0, fmap.output_dim)), None
-    if obs and (config.strategy == "active" or config.mode == "fusion"):
-        obs_phis = fmap.apply_many(obs.xs)
-        propensity = fit_propensity(obs, obs_phis)
-    context = _ActiveContext(config, obs_phis, propensity) \
-        if config.strategy == "active" else None
+    context = None
+    if config.strategy == "active":
+        obs_phis, propensity = np.zeros((0, fmap.output_dim)), None
+        if obs:
+            obs_phis = fmap.apply_many(obs.xs)
+            propensity = fit_propensity(obs, obs_phis)
+        context = _ActiveContext(config, obs_phis, propensity)
 
     all_scores = []
     batch_sizes = []
@@ -238,9 +233,7 @@ def run_protocol(config, env, pool_units, obs=None, out_dir=None):
                        ps=state.ps[:n], seq=np.arange(1, n + 1))
     phis = state.phis[:n]
     yts = pseudo_outcome_values(stream.ts, stream.ys, stream.ps)
-    weights = compute_alignment_weights(phis, stream.ts, propensity)[1] \
-        if config.mode == "fusion" else None
-    solution = fit_ridge_arrays(phis, yts, config.estimator_lambda, weights=weights)
+    solution = fit_ridge_arrays(phis, yts, config.estimator_lambda)
 
     return ProtocolResult(solution=solution, stream=stream, phis=phis, yts=yts,
                           unit_ids=state.ids[:n], scores=all_scores,

@@ -138,15 +138,14 @@ class TestRun:
         assert {p: v for p, v in a.items() if p not in timing} == \
             {p: v for p, v in b.items() if p not in timing}
 
-    def test_fusion_without_obs_fails(self, tmp_path):
-        env = write_env(tmp_path / "env.json", with_policy=False)
-        data = tmp_path / "data"
-        main(["generate", "--env", str(env), "--out", str(data)])
+    def test_mode_flag_is_a_usage_error(self, generated, tmp_path):
+        env, data = generated
         proto = write_protocol(tmp_path / "protocol.json", strategy="random")
-        rc = main(["run", "--env", str(env), "--protocol", str(proto),
-                   "--data", str(data), "--out", str(tmp_path / "runs"),
-                   "--mode", "fusion"])
-        assert rc == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--env", str(env), "--protocol", str(proto),
+                  "--data", str(data), "--out", str(tmp_path / "runs"),
+                  "--mode", "fusion"])
+        assert exc.value.code == 2
 
     def test_obs_file_without_rows_acts_as_no_log(self, generated, tmp_path):
         env, data = generated
@@ -155,8 +154,6 @@ class TestRun:
         base = ["run", "--env", str(env), "--protocol", str(proto),
                 "--data", str(data)]
         assert main(base + ["--out", str(tmp_path / "active")]) == 0
-        assert main(base + ["--out", str(tmp_path / "fusion"),
-                            "--mode", "fusion"]) == 2
 
     def test_strict_budget_flag(self, generated, tmp_path):
         env, data = generated
@@ -195,8 +192,7 @@ class TestProtocolConfigFromJson:
 
     def test_every_set_key_is_used(self):
         doc = {"budget": 9, "max_batch": 3, "f_min": 0.1,
-               "f_max": 0.7, "strategy": "random", "mode": "fusion",
-               "estimator_lambda": 2.0,
+               "f_max": 0.7, "strategy": "random", "estimator_lambda": 2.0,
                "randomization": {"kind": "affine", "weights": [0.1], "bias": 0.4},
                "weights": {"alpha": 0.1, "beta": 0.2, "gamma": 0.3}}
         cfg = protocol_config_from_json(doc, seed=5)
@@ -205,7 +201,7 @@ class TestProtocolConfigFromJson:
             bounds=PropensityBounds(0.1, 0.7),
             randomization=AffinePolicy((0.1,), 0.4), strategy="random",
             weights=AcquisitionWeights(0.1, 0.2, 0.3),
-            estimator_lambda=2.0, mode="fusion", seed=5)
+            estimator_lambda=2.0, seed=5)
         assert protocol_config_from_json(doc, strategy="active", budget=1).strategy == "active"
 
 
@@ -215,6 +211,7 @@ class TestProtocolConfigFromJson:
         ({"budget": 5, "randomization": {"kind": "constant", "q": 0.5}}, "'q'"),
         ({"budget": 5, "ensemble": {"n_members": 4}}, "'ensemble'"),
         ({"budget": 5, "max_rounds": 4}, "'max_rounds'"),
+        ({"budget": 5, "mode": "fusion"}, "'mode'"),
     ])
     def test_unknown_keys_rejected(self, doc, key):
         with pytest.raises(ValueError, match=key):

@@ -79,6 +79,39 @@ class TestFeatureMap:
             with pytest.raises(NormBoundError, match="row 1 is not finite"):
                 fmap.apply_many([np.zeros(len(row)), row])
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(["identity", "affine-projection"]), st.integers(0, 5),
+           st.integers(1, 4), st.integers(1, 4), st.data())
+    def test_norm_bound_enforced_over_random_maps(self, kind, n, k, d, data):
+        """apply_many raises NormBoundError exactly when some row's ||phi||
+        exceeds norm_bound + 1e-12, and otherwise returns rows within it. The
+        bound is drawn freely or set to the largest row norm, its edge."""
+        def array(shape, lim):
+            size = int(np.prod(shape))
+            return np.array(data.draw(st.lists(st.floats(-lim, lim), min_size=size,
+                                               max_size=size)), dtype=float).reshape(shape)
+
+        if kind == "identity":
+            d, weight, offset = k, None, None
+            xs = array((n, k), 10.0)
+            phis = xs
+        else:
+            weight, offset = array((d, k), 3.0), array((d,), 3.0)
+            xs = array((n, k), 10.0)
+            phis = xs @ weight.T + offset
+        norms = np.linalg.norm(phis, axis=1)
+        edge = float(norms.max(initial=0.0))
+        bound = data.draw(st.one_of(st.floats(0.0, 60.0), st.just(edge)))
+        fmap = FeatureMap(kind=kind, output_dim=d, norm_bound=bound,
+                          weight=weight, offset=offset)
+        if np.any(norms > bound + 1e-12):
+            with pytest.raises(NormBoundError):
+                fmap.apply_many(xs)
+        else:
+            out = fmap.apply_many(xs)
+            np.testing.assert_array_equal(out, phis)
+            assert np.all(np.linalg.norm(out, axis=1) <= bound + 1e-12)
+
 
 class TestPropensityBounds:
     def test_pseudo_outcome_bound(self):

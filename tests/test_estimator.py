@@ -7,14 +7,12 @@ from scipy import stats
 
 from budgex.core import FeatureMap, PropensityBounds, RctStream
 from budgex.estimator import (ConfidenceParams, RidgeSolution,
-                              SingularDesignError, beta_bound,
-                              compute_alignment_weights, confidence_width,
+                              SingularDesignError, beta_bound, confidence_width,
                               default_sigma, ellipsoid_radius,
                               fit_ridge_arrays, pointwise_ci,
                               predict_cate_many, pseudo_outcome_values,
                               sandwich_from_arrays, solution_from_json,
                               solution_to_json)
-from budgex.acquisition import LogisticHead
 from budgex._rng import rng_for
 
 ONE_HOT_2 = FeatureMap(kind="segment-one-hot", output_dim=2, norm_bound=1.0)
@@ -103,93 +101,21 @@ class TestFitRidge:
 
 
 class TestFitRidgeAgainstLstsq:
-    """theta_hat solves the stacked least squares [sqrt(w) Phi; sqrt(lam) I] theta
-    = [sqrt(w) Y~; 0], with and without weights."""
+    """theta_hat solves the stacked least squares [Phi; sqrt(lam) I] theta
+    = [Y~; 0]."""
 
     @settings(max_examples=150, deadline=None)
-    @given(st.integers(0, 20), st.integers(1, 4), st.floats(0.01, 10.0),
-           st.booleans(), st.data())
-    def test_matches_the_stacked_system(self, n, d, lam, weighted, data):
+    @given(st.integers(0, 20), st.integers(1, 4), st.floats(0.01, 10.0), st.data())
+    def test_matches_the_stacked_system(self, n, d, lam, data):
         entries = st.floats(-10.0, 10.0)
         phis = np.array(data.draw(st.lists(entries, min_size=n * d, max_size=n * d)),
                         dtype=float).reshape(n, d)
         yts = np.array(data.draw(st.lists(entries, min_size=n, max_size=n)), dtype=float)
-        w = np.array(data.draw(st.lists(st.floats(0.05, 5.0), min_size=n, max_size=n))) \
-            if weighted else np.ones(n)
-        sol = fit_ridge_arrays(phis, yts, lam, weights=w if weighted else None)
-        root_w = np.sqrt(w)[:, None]
-        ref, *_ = np.linalg.lstsq(np.vstack([root_w * phis, np.sqrt(lam) * np.eye(d)]),
-                                  np.concatenate([root_w[:, 0] * yts, np.zeros(d)]),
-                                  rcond=None)
+        sol = fit_ridge_arrays(phis, yts, lam)
+        ref, *_ = np.linalg.lstsq(np.vstack([phis, np.sqrt(lam) * np.eye(d)]),
+                                  np.concatenate([yts, np.zeros(d)]), rcond=None)
         np.testing.assert_allclose(sol.theta_hat, ref, rtol=1e-6,
                                    atol=1e-9 * (1.0 + np.abs(ref).max()))
-
-
-class TestWeightedRidge:
-    def test_unit_weights_reduce_to_ridge(self):
-        recs = [rct([0.0], 1, 1.0, 0.5, 1), rct([1.0], 0, 0.5, 0.4, 2)]
-        a = fit_ridge_arrays(*design(recs, ONE_HOT_2), 0.7, weights=[1.0, 1.0])
-        b = fit_ridge_arrays(*design(recs, ONE_HOT_2), 0.7)
-        np.testing.assert_array_equal(a.theta_hat, b.theta_hat)
-
-    def test_downweighted_conflict(self):
-        # phi = e1 twice with pseudo-outcomes +2 (weight 1) and -2 (weight 0.2):
-        # theta = (2 - 0.4) / 1.2 = 4/3
-        recs = [rct([0.0], 1, 1.0, 0.5, 1), rct([0.0], 0, 1.0, 0.5, 2)]
-        sol = fit_ridge_arrays(*design(recs, ONE_HOT_1), 0.0, weights=[1.0, 0.2])
-        np.testing.assert_allclose(sol.theta_hat, [4.0 / 3.0])
-
-    def test_nonpositive_weight_rejected(self):
-        recs = [rct([0.0], 1, 1.0, 0.5, 1)]
-        with pytest.raises(ValueError):
-            fit_ridge_arrays(*design(recs, ONE_HOT_1), 1.0, weights=[0.0])
-
-    def test_weight_length_mismatch_rejected(self):
-        recs = [rct([0.0], 1, 1.0, 0.5, 1)]
-        with pytest.raises(ValueError):
-            fit_ridge_arrays(*design(recs, ONE_HOT_1), 1.0, weights=[1.0, 1.0])
-
-
-class TestAlignmentWeights:
-    def model(self, e_hat):
-        # bias chosen so the head predicts e_hat for the all-zero feature
-        logit = np.log(e_hat / (1.0 - e_hat))
-        return LogisticHead(weights=np.zeros(1), bias=logit)
-
-    def test_large_gap_is_gold(self):
-        recs = [rct([0.0], 0, 1.0, 0.5, 1)]
-        fmap = FeatureMap(kind="identity", output_dim=1, norm_bound=1.0)
-        phis = fmap.apply_many([r["x"] for r in recs])
-        (gap,), (weight,) = compute_alignment_weights(phis, [r["t"] for r in recs],
-                                                      self.model(0.9))
-        assert gap == pytest.approx(0.9)
-        assert weight == 1.0
-
-    def test_small_gap_is_silver(self):
-        recs = [rct([0.0], 1, 1.0, 0.5, 1)]
-        fmap = FeatureMap(kind="identity", output_dim=1, norm_bound=1.0)
-        phis = fmap.apply_many([r["x"] for r in recs])
-        (gap,), (weight,) = compute_alignment_weights(phis, [r["t"] for r in recs],
-                                                      self.model(0.6))
-        assert gap == pytest.approx(0.4)
-        assert weight == 0.2
-
-    def test_boundary_gap_is_silver(self):
-        """gap = 0.5 exactly: strict inequality keeps the 0.2 weight."""
-        recs = [rct([0.0], 1, 1.0, 0.5, 1)]
-        fmap = FeatureMap(kind="identity", output_dim=1, norm_bound=1.0)
-        phis = fmap.apply_many([r["x"] for r in recs])
-        (gap,), (weight,) = compute_alignment_weights(phis, [r["t"] for r in recs],
-                                                      self.model(0.5))
-        assert gap == pytest.approx(0.5)
-        assert weight == 0.2
-
-    def test_gold_weight_enters_fit(self):
-        recs = [rct([0.0], 0, 1.0, 0.5, 1)]
-        fmap = FeatureMap(kind="identity", output_dim=1, norm_bound=1.0)
-        phis = fmap.apply_many([r["x"] for r in recs])
-        _, ws = compute_alignment_weights(phis, [r["t"] for r in recs], self.model(0.9))
-        assert list(ws) == [1.0]
 
 
 class TestPredictCate:

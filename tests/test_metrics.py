@@ -1,5 +1,6 @@
 """Tests for evaluation metrics and the verification harnesses."""
 
+import json
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -8,12 +9,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
+from budgex.cli import main
 from budgex.core import FeatureMap
 from budgex.envs import HardInstance, default_hard_delta
 from budgex.metrics import (ZeroGlobalLiftError, bound_violation_audit,
                             clt_diagnostic, ks_distance_normal, pehe,
                             pehe_exact_segments, randomized_eval_set,
-                            scaling_fit, uplift_curve)
+                            uplift_curve)
 from budgex.protocol import ProtocolConfig
 from budgex._rng import rng_for
 
@@ -283,19 +285,16 @@ class TestScalingFit:
         slope, _ = np.polyfit(np.log(budgets), np.log(means), 1)
         assert slope == pytest.approx(0.0, abs=1e-12)
 
-    def test_grid_validation(self):
-        env = hard4()
-        cfg = ProtocolConfig(budget=10, strategy="random", seed=0)
-        with pytest.raises(ValueError):
-            scaling_fit(env, cfg, [100, 200, 300], replications=2)
-        with pytest.raises(ValueError):
-            scaling_fit(env, cfg, [100, 100, 200, 300], replications=2)
-
-    def test_small_scaling_run_slope_negative(self):
-        env = hard4(delta=0.25)
-        cfg = ProtocolConfig(budget=10, strategy="random",
-                             estimator_lambda=1.0, seed=0)
-        fit = scaling_fit(env, cfg, [100, 200, 400, 800], replications=10,
-                          master_seed=13)
-        assert fit.slope < -0.2
-        assert np.all(np.diff(fit.budgets) > 0)
+    def test_small_scaling_run_slope_negative(self, tmp_path):
+        """The log-log slope of a budget sweep's mean PEHE, as its summary fits it."""
+        env = tmp_path / "env.json"
+        env.write_text(json.dumps({"env": {"kind": "hard", "d": 4, "delta": 0.25,
+                                           "theta_signs": [1, -1, 1, -1]}}))
+        sweep = tmp_path / "sweep.json"
+        sweep.write_text(json.dumps({
+            "env": str(env), "budgets": [100, 200, 400, 800], "strategies": ["random"],
+            "replications": 10, "protocol": {"estimator_lambda": 1.0}}))
+        assert main(["sweep", "--sweep", str(sweep), "--out", str(tmp_path / "out"),
+                     "--seed", "13"]) == 0
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["slopes"]["random"]["slope"] < -0.2

@@ -3,7 +3,6 @@
 import csv
 import os
 import tempfile
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -297,10 +296,9 @@ class TestObservationalLog:
         return sum(xs.shape == obs.xs.shape and np.array_equal(xs, obs.xs)
                    for xs in seen)
 
-    def test_active_fusion_run_maps_the_log_once(self, monkeypatch):
+    def test_active_run_maps_the_log_once(self, monkeypatch):
         _, _, obs = weak_overlap_world(41)
-        cfg = ProtocolConfig(budget=40, max_batch=20, strategy="active",
-                             mode="fusion", seed=42)
+        cfg = ProtocolConfig(budget=40, max_batch=20, strategy="active", seed=42)
         assert self.log_maps(monkeypatch, cfg, obs, 41) == 1
 
     def test_random_theory_run_never_maps_the_log(self, monkeypatch):
@@ -316,8 +314,6 @@ class TestObservationalLog:
         b = run_protocol(cfg, env, pool_units=pool, obs=empty)
         assert np.array_equal(a.unit_ids, b.unit_ids)
         assert all(np.array_equal(x, y) for x, y in zip(a.scores, b.scores))
-        with pytest.raises(ValueError, match="observational log"):
-            run_protocol(replace(cfg, mode="fusion"), env, pool_units=pool, obs=empty)
 
 
 class TestFiltrationSoundness:
