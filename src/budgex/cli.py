@@ -6,6 +6,9 @@ Subcommands:
   evaluate  env.json + solution.json -> metrics.csv, summary.json
   sweep     sweep.json -> one metrics row per (budget, strategy, replication)
 
+Each command parses its inputs once: run's replications and sweep's cells (in
+workers too) get the parsed world and a base ProtocolConfig, and a sweep
+rejects bad inputs before any cell runs. Cells draw through metrics.replicate.
 All outputs but run's wall-clock timing.json are byte-deterministic given
 identical configs and master seed.
 BUDGEX_THREADS caps worker parallelism for sweeps (default 1).
@@ -31,21 +34,23 @@ from .core import known_keys, read_jsonl, write_jsonl
 from .envs import SegmentMarginal, load_env, sample_obs, sample_pool
 from .estimator import predict_cate_many, solution_to_json, solution_from_json
 from .metrics import (ZeroGlobalLiftError, pehe, pehe_exact_segments,
-                      randomized_eval_set, uplift_curve)
+                      randomized_eval_set, replicate, uplift_curve)
 from .protocol import (DEFAULT_BOUNDS, AffinePolicy, ConstantPolicy,
                        ProtocolConfig, VarianceOptimalPolicy, run_protocol)
 
 METRIC_COLUMNS = ["budget", "strategy", "replication", "seed", "pehe", "auuc",
                   "min_eig_normalized"]
 
-STRATEGY_WEIGHTS = {
-    "active-full": (0.5, 1.0, 0.7),
-    "active-v-only": (0.5, 0.0, 0.0),
-    "active-d-only": (0.0, 1.0, 0.0),
-    "active-o-only": (0.0, 0.0, 0.7),
-    "active-vd": (0.5, 1.0, 0.0),
-    "active-vo": (0.5, 0.0, 0.7),
-    "active-do": (0.0, 1.0, 0.7),
+# sweep strategy name -> the active strategy's weights, or None for random
+STRATEGIES = {
+    "random": None,
+    "active-full": AcquisitionWeights(0.5, 1.0, 0.7),
+    "active-v-only": AcquisitionWeights(0.5, 0.0, 0.0),
+    "active-d-only": AcquisitionWeights(0.0, 1.0, 0.0),
+    "active-o-only": AcquisitionWeights(0.0, 0.0, 0.7),
+    "active-vd": AcquisitionWeights(0.5, 1.0, 0.0),
+    "active-vo": AcquisitionWeights(0.5, 0.0, 0.7),
+    "active-do": AcquisitionWeights(0.0, 1.0, 0.7),
 }
 
 
@@ -76,16 +81,14 @@ def _randomization_from_json(doc):
     raise ValueError(f"unknown randomization kind {kind!r}")
 
 
-def protocol_config_from_json(doc, seed=0, strategy=None, budget=None):
+def protocol_config_from_json(doc):
     """A ProtocolConfig from protocol.json; each key it leaves out keeps its
-    dataclass default. A key it does not know is a ValueError."""
+    dataclass default (seed 0). A key it does not know is a ValueError."""
     known_keys(doc, "protocol.json", "budget", "max_batch", "strategy",
                "estimator_lambda", "f_min", "f_max", "randomization", "weights")
     given = _given(doc, "max_batch", "strategy", "estimator_lambda")
-    if strategy is not None:
-        given["strategy"] = strategy
     return ProtocolConfig(
-        budget=doc["budget"] if budget is None else budget, seed=seed,
+        budget=doc["budget"],
         bounds=replace(DEFAULT_BOUNDS, **_given(doc, "f_min", "f_max")),
         randomization=_randomization_from_json(doc.get("randomization", {})),
         weights=AcquisitionWeights(**known_keys(doc.get("weights", {}),
@@ -120,16 +123,15 @@ def cmd_generate(args):
 def cmd_run(args):
     env, policy, shift, env_doc = load_env(args.env)
     with open(args.protocol) as fh:
-        pdoc = json.load(fh)
+        base = protocol_config_from_json(json.load(fh))
     os.makedirs(args.out, exist_ok=True)
 
     pool_path = os.path.join(args.data, "pool.jsonl")
     obs_path = os.path.join(args.data, "obs.jsonl")
     pool = read_jsonl(pool_path, "pool")
     obs = read_jsonl(obs_path, "obs") if os.path.exists(obs_path) else None
-    budget = pdoc["budget"]
-    if budget > len(pool):
-        msg = f"budget {budget} exceeds pool size {len(pool)}"
+    if base.budget > len(pool):
+        msg = f"budget {base.budget} exceeds pool size {len(pool)}"
         if args.strict_budget:
             print(f"error: {msg}", file=sys.stderr)
             return 2
@@ -137,7 +139,7 @@ def cmd_run(args):
 
     for r in range(args.reps):
         seed_r = derive_seed(args.seed, r)
-        cfg = protocol_config_from_json(pdoc, seed=seed_r)
+        cfg = replace(base, seed=seed_r)
         rep_dir = os.path.join(args.out, f"rep_{r:04d}")
         os.makedirs(rep_dir, exist_ok=True)
         t0 = time.perf_counter()
@@ -197,25 +199,15 @@ def cmd_evaluate(args):
 
 def _sweep_cell(payload):
     """One (budget, strategy, replication) cell; pure function of its inputs."""
-    (env_doc_json, pdoc, budget, strategy, rep, master_seed, n_pool, n_obs) = payload
-    from .envs import env_from_json  # local import keeps workers lightweight
-
-    env, policy, shift = env_from_json(json.loads(env_doc_json))
+    (env, policy, shift, base, budget, strategy, rep, master_seed, n_pool,
+     n_obs) = payload
     seed = derive_seed(master_seed, budget,
                        zlib.crc32(strategy.encode()) & 0xFFFF, rep)
-    cfg = protocol_config_from_json(pdoc, seed=seed, budget=budget,
-                                    strategy="random" if strategy == "random" else "active")
-    if strategy != "random":
-        cfg = replace(cfg, weights=AcquisitionWeights(*STRATEGY_WEIGHTS[strategy]))
-
-    pool = sample_pool(env, n_pool, derive_seed(seed, 0x706C))
-    # only active cells read the log; sample_obs draws from its own stream
-    reads_obs = cfg.strategy == "active"
-    obs = (sample_obs(env, policy, shift, n_obs, derive_seed(seed, 0x6F62))
-           if reads_obs and policy is not None and n_obs > 0 else None)
-    if cfg.strategy == "active" and not obs:
-        raise ValueError("active sweep strategies need an obs policy and n_obs > 0")
-    result = run_protocol(cfg, env, pool_units=pool, obs=obs)
+    weights = STRATEGIES[strategy]
+    cfg = replace(base, budget=budget, seed=seed,
+                  strategy="random" if weights is None else "active",
+                  weights=base.weights if weights is None else weights)
+    result = replicate(env, policy, shift, cfg, n_pool, n_obs)
     predict = partial(predict_cate_many, result.solution, env.feature_map)
 
     if isinstance(env.marginal, SegmentMarginal):
@@ -238,10 +230,12 @@ def cmd_sweep(args):
     with open(args.sweep) as fh:
         sdoc = known_keys(json.load(fh), "sweep.json", "env", "budgets", "strategies",
                           "replications", "n_pool", "n_obs", "protocol")
-    os.makedirs(args.out, exist_ok=True)
-    with open(sdoc["env"]) as fh:
-        env_doc_json = fh.read()
+    env, policy, shift, _ = load_env(sdoc["env"])
     pdoc = sdoc.get("protocol", {})
+    per_cell = sorted({"budget", "strategy", "weights"} & set(pdoc))
+    if per_cell:
+        raise ValueError(f"sweep.json protocol must not set {per_cell}: each cell sets them")
+    base = protocol_config_from_json({**pdoc, "budget": 0})
     budgets = sdoc["budgets"]
     strategies = sdoc["strategies"]
     reps = sdoc.get("replications", 1) if args.reps is None else args.reps
@@ -250,9 +244,21 @@ def cmd_sweep(args):
         return 2
     n_pool = sdoc.get("n_pool", max(budgets) * 2)
     n_obs = sdoc.get("n_obs", 2000)
+    if not all(type(b) is int and b > 0 for b in budgets):
+        raise ValueError(f"sweep budgets must be positive integers, got {budgets}")
+    if reps < 1:
+        raise ValueError(f"sweep replications must be >= 1, got {reps}")
+    if n_pool < 1:
+        raise ValueError(f"sweep n_pool must be >= 1, got {n_pool}")
+    unknown = [s for s in strategies if s not in STRATEGIES]
+    if unknown:
+        raise ValueError(f"unknown sweep strategies {unknown}; known: {list(STRATEGIES)}")
+    if (policy is None or n_obs < 1) and any(STRATEGIES[s] is not None for s in strategies):
+        raise ValueError("active sweep strategies need an obs policy and n_obs > 0")
+    os.makedirs(args.out, exist_ok=True)
 
     payloads = [
-        (env_doc_json, pdoc, int(b), s, r, args.seed, n_pool, n_obs)
+        (env, policy, shift, base, b, s, r, args.seed, n_pool, n_obs)
         for b in budgets for s in strategies for r in range(reps)
     ]
     workers = int(os.environ.get("BUDGEX_THREADS", "1"))

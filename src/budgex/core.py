@@ -42,6 +42,8 @@ class FeatureMap:
             raise ValueError(f"unknown feature map kind {self.kind!r}")
         if self.output_dim < 1:
             raise ValueError("output_dim must be positive")
+        if not 0.0 <= self.norm_bound < np.inf:  # NaN fails too
+            raise ValueError(f"norm_bound must be finite and >= 0, got {self.norm_bound}")
         if self.kind == "affine-projection":
             W = np.asarray(self.weight, dtype=float)
             b = np.zeros(self.output_dim) if self.offset is None else np.asarray(self.offset, dtype=float)

@@ -3,6 +3,9 @@
 PEHE against ground truth, normalized AUUC on randomized held-out data,
 deviation-bound coverage audits and martingale-CLT normality diagnostics.
 The log-log budget scaling slope is fitted by `budgex sweep`'s summary.
+`replicate` is the one place a replication is drawn (pool at derive_seed(seed,
+0x706C), log at derive_seed(seed, 0x6F62) for active runs only): sweep cells
+call it at their cell seed, the audits at derive_seed(master_seed, 0x726570, r).
 """
 
 import math
@@ -11,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._rng import derive_seed, rng_for
-from .envs import sample_pool
+from .envs import sample_obs, sample_pool
 from .estimator import (ConfidenceParams, beta_bound, default_sigma,
                         ellipsoid_radius, sandwich_from_arrays)
 from .protocol import run_protocol
@@ -90,17 +93,25 @@ def randomized_eval_set(env, n, seed, p=0.5):
 # Replication harnesses
 
 
-def _replicate(env, config, n_pool, r, master_seed):
-    """One seeded protocol replication on a fresh pool."""
-    seed_r = derive_seed(master_seed, 0x726570, r)
-    pool = sample_pool(env, n_pool, seed_r)
-    result = run_protocol(replace(config, seed=seed_r), env, pool_units=pool)
-    return result, pool.xs
+def replicate(env, policy, shift, config, n_pool, n_obs):
+    """One protocol run on a fresh pool, seeded by config.seed; the log is
+    drawn only for an active config with a policy and n_obs > 0."""
+    pool = sample_pool(env, n_pool, derive_seed(config.seed, 0x706C))
+    obs = (sample_obs(env, policy, shift, n_obs, derive_seed(config.seed, 0x6F62))
+           if config.strategy == "active" and policy is not None and n_obs > 0
+           else None)
+    return run_protocol(config, env, pool_units=pool, obs=obs)
 
 
-def _check_replications(replications):
+def _audit_runs(env, config, n_pool, replications, master_seed):
+    """The audits' replications, lazily: replication r runs without a log at
+    seed derive_seed(master_seed, 0x726570, r)."""
     if replications < 1:
         raise ValueError(f"need at least 1 replication, got {replications}")
+    return (replicate(env, None, None,
+                      replace(config, seed=derive_seed(master_seed, 0x726570, r)),
+                      n_pool, 0)
+            for r in range(replications))
 
 
 @dataclass(frozen=True)
@@ -118,28 +129,24 @@ class BoundCheckResult:
         return self.violations / self.replications
 
 
-def bound_violation_audit(env, config, n_pool, replications, delta,
-                          sigma=None, norm_budget=None, master_seed=0):
-    """Count replications where ||theta_hat - theta*||_V exceeds the width.
+def bound_violation_audit(env, config, n_pool, replications, delta, master_seed=0):
+    """Count replications where ||theta_hat - theta*||_V exceeds the width
+    beta, with sigma = default_sigma(config.bounds) and S = env.S.
 
     Also records, per replication, the measured PEHE over the pool and the
     bound beta * sqrt(mean pool leverage) for the PEHE-bound check.
     """
-    _check_replications(replications)
+    runs = _audit_runs(env, config, n_pool, replications, master_seed)
     if not (0.0 < delta < 1.0):
         raise ValueError("delta must lie in (0, 1)")
     if config.estimator_lambda <= 0:
         raise ValueError("the coverage audit requires lambda > 0")
-    if sigma is None:
-        sigma = default_sigma(config.bounds)
-    S = env.S if norm_budget is None else norm_budget
-    params = ConfidenceParams(sigma=sigma, S=S, delta=delta)
+    params = ConfidenceParams(sigma=default_sigma(config.bounds), S=env.S, delta=delta)
     radii = np.empty(replications)
     betas = np.empty(replications)
     pehes = np.empty(replications)
     pbounds = np.empty(replications)
-    for r in range(replications):
-        result, _ = _replicate(env, config, n_pool, r, master_seed)
+    for r, result in enumerate(runs):
         sol, pool_phis = result.solution, result.pool_phis
         radii[r] = ellipsoid_radius(sol, env.theta_star)
         betas[r] = beta_bound(params, sol)
@@ -163,14 +170,13 @@ class NormalityDiagnostic:
 
 def clt_diagnostic(env, config, n_pool, replications, x, master_seed=0):
     """Standardized errors sqrt(B)(tau_hat - tau)/se across replications."""
-    _check_replications(replications)
+    runs = _audit_runs(env, config, n_pool, replications, master_seed)
     phi = env.feature_map(np.atleast_1d(np.asarray(x, dtype=float)))
     if np.allclose(phi, 0.0):
         raise ValueError("phi(x) = 0: asymptotic variance degenerates")
     tau_x = env.true_cate(x)
     zs = np.empty(replications)
-    for r in range(replications):
-        result, _ = _replicate(env, config, n_pool, r, master_seed)
+    for r, result in enumerate(runs):
         sw = sandwich_from_arrays(result.phis, result.yts, result.solution)
         se2 = float(phi @ sw.avar @ phi)
         b = len(result.stream)

@@ -191,6 +191,17 @@ class TestLogisticHeadFit:
         with pytest.raises(RuntimeError, match="converge"):
             train_domain_classifier(pool, current)
 
+    @pytest.mark.xfail(strict=True, raises=RuntimeError,
+                       reason="known defect: no convergence within MAX_ITER "
+                              "at feature scale 1e4")
+    @pytest.mark.parametrize("seed", [9, 11, 23])
+    def test_converges_at_feature_scale_1e4(self, seed):
+        rng = np.random.default_rng(seed)
+        n = rng.integers(4, 12)
+        X = rng.uniform(-1e4, 1e4, (n, 4))
+        y = (rng.random(n) < 0.5)
+        acquisition._fit_logistic(X, y.astype(float), np.full(n, 1.0 / n))
+
 
 def box_threshold_world(seed, n_pool=2000, n_obs=2000):
     """The 5-d box world and a log treated iff x_0 > 0, up to a 0.02 leak."""

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -195,14 +196,13 @@ class TestProtocolConfigFromJson:
                "f_max": 0.7, "strategy": "random", "estimator_lambda": 2.0,
                "randomization": {"kind": "affine", "weights": [0.1], "bias": 0.4},
                "weights": {"alpha": 0.1, "beta": 0.2, "gamma": 0.3}}
-        cfg = protocol_config_from_json(doc, seed=5)
+        cfg = replace(protocol_config_from_json(doc), seed=5)
         assert cfg == ProtocolConfig(
             budget=9, max_batch=3,
             bounds=PropensityBounds(0.1, 0.7),
             randomization=AffinePolicy((0.1,), 0.4), strategy="random",
             weights=AcquisitionWeights(0.1, 0.2, 0.3),
             estimator_lambda=2.0, seed=5)
-        assert protocol_config_from_json(doc, strategy="active", budget=1).strategy == "active"
 
 
     @pytest.mark.parametrize("doc, key", [
@@ -246,7 +246,7 @@ class TestSweep:
             json.dump({"env": str(env), "budgets": [40, 80],
                        "strategies": ["random", "active-full"],
                        "replications": 3, "n_pool": 200, "n_obs": 100,
-                       "protocol": {"budget": 0, "max_batch": 20}}, fh)
+                       "protocol": {"max_batch": 20}}, fh)
         return sweep
 
     def test_grid_cardinality_and_manifest(self, tmp_path):
@@ -277,6 +277,44 @@ class TestSweep:
                                      "strategies": ["random"], **typo}))
         with pytest.raises(ValueError, match="unknown key"):
             main(["sweep", "--sweep", str(sweep), "--out", str(tmp_path / "out")])
+
+    @pytest.mark.parametrize("change, argv, with_policy, message", [
+        ({"budgets": [20.0, 40.0, 60.0, 80.0]}, [], True, "positive integers"),
+        ({"budgets": [20.5, 40]}, [], True, "positive integers"),
+        ({"replications": 0}, [], True, "replications must be >= 1"),
+        ({}, ["--reps", "0"], True, "replications must be >= 1"),
+        ({"n_pool": 0}, [], True, "n_pool must be >= 1"),
+        ({"strategies": ["random", "active-ful"]}, [], True, "'active-ful'"),
+        ({"n_obs": 0}, [], True, "need an obs policy"),
+        ({}, [], False, "need an obs policy"),
+        ({"protocol": {"budget": 5}}, [], True, "'budget'"),
+        ({"protocol": {"strategy": "random"}}, [], True, "'strategy'"),
+        ({"protocol": {"weights": {"alpha": 1.0}}}, [], True, "'weights'"),
+    ], ids=["float-budgets", "fractional-budget", "zero-replications", "zero-reps",
+            "zero-pool", "unknown-strategy", "no-log-rows", "no-log-policy",
+            "protocol-budget", "protocol-strategy", "protocol-weights"])
+    def test_bad_inputs_fail_before_any_cell_runs(self, tmp_path, monkeypatch, change,
+                                                   argv, with_policy, message):
+        cells = []
+        monkeypatch.setattr(budgex.cli, "_sweep_cell", cells.append)
+        env = write_env(tmp_path / "env.json", with_policy=with_policy)
+        sweep = self.write_sweep(tmp_path, env)
+        sweep.write_text(json.dumps({**json.loads(sweep.read_text()), **change}))
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match=message):
+            main(["sweep", "--sweep", str(sweep), "--out", str(out)] + argv)
+        assert cells == [] and not out.exists()
+
+    @pytest.mark.parametrize("empty", ["budgets", "strategies"])
+    def test_empty_grid_is_an_error_exit(self, tmp_path, monkeypatch, capsys, empty):
+        cells = []
+        monkeypatch.setattr(budgex.cli, "_sweep_cell", cells.append)
+        sweep = self.write_sweep(tmp_path, write_env(tmp_path / "env.json"))
+        sweep.write_text(json.dumps({**json.loads(sweep.read_text()), empty: []}))
+        out = tmp_path / "out"
+        assert main(["sweep", "--sweep", str(sweep), "--out", str(out)]) == 2
+        assert "error: sweep needs nonempty budgets and strategies" in capsys.readouterr().err
+        assert cells == [] and not out.exists()
 
     def test_parallel_matches_serial_bytes(self, tmp_path, monkeypatch):
         env = write_env(tmp_path / "env.json")

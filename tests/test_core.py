@@ -54,6 +54,13 @@ class TestFeatureMap:
         with pytest.raises(ValueError):
             FeatureMap(kind="fourier", output_dim=2, norm_bound=1.0)
 
+    @pytest.mark.parametrize("bound", [-1.0, -1e-12, np.nan, np.inf, -np.inf])
+    def test_invalid_norm_bound_rejected_at_construction(self, bound):
+        """A bad bound fails where it is declared, not at the first mapped
+        row; an infinite one would disable the check."""
+        with pytest.raises(ValueError, match="norm_bound"):
+            FeatureMap(kind="identity", output_dim=2, norm_bound=bound)
+
     @pytest.mark.parametrize("fmap", [
         FeatureMap(kind="identity", output_dim=2, norm_bound=2.0),
         FeatureMap(kind="affine-projection", output_dim=2, norm_bound=2.0,

@@ -1,5 +1,7 @@
 """Tests for the synthetic two-source world generators."""
 
+import pickle
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -315,3 +317,45 @@ class TestEnvJson:
         doc["env"]["marginal"]["kind"] = "boxes"
         with pytest.raises(EnvSpecError, match="boxes"):
             env_from_json(doc)
+
+
+def parsed_worlds():
+    """Parsed (env, policy, shift) worlds of every feature map and marginal kind."""
+    def linear(fmap, marginal, d_x):
+        env = LinearEnv(theta_star=(0.2, -0.1), feature_map=fmap, norm_budget=1.0,
+                        marginal=marginal, baseline_weights=(0.05, -0.05))
+        return env_to_json(env, obs_policy=LogisticPolicy((1.0, -0.5), 2.0),
+                           obs_shift=MarginalShift("tilt", (1.0,) * d_x, 0.5))
+
+    box = BoxMarginal((-1.0, -1.0, 0.0), (1.0, 1.0, 0.5))
+    affine = FeatureMap(kind="affine-projection", output_dim=2, norm_bound=3.0,
+                        weight=[[0.5, 0.2, -0.3], [0.1, -0.4, 0.6]], offset=[0.1, 0.0])
+    docs = {
+        "identity-box": linear(FeatureMap(kind="identity", output_dim=2, norm_bound=2.0),
+                               BoxMarginal((-1.0, -1.0), (1.0, 1.0)), 2),
+        "affine-box": linear(affine, box, 3),
+        "segment-points": linear(FeatureMap(kind="identity", output_dim=2, norm_bound=2.0),
+                                 SegmentMarginal((0.3, 0.7), ((-1.0, 0.5), (0.8, -0.2))), 2),
+        "hard": env_to_json(HardInstance(d=3, delta=0.2, theta_signs=(1, -1, 1)),
+                            obs_policy=ThresholdPolicy((1.0, 0.0, 0.0), 0.5, 0.02),
+                            obs_shift=MarginalShift("tilt", (1.0, -1.0, 0.0), 0.7)),
+    }
+    return {name: env_from_json(doc) for name, doc in docs.items()}
+
+
+@pytest.mark.parametrize("name", sorted(parsed_worlds()))
+def test_parsed_world_survives_a_process_boundary(name):
+    """Sweep workers get the parsed world by pickle: the copy maps and draws
+    bit for bit as the original does."""
+    world = parsed_worlds()[name]
+    env, policy, shift = world
+    copy_env, copy_policy, copy_shift = pickle.loads(pickle.dumps(world))
+    assert (copy_policy, copy_shift) == (policy, shift)
+    rng = rng_for(5)
+    xs = env.sample_x(200, rng)
+    ts = (rng.random(200) < 0.5).astype(int)
+    u = rng.random(200)
+    phis = env.feature_map.apply_many(xs)
+    assert copy_env.feature_map.apply_many(xs).tobytes() == phis.tobytes()
+    assert copy_env.draw_outcomes(xs, ts, u).tobytes() == env.draw_outcomes(xs, ts, u).tobytes()
+    assert copy_policy.propensity(phis).tobytes() == policy.propensity(phis).tobytes()

@@ -1,7 +1,10 @@
 """Tests for evaluation metrics and the verification harnesses."""
 
 import json
+import zlib
+from dataclasses import replace
 from fractions import Fraction
+from functools import partial
 from itertools import permutations, product
 
 import numpy as np
@@ -9,15 +12,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
+from budgex import cli, metrics
 from budgex.cli import main
 from budgex.core import FeatureMap
-from budgex.envs import HardInstance, default_hard_delta
+from budgex.envs import HardInstance, default_hard_delta, env_from_json, sample_obs
+from budgex.estimator import predict_cate_many
 from budgex.metrics import (ZeroGlobalLiftError, bound_violation_audit,
                             clt_diagnostic, ks_distance_normal, pehe,
                             pehe_exact_segments, randomized_eval_set,
                             uplift_curve)
 from budgex.protocol import ProtocolConfig
-from budgex._rng import rng_for
+from budgex._rng import derive_seed, rng_for
 
 
 def hard4(delta=0.2):
@@ -232,6 +237,61 @@ def test_zero_replications_rejected(audit):
     cfg = ProtocolConfig(budget=50, strategy="random", seed=0)
     with pytest.raises(ValueError, match="replication"):
         audit(hard4(), cfg)
+
+
+class TestReplicate:
+    """Sweep cells and both audits draw every replication through replicate."""
+
+    def world(self):
+        return env_from_json({
+            "env": {"kind": "hard", "d": 4, "delta": 0.2, "theta_signs": [1, -1, 1, -1]},
+            "obs_policy": {"kind": "logistic", "weights": [0.8, -0.8, 0.8, -0.8],
+                           "sharpness": 2.0}})
+
+    def test_audits_draw_once_per_replication_at_the_run_seeds(self, monkeypatch):
+        seeds, draw = [], metrics.replicate
+        monkeypatch.setattr(metrics, "replicate",
+                            lambda *args: seeds.append(args[3].seed) or draw(*args))
+        cfg = ProtocolConfig(budget=40, strategy="random")
+        bound_violation_audit(hard4(), cfg, 60, 3, delta=0.1, master_seed=5)
+        assert seeds == [derive_seed(5, 0x726570, r) for r in range(3)]
+        seeds.clear()
+        clt_diagnostic(hard4(), cfg, 60, 4, x=[0.0], master_seed=5)
+        assert seeds == [derive_seed(5, 0x726570, r) for r in range(4)]
+
+    def test_log_is_drawn_only_for_an_active_run(self, monkeypatch):
+        env, policy, shift = self.world()
+        drawn = []
+        monkeypatch.setattr(metrics, "sample_obs",
+                            lambda *args: drawn.append(args) or sample_obs(*args))
+        for strategy, pol, n_obs in [("random", policy, 50), ("active", policy, 0),
+                                     ("active", None, 50)]:
+            cfg = ProtocolConfig(budget=10, max_batch=5, strategy=strategy)
+            metrics.replicate(env, pol, shift, cfg, 30, n_obs)
+        assert drawn == []
+        metrics.replicate(env, policy, shift, ProtocolConfig(budget=10, seed=4), 30, 50)
+        assert drawn == [(env, policy, shift, 50, derive_seed(4, 0x6F62))]
+
+    def test_sweep_cell_row_is_recomputed_from_replicate(self, monkeypatch):
+        world = self.world()
+        env = world[0]
+        base = ProtocolConfig(budget=0, max_batch=10)
+        configs = []
+        monkeypatch.setattr(cli, "replicate",
+                            lambda *args: configs.append(args[3]) or metrics.replicate(*args))
+        row = cli._sweep_cell((*world, base, 30, "active-full", 1, 7, 80, 60))
+
+        seed = derive_seed(7, 30, zlib.crc32(b"active-full") & 0xFFFF, 1)
+        cfg = replace(base, budget=30, seed=seed, weights=cli.STRATEGIES["active-full"])
+        assert configs == [cfg]
+        result = metrics.replicate(*world, cfg, 80, 60)
+        predict = partial(predict_cate_many, result.solution, env.feature_map)
+        xs, ts, ys = randomized_eval_set(env, 4000, derive_seed(7, 30, 1))
+        v0 = result.solution.V - result.solution.lam * np.eye(4)
+        assert row == [30, "active-full", 1, seed,
+                       repr(pehe_exact_segments(predict, env)),
+                       repr(uplift_curve(predict(xs), ts, ys).auuc_normalized),
+                       repr(float(np.linalg.eigvalsh(v0).min() / 30))]
 
 
 class TestCltDiagnostic:
