@@ -11,7 +11,8 @@ resamples of RESAMPLE_FRACTION of the labeled rows drawn from the stream of
 d and o come from logistic heads fitted by ridge-penalized IRLS (ESL 4.4):
 Newton steps from zero on the weighted mean cross-entropy + (RIDGE / 2) ||w||^2
 (bias free), halved while they raise it, until no step component exceeds
-TOLERANCE, or RuntimeError at MAX_ITER.
+TOLERANCE or the step promises a drop below float64's resolution of the loss,
+or RuntimeError at MAX_ITER.
 """
 
 from dataclasses import dataclass
@@ -55,7 +56,9 @@ def _fit_logistic(phis, labels, sw):
         grad = design @ (sw * (s - labels)) + penalty * theta
         hess = (design * (sw * s * (1.0 - s))) @ design.T + np.diag(penalty)
         step = np.linalg.solve(hess, grad)
-        if np.max(np.abs(step)) < TOLERANCE:
+        # grad @ step, the squared Newton decrement, is twice the drop the step
+        # promises; below float64's resolution of the loss no step can help
+        if np.max(np.abs(step)) < TOLERANCE or grad @ step <= 1e-15 * current:
             theta -= step
             return theta[:-1], float(theta[-1])
         while (trial := logits_and_loss(theta - step))[1] > current * (1.0 + 1e-12):

@@ -124,6 +124,8 @@ def cmd_run(args):
     env, policy, shift, env_doc = load_env(args.env)
     with open(args.protocol) as fh:
         base = protocol_config_from_json(json.load(fh))
+    if args.reps < 1:
+        raise ValueError(f"run replications must be >= 1, got {args.reps}")
     os.makedirs(args.out, exist_ok=True)
 
     pool_path = os.path.join(args.data, "pool.jsonl")
@@ -131,11 +133,8 @@ def cmd_run(args):
     pool = read_jsonl(pool_path, "pool")
     obs = read_jsonl(obs_path, "obs") if os.path.exists(obs_path) else None
     if base.budget > len(pool):
-        msg = f"budget {base.budget} exceeds pool size {len(pool)}"
-        if args.strict_budget:
-            print(f"error: {msg}", file=sys.stderr)
-            return 2
-        print(f"warning: {msg}; pool will be exhausted", file=sys.stderr)
+        print(f"warning: budget {base.budget} exceeds pool size {len(pool)}; "
+              "pool will be exhausted", file=sys.stderr)
 
     for r in range(args.reps):
         seed_r = derive_seed(args.seed, r)
@@ -319,7 +318,6 @@ def main(argv=None):
     r.add_argument("--out", required=True)
     r.add_argument("--reps", type=int, default=1)
     r.add_argument("--seed", type=int, default=0)
-    r.add_argument("--strict-budget", action="store_true")
     r.set_defaults(func=cmd_run)
 
     e = sub.add_parser("evaluate", help="evaluate a fitted solution")

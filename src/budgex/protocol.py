@@ -1,15 +1,18 @@
 """Round-based budgeted experimentation loop.
 
-Each round sizes a batch m_k = min(M, remaining budget), selects candidates
-(acquisition score or uniform at random), randomizes treatment with a clipped
-assignment policy, draws outcomes from the environment, and appends the new
-quadruples to the chronological stream. Treatment and outcome draws use
-dedicated per-unit streams keyed by (seed, unit id, purpose), so selection
-order can never alter an individual unit's assignment.
+A run is a batch schedule fixed before round 1: n = min(budget, pool size)
+queries in rounds of m_k = min(M, n - queried so far), i.e. [M, ..., M, r].
+Round k selects m_k unqueried pool positions (acquisition score or uniform at
+random), randomizes treatment with a clipped assignment policy, draws outcomes
+from the environment, and appends the positions, draws and pseudo-outcomes to
+the chronological stream. Treatment and outcome draws use dedicated per-unit
+streams keyed by (seed, unit id, purpose), so selection order can never alter
+an individual unit's assignment.
 """
 
 import os
 from dataclasses import dataclass
+from operator import index
 
 import numpy as np
 
@@ -78,40 +81,33 @@ class ProtocolConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.budget < 0:
+        if index(self.budget) < 0:
             raise ValueError("budget must be nonnegative")
-        if self.max_batch < 1:
+        if index(self.max_batch) < 1:
             raise ValueError("max_batch must be >= 1")
+        if not 0.0 <= self.estimator_lambda < np.inf:
+            raise ValueError(f"estimator_lambda {self.estimator_lambda!r} is not in [0, inf)")
         if self.strategy not in ("active", "random"):
             raise ValueError(f"unknown strategy {self.strategy!r}")
 
 
 @dataclass
 class RoundState:
-    """The randomized stream so far, in arrays preallocated to the budget.
+    """The randomized stream so far, in arrays preallocated to the run's
+    min(budget, pool size) queries.
 
-    Rows [0, n_records) are filled; unqueried is a mask over pool positions.
+    Rows [0, n) are filled: rows holds the pool position of each stream row, in
+    selection order, beside its draws (ts, ys, ps) and pseudo-outcome Y~ (yts);
+    unqueried is a mask over pool positions.
     """
 
-    k: int
-    n_records: int
-    ids: np.ndarray
-    xs: np.ndarray
-    phis: np.ndarray
+    n: int
+    rows: np.ndarray
     ts: np.ndarray
     ys: np.ndarray
     ps: np.ndarray
+    yts: np.ndarray
     unqueried: np.ndarray
-
-    @staticmethod
-    def empty(capacity, pool, dim):
-        return RoundState(k=0, n_records=0,
-                          ids=np.empty(capacity, dtype=np.int64),
-                          xs=np.empty((capacity, pool.xs.shape[1])),
-                          phis=np.empty((capacity, dim)),
-                          ts=np.empty(capacity, dtype=int),
-                          ys=np.empty(capacity), ps=np.empty(capacity),
-                          unqueried=np.ones(len(pool), dtype=bool))
 
 
 @dataclass(frozen=True)
@@ -137,66 +133,63 @@ def _assign_and_observe(env, config, ids, xs, phis):
     return ts, ys, ps
 
 
-def run_round(state, config, env, pool, pool_phis, context):
-    """Execute one selection/experimentation round, mutating state."""
-    remaining = config.budget - state.n_records
-    if remaining <= 0:
-        return state, None
+def run_round(state, k, m_k, config, env, pool, pool_phis, context):
+    """Round k (from 0): choose m_k unqueried pool positions, randomize and
+    observe them into the next m_k rows of state. Returns the round's score
+    table, or None for the random strategy."""
     candidates = np.flatnonzero(state.unqueried)
-    if len(candidates) == 0:
-        return state, None
-    m_k = min(config.max_batch, remaining, len(candidates))
-
     scores = None
     if config.strategy == "random":
-        rng = rng_for(config.seed, 0x73656C, state.k)
+        rng = rng_for(config.seed, 0x73656C, k)
         chosen = np.sort(rng.choice(candidates, size=m_k, replace=False))
     else:
-        scores = context.score_round(state, pool.ids[candidates],
+        scores = context.score_round(state, k, pool.ids[candidates],
                                      pool_phis[candidates])
         chosen = candidates[select_top_m(scores, m_k)]
 
-    ids, xs, phis = pool.ids[chosen], pool.xs[chosen], pool_phis[chosen]
-    batch = slice(state.n_records, state.n_records + m_k)
-    state.ids[batch] = ids
-    state.xs[batch] = xs
-    state.phis[batch] = phis
-    state.ts[batch], state.ys[batch], state.ps[batch] = \
-        _assign_and_observe(env, config, ids, xs, phis)
-    state.n_records += m_k
+    batch = slice(state.n, state.n + m_k)
+    state.rows[batch] = chosen
+    # take gathers rows of a 2-d array several times faster than fancy indexing
+    ts, ys, ps = _assign_and_observe(env, config, pool.ids[chosen],
+                                     pool.xs.take(chosen, axis=0),
+                                     pool_phis.take(chosen, axis=0))
+    state.ts[batch], state.ys[batch], state.ps[batch] = ts, ys, ps
+    state.yts[batch] = pseudo_outcome_values(ts, ys, ps)
     state.unqueried[chosen] = False
-    state.k += 1
-    return state, scores
+    state.n += m_k
+    return scores
 
 
 @dataclass(frozen=True)
 class _ActiveContext:
-    """The log's phi rows and e_obs head, plus per-round scoring for the active strategy."""
+    """The pool's and the log's phi rows and the e_obs head, plus per-round
+    scoring for the active strategy."""
 
     config: ProtocolConfig
+    pool_phis: np.ndarray
     obs_phis: np.ndarray
     propensity: object
 
-    def score_round(self, state, ids, cand_phis):
-        """Score table over the unqueried units (ids, phi rows), from the stream so far."""
-        n = state.n_records
-        labeled_yts = pseudo_outcome_values(state.ts[:n], state.ys[:n], state.ps[:n])
-        cfg = self.config
-        return score_pool(ids, cand_phis, state.phis[:n], labeled_yts, self.obs_phis,
-                          self.propensity, cfg.weights, cfg.estimator_lambda,
-                          cfg.seed, state.k)
+    def score_round(self, state, k, ids, cand_phis):
+        """Round k's score table over the unqueried units (ids, phi rows), from
+        the stream so far."""
+        n, cfg = state.n, self.config
+        return score_pool(ids, cand_phis, self.pool_phis.take(state.rows[:n], axis=0),
+                          state.yts[:n], self.obs_phis, self.propensity, cfg.weights,
+                          cfg.estimator_lambda, cfg.seed, k)
 
 
 def run_protocol(config, env, pool_units, obs=None, out_dir=None):
     """Run the budget loop on a Pool end to end and fit the final estimator.
 
-    Selection works in positions of pool_units; the per-unit random draws,
-    the score dumps and the result's unit_ids carry the pool's unit ids. The
-    loop fills budget-sized arrays in place; the result holds them as one
+    The schedule is fixed before round 1: n = min(budget, pool size) queries in
+    batch_sizes [M, ..., M, r] (M = max_batch), so a budget above the pool size
+    exhausts it. The stream is kept as pool positions plus draws and Y~; its xs,
+    phis and unit ids are gathered from the pool once at the end, into one
     read-only RctStream (seq 1..n) and one frozen RidgeSolution fitted with
-    config.estimator_lambda. The pool itself is never modified. Its phi rows
-    (the result's pool_phis) are mapped once for scoring, assignment and the
-    final fit: one phi per unit per run.
+    config.estimator_lambda. Per-unit draws, score dumps and unit_ids carry the
+    pool's unit ids. The pool is never modified, and its phi rows (the result's
+    pool_phis) are mapped once per run.
     obs is an ObsLog (None or no rows: no log). Only the active strategy
     reads it: it maps the log and fits e_obs once, for scoring. The final fit
     is the ridge on the stream's IPW pseudo-outcomes, whatever the strategy.
@@ -204,39 +197,35 @@ def run_protocol(config, env, pool_units, obs=None, out_dir=None):
     pool = pool_units
     fmap = env.feature_map
     pool_phis = fmap.apply_many(pool.xs)
-    state = RoundState.empty(min(config.budget, len(pool)), pool, fmap.output_dim)
+    n, m = min(config.budget, len(pool)), config.max_batch
+    batch_sizes = [min(m, n - s) for s in range(0, n, m)]
+    state = RoundState(n=0, rows=np.empty(n, dtype=np.intp), ts=np.empty(n, dtype=int),
+                       ys=np.empty(n), ps=np.empty(n), yts=np.empty(n),
+                       unqueried=np.ones(len(pool), dtype=bool))
     context = None
     if config.strategy == "active":
         obs_phis, propensity = np.zeros((0, fmap.output_dim)), None
         if obs:
             obs_phis = fmap.apply_many(obs.xs)
             propensity = fit_propensity(obs, obs_phis)
-        context = _ActiveContext(config, obs_phis, propensity)
+        context = _ActiveContext(config, pool_phis, obs_phis, propensity)
 
     all_scores = []
-    batch_sizes = []
-    while state.n_records < config.budget:
-        before = state.n_records
-        state, scores = run_round(state, config, env, pool, pool_phis, context)
-        gained = state.n_records - before
-        if gained == 0:
-            break  # pool exhausted
-        batch_sizes.append(gained)
+    for k, m_k in enumerate(batch_sizes):
+        scores = run_round(state, k, m_k, config, env, pool, pool_phis, context)
         if scores is not None:
             all_scores.append(scores)
             if out_dir is not None:
-                _dump_scores(out_dir, len(batch_sizes), scores,
-                             state.ids[before:state.n_records])
+                batch = state.rows[state.n - m_k:state.n]
+                _dump_scores(out_dir, k + 1, scores, pool.ids[batch])
 
-    n = state.n_records
-    stream = RctStream(xs=state.xs[:n], ts=state.ts[:n], ys=state.ys[:n],
-                       ps=state.ps[:n], seq=np.arange(1, n + 1))
-    phis = state.phis[:n]
-    yts = pseudo_outcome_values(stream.ts, stream.ys, stream.ps)
-    solution = fit_ridge_arrays(phis, yts, config.estimator_lambda)
-
-    return ProtocolResult(solution=solution, stream=stream, phis=phis, yts=yts,
-                          unit_ids=state.ids[:n], scores=all_scores,
+    rows = state.rows
+    stream = RctStream(xs=pool.xs.take(rows, axis=0), ts=state.ts, ys=state.ys,
+                       ps=state.ps, seq=np.arange(1, n + 1))
+    phis = pool_phis.take(rows, axis=0)
+    solution = fit_ridge_arrays(phis, state.yts, config.estimator_lambda)
+    return ProtocolResult(solution=solution, stream=stream, phis=phis, yts=state.yts,
+                          unit_ids=pool.ids[rows], scores=all_scores,
                           batch_sizes=batch_sizes, pool_phis=pool_phis)
 
 

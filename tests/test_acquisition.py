@@ -191,9 +191,6 @@ class TestLogisticHeadFit:
         with pytest.raises(RuntimeError, match="converge"):
             train_domain_classifier(pool, current)
 
-    @pytest.mark.xfail(strict=True, raises=RuntimeError,
-                       reason="known defect: no convergence within MAX_ITER "
-                              "at feature scale 1e4")
     @pytest.mark.parametrize("seed", [9, 11, 23])
     def test_converges_at_feature_scale_1e4(self, seed):
         rng = np.random.default_rng(seed)

@@ -157,17 +157,47 @@ class TestRun:
         assert main(base + ["--out", str(tmp_path / "active")]) == 0
 
     def test_strict_budget_flag(self, generated, tmp_path):
+        """--strict-budget is gone; a budget above the pool size exhausts it."""
         env, data = generated
         proto = write_protocol(tmp_path / "protocol.json", budget=500,
                                strategy="random")
         base = ["run", "--env", str(env), "--protocol", str(proto),
                 "--data", str(data)]
-        assert main(base + ["--out", str(tmp_path / "r1"),
-                            "--strict-budget"]) == 2
+        with pytest.raises(SystemExit) as exc:
+            main(base + ["--out", str(tmp_path / "r1"), "--strict-budget"])
+        assert exc.value.code == 2
+        assert not (tmp_path / "r1").exists()
         assert main(base + ["--out", str(tmp_path / "r2")]) == 0
         summary = json.loads(
             (tmp_path / "r2" / "rep_0000" / "run_summary.json").read_text())
         assert summary["budget_used"] == 150  # pool exhausted
+
+    @pytest.mark.parametrize("reps", ["0", "-3"])
+    def test_reps_below_one_rejected_before_any_output(self, generated, tmp_path, reps):
+        env, data = generated
+        proto = write_protocol(tmp_path / "protocol.json")
+        with pytest.raises(ValueError, match="replications"):
+            main(["run", "--env", str(env), "--protocol", str(proto),
+                  "--data", str(data), "--out", str(tmp_path / "runs"),
+                  "--reps", reps])
+        assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("key, value, error", [
+        ("budget", 30.5, TypeError),
+        ("max_batch", 2.5, TypeError),
+        ("estimator_lambda", -1.0, ValueError),
+        ("estimator_lambda", float("nan"), ValueError),
+        ("estimator_lambda", float("inf"), ValueError),
+    ])
+    def test_bad_protocol_rejected_before_any_output(self, generated, tmp_path,
+                                                     key, value, error):
+        env, data = generated
+        proto = tmp_path / "protocol.json"
+        proto.write_text(json.dumps({"budget": 30, "max_batch": 10, key: value}))
+        with pytest.raises(error):
+            main(["run", "--env", str(env), "--protocol", str(proto),
+                  "--data", str(data), "--out", str(tmp_path / "runs")])
+        assert not (tmp_path / "runs").exists()
 
 
 class TestProtocolConfigFromJson:

@@ -91,6 +91,13 @@ class TestConfigValidation:
             ProtocolConfig(budget=10, strategy="active",
                            weights=AcquisitionWeights(0.0, 0.0, 0.0))
 
+    def test_boundary_values_accepted(self):
+        """Non-integer sizes and a lambda outside [0, inf) are rejected (TestRun
+        in test_cli); numpy integers and lambda 0 are accepted."""
+        cfg = ProtocolConfig(budget=np.int64(10), max_batch=np.int32(4),
+                             estimator_lambda=0.0)
+        assert (cfg.budget, cfg.max_batch, cfg.estimator_lambda) == (10, 4, 0.0)
+
 
 class TestRunProtocol:
     def test_non_finite_covariate_fails_loudly(self, tmp_path):
@@ -200,6 +207,21 @@ class TestRunProtocol:
         cfg = ProtocolConfig(budget=100, strategy="random", seed=19)
         result = run_protocol(cfg, env, pool_units=sample_pool(env, 25, 20))
         assert len(result.stream.ts) == 25
+
+    def test_active_run_exhausts_the_pool_on_the_schedule(self, tmp_path):
+        """A budget above the pool size queries every unit in rounds
+        [M, ..., M, r]; each round scores exactly the units still unqueried,
+        so the last table scores the r units it then takes."""
+        env, pool, obs = weak_overlap_world(19, n_pool=25)
+        cfg = ProtocolConfig(budget=100, max_batch=7, strategy="active", seed=20)
+        result = run_protocol(cfg, env, pool_units=pool, obs=obs, out_dir=tmp_path)
+        assert result.batch_sizes == [7, 7, 7, 4]
+        assert sorted(result.unit_ids.tolist()) == pool.ids.tolist()
+        assert [len(table) for table in result.scores] == [25, 18, 11, 4]
+        assert sorted(result.scores[-1]["id"].tolist()) == \
+            sorted(result.unit_ids[21:].tolist())
+        assert sorted(os.listdir(tmp_path)) == \
+            [f"scores_round_{k}.csv" for k in range(1, 5)]
 
 
 WORLD_21 = weak_overlap_world(21)
