@@ -172,6 +172,9 @@ def cmd_evaluate(args):
     env, _, _, _ = load_env(args.env)
     with open(args.solution) as fh:
         solution = solution_from_json(json.load(fh))
+    if args.n_eval < 2:
+        raise ValueError(f"evaluate needs --n-eval >= 2 (an uplift curve needs 2 units), "
+                         f"got {args.n_eval}")
     os.makedirs(args.out, exist_ok=True)
     predict = partial(predict_cate_many, solution, env.feature_map)
 

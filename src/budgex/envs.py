@@ -1,13 +1,14 @@
-"""Synthetic two-source causal worlds.
+"""Synthetic two-source causal worlds, linear in phi.
 
-Two environment families:
-  * LinearEnv  -- CATE exactly linear in phi(x), Bernoulli outcomes around an
-    affine baseline; construction refuses (theta, baseline) pairs that would
-    push a conditional mean outside [0, 1].
-  * HardInstance -- d equally likely segment types with effects +-Delta, the
-    configuration that realizes the sqrt(d/B) scaling floor.
+Every world is a LinearEnv: Bernoulli outcomes with arm means
+mu_t(phi) = m0 + <w_m, phi> +- <theta*, phi>/2, so the CATE is exactly
+<theta*, phi(x)>. Construction refuses (theta, baseline) pairs that would push
+a conditional mean outside [0, 1]. The outcome law reads phi rows: callers map
+x once and pass phi on. HardInstance is the LinearEnv of the sqrt(d/B) scaling
+floor: d equally likely segments, one-hot phi, m0 = 1/2, w_m = 0 and effects
++-Delta.
 
-Observational logs are drawn under an explicit historical policy e_obs(x)
+Observational logs are drawn under an explicit historical policy e_obs(phi)
 (logistic or near-deterministic threshold) and an optionally tilted covariate
 marginal; conditional outcome laws are shared with the pool by construction.
 """
@@ -63,7 +64,11 @@ class SegmentMarginal:
         return np.arange(len(self.probs), dtype=float)[:, None]
 
     def tilted(self, direction, strength):
-        w = np.exp(strength * np.asarray(direction, dtype=float))
+        direction = np.asarray(direction, dtype=float)
+        if direction.shape != (len(self.probs),):
+            raise EnvSpecError(f"tilt direction has shape {direction.shape}; the marginal "
+                               f"has {len(self.probs)} support points")
+        w = np.exp(strength * direction)
         p = np.asarray(self.probs) * w
         return SegmentMarginal(tuple(p / p.sum()), self.points)
 
@@ -153,48 +158,17 @@ class MarginalShift:
 
 
 class _BernoulliEnv:
-    """Common machinery: Bernoulli outcomes around arm means mu_t(x)."""
+    """Binary outcomes around a LinearEnv's arm means; a class of its own only
+    because perfbench's tracer names its draw_outcomes span after it."""
 
-    def arm_means(self, xs):
-        """(mu_1(x), mu_0(x)) per row of xs."""
-        raise NotImplementedError
-
-    def mu(self, xs, t):
-        return self.arm_means(xs)[0 if t == 1 else 1]
-
-    def true_cate_many(self, xs):
-        phis = self.feature_map.apply_many(xs)
-        return phis @ self.theta_star
-
-    def true_cate(self, x):
-        return float(self.true_cate_many(np.atleast_2d(np.asarray(x, dtype=float)))[0])
-
-    def second_moments(self, xs):
-        """(E[Y(1)^2 | x], E[Y(0)^2 | x]); equal to the means for binary Y."""
-        return self.arm_means(xs)
-
-    def sample_x(self, n, rng):
-        return self.marginal.sample(n, rng)
-
-    def draw_outcomes(self, xs, ts, uniforms):
-        """y = 1{u < mu_t(x)} -- one uniform consumed per unit."""
-        ts = np.asarray(ts)
-        m = np.where(ts == 1, *self.arm_means(xs))
+    def draw_outcomes(self, phis, ts, uniforms):
+        """y = 1{u < mu_t(phi)} per phi row -- one uniform consumed per unit."""
+        m = np.where(np.asarray(ts) == 1, *self.arm_means(phis))
         return (np.asarray(uniforms) < m).astype(float)
-
-    def _check_means(self):
-        pts = self.marginal.support_points()
-        for t in (0, 1):
-            m = self.mu(pts, t)
-            if np.any(m < -1e-12) or np.any(m > 1.0 + 1e-12):
-                raise EnvSpecError(
-                    f"conditional mean mu_{t} leaves [0, 1] (range "
-                    f"[{m.min():.4f}, {m.max():.4f}]); no clipping is permitted"
-                )
 
 
 class LinearEnv(_BernoulliEnv):
-    """tau(x) = <theta, phi(x)>, mu_t(x) = m(x) +- tau(x)/2 with affine m."""
+    """tau(x) = <theta, phi(x)>, mu_t(x) = m(x) +- tau(x)/2 with m(x) affine in phi."""
 
     def __init__(self, theta_star, feature_map, norm_budget, marginal,
                  baseline_intercept=0.5, baseline_weights=None):
@@ -209,19 +183,37 @@ class LinearEnv(_BernoulliEnv):
             raise EnvSpecError("theta dimension must match the feature map")
         if np.linalg.norm(self.theta_star) > self.S + 1e-12:
             raise EnvSpecError(f"||theta||_2 = {np.linalg.norm(self.theta_star):.4f} exceeds S = {self.S}")
-        # norm bound L is validated eagerly over the support
-        self.feature_map.apply_many(self.marginal.support_points())
         self._check_means()
 
-    def arm_means(self, xs):
-        phis = self.feature_map.apply_many(xs)
+    def arm_means(self, phis):
+        """(mu_1, mu_0) per phi row."""
         base = self.m0 + phis @ self.wm
         half = 0.5 * (phis @ self.theta_star)
         return base + half, base - half
 
+    def true_cate_many(self, xs):
+        return self.feature_map.apply_many(xs) @ self.theta_star
 
-class HardInstance(_BernoulliEnv):
-    """d segment types, phi(x^(j)) = e_j, effects theta_j = sign_j * Delta."""
+    def true_cate(self, x):
+        return float(self.true_cate_many(np.atleast_2d(np.asarray(x, dtype=float)))[0])
+
+    def sample_x(self, n, rng):
+        return self.marginal.sample(n, rng)
+
+    def _check_means(self):
+        """Maps the support once, which also validates the norm bound L there."""
+        mu1, mu0 = self.arm_means(self.feature_map.apply_many(self.marginal.support_points()))
+        for t, m in ((0, mu0), (1, mu1)):
+            if np.any(m < -1e-12) or np.any(m > 1.0 + 1e-12):
+                raise EnvSpecError(
+                    f"conditional mean mu_{t} leaves [0, 1] (range "
+                    f"[{m.min():.4f}, {m.max():.4f}]); no clipping is permitted"
+                )
+
+
+class HardInstance(LinearEnv):
+    """d equally likely segments, phi(x^(j)) = e_j, theta_j = sign_j * Delta,
+    m0 = 1/2 and w_m = 0."""
 
     def __init__(self, d, delta, theta_signs, norm_budget=None):
         if not (0.0 <= delta <= 0.5):
@@ -231,18 +223,11 @@ class HardInstance(_BernoulliEnv):
             raise EnvSpecError("theta_signs must be a length-d vector over {-1, +1}")
         self.d = d
         self.delta = float(delta)
-        self.theta_star = signs * delta
-        self.S = float(norm_budget) if norm_budget is not None else np.sqrt(d) * delta
-        if np.sqrt(d) * delta > self.S + 1e-12:
-            raise EnvSpecError("sqrt(d) * Delta must not exceed the norm budget S")
-        self.feature_map = FeatureMap(kind="segment-one-hot", output_dim=d, norm_bound=1.0)
-        self.marginal = SegmentMarginal(tuple(np.full(d, 1.0 / d)))
-        self._check_means()
-
-    def arm_means(self, xs):
-        j = np.atleast_2d(np.asarray(xs))[:, 0].astype(int)
-        half = 0.5 * self.theta_star[j]
-        return 0.5 + half, 0.5 - half
+        # LinearEnv checks ||theta||_2 = sqrt(d) * Delta against S
+        super().__init__(signs * delta,
+                         FeatureMap(kind="segment-one-hot", output_dim=d, norm_bound=1.0),
+                         np.sqrt(d) * delta if norm_budget is None else norm_budget,
+                         SegmentMarginal(tuple(np.full(d, 1.0 / d))))
 
 
 def default_hard_delta(d, budget):
@@ -272,7 +257,7 @@ def sample_obs(env, policy, shift, n_obs, seed):
     phis = env.feature_map.apply_many(xs)
     e = policy.propensity(phis)
     ts = (rng.random(n_obs) < e).astype(int)
-    ys = env.draw_outcomes(xs, ts, rng.random(n_obs))
+    ys = env.draw_outcomes(phis, ts, rng.random(n_obs))
     return ObsLog(xs=xs, ts=ts, ys=ys)
 
 
@@ -282,7 +267,7 @@ def sample_obs(env, policy, shift, n_obs, seed):
 
 def env_to_json(env, obs_policy=None, obs_shift=None, seed=0, n_obs=0, n_pool=0):
     doc = {"seed": seed, "n_obs": n_obs, "n_pool": n_pool}
-    if isinstance(env, HardInstance):
+    if isinstance(env, HardInstance):  # before LinearEnv: a HardInstance is one
         doc["env"] = {
             "kind": "hard",
             "d": env.d,
@@ -377,17 +362,24 @@ def env_from_json(doc):
         if pj["kind"] == "logistic":
             known_keys(pj, "env.json obs_policy", "kind", "weights", "sharpness")
             policy = LogisticPolicy(tuple(pj["weights"]), pj.get("sharpness", 1.0))
+            name, vector = "weights", policy.weights
         elif pj["kind"] == "threshold":
             known_keys(pj, "env.json obs_policy", "kind", "direction", "cutoff", "leak")
             policy = ThresholdPolicy(tuple(pj["direction"]), pj["cutoff"], pj.get("leak", 0.0))
+            name, vector = "direction", policy.direction
         else:
             raise EnvSpecError(f"unknown policy kind {pj['kind']!r}")
+        if np.shape(vector) != (env.feature_map.output_dim,):
+            raise EnvSpecError(f"obs_policy {name} has shape {np.shape(vector)}; phi has "
+                               f"{env.feature_map.output_dim} coordinates")
     shift = MarginalShift()
     if "obs_shift" in doc:
         sj = known_keys(doc["obs_shift"], "env.json obs_shift", "kind", "direction",
                         "strength")
         shift = MarginalShift(kind=sj["kind"], direction=tuple(sj.get("direction", ())),
                               strength=sj.get("strength", 0.0))
+        if isinstance(env.marginal, SegmentMarginal):
+            shift.apply(env.marginal)  # a bad kind or direction fails before any draw
     return env, policy, shift
 
 

@@ -85,7 +85,7 @@ def randomized_eval_set(env, n, seed, p=0.5):
     rng = rng_for(seed, 0x6576616C)
     xs = env.sample_x(n, rng)
     ts = (rng.random(n) < p).astype(int)
-    ys = env.draw_outcomes(xs, ts, rng.random(n))
+    ys = env.draw_outcomes(env.feature_map.apply_many(xs), ts, rng.random(n))
     return xs, ts, ys
 
 

@@ -48,7 +48,7 @@ def optimal_p(a, bm, bounds):
 class ConstantPolicy:
     p: float = 0.5
 
-    def raw(self, xs, phis, env):
+    def raw(self, phis, env):
         return np.full(len(phis), self.p)
 
 
@@ -57,16 +57,17 @@ class AffinePolicy:
     weights: tuple
     bias: float = 0.5
 
-    def raw(self, xs, phis, env):
+    def raw(self, phis, env):
         return self.bias + phis @ np.asarray(self.weights)
 
 
 @dataclass(frozen=True)
 class VarianceOptimalPolicy:
-    """Uses the environment's conditional second moments (oracle policy)."""
+    """Oracle policy on the env's second moments E[Y(t)^2 | phi], which for
+    binary Y are its arm means mu_t(phi)."""
 
-    def raw(self, xs, phis, env):
-        return _variance_optimal(*env.second_moments(xs))
+    def raw(self, phis, env):
+        return _variance_optimal(*env.arm_means(phis))
 
 
 @dataclass(frozen=True)
@@ -122,14 +123,14 @@ class ProtocolResult:
     pool_phis: np.ndarray  # the phi row of every pool unit, in pool order
 
 
-def _assign_and_observe(env, config, ids, xs, phis):
-    """Randomize treatments and draw outcomes for a selected batch."""
-    raw = config.randomization.raw(xs, phis, env)
+def _assign_and_observe(env, config, ids, phis):
+    """Randomize treatments and draw outcomes for a batch of unit ids and phi rows."""
+    raw = config.randomization.raw(phis, env)
     ps = clip_probability(raw, config.bounds)
     u_t = unit_uniform(config.seed, ids, TREATMENT)
     ts = (u_t < ps).astype(int)
     u_y = unit_uniform(config.seed, ids, OUTCOME)
-    ys = env.draw_outcomes(xs, ts, u_y)
+    ys = env.draw_outcomes(phis, ts, u_y)
     return ts, ys, ps
 
 
@@ -143,6 +144,9 @@ def run_round(state, k, m_k, config, env, pool, pool_phis, context):
         rng = rng_for(config.seed, 0x73656C, k)
         chosen = np.sort(rng.choice(candidates, size=m_k, replace=False))
     else:
+        # scored in unit-id order: float sums and BLAS kernels round by row
+        # position, and ranks turn those last-digit differences into picks
+        candidates = candidates[np.argsort(pool.ids[candidates], kind="stable")]
         scores = context.score_round(state, k, pool.ids[candidates],
                                      pool_phis[candidates])
         chosen = candidates[select_top_m(scores, m_k)]
@@ -151,7 +155,6 @@ def run_round(state, k, m_k, config, env, pool, pool_phis, context):
     state.rows[batch] = chosen
     # take gathers rows of a 2-d array several times faster than fancy indexing
     ts, ys, ps = _assign_and_observe(env, config, pool.ids[chosen],
-                                     pool.xs.take(chosen, axis=0),
                                      pool_phis.take(chosen, axis=0))
     state.ts[batch], state.ys[batch], state.ps[batch] = ts, ys, ps
     state.yts[batch] = pseudo_outcome_values(ts, ys, ps)

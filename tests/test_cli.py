@@ -80,6 +80,26 @@ class TestGenerate:
         with pytest.raises(ValueError, match="'sharpnes'"):
             main(["generate", "--env", str(env), "--out", str(tmp_path / "d")])
 
+    @pytest.mark.parametrize("block, key, value", [
+        ("obs_shift", "direction", [1.0]),
+        ("obs_shift", "direction", [1.0, -1.0, 1.0, -1.0, 1.0]),
+        ("obs_policy", "weights", [0.8, -0.8]),
+        ("obs_policy", "direction", [1.0, 0.0, 0.0]),
+    ])
+    def test_vector_of_wrong_length_rejected_before_any_output(self, tmp_path, block,
+                                                               key, value):
+        """A one-entry tilt on four segments used to broadcast to no tilt at
+        all, and a short policy vector to fail in a matmul after --out was made."""
+        env = write_env(tmp_path / "env.json")
+        doc = json.loads(env.read_text())
+        if key == "direction" and block == "obs_policy":
+            doc["obs_policy"] = {"kind": "threshold", "cutoff": 0.5}
+        doc[block][key] = value
+        env.write_text(json.dumps(doc))
+        with pytest.raises(EnvSpecError, match=key):
+            main(["generate", "--env", str(env), "--out", str(tmp_path / "d")])
+        assert not (tmp_path / "d").exists()
+
     def test_regeneration_is_byte_identical(self, tmp_path):
         env = write_env(tmp_path / "env.json")
         a, b = tmp_path / "a", tmp_path / "b"
@@ -267,6 +287,20 @@ class TestEvaluate:
             rows = list(csv.reader(fh))
         assert rows[0] == ["pehe", "auuc", "n_eval"]
         assert float(rows[1][0]) == pytest.approx(summary["pehe"])
+
+    @pytest.mark.parametrize("n_eval", ["0", "1"])
+    def test_n_eval_below_two_rejected_before_any_output(self, generated, tmp_path,
+                                                          n_eval):
+        env, data = generated
+        proto = write_protocol(tmp_path / "protocol.json")
+        runs = tmp_path / "runs"
+        main(["run", "--env", str(env), "--protocol", str(proto),
+              "--data", str(data), "--out", str(runs)])
+        with pytest.raises(ValueError, match="--n-eval"):
+            main(["evaluate", "--env", str(env),
+                  "--solution", str(runs / "rep_0000" / "solution.json"),
+                  "--out", str(tmp_path / "eval"), "--n-eval", n_eval])
+        assert not (tmp_path / "eval").exists()
 
 
 class TestSweep:

@@ -4,6 +4,7 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from budgex.core import FeatureMap
@@ -75,7 +76,7 @@ class TestSampleObs:
         for j in (0, 1):
             for t in (0, 1):
                 ys = obs.ys[(obs.xs[:, 0].astype(int) == j) & (obs.ts == t)]
-                mu = float(env.mu(np.array([[float(j)]]), t)[0])
+                mu = float(env.arm_means(env.feature_map.apply_many([[float(j)]]))[1 - t][0])
                 se = np.sqrt(mu * (1 - mu) / len(ys))
                 assert abs(np.mean(ys) - mu) < 3 * se
 
@@ -83,21 +84,23 @@ class TestSampleObs:
 class TestDrawOutcome:
     def test_hard_instance_means(self):
         env = hard_env(d=2, delta=0.25, signs=(1, -1))
-        x = np.array([[0.0]])
-        assert float(env.mu(x, 1)[0]) == 0.625
-        assert float(env.mu(x, 0)[0]) == 0.375
+        mu1, mu0 = env.arm_means(env.feature_map.apply_many([[0.0]]))
+        assert float(mu1[0]) == 0.625
+        assert float(mu0[0]) == 0.375
 
     def test_monte_carlo_mean(self):
         env = hard_env(d=2, delta=0.25, signs=(1, -1))
         rng = rng_for(13)
         n = 100_000
-        ys = env.draw_outcomes(np.zeros((n, 1)), np.ones(n, dtype=int),
+        ys = env.draw_outcomes(env.feature_map.apply_many(np.zeros((n, 1))),
+                               np.ones(n, dtype=int),
                                rng.random(n))
         assert abs(ys.mean() - 0.625) < 3 * np.sqrt(0.625 * 0.375 / n)
 
     def test_single_draw_is_binary(self):
         env = hard_env()
-        y = float(env.draw_outcomes(np.array([[0.0]]), [1], [rng_for(3).random()])[0])
+        y = float(env.draw_outcomes(env.feature_map.apply_many([[0.0]]), [1],
+                                    [rng_for(3).random()])[0])
         assert y in (0.0, 1.0)
 
 
@@ -140,13 +143,34 @@ class TestArmMeans:
         xs = env.sample_x(3000, rng)
         ts = (rng.random(3000) < 0.5).astype(int)
         m1, m0 = written_out_mu(env, xs, 1), written_out_mu(env, xs, 0)
-        np.testing.assert_array_equal(env.mu(xs, 1), m1)
-        np.testing.assert_array_equal(env.mu(xs, 0), m0)
+        phis = env.feature_map.apply_many(xs)
+        np.testing.assert_array_equal(env.arm_means(phis)[0], m1)
+        np.testing.assert_array_equal(env.arm_means(phis)[1], m0)
         means = np.where(ts == 1, m1, m0)
         # u == mean gives y = 0 and u one ulp below gives y = 1 exactly when
         # draw_outcomes compares against these very means
-        assert not env.draw_outcomes(xs, ts, means).any()
-        assert env.draw_outcomes(xs, ts, np.nextafter(means, 0.0)).all()
+        assert not env.draw_outcomes(phis, ts, means).any()
+        assert env.draw_outcomes(phis, ts, np.nextafter(means, 0.0)).all()
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(1, 12).flatmap(lambda d: st.lists(st.sampled_from([-1, 1]),
+                                                     min_size=d, max_size=d)),
+       st.floats(0.0, 0.5))
+def test_hard_instance_is_the_written_out_law_on_every_segment(signs, delta):
+    """Over all d one-hot rows, the hard instance's arm means are
+    0.5 +- 0.5 * theta_j bit for bit, and draw_outcomes compares u with them."""
+    env = HardInstance(d=len(signs), delta=delta, theta_signs=signs)
+    phis = env.feature_map.apply_many(env.marginal.support_points())
+    theta = np.array([s * delta for s in signs])
+    written = {1: 0.5 + 0.5 * theta, 0: 0.5 - 0.5 * theta}
+    mu1, mu0 = env.arm_means(phis)
+    assert mu1.tobytes() == written[1].tobytes()
+    assert mu0.tobytes() == written[0].tobytes()
+    for t, means in written.items():
+        ts = np.full(len(signs), t)
+        assert not env.draw_outcomes(phis, ts, means).any()
+        assert env.draw_outcomes(phis, ts, np.nextafter(means, 0.0)).all()
 
 
 class TestTrueCate:
@@ -164,8 +188,8 @@ class TestTrueCate:
     def test_cate_equals_mean_difference(self):
         env = hard_env(d=3, delta=0.2, signs=(1, -1, 1))
         xs = np.array([[0.0], [1.0], [2.0]])
-        np.testing.assert_allclose(env.mu(xs, 1) - env.mu(xs, 0),
-                                   env.true_cate_many(xs))
+        mu1, mu0 = env.arm_means(env.feature_map.apply_many(xs))
+        np.testing.assert_allclose(mu1 - mu0, env.true_cate_many(xs))
 
     def test_linear_realizability_exact(self):
         fmap = FeatureMap(kind="identity", output_dim=2, norm_bound=2.0)
@@ -215,6 +239,13 @@ class TestMarginals:
         m = SegmentMarginal((0.5, 0.5))
         t = m.tilted((1.0, 0.0), np.log(3.0))
         np.testing.assert_allclose(t.probs, (0.75, 0.25))
+
+    @pytest.mark.parametrize("direction", [(1.0,), (1.0, 0.0, -1.0, 0.0, 1.0), ((1.0,) * 4,)])
+    def test_tilt_direction_must_match_the_support(self, direction):
+        """(1.0,) on four segments used to broadcast: every segment got the same
+        weight, so the "tilted" marginal stayed uniform."""
+        with pytest.raises(EnvSpecError, match="tilt direction"):
+            SegmentMarginal((0.25,) * 4).tilted(direction, 2.0)
 
     def test_box_tilt_rejected(self):
         with pytest.raises(EnvSpecError):
@@ -357,5 +388,5 @@ def test_parsed_world_survives_a_process_boundary(name):
     u = rng.random(200)
     phis = env.feature_map.apply_many(xs)
     assert copy_env.feature_map.apply_many(xs).tobytes() == phis.tobytes()
-    assert copy_env.draw_outcomes(xs, ts, u).tobytes() == env.draw_outcomes(xs, ts, u).tobytes()
+    assert copy_env.draw_outcomes(phis, ts, u).tobytes() == env.draw_outcomes(phis, ts, u).tobytes()
     assert copy_policy.propensity(phis).tobytes() == policy.propensity(phis).tobytes()

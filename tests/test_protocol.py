@@ -6,7 +6,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
 from budgex.acquisition import (SCORE_DTYPE, AcquisitionWeights, fit_propensity,
@@ -73,8 +73,9 @@ class TestClipAndOptimalP:
     def test_policy_matches_optimal_p_bitwise(self):
         env = hard4()
         xs = env.marginal.support_points()
-        raw = VarianceOptimalPolicy().raw(xs, env.feature_map.apply_many(xs), env)
-        a, bm = env.second_moments(xs)
+        phis = env.feature_map.apply_many(xs)
+        raw = VarianceOptimalPolicy().raw(phis, env)
+        a, bm = env.arm_means(phis)
         written_out = np.sqrt(a) / (np.sqrt(a) + np.sqrt(bm))
         assert raw.tobytes() == written_out.tobytes()
         assert clip_probability(raw, BOUNDS).tobytes() == \
@@ -196,8 +197,7 @@ class TestRunProtocol:
         cfg = ProtocolConfig(budget=30, strategy="random",
                              randomization=VarianceOptimalPolicy(), seed=17)
         result = run_protocol(cfg, env, pool_units=sample_pool(env, 60, 18))
-        xs = result.stream.xs
-        a, bm = env.second_moments(xs)
+        a, bm = env.arm_means(result.phis)
         expected = clip_probability(np.sqrt(a) / (np.sqrt(a) + np.sqrt(bm)),
                                     BOUNDS)
         np.testing.assert_allclose(result.stream.ps, expected)
@@ -241,7 +241,7 @@ class TestRandomizationIndependence:
         cfg = ProtocolConfig(budget=60, max_batch=max_batch, strategy=strategy,
                              seed=seed)
         result = run_protocol(cfg, env, pool_units=shuffled, obs=obs)
-        ts, ys, _ = _assign_and_observe(env, cfg, pool.ids, pool.xs,
+        ts, ys, _ = _assign_and_observe(env, cfg, pool.ids,
                                         env.feature_map.apply_many(pool.xs))
         at = np.searchsorted(pool.ids, result.unit_ids)
         assert result.stream.ts.tolist() == ts[at].tolist()
@@ -281,6 +281,9 @@ class TestIdsAreNotPositions:
     @given(world_seed=st.integers(0, 2**16), perm_seed=st.integers(0, 2**16),
            n_pool=st.integers(20, 60), budget=st.integers(1, 20),
            max_batch=st.integers(1, 10))
+    # scored in pool order, one segment's identical phi rows get domain scores
+    # a last digit apart, and ranking them moves the pick
+    @example(world_seed=1874, perm_seed=0, n_pool=20, budget=1, max_batch=1)
     def test_active_selection_invariant_to_any_permutation(
             self, world_seed, perm_seed, n_pool, budget, max_batch):
         env, pool, obs = weak_overlap_world(world_seed, n_pool=n_pool, n_obs=200)
@@ -300,6 +303,21 @@ class TestIdsAreNotPositions:
         cfg = ProtocolConfig(budget=10, strategy="random", seed=37)
         result = run_protocol(cfg, env, pool_units=reversed_pool)
         np.testing.assert_array_equal(result.stream.xs, pool.xs[result.unit_ids])
+
+
+@pytest.mark.parametrize("max_batch", [60, 6, 1])
+@pytest.mark.parametrize("strategy, with_log, maps", [("random", False, 1),
+                                                      ("active", True, 2)])
+def test_a_run_maps_each_x_once(monkeypatch, max_batch, strategy, with_log, maps):
+    """The pool is mapped once (and the log once, by an active run), however
+    many rounds the budget takes: every round reads the pool's phi rows."""
+    env, pool, obs = WORLD_21
+    calls, apply_many = [], FeatureMap.apply_many
+    monkeypatch.setattr(FeatureMap, "apply_many",
+                        lambda fmap, xs: calls.append(len(xs)) or apply_many(fmap, xs))
+    cfg = ProtocolConfig(budget=60, max_batch=max_batch, strategy=strategy, seed=3)
+    run_protocol(cfg, env, pool_units=pool, obs=obs if with_log else None)
+    assert len(calls) == maps
 
 
 class TestObservationalLog:
