@@ -2,8 +2,9 @@
 
 Simulates two-source causal worlds (biased observational logs plus an
 unlabeled target pool), runs a round-based active RCT acquisition loop under
-a query budget, fits an inverse-propensity pseudo-outcome ridge CATE model,
-and verifies its finite-sample and asymptotic guarantees empirically.
+a query budget, fits an inverse-propensity pseudo-outcome ridge model of the
+CATE <theta, phi(x)>, and verifies its finite-sample and asymptotic guarantees
+empirically. Past the feature map everything reads phi rows, mapped once.
 """
 
 from .core import (FeatureMap, ObsLog, Pool, PropensityBounds, RctStream,
@@ -14,8 +15,8 @@ from .envs import (BoxMarginal, HardInstance, LinearEnv, LogisticPolicy,
                    sample_pool)
 from .estimator import (ConfidenceParams, RidgeSolution, SandwichEstimate,
                         beta_bound, confidence_width, default_sigma,
-                        fit_ridge_arrays, pointwise_ci, predict_cate_many,
-                        pseudo_outcome_values, sandwich_from_arrays)
+                        fit_ridge_arrays, pointwise_ci, pseudo_outcome_values,
+                        sandwich_from_arrays)
 from .acquisition import (SCORE_DTYPE, AcquisitionWeights, LogisticHead,
                           composite_scores, ensemble_variance, fit_propensity,
                           overlap_deficit_many, rank_normalize, select_top_m,

@@ -24,7 +24,6 @@ import time
 import zlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
-from functools import partial
 
 import numpy as np
 
@@ -32,9 +31,8 @@ from ._rng import derive_seed, rng_for
 from .acquisition import AcquisitionWeights
 from .core import known_keys, read_jsonl, write_jsonl
 from .envs import SegmentMarginal, load_env, sample_obs, sample_pool
-from .estimator import predict_cate_many, solution_to_json, solution_from_json
-from .metrics import (ZeroGlobalLiftError, pehe, pehe_exact_segments,
-                      randomized_eval_set, replicate, uplift_curve)
+from .estimator import solution_to_json, solution_from_json
+from .metrics import auuc, pehe, pehe_exact_segments, replicate
 from .protocol import (DEFAULT_BOUNDS, AffinePolicy, ConstantPolicy,
                        ProtocolConfig, VarianceOptimalPolicy, run_protocol)
 
@@ -176,22 +174,16 @@ def cmd_evaluate(args):
         raise ValueError(f"evaluate needs --n-eval >= 2 (an uplift curve needs 2 units), "
                          f"got {args.n_eval}")
     os.makedirs(args.out, exist_ok=True)
-    predict = partial(predict_cate_many, solution, env.feature_map)
-
     eval_xs = env.sample_x(args.n_eval, rng_for(args.seed, 0x65786576))
-    pehe_val = pehe(predict, env, eval_xs)
-    xs, ts, ys = randomized_eval_set(env, args.n_eval, args.seed)
-    try:
-        auuc = uplift_curve(predict(xs), ts, ys).auuc_normalized
-    except ZeroGlobalLiftError:
-        auuc = float("nan")
+    pehe_val = pehe(solution.theta_hat, env, env.feature_map.apply_many(eval_xs))
+    auuc_val = auuc(solution.theta_hat, env, args.n_eval, args.seed)
 
     with open(os.path.join(args.out, "metrics.csv"), "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["pehe", "auuc", "n_eval"])
-        w.writerow([repr(pehe_val), repr(auuc), len(eval_xs)])
+        w.writerow([repr(pehe_val), repr(auuc_val), len(eval_xs)])
     _write_json(os.path.join(args.out, "summary.json"),
-                {"pehe": pehe_val, "auuc": auuc, "n_eval": len(eval_xs)})
+                {"pehe": pehe_val, "auuc": auuc_val, "n_eval": len(eval_xs)})
     return 0
 
 
@@ -210,22 +202,17 @@ def _sweep_cell(payload):
                   strategy="random" if weights is None else "active",
                   weights=base.weights if weights is None else weights)
     result = replicate(env, policy, shift, cfg, n_pool, n_obs)
-    predict = partial(predict_cate_many, result.solution, env.feature_map)
-
+    theta_hat = result.solution.theta_hat
     if isinstance(env.marginal, SegmentMarginal):
-        pehe_val = pehe_exact_segments(predict, env)
+        pehe_val = pehe_exact_segments(theta_hat, env)
     else:
         eval_xs = env.sample_x(4000, rng_for(seed, 0x6576))
-        pehe_val = pehe(predict, env, eval_xs)
-    xs, ts, ys = randomized_eval_set(env, 4000, derive_seed(master_seed, budget, rep))
-    try:
-        auuc = uplift_curve(predict(xs), ts, ys).auuc_normalized
-    except ZeroGlobalLiftError:
-        auuc = float("nan")
+        pehe_val = pehe(theta_hat, env, env.feature_map.apply_many(eval_xs))
+    auuc_val = auuc(theta_hat, env, 4000, derive_seed(master_seed, budget, rep))
     b_used = max(len(result.stream), 1)
     v0 = result.solution.V - result.solution.lam * np.eye(env.feature_map.output_dim)
     min_eig = float(np.linalg.eigvalsh(v0).min() / b_used)
-    return [budget, strategy, rep, seed, repr(pehe_val), repr(auuc), repr(min_eig)]
+    return [budget, strategy, rep, seed, repr(pehe_val), repr(auuc_val), repr(min_eig)]
 
 
 def cmd_sweep(args):

@@ -52,11 +52,6 @@ class FeatureMap:
             object.__setattr__(self, "weight", W)
             object.__setattr__(self, "offset", b)
 
-    def __call__(self, x):
-        """phi(x) as a length-d vector, with the norm bound enforced."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        return self.apply_many(x[None, :])[0]
-
     def apply_many(self, xs):
         """Vectorized phi over rows of xs; returns an (n, d) array."""
         xs = np.atleast_2d(np.asarray(xs, dtype=float))

@@ -191,12 +191,6 @@ class LinearEnv(_BernoulliEnv):
         half = 0.5 * (phis @ self.theta_star)
         return base + half, base - half
 
-    def true_cate_many(self, xs):
-        return self.feature_map.apply_many(xs) @ self.theta_star
-
-    def true_cate(self, x):
-        return float(self.true_cate_many(np.atleast_2d(np.asarray(x, dtype=float)))[0])
-
     def sample_x(self, n, rng):
         return self.marginal.sample(n, rng)
 
@@ -378,8 +372,7 @@ def env_from_json(doc):
                         "strength")
         shift = MarginalShift(kind=sj["kind"], direction=tuple(sj.get("direction", ())),
                               strength=sj.get("strength", 0.0))
-        if isinstance(env.marginal, SegmentMarginal):
-            shift.apply(env.marginal)  # a bad kind or direction fails before any draw
+        shift.apply(env.marginal)  # a bad kind, direction or marginal fails before any draw
     return env, policy, shift
 
 

@@ -4,7 +4,8 @@ The chronological stream (x_t, t_t, y_t, p_t) is converted to inverse
 propensity pseudo-outcomes and fit by ridge / OLS in a fixed
 feature space, with the self-normalized confidence width and a sandwich
 variance estimate for asymptotic intervals. A fit is one frozen RidgeSolution
-holding lambda once, for V and for the width's det(lambda I) alike.
+holding lambda once, for V and for the width's det(lambda I) alike. Everything
+here reads phi rows: a fit predicts <theta_hat, phi>, and callers map x once.
 """
 
 from dataclasses import dataclass
@@ -88,10 +89,6 @@ def fit_ridge_arrays(phis, yts, lam):
     return RidgeSolution(theta_hat=theta, V=V, lam=lam, n=len(phis))
 
 
-def predict_cate_many(solution, fmap, xs):
-    return fmap.apply_many(xs) @ solution.theta_hat
-
-
 # ---------------------------------------------------------------------------
 # Finite-sample confidence machinery
 
@@ -110,10 +107,9 @@ def beta_bound(params, solution):
     return params.sigma * np.sqrt(2.0 * log_ratio) + np.sqrt(lam) * params.S
 
 
-def confidence_width(solution, params, fmap, x):
+def confidence_width(solution, params, phi):
     """Half-width beta * sqrt(phi^T V^-1 phi) of the pointwise CATE bound."""
     beta = beta_bound(params, solution)
-    phi = fmap(x)
     lev = float(phi @ np.linalg.solve(solution.V, phi))
     return beta * np.sqrt(max(lev, 0.0))
 
@@ -147,9 +143,8 @@ def sandwich_from_arrays(phis, yts, solution):
     return SandwichEstimate(sigma_hat=sigma_hat, omega_hat=omega_hat, avar=avar)
 
 
-def pointwise_ci(solution, sandwich, fmap, x, level, n):
-    """tau_hat(x) +- z sqrt(phi^T avar phi / B)."""
-    phi = fmap(x)
+def pointwise_ci(solution, sandwich, phi, level, n):
+    """<theta_hat, phi> +- z sqrt(phi^T avar phi / B)."""
     center = float(phi @ solution.theta_hat)
     z = NormalDist().inv_cdf(0.5 + level / 2.0)
     half = z * np.sqrt(max(float(phi @ sandwich.avar @ phi), 0.0) / n)

@@ -1,7 +1,8 @@
 """Evaluation and empirical verification of the statistical guarantees.
 
 PEHE against ground truth, normalized AUUC on randomized held-out data,
-deviation-bound coverage audits and martingale-CLT normality diagnostics.
+deviation-bound coverage audits and martingale-CLT normality diagnostics, all
+in phi: each sample is mapped once, and theta_hat and theta* read its rows.
 The log-log budget scaling slope is fitted by `budgex sweep`'s summary.
 `replicate` is the one place a replication is drawn (pool at derive_seed(seed,
 0x706C), log at derive_seed(seed, 0x6F62) for active runs only): sweep cells
@@ -20,20 +21,19 @@ from .estimator import (ConfidenceParams, beta_bound, default_sigma,
 from .protocol import run_protocol
 
 
-def pehe(predict_fn, env, eval_xs):
-    """Root-mean-square CATE error over an evaluation sample from P_X."""
-    eval_xs = np.atleast_2d(np.asarray(eval_xs, dtype=float))
-    if len(eval_xs) == 0:
+def pehe(theta_hat, env, phis):
+    """Root-mean-square CATE error of theta_hat over phi rows drawn from P_X."""
+    if len(phis) == 0:
         raise ValueError("evaluation sample is empty")
-    err = predict_fn(eval_xs) - env.true_cate_many(eval_xs)
+    err = phis @ theta_hat - phis @ env.theta_star
     return float(np.sqrt(np.mean(err**2)))
 
 
-def pehe_exact_segments(predict_fn, env):
+def pehe_exact_segments(theta_hat, env):
     """Exact marginal PEHE for segment environments (no sampling error)."""
-    xs = env.marginal.support_points()
+    phis = env.feature_map.apply_many(env.marginal.support_points())
     probs = np.asarray(env.marginal.probs)
-    err = predict_fn(xs) - env.true_cate_many(xs)
+    err = phis @ theta_hat - phis @ env.theta_star
     return float(np.sqrt(np.sum(probs * err**2)))
 
 
@@ -80,13 +80,23 @@ def uplift_curve(scores, ts, ys, ids=None):
     return UpliftCurve(gains=f, auuc_normalized=auuc)
 
 
-def randomized_eval_set(env, n, seed, p=0.5):
-    """A fresh uniformly randomized holdout (x, t, y) for AUUC evaluation."""
+def randomized_eval_set(env, n, seed):
+    """A fresh holdout (phi, t, y) with t ~ Bern(1/2), for AUUC evaluation."""
     rng = rng_for(seed, 0x6576616C)
-    xs = env.sample_x(n, rng)
-    ts = (rng.random(n) < p).astype(int)
-    ys = env.draw_outcomes(env.feature_map.apply_many(xs), ts, rng.random(n))
-    return xs, ts, ys
+    phis = env.feature_map.apply_many(env.sample_x(n, rng))
+    ts = (rng.random(n) < 0.5).astype(int)
+    ys = env.draw_outcomes(phis, ts, rng.random(n))
+    return phis, ts, ys
+
+
+def auuc(theta_hat, env, n, seed):
+    """Normalized AUUC of the scores <theta_hat, phi> on a randomized holdout
+    of n units drawn at seed; NaN when the holdout's global lift is zero."""
+    phis, ts, ys = randomized_eval_set(env, n, seed)
+    try:
+        return uplift_curve(phis @ theta_hat, ts, ys).auuc_normalized
+    except ZeroGlobalLiftError:
+        return float("nan")
 
 
 # ---------------------------------------------------------------------------
@@ -152,8 +162,7 @@ def bound_violation_audit(env, config, n_pool, replications, delta, master_seed=
         betas[r] = beta_bound(params, sol)
         lev = np.einsum("ij,ij->i", pool_phis,
                         np.linalg.solve(sol.V, pool_phis.T).T)
-        err = pool_phis @ sol.theta_hat - pool_phis @ env.theta_star
-        pehes[r] = np.sqrt(np.mean(err**2))
+        pehes[r] = pehe(sol.theta_hat, env, pool_phis)
         pbounds[r] = betas[r] * np.sqrt(max(np.mean(lev), 0.0))
     violations = int(np.sum(radii > betas))
     return BoundCheckResult(replications=replications, violations=violations,
@@ -171,10 +180,10 @@ class NormalityDiagnostic:
 def clt_diagnostic(env, config, n_pool, replications, x, master_seed=0):
     """Standardized errors sqrt(B)(tau_hat - tau)/se across replications."""
     runs = _audit_runs(env, config, n_pool, replications, master_seed)
-    phi = env.feature_map(np.atleast_1d(np.asarray(x, dtype=float)))
+    phi = env.feature_map.apply_many([x])[0]
     if np.allclose(phi, 0.0):
         raise ValueError("phi(x) = 0: asymptotic variance degenerates")
-    tau_x = env.true_cate(x)
+    tau_x = float(phi @ env.theta_star)
     zs = np.empty(replications)
     for r, result in enumerate(runs):
         sw = sandwich_from_arrays(result.phis, result.yts, result.solution)

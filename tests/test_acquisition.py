@@ -100,11 +100,13 @@ class TestDomainClassifier:
 
     def test_score_formula(self):
         clf = LogisticHead(weights=np.array([1.0, 0.0]), bias=0.0)
-        assert clf.predict(IDENTITY_2([np.log(3.0), 0.0]))[0] == pytest.approx(0.75)
+        phi = IDENTITY_2.apply_many([[np.log(3.0), 0.0]])[0]
+        assert clf.predict(phi)[0] == pytest.approx(0.75)
         zero = LogisticHead(weights=np.zeros(2), bias=0.0)
-        assert zero.predict(IDENTITY_2([1.0, 1.0]))[0] == 0.5
+        assert zero.predict(IDENTITY_2.apply_many([[1.0, 1.0]])[0])[0] == 0.5
         saturated = LogisticHead(weights=np.zeros(2), bias=1e4)
-        assert saturated.predict(IDENTITY_2([0.0, 0.0]))[0] == pytest.approx(1.0)
+        phi = IDENTITY_2.apply_many([[0.0, 0.0]])[0]
+        assert saturated.predict(phi)[0] == pytest.approx(1.0)
 
 
 FEATURE = st.floats(-3.0, 3.0)

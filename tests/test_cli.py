@@ -13,8 +13,8 @@ import budgex
 from budgex import acquisition
 from budgex.acquisition import AcquisitionWeights
 from budgex.cli import main, protocol_config_from_json
-from budgex.core import PropensityBounds, read_jsonl
-from budgex.envs import EnvSpecError
+from budgex.core import FeatureMap, PropensityBounds, read_jsonl
+from budgex.envs import EnvSpecError, HardInstance, MarginalShift
 from budgex.protocol import AffinePolicy, ProtocolConfig
 
 
@@ -40,6 +40,35 @@ def write_env(path, n_obs=80, n_pool=150, delta=0.2, with_policy=True):
     with open(path, "w") as fh:
         json.dump(doc, fh)
     return path
+
+
+def write_box_env(path, obs_shift=None):
+    """A 2-d identity world on the box [-1, 1]^2 with a threshold log."""
+    doc = {
+        "seed": 3, "n_obs": 50, "n_pool": 50,
+        "env": {"kind": "linear", "theta_star": [0.1, -0.1], "S": 0.2,
+                "baseline_intercept": 0.5, "baseline_weights": [0.0, 0.0],
+                "feature_map": {"kind": "identity", "output_dim": 2, "norm_bound": 2.0},
+                "marginal": {"kind": "box", "lows": [-1.0, -1.0], "highs": [1.0, 1.0]}},
+        "obs_policy": {"kind": "threshold", "direction": [1.0, 0.0], "cutoff": 0.0},
+    }
+    if obs_shift is not None:
+        doc["obs_shift"] = obs_shift
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.fixture
+def mapped_rows(monkeypatch):
+    """The row count of every FeatureMap.apply_many call, in call order."""
+    rows, apply_many = [], FeatureMap.apply_many
+
+    def recording(fmap, xs):
+        rows.append(len(xs))
+        return apply_many(fmap, xs)
+
+    monkeypatch.setattr(FeatureMap, "apply_many", recording)
+    return rows
 
 
 def write_protocol(path, budget=30, strategy="active"):
@@ -97,6 +126,15 @@ class TestGenerate:
         doc[block][key] = value
         env.write_text(json.dumps(doc))
         with pytest.raises(EnvSpecError, match=key):
+            main(["generate", "--env", str(env), "--out", str(tmp_path / "d")])
+        assert not (tmp_path / "d").exists()
+
+    def test_box_tilt_rejected_before_any_output(self, tmp_path):
+        """A tilt is defined on segment marginals only; on a box world it used
+        to fail in sample_obs after pool.jsonl had been written."""
+        env = write_box_env(tmp_path / "env.json", obs_shift={
+            "kind": "tilt", "direction": [1.0, 0.0], "strength": 1.0})
+        with pytest.raises(EnvSpecError, match="segment marginals"):
             main(["generate", "--env", str(env), "--out", str(tmp_path / "d")])
         assert not (tmp_path / "d").exists()
 
@@ -288,6 +326,17 @@ class TestEvaluate:
         assert rows[0] == ["pehe", "auuc", "n_eval"]
         assert float(rows[1][0]) == pytest.approx(summary["pehe"])
 
+    def test_maps_each_evaluation_sample_once(self, tmp_path, mapped_rows):
+        """Past the parse's map of the four box corners, the PEHE sample and
+        the AUUC holdout are mapped once each and scored in phi."""
+        env = write_box_env(tmp_path / "env.json")
+        solution = tmp_path / "solution.json"
+        solution.write_text(json.dumps({"theta_hat": [0.05, -0.02], "lambda": 1.0,
+                                        "n": 0, "V": [1.0, 0.0, 0.0, 1.0]}))
+        assert main(["evaluate", "--env", str(env), "--solution", str(solution),
+                     "--out", str(tmp_path / "eval"), "--n-eval", "50"]) == 0
+        assert mapped_rows == [4, 50, 50]
+
     @pytest.mark.parametrize("n_eval", ["0", "1"])
     def test_n_eval_below_two_rejected_before_any_output(self, generated, tmp_path,
                                                           n_eval):
@@ -379,6 +428,16 @@ class TestSweep:
         assert main(["sweep", "--sweep", str(sweep), "--out", str(out)]) == 2
         assert "error: sweep needs nonempty budgets and strategies" in capsys.readouterr().err
         assert cells == [] and not out.exists()
+
+    def test_random_cell_maps_each_sample_once(self, mapped_rows):
+        """A random hard cell maps its pool once, the four segments once for
+        the exact PEHE and its 4,000-unit AUUC holdout once."""
+        env = HardInstance(d=4, delta=0.2, theta_signs=(1, -1, 1, -1))
+        base = ProtocolConfig(budget=0, max_batch=10)
+        mapped_rows.clear()  # the env's own check of its support
+        budgex.cli._sweep_cell((env, None, MarginalShift(), base, 30, "random", 0, 7,
+                                60, 0))
+        assert mapped_rows == [60, 4, 4000]
 
     def test_parallel_matches_serial_bytes(self, tmp_path, monkeypatch):
         env = write_env(tmp_path / "env.json")

@@ -15,21 +15,21 @@ from budgex.core import (DimensionError, FeatureMap, NormBoundError, ObsLog,
 class TestFeatureMap:
     def test_segment_one_hot(self):
         fmap = FeatureMap(kind="segment-one-hot", output_dim=3, norm_bound=1.0)
-        np.testing.assert_array_equal(fmap([1.0]), [0.0, 1.0, 0.0])
+        np.testing.assert_array_equal(fmap.apply_many([[1.0]])[0], [0.0, 1.0, 0.0])
 
     def test_identity(self):
         fmap = FeatureMap(kind="identity", output_dim=2, norm_bound=2.0)
-        np.testing.assert_array_equal(fmap([0.5, -1.0]), [0.5, -1.0])
+        np.testing.assert_array_equal(fmap.apply_many([[0.5, -1.0]])[0], [0.5, -1.0])
 
     def test_affine_projection_and_norm_check(self):
         W = 2.0 * np.eye(2)
         fmap = FeatureMap(kind="affine-projection", output_dim=2, norm_bound=3.0,
                           weight=W)
-        np.testing.assert_allclose(fmap([1.0, 1.0]), [2.0, 2.0])
+        np.testing.assert_allclose(fmap.apply_many([[1.0, 1.0]])[0], [2.0, 2.0])
         tight = FeatureMap(kind="affine-projection", output_dim=2, norm_bound=2.0,
                            weight=W)
         with pytest.raises(NormBoundError):
-            tight([1.0, 1.0])
+            tight.apply_many([[1.0, 1.0]])[0]
 
     def test_one_hot_is_exactly_one_hot(self):
         fmap = FeatureMap(kind="segment-one-hot", output_dim=5, norm_bound=1.0)
@@ -38,7 +38,7 @@ class TestFeatureMap:
 
     def test_output_length_matches_dim(self):
         fmap = FeatureMap(kind="segment-one-hot", output_dim=4, norm_bound=1.0)
-        assert fmap([2.0]).shape == (4,)
+        assert fmap.apply_many([[2.0]])[0].shape == (4,)
 
     def test_dimension_mismatch_rejected(self):
         fmap = FeatureMap(kind="identity", output_dim=2, norm_bound=10.0)

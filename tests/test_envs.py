@@ -127,7 +127,7 @@ def written_out_mu(env, xs, t):
     if isinstance(env, HardInstance):
         return 0.5 + sign * 0.5 * env.theta_star[xs[:, 0].astype(int)]
     base = env.m0 + env.feature_map.apply_many(xs) @ env.wm
-    return base + sign * 0.5 * env.true_cate_many(xs)
+    return base + sign * 0.5 * (env.feature_map.apply_many(xs) @ env.theta_star)
 
 
 class TestArmMeans:
@@ -176,27 +176,27 @@ def test_hard_instance_is_the_written_out_law_on_every_segment(signs, delta):
 class TestTrueCate:
     def test_hard_instance_segments(self):
         env = hard_env(d=2, delta=0.25, signs=(1, -1))
-        assert env.true_cate([0.0]) == 0.25
-        assert env.true_cate([1.0]) == -0.25
+        assert (env.feature_map.apply_many([[0.0]]) @ env.theta_star)[0] == 0.25
+        assert (env.feature_map.apply_many([[1.0]]) @ env.theta_star)[0] == -0.25
 
     def test_linear_env_dot_product(self):
         fmap = FeatureMap(kind="identity", output_dim=2, norm_bound=2.0)
         env = LinearEnv(theta_star=(0.2, -0.1), feature_map=fmap, norm_budget=1.0,
                         marginal=BoxMarginal((-1.0, -1.0), (1.0, 1.0)))
-        assert abs(env.true_cate([1.0, 1.0]) - 0.1) < 1e-15
+        assert abs((fmap.apply_many([[1.0, 1.0]]) @ env.theta_star)[0] - 0.1) < 1e-15
 
     def test_cate_equals_mean_difference(self):
         env = hard_env(d=3, delta=0.2, signs=(1, -1, 1))
         xs = np.array([[0.0], [1.0], [2.0]])
         mu1, mu0 = env.arm_means(env.feature_map.apply_many(xs))
-        np.testing.assert_allclose(mu1 - mu0, env.true_cate_many(xs))
+        np.testing.assert_allclose(mu1 - mu0, env.feature_map.apply_many(xs) @ env.theta_star)
 
     def test_linear_realizability_exact(self):
         fmap = FeatureMap(kind="identity", output_dim=2, norm_bound=2.0)
         env = LinearEnv(theta_star=(0.3, -0.2), feature_map=fmap, norm_budget=1.0,
                         marginal=BoxMarginal((-1.0, -1.0), (1.0, 1.0)))
         xs = env.sample_x(10_000, rng_for(4))
-        taus = env.true_cate_many(xs)
+        taus = fmap.apply_many(xs) @ env.theta_star
         direct = fmap.apply_many(xs) @ np.array([0.3, -0.2])
         assert np.max(np.abs(taus - direct)) == 0.0
 
@@ -309,7 +309,7 @@ class TestEnvJson:
         env = LinearEnv(theta_star=(0.2, 0.1), feature_map=fmap, norm_budget=1.0,
                         marginal=BoxMarginal((-1.0, -1.0), (1.0, 1.0)))
         return env_to_json(env, obs_policy=ThresholdPolicy((1.0, 0.0), 0.0, 0.05),
-                           obs_shift=MarginalShift("tilt", (1.0, 0.0), 0.5))
+                           obs_shift=MarginalShift())
 
     def segment_doc(self):
         fmap = FeatureMap(kind="identity", output_dim=2, norm_bound=2.0)
@@ -352,21 +352,22 @@ class TestEnvJson:
 
 def parsed_worlds():
     """Parsed (env, policy, shift) worlds of every feature map and marginal kind."""
-    def linear(fmap, marginal, d_x):
+    def linear(fmap, marginal, shift):
         env = LinearEnv(theta_star=(0.2, -0.1), feature_map=fmap, norm_budget=1.0,
                         marginal=marginal, baseline_weights=(0.05, -0.05))
         return env_to_json(env, obs_policy=LogisticPolicy((1.0, -0.5), 2.0),
-                           obs_shift=MarginalShift("tilt", (1.0,) * d_x, 0.5))
+                           obs_shift=shift)
 
     box = BoxMarginal((-1.0, -1.0, 0.0), (1.0, 1.0, 0.5))
     affine = FeatureMap(kind="affine-projection", output_dim=2, norm_bound=3.0,
                         weight=[[0.5, 0.2, -0.3], [0.1, -0.4, 0.6]], offset=[0.1, 0.0])
     docs = {
         "identity-box": linear(FeatureMap(kind="identity", output_dim=2, norm_bound=2.0),
-                               BoxMarginal((-1.0, -1.0), (1.0, 1.0)), 2),
-        "affine-box": linear(affine, box, 3),
+                               BoxMarginal((-1.0, -1.0), (1.0, 1.0)), MarginalShift()),
+        "affine-box": linear(affine, box, MarginalShift()),
         "segment-points": linear(FeatureMap(kind="identity", output_dim=2, norm_bound=2.0),
-                                 SegmentMarginal((0.3, 0.7), ((-1.0, 0.5), (0.8, -0.2))), 2),
+                                 SegmentMarginal((0.3, 0.7), ((-1.0, 0.5), (0.8, -0.2))),
+                                 MarginalShift("tilt", (1.0, 1.0), 0.5)),
         "hard": env_to_json(HardInstance(d=3, delta=0.2, theta_signs=(1, -1, 1)),
                             obs_policy=ThresholdPolicy((1.0, 0.0, 0.0), 0.5, 0.02),
                             obs_shift=MarginalShift("tilt", (1.0, -1.0, 0.0), 0.7)),

@@ -10,7 +10,7 @@ from budgex.estimator import (ConfidenceParams, RidgeSolution,
                               SingularDesignError, beta_bound, confidence_width,
                               default_sigma, ellipsoid_radius,
                               fit_ridge_arrays, pointwise_ci,
-                              predict_cate_many, pseudo_outcome_values,
+                              pseudo_outcome_values,
                               sandwich_from_arrays, solution_from_json,
                               solution_to_json)
 from budgex._rng import rng_for
@@ -121,19 +121,19 @@ class TestFitRidgeAgainstLstsq:
 class TestPredictCate:
     def test_one_hot_lookup(self):
         sol = fit_ridge_arrays(np.array([[1.0, 0.0]]), np.array([2.0]), 1.0)
-        assert predict_cate_many(sol, ONE_HOT_2, [[0.0]])[0] == pytest.approx(1.0)
-        assert predict_cate_many(sol, ONE_HOT_2, [[1.0]])[0] == 0.0
+        assert (ONE_HOT_2.apply_many([[0.0]]) @ sol.theta_hat)[0] == pytest.approx(1.0)
+        assert (ONE_HOT_2.apply_many([[1.0]]) @ sol.theta_hat)[0] == 0.0
 
     def test_zero_theta(self):
         sol = fit_ridge_arrays(np.zeros((0, 2)), np.zeros(0), 1.0)
         np.testing.assert_array_equal(sol.theta_hat, [0.0, 0.0])
-        assert predict_cate_many(sol, ONE_HOT_2, [[1.0]])[0] == 0.0
+        assert (ONE_HOT_2.apply_many([[1.0]]) @ sol.theta_hat)[0] == 0.0
 
     def test_dot_product(self):
         fmap = FeatureMap(kind="identity", output_dim=2, norm_bound=2.0)
         sol = solution_from_json({"theta_hat": [0.3, -0.2], "lambda": 1.0,
                                   "n": 0, "V": [1.0, 0.0, 0.0, 1.0]})
-        assert predict_cate_many(sol, fmap, [[1.0, 1.0]])[0] == pytest.approx(0.1)
+        assert (fmap.apply_many([[1.0, 1.0]]) @ sol.theta_hat)[0] == pytest.approx(0.1)
 
 
 class TestBetaBound:
@@ -177,7 +177,7 @@ class TestConfidenceWidth:
     def test_empty_design_width(self):
         sol = fit_ridge_arrays(np.zeros((0, 2)), np.zeros(0), 1.0)
         params = ConfidenceParams(sigma=1.0, S=1.0, delta=np.exp(-0.5))
-        assert confidence_width(sol, params, ONE_HOT_2, [0.0]) == pytest.approx(2.0)
+        assert confidence_width(sol, params, ONE_HOT_2.apply_many([[0.0]])[0]) == pytest.approx(2.0)
 
     def test_width_shrinks_with_data(self):
         params = ConfidenceParams(sigma=1.0, S=1.0, delta=0.1)
@@ -187,7 +187,7 @@ class TestConfidenceWidth:
         for n in (1, 2, 4, 8, 16):
             phis = np.ones((n, 1))
             sol = fit_ridge_arrays(phis, np.full(n, 2.0), 1.0)
-            width = confidence_width(sol, params, fmap, [0.0])
+            width = confidence_width(sol, params, fmap.apply_many([[0.0]])[0])
             assert width < prev
             prev = width
 
@@ -195,7 +195,7 @@ class TestConfidenceWidth:
         fmap = FeatureMap(kind="identity", output_dim=2, norm_bound=2.0)
         sol = fit_ridge_arrays(np.eye(2), np.ones(2), 1.0)
         params = ConfidenceParams(sigma=1.0, S=1.0, delta=0.1)
-        assert confidence_width(sol, params, fmap, [0.0, 0.0]) == 0.0
+        assert confidence_width(sol, params, fmap.apply_many([[0.0, 0.0]])[0]) == 0.0
 
 
 class TestSandwich:
@@ -253,7 +253,7 @@ class TestPointwiseCi:
     def test_half_width_arithmetic(self):
         fmap = FeatureMap(kind="identity", output_dim=1, norm_bound=1.0)
         lo, hi = pointwise_ci(self.solution([0.0]), self.sandwich([[2.0]]),
-                              fmap, [1.0], level=0.95, n=200)
+                              fmap.apply_many([[1.0]])[0], level=0.95, n=200)
         half = stats.norm.ppf(0.975) * np.sqrt(2.0 / 200)
         assert hi == pytest.approx(half)
         assert hi == pytest.approx(0.196, abs=1e-3)
@@ -262,7 +262,7 @@ class TestPointwiseCi:
     def test_median_level_quantile(self):
         fmap = FeatureMap(kind="identity", output_dim=1, norm_bound=1.0)
         lo, hi = pointwise_ci(self.solution([0.0]), self.sandwich([[1.0]]),
-                              fmap, [1.0], level=0.5, n=1)
+                              fmap.apply_many([[1.0]])[0], level=0.5, n=1)
         assert hi == pytest.approx(0.6745, abs=1e-4)
 
     @settings(max_examples=300, deadline=None)
@@ -274,13 +274,13 @@ class TestPointwiseCi:
         assume(0.5 + level / 2.0 < 1.0)
         fmap = FeatureMap(kind="identity", output_dim=1, norm_bound=1.0)
         _, hi = pointwise_ci(self.solution([0.0]), self.sandwich([[1.0]]),
-                             fmap, [1.0], level=level, n=1)
+                             fmap.apply_many([[1.0]])[0], level=level, n=1)
         assert abs(hi - stats.norm.ppf(0.5 + level / 2.0)) <= 1e-12
 
     def test_zero_feature_degenerate(self):
         fmap = FeatureMap(kind="identity", output_dim=2, norm_bound=2.0)
         lo, hi = pointwise_ci(self.solution([0.4, 0.1]), self.sandwich(np.eye(2)),
-                              fmap, [0.0, 0.0], level=0.95, n=10)
+                              fmap.apply_many([[0.0, 0.0]])[0], level=0.95, n=10)
         assert lo == hi == 0.0
 
 

@@ -1,10 +1,10 @@
 """Tests for evaluation metrics and the verification harnesses."""
 
 import json
+import math
 import zlib
 from dataclasses import replace
 from fractions import Fraction
-from functools import partial
 from itertools import permutations, product
 
 import numpy as np
@@ -15,8 +15,8 @@ from scipy import stats
 from budgex import cli, metrics
 from budgex.cli import main
 from budgex.core import FeatureMap
-from budgex.envs import HardInstance, default_hard_delta, env_from_json, sample_obs
-from budgex.estimator import predict_cate_many
+from budgex.envs import (HardInstance, LinearEnv, SegmentMarginal, default_hard_delta,
+                         env_from_json, sample_obs)
 from budgex.metrics import (ZeroGlobalLiftError, bound_violation_audit,
                             clt_diagnostic, ks_distance_normal, pehe,
                             pehe_exact_segments, randomized_eval_set,
@@ -51,37 +51,53 @@ def brute_force_auuc(scores, ts, ys, ids):
 class TestPehe:
     def test_perfect_predictor(self):
         env = hard4()
-        xs = env.sample_x(100, rng_for(1))
-        assert pehe(env.true_cate_many, env, xs) == 0.0
+        phis = env.feature_map.apply_many(env.sample_x(100, rng_for(1)))
+        assert pehe(env.theta_star, env, phis) == 0.0
 
     def test_constant_offset(self):
         env = hard4()
-        xs = env.sample_x(100, rng_for(2))
-        shifted = lambda x: env.true_cate_many(x) + 0.1
-        assert pehe(shifted, env, xs) == pytest.approx(0.1)
+        phis = env.feature_map.apply_many(env.sample_x(100, rng_for(2)))
+        assert pehe(env.theta_star + 0.1, env, phis) == pytest.approx(0.1)
 
     def test_zero_predictor_on_hard_instance(self):
         env = hard4(delta=0.25)
-        xs = env.sample_x(500, rng_for(3))
-        zero = lambda x: np.zeros(len(np.atleast_2d(x)))
-        assert pehe(zero, env, xs) == pytest.approx(0.25)
+        phis = env.feature_map.apply_many(env.sample_x(500, rng_for(3)))
+        assert pehe(np.zeros(4), env, phis) == pytest.approx(0.25)
 
     def test_order_invariance(self):
         env = hard4()
-        xs = env.sample_x(200, rng_for(4))
-        pred = lambda x: np.atleast_2d(x)[:, 0] * 0.05
-        a = pehe(pred, env, xs)
-        b = pehe(pred, env, xs[::-1])
+        phis = env.feature_map.apply_many(env.sample_x(200, rng_for(4)))
+        theta = 0.05 * np.arange(4)
+        a = pehe(theta, env, phis)
+        b = pehe(theta, env, phis[::-1])
         assert a == pytest.approx(b)
 
     def test_empty_sample_rejected(self):
         with pytest.raises(ValueError):
-            pehe(lambda x: x, hard4(), np.zeros((0, 1)))
+            pehe(np.zeros(4), hard4(), np.zeros((0, 4)))
 
     def test_exact_segment_variant(self):
         env = hard4(delta=0.25)
-        zero = lambda x: np.zeros(len(np.atleast_2d(x)))
-        assert pehe_exact_segments(zero, env) == pytest.approx(0.25)
+        assert pehe_exact_segments(np.zeros(4), env) == pytest.approx(0.25)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 12).flatmap(lambda d: st.tuples(
+        st.lists(st.floats(0.01, 1.0), min_size=d, max_size=d),
+        st.lists(st.floats(-1.0, 1.0), min_size=d, max_size=d),
+        st.lists(st.floats(-1.0, 1.0), min_size=d, max_size=d))))
+    def test_exact_segments_is_the_written_out_sum(self, drawn):
+        """On one-hot phi and any segment probabilities, the exact PEHE is
+        sqrt(sum_j p_j (theta_hat_j - theta*_j)^2) bit for bit."""
+        weights, theta_star, theta_hat = map(np.array, drawn)
+        d = len(weights)
+        env = LinearEnv(theta_star=theta_star,
+                        feature_map=FeatureMap(kind="segment-one-hot", output_dim=d,
+                                               norm_bound=1.0),
+                        norm_budget=np.linalg.norm(theta_star),
+                        marginal=SegmentMarginal(tuple(weights / weights.sum())))
+        p = np.asarray(env.marginal.probs)
+        written = float(np.sqrt(np.sum(p * (theta_hat - theta_star) ** 2)))
+        assert pehe_exact_segments(theta_hat, env) == written
 
 
 class TestUpliftCurve:
@@ -175,9 +191,18 @@ class TestUpliftCurve:
 class TestRandomizedEvalSet:
     def test_shapes_and_balance(self):
         env = hard4()
-        xs, ts, ys = randomized_eval_set(env, 4000, seed=7)
-        assert len(xs) == len(ts) == len(ys) == 4000
+        phis, ts, ys = randomized_eval_set(env, 4000, seed=7)
+        assert len(phis) == len(ts) == len(ys) == 4000
         assert abs(ts.mean() - 0.5) < 4 * np.sqrt(0.25 / 4000)
+
+
+class TestAuuc:
+    def test_zero_global_lift_is_nan(self):
+        """theta* = 0 and m0 = 0 make every outcome 0, so f(N) = 0."""
+        hard = hard4()
+        env = LinearEnv(theta_star=np.zeros(4), feature_map=hard.feature_map,
+                        norm_budget=1.0, marginal=hard.marginal, baseline_intercept=0.0)
+        assert math.isnan(metrics.auuc(np.arange(4.0), env, 200, seed=3))
 
 
 class TestBoundAudit:
@@ -285,12 +310,12 @@ class TestReplicate:
         cfg = replace(base, budget=30, seed=seed, weights=cli.STRATEGIES["active-full"])
         assert configs == [cfg]
         result = metrics.replicate(*world, cfg, 80, 60)
-        predict = partial(predict_cate_many, result.solution, env.feature_map)
-        xs, ts, ys = randomized_eval_set(env, 4000, derive_seed(7, 30, 1))
+        theta_hat = result.solution.theta_hat
+        phis, ts, ys = randomized_eval_set(env, 4000, derive_seed(7, 30, 1))
         v0 = result.solution.V - result.solution.lam * np.eye(4)
         assert row == [30, "active-full", 1, seed,
-                       repr(pehe_exact_segments(predict, env)),
-                       repr(uplift_curve(predict(xs), ts, ys).auuc_normalized),
+                       repr(pehe_exact_segments(theta_hat, env)),
+                       repr(uplift_curve(phis @ theta_hat, ts, ys).auuc_normalized),
                        repr(float(np.linalg.eigvalsh(v0).min() / 30))]
 
 
