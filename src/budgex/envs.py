@@ -225,7 +225,8 @@ class HardInstance(LinearEnv):
 
 
 def default_hard_delta(d, budget):
-    """Delta matching the scaling-floor construction: min{1/4, sqrt(d/(16 C_KL B))}."""
+    """Delta matching the scaling-floor construction: min{1/4, sqrt(d/(16 C_KL B))}.
+    No CLI caller yet: it is the Delta_B of the minimax floor, for a d-axis audit."""
     return min(0.25, np.sqrt(d / (16.0 * C_KL * budget)))
 
 
@@ -256,67 +257,14 @@ def sample_obs(env, policy, shift, n_obs, seed):
 
 
 # ---------------------------------------------------------------------------
-# JSON environment specs (env.json)
-
-
-def env_to_json(env, obs_policy=None, obs_shift=None, seed=0, n_obs=0, n_pool=0):
-    doc = {"seed": seed, "n_obs": n_obs, "n_pool": n_pool}
-    if isinstance(env, HardInstance):  # before LinearEnv: a HardInstance is one
-        doc["env"] = {
-            "kind": "hard",
-            "d": env.d,
-            "delta": env.delta,
-            "theta_signs": [int(np.sign(t)) for t in env.theta_star],
-            "S": env.S,
-        }
-    elif isinstance(env, LinearEnv):
-        fm = env.feature_map
-        doc["env"] = {
-            "kind": "linear",
-            "theta_star": list(env.theta_star),
-            "S": env.S,
-            "baseline_intercept": env.m0,
-            "baseline_weights": list(env.wm),
-            "feature_map": {
-                "kind": fm.kind,
-                "output_dim": fm.output_dim,
-                "norm_bound": fm.norm_bound,
-                "weight": None if fm.weight is None else np.asarray(fm.weight).tolist(),
-                "offset": None if fm.offset is None else np.asarray(fm.offset).tolist(),
-            },
-            "marginal": _marginal_to_json(env.marginal),
-        }
-    else:
-        raise TypeError(f"cannot serialize environment {type(env).__name__}")
-    if obs_policy is not None:
-        doc["obs_policy"] = _policy_to_json(obs_policy)
-    if obs_shift is not None:
-        doc["obs_shift"] = {
-            "kind": obs_shift.kind,
-            "direction": list(obs_shift.direction),
-            "strength": obs_shift.strength,
-        }
-    return doc
-
-
-def _marginal_to_json(m):
-    if isinstance(m, SegmentMarginal):
-        doc = {"kind": "segments", "probs": list(m.probs)}
-        if m.points is not None:
-            doc["points"] = [list(p) for p in m.points]
-        return doc
-    return {"kind": "box", "lows": list(m.lows), "highs": list(m.highs)}
-
-
-def _policy_to_json(p):
-    if isinstance(p, LogisticPolicy):
-        return {"kind": "logistic", "weights": list(p.weights), "sharpness": p.sharpness}
-    return {"kind": "threshold", "direction": list(p.direction), "cutoff": p.cutoff, "leak": p.leak}
+# JSON environment specs (env.json). The schema is written down once, as the
+# known_keys calls of env_from_json: seed, n_obs, n_pool and env (kind "hard" or
+# "linear"), with an optional obs_policy ("logistic" or "threshold") and obs_shift.
 
 
 def env_from_json(doc):
-    """Rebuild (env, obs_policy, obs_shift) from an env.json document.
-    A key that env_to_json does not write is a ValueError."""
+    """Build (env, obs_policy, obs_shift) from an env.json document.
+    A key outside the env.json schema is a ValueError."""
     known_keys(doc, "env.json", "seed", "n_obs", "n_pool", "env", "obs_policy",
                "obs_shift")
     e = doc["env"]

@@ -1,15 +1,14 @@
 """Pseudo-outcome regression for adaptively collected randomized data.
 
 The chronological stream (x_t, t_t, y_t, p_t) is converted to inverse
-propensity pseudo-outcomes and fit by ridge / OLS in a fixed
-feature space, with the self-normalized confidence width and a sandwich
-variance estimate for asymptotic intervals. A fit is one frozen RidgeSolution
+propensity pseudo-outcomes and fit by ridge / OLS in a fixed feature space,
+with the self-normalized confidence width and the sandwich covariance that
+the CLT audit standardizes by. A fit is one frozen RidgeSolution
 holding lambda once, for V and for the width's det(lambda I) alike. Everything
 here reads phi rows: a fit predicts <theta_hat, phi>, and callers map x once.
 """
 
 from dataclasses import dataclass
-from statistics import NormalDist
 
 import numpy as np
 
@@ -26,7 +25,7 @@ def pseudo_outcome_values(ts, ys, ps):
     ts = np.asarray(ts)
     ys = np.asarray(ys, dtype=float)
     ps = np.asarray(ps, dtype=float)
-    if np.any((ps <= 0.0) | (ps >= 1.0)):
+    if not np.all((ps > 0.0) & (ps < 1.0)):  # NaN fails both
         raise ValueError("assignment probability outside (0, 1)")
     return np.where(ts == 1, ys / ps, -ys / (1.0 - ps))
 
@@ -108,7 +107,8 @@ def beta_bound(params, solution):
 
 
 def confidence_width(solution, params, phi):
-    """Half-width beta * sqrt(phi^T V^-1 phi) of the pointwise CATE bound."""
+    """Half-width beta * sqrt(phi^T V^-1 phi) of the pointwise CATE bound.
+    The paper's width; no CLI caller, as the audit checks ||theta_hat - theta*||_V."""
     beta = beta_bound(params, solution)
     lev = float(phi @ np.linalg.solve(solution.V, phi))
     return beta * np.sqrt(max(lev, 0.0))
@@ -141,14 +141,6 @@ def sandwich_from_arrays(phis, yts, solution):
     sigma_inv = np.linalg.inv(sigma_hat)
     avar = sigma_inv @ omega_hat @ sigma_inv
     return SandwichEstimate(sigma_hat=sigma_hat, omega_hat=omega_hat, avar=avar)
-
-
-def pointwise_ci(solution, sandwich, phi, level, n):
-    """<theta_hat, phi> +- z sqrt(phi^T avar phi / B)."""
-    center = float(phi @ solution.theta_hat)
-    z = NormalDist().inv_cdf(0.5 + level / 2.0)
-    half = z * np.sqrt(max(float(phi @ sandwich.avar @ phi), 0.0) / n)
-    return center - half, center + half
 
 
 # ---------------------------------------------------------------------------

@@ -51,10 +51,10 @@ class ZeroGlobalLiftError(ValueError):
     """f(N) = 0: the normalized area is undefined."""
 
 
-def uplift_curve(scores, ts, ys, ids=None):
+def uplift_curve(scores, ts, ys):
     """Cumulative incremental gain at each rank, then the normalized area.
 
-    Units are sorted by descending score (ties by ascending id). Ranks where
+    Units are sorted by descending score (ties by position). Ranks where
     either cumulative arm is empty contribute f(k) = 0.
     """
     scores = np.asarray(scores, dtype=float)
@@ -63,8 +63,7 @@ def uplift_curve(scores, ts, ys, ids=None):
     n = len(scores)
     if n < 2:
         raise ValueError("need at least 2 units")
-    ids = np.arange(n) if ids is None else np.asarray(ids)
-    order = np.lexsort((ids, -scores))
+    order = np.argsort(-scores, kind="stable")
     t_sorted = ts[order]
     y_sorted = ys[order]
     nt = np.cumsum(t_sorted)

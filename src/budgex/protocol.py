@@ -29,24 +29,13 @@ def clip_probability(raw, bounds):
     return np.minimum(np.maximum(raw, bounds.f_min), bounds.f_max)
 
 
-def _variance_optimal(a, bm):
-    """sqrt(A) / (sqrt(A) + sqrt(B)), and 0.5 where both moments vanish."""
-    denom = np.sqrt(a) + np.sqrt(bm)
-    return np.where(denom > 0, np.sqrt(a) / np.where(denom > 0, denom, 1.0), 0.5)
-
-
-def optimal_p(a, bm, bounds):
-    """Variance-optimal assignment sqrt(A) / (sqrt(A) + sqrt(B)), clipped."""
-    a = np.asarray(a, dtype=float)
-    bm = np.asarray(bm, dtype=float)
-    if np.any(a < 0) or np.any(bm < 0):
-        raise ValueError("second moments must be nonnegative")
-    return clip_probability(_variance_optimal(a, bm), bounds)
-
-
 @dataclass(frozen=True)
 class ConstantPolicy:
     p: float = 0.5
+
+    def __post_init__(self):
+        if not np.isfinite(self.p):
+            raise ValueError(f"constant assignment probability {self.p!r} is not finite")
 
     def raw(self, phis, env):
         return np.full(len(phis), self.p)
@@ -57,17 +46,24 @@ class AffinePolicy:
     weights: tuple
     bias: float = 0.5
 
+    def __post_init__(self):
+        if not np.all(np.isfinite(np.append(self.weights, self.bias))):
+            raise ValueError("affine assignment weights and bias must be finite")
+
     def raw(self, phis, env):
         return self.bias + phis @ np.asarray(self.weights)
 
 
 @dataclass(frozen=True)
 class VarianceOptimalPolicy:
-    """Oracle policy on the env's second moments E[Y(t)^2 | phi], which for
-    binary Y are its arm means mu_t(phi)."""
+    """Oracle policy on the env's second moments A = E[Y(1)^2 | phi] and
+    B = E[Y(0)^2 | phi], which for binary Y are its arm means mu_t(phi):
+    p = sqrt(A) / (sqrt(A) + sqrt(B)), and 1/2 where both moments vanish."""
 
     def raw(self, phis, env):
-        return _variance_optimal(*env.arm_means(phis))
+        a, bm = env.arm_means(phis)
+        denom = np.sqrt(a) + np.sqrt(bm)
+        return np.where(denom > 0, np.sqrt(a) / np.where(denom > 0, denom, 1.0), 0.5)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,6 @@ from budgex.core import FeatureMap, ObsLog, RctStream, sigmoid
 from budgex.envs import (BoxMarginal, LinearEnv, LogisticPolicy, MarginalShift,
                          SegmentMarginal, ThresholdPolicy, sample_obs,
                          sample_pool)
-from budgex.estimator import pseudo_outcome_values
 from budgex.protocol import ProtocolConfig, run_protocol
 from budgex._rng import rng_for
 

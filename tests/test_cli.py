@@ -246,6 +246,9 @@ class TestRun:
         ("estimator_lambda", -1.0, ValueError),
         ("estimator_lambda", float("nan"), ValueError),
         ("estimator_lambda", float("inf"), ValueError),
+        ("randomization", {"kind": "constant", "p": float("nan")}, ValueError),
+        ("randomization", {"kind": "affine", "weights": [0.1, 0.0, 0.0, 0.0],
+                           "bias": float("nan")}, ValueError),
     ])
     def test_bad_protocol_rejected_before_any_output(self, generated, tmp_path,
                                                      key, value, error):

@@ -1,0 +1,59 @@
+"""Static checks on the source tree: every module-level name in budgex has a
+reader outside the tests, and no module imports a name it never reads."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = sorted((ROOT / "src" / "budgex").glob("*.py"))
+MODULES = [p for p in SRC if p.name != "__init__.py"]  # __init__ only re-exports
+
+# Library API with no reader in the package or the benchmark, and why it stays.
+UNREAD_ALLOWED = {
+    "confidence_width": "the paper's pointwise width beta * ||phi||_V^-1",
+    "default_hard_delta": "the Delta_B of the sqrt(d/B) minimax floor",
+}
+
+
+def parse(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def reads(tree):
+    """Every name the tree loads, bare or as an attribute."""
+    return ({n.id for n in ast.walk(tree)
+             if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            | {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)})
+
+
+def top_level_names(tree):
+    """The defs, classes and constants a module binds at its top level."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, ast.Assign):
+            yield from (t.id for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            yield node.target.id
+
+
+def test_every_top_level_name_has_a_reader_outside_the_tests():
+    readers = SRC + sorted((ROOT / "perfbench").glob("*.py"))
+    read = set().union(*(reads(parse(p)) for p in readers))
+    unread = {name: p.name for p in MODULES for name in top_level_names(parse(p))
+              if name not in read}
+    assert set(unread) == set(UNREAD_ALLOWED), unread
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    unused = []
+    for path in MODULES + sorted((ROOT / "tests").glob("*.py")):
+        tree = parse(path)
+        read = reads(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in read:
+                        unused.append(f"{path.name}: {bound}")
+    assert unused == []

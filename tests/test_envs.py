@@ -11,7 +11,7 @@ from budgex.core import FeatureMap
 from budgex.envs import (BoxMarginal, EnvSpecError, HardInstance, LinearEnv,
                          LogisticPolicy, MarginalShift, SegmentMarginal,
                          ThresholdPolicy, default_hard_delta, env_from_json,
-                         env_to_json, sample_obs, sample_pool)
+                         sample_obs, sample_pool)
 from budgex._rng import rng_for
 
 
@@ -192,13 +192,23 @@ class TestTrueCate:
         np.testing.assert_allclose(mu1 - mu0, env.feature_map.apply_many(xs) @ env.theta_star)
 
     def test_linear_realizability_exact(self):
-        fmap = FeatureMap(kind="identity", output_dim=2, norm_bound=2.0)
-        env = LinearEnv(theta_star=(0.3, -0.2), feature_map=fmap, norm_budget=1.0,
-                        marginal=BoxMarginal((-1.0, -1.0), (1.0, 1.0)))
-        xs = env.sample_x(10_000, rng_for(4))
-        taus = fmap.apply_many(xs) @ env.theta_star
-        direct = fmap.apply_many(xs) @ np.array([0.3, -0.2])
-        assert np.max(np.abs(taus - direct)) == 0.0
+        """On sampled box rows with a nonzero baseline, arm_means is the law:
+        mu_1 - mu_0 = <theta*, phi> and (mu_1 + mu_0)/2 = m0 + <w_m, phi>, with
+        theta*, m0 and w_m written out. The largest gap measured on these rows
+        was eps/2 for the difference and eps/4 for the mean (eps = 2^-52), so
+        atol is 4 eps. Dropping the 1/2 in arm_means moves the difference by
+        up to 0.14 here, and dropping w_m moves the mean by up to 0.037."""
+        atol = 4 * np.finfo(float).eps
+        for make_env, theta, m0, wm in [
+                (affine_box_env, (0.1, -0.05, 0.08), 0.5, (0.03, 0.0, -0.02)),
+                (identity_box_env, (0.2, -0.1, 0.15), 0.45, (0.05, 0.02, -0.04))]:
+            env = make_env()
+            phis = env.feature_map.apply_many(env.sample_x(10_000, rng_for(4)))
+            mu1, mu0 = env.arm_means(phis)
+            np.testing.assert_allclose(mu1 - mu0, phis @ np.array(theta),
+                                       rtol=0, atol=atol)
+            np.testing.assert_allclose((mu1 + mu0) / 2, m0 + phis @ np.array(wm),
+                                       rtol=0, atol=atol)
 
 
 class TestSpecValidation:
@@ -277,10 +287,36 @@ class TestMarginals:
             SegmentMarginal((0.5, 0.5), ((0.0,),))
 
 
+NO_SHIFT = {"kind": "none", "direction": [], "strength": 0.0}
+
+
+def linear_doc(theta_star, marginal, feature_map=None, baseline_weights=(0.0, 0.0),
+               **blocks):
+    """A fresh env.json document of a linear world with S = 1 and m0 = 1/2;
+    blocks adds obs_policy and obs_shift."""
+    return {"seed": 0, "n_obs": 0, "n_pool": 0,
+            "env": {"kind": "linear", "theta_star": list(theta_star), "S": 1.0,
+                    "baseline_intercept": 0.5,
+                    "baseline_weights": list(baseline_weights),
+                    "feature_map": feature_map or {
+                        "kind": "identity", "output_dim": 2, "norm_bound": 2.0,
+                        "weight": None, "offset": None},
+                    "marginal": marginal},
+            **blocks}
+
+
+def hard_doc(signs, S, seed=0, n_obs=0, n_pool=0, **blocks):
+    """A fresh env.json document of a hard instance with Delta = 0.2."""
+    return {"seed": seed, "n_obs": n_obs, "n_pool": n_pool,
+            "env": {"kind": "hard", "d": len(signs), "delta": 0.2,
+                    "theta_signs": list(signs), "S": S},
+            **blocks}
+
+
 class TestEnvJson:
     def test_hard_round_trip(self):
         env = HardInstance(d=3, delta=0.2, theta_signs=(1, -1, 1))
-        doc = env_to_json(env, seed=5, n_obs=10, n_pool=20)
+        doc = hard_doc([1, -1, 1], 0.34641016151377546, seed=5, n_obs=10, n_pool=20)
         env2, policy, shift = env_from_json(doc)
         np.testing.assert_allclose(env2.theta_star, env.theta_star)
         assert policy is None
@@ -293,7 +329,12 @@ class TestEnvJson:
                         marginal=SegmentMarginal((0.4, 0.6), pts))
         policy = ThresholdPolicy(direction=(0.0, 1.0), cutoff=0.0, leak=0.02)
         shift = MarginalShift(kind="tilt", direction=(1.0, 0.0), strength=0.8)
-        doc = env_to_json(env, obs_policy=policy, obs_shift=shift)
+        doc = linear_doc((0.2, 0.1), {"kind": "segments", "probs": [0.4, 0.6],
+                                      "points": [[-1.0, -0.5], [1.0, 0.5]]},
+                         obs_policy={"kind": "threshold", "direction": [0.0, 1.0],
+                                     "cutoff": 0.0, "leak": 0.02},
+                         obs_shift={"kind": "tilt", "direction": [1.0, 0.0],
+                                    "strength": 0.8})
         env2, policy2, shift2 = env_from_json(doc)
         np.testing.assert_allclose(env2.theta_star, env.theta_star)
         assert env2.marginal.points == pts
@@ -305,21 +346,20 @@ class TestEnvJson:
             env_from_json({"env": {"kind": "cubic"}})
 
     def box_doc(self):
-        fmap = FeatureMap(kind="identity", output_dim=2, norm_bound=2.0)
-        env = LinearEnv(theta_star=(0.2, 0.1), feature_map=fmap, norm_budget=1.0,
-                        marginal=BoxMarginal((-1.0, -1.0), (1.0, 1.0)))
-        return env_to_json(env, obs_policy=ThresholdPolicy((1.0, 0.0), 0.0, 0.05),
-                           obs_shift=MarginalShift())
+        return linear_doc((0.2, 0.1), {"kind": "box", "lows": [-1.0, -1.0],
+                                       "highs": [1.0, 1.0]},
+                          obs_policy={"kind": "threshold", "direction": [1.0, 0.0],
+                                      "cutoff": 0.0, "leak": 0.05},
+                          obs_shift=dict(NO_SHIFT))
 
     def segment_doc(self):
-        fmap = FeatureMap(kind="identity", output_dim=2, norm_bound=2.0)
-        env = LinearEnv(theta_star=(0.2, 0.1), feature_map=fmap, norm_budget=1.0,
-                        marginal=SegmentMarginal((0.4, 0.6), ((-1.0, 0.0), (1.0, 0.0))))
-        return env_to_json(env, obs_policy=LogisticPolicy((1.0, 0.0), 2.0))
+        return linear_doc((0.2, 0.1), {"kind": "segments", "probs": [0.4, 0.6],
+                                       "points": [[-1.0, 0.0], [1.0, 0.0]]},
+                          obs_policy={"kind": "logistic", "weights": [1.0, 0.0],
+                                      "sharpness": 2.0})
 
     def hard_doc(self):
-        return env_to_json(HardInstance(d=2, delta=0.2, theta_signs=(1, -1)), seed=1,
-                           n_obs=10, n_pool=10)
+        return hard_doc([1, -1], 0.28284271247461906, seed=1, n_obs=10, n_pool=10)
 
     @pytest.mark.parametrize("world, block, key", [
         ("box_doc", None, "obs_shfit"),
@@ -352,25 +392,28 @@ class TestEnvJson:
 
 def parsed_worlds():
     """Parsed (env, policy, shift) worlds of every feature map and marginal kind."""
-    def linear(fmap, marginal, shift):
-        env = LinearEnv(theta_star=(0.2, -0.1), feature_map=fmap, norm_budget=1.0,
-                        marginal=marginal, baseline_weights=(0.05, -0.05))
-        return env_to_json(env, obs_policy=LogisticPolicy((1.0, -0.5), 2.0),
-                           obs_shift=shift)
-
-    box = BoxMarginal((-1.0, -1.0, 0.0), (1.0, 1.0, 0.5))
-    affine = FeatureMap(kind="affine-projection", output_dim=2, norm_bound=3.0,
-                        weight=[[0.5, 0.2, -0.3], [0.1, -0.4, 0.6]], offset=[0.1, 0.0])
+    logistic = {"kind": "logistic", "weights": [1.0, -0.5], "sharpness": 2.0}
+    affine = {"kind": "affine-projection", "output_dim": 2, "norm_bound": 3.0,
+              "weight": [[0.5, 0.2, -0.3], [0.1, -0.4, 0.6]], "offset": [0.1, 0.0]}
     docs = {
-        "identity-box": linear(FeatureMap(kind="identity", output_dim=2, norm_bound=2.0),
-                               BoxMarginal((-1.0, -1.0), (1.0, 1.0)), MarginalShift()),
-        "affine-box": linear(affine, box, MarginalShift()),
-        "segment-points": linear(FeatureMap(kind="identity", output_dim=2, norm_bound=2.0),
-                                 SegmentMarginal((0.3, 0.7), ((-1.0, 0.5), (0.8, -0.2))),
-                                 MarginalShift("tilt", (1.0, 1.0), 0.5)),
-        "hard": env_to_json(HardInstance(d=3, delta=0.2, theta_signs=(1, -1, 1)),
-                            obs_policy=ThresholdPolicy((1.0, 0.0, 0.0), 0.5, 0.02),
-                            obs_shift=MarginalShift("tilt", (1.0, -1.0, 0.0), 0.7)),
+        "identity-box": linear_doc(
+            (0.2, -0.1), {"kind": "box", "lows": [-1.0, -1.0], "highs": [1.0, 1.0]},
+            baseline_weights=(0.05, -0.05), obs_policy=logistic, obs_shift=NO_SHIFT),
+        "affine-box": linear_doc(
+            (0.2, -0.1), {"kind": "box", "lows": [-1.0, -1.0, 0.0],
+                          "highs": [1.0, 1.0, 0.5]},
+            feature_map=affine, baseline_weights=(0.05, -0.05), obs_policy=logistic,
+            obs_shift=NO_SHIFT),
+        "segment-points": linear_doc(
+            (0.2, -0.1), {"kind": "segments", "probs": [0.3, 0.7],
+                          "points": [[-1.0, 0.5], [0.8, -0.2]]},
+            baseline_weights=(0.05, -0.05), obs_policy=logistic,
+            obs_shift={"kind": "tilt", "direction": [1.0, 1.0], "strength": 0.5}),
+        "hard": hard_doc(
+            [1, -1, 1], 0.34641016151377546,
+            obs_policy={"kind": "threshold", "direction": [1.0, 0.0, 0.0],
+                        "cutoff": 0.5, "leak": 0.02},
+            obs_shift={"kind": "tilt", "direction": [1.0, -1.0, 0.0], "strength": 0.7}),
     }
     return {name: env_from_json(doc) for name, doc in docs.items()}
 

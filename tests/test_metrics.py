@@ -115,7 +115,7 @@ class TestUpliftCurve:
 
     def test_tied_scores_follow_id_order(self):
         ts, ys = [1, 0, 0, 1], [1, 1, 0, 1]
-        tied = uplift_curve([0.5] * 4, ts, ys, ids=[0, 1, 2, 3])
+        tied = uplift_curve([0.5] * 4, ts, ys)
         expected = brute_force_auuc([0.5] * 4, ts, ys, [0, 1, 2, 3])
         assert tied.auuc_normalized == pytest.approx(float(expected))
 
@@ -164,9 +164,9 @@ class TestUpliftCurve:
                                                     [float(y) for y in ys], ids)
                     except ZeroGlobalLiftError:
                         with pytest.raises(ZeroGlobalLiftError):
-                            uplift_curve(perm, ts, ys, ids=ids)
+                            uplift_curve(perm, ts, ys)
                         continue
-                    got = uplift_curve(perm, ts, ys, ids=ids).auuc_normalized
+                    got = uplift_curve(perm, ts, ys).auuc_normalized
                     assert got == pytest.approx(float(expected), abs=1e-12)
                     checked += 1
         assert checked > 1000

@@ -13,14 +13,13 @@ from budgex.acquisition import (SCORE_DTYPE, AcquisitionWeights, fit_propensity,
                                 score_pool, select_top_m)
 from budgex.core import (FeatureMap, NormBoundError, ObsLog, Pool,
                          PropensityBounds, read_jsonl, write_jsonl)
-from budgex.envs import (HardInstance, LinearEnv, LogisticPolicy,
-                         MarginalShift, SegmentMarginal, ThresholdPolicy,
-                         sample_obs, sample_pool)
+from budgex.envs import (HardInstance, LinearEnv, MarginalShift,
+                         SegmentMarginal, ThresholdPolicy, sample_obs,
+                         sample_pool)
 from budgex.estimator import pseudo_outcome_values
 from budgex.protocol import (AffinePolicy, ConstantPolicy, ProtocolConfig,
                              VarianceOptimalPolicy, _assign_and_observe,
-                             _dump_scores, clip_probability, optimal_p,
-                             run_protocol)
+                             _dump_scores, clip_probability, run_protocol)
 from budgex._rng import rng_for
 
 BOUNDS = PropensityBounds(0.2, 0.8)
@@ -47,6 +46,22 @@ def weak_overlap_world(seed, n_pool=300, n_obs=400):
     return env, pool, obs
 
 
+class MomentsEnv:
+    """A stub env whose arm means at its one phi row are the moments (A, B)."""
+
+    def __init__(self, a, bm):
+        self.moments = np.array([a], dtype=float), np.array([bm], dtype=float)
+
+    def arm_means(self, phis):
+        return self.moments
+
+
+def policy_p(a, bm, bounds):
+    """The clipped VarianceOptimalPolicy probability for second moments (A, B)."""
+    raw = VarianceOptimalPolicy().raw(np.zeros((1, 1)), MomentsEnv(a, bm))
+    return clip_probability(raw, bounds)[0]
+
+
 class TestClipAndOptimalP:
     def test_clip_values(self):
         assert clip_probability(0.05, BOUNDS) == 0.2
@@ -54,21 +69,17 @@ class TestClipAndOptimalP:
         assert clip_probability(0.95, BOUNDS) == 0.8
 
     def test_optimal_p_equal_moments(self):
-        assert optimal_p(3.0, 3.0, BOUNDS) == 0.5
+        assert policy_p(3.0, 3.0, BOUNDS) == 0.5
 
     def test_optimal_p_formula(self):
         wide = PropensityBounds(0.01, 0.99)
-        assert optimal_p(4.0, 1.0, wide) == pytest.approx(2.0 / 3.0)
+        assert policy_p(4.0, 1.0, wide) == pytest.approx(2.0 / 3.0)
 
     def test_optimal_p_clips_at_floor(self):
-        assert optimal_p(0.0, 1.0, BOUNDS) == 0.2
+        assert policy_p(0.0, 1.0, BOUNDS) == 0.2
 
     def test_optimal_p_degenerate_case(self):
-        assert optimal_p(0.0, 0.0, BOUNDS) == 0.5
-
-    def test_negative_moment_rejected(self):
-        with pytest.raises(ValueError):
-            optimal_p(-1.0, 1.0, BOUNDS)
+        assert policy_p(0.0, 0.0, BOUNDS) == 0.5
 
     def test_policy_matches_optimal_p_bitwise(self):
         env = hard4()
@@ -79,10 +90,19 @@ class TestClipAndOptimalP:
         written_out = np.sqrt(a) / (np.sqrt(a) + np.sqrt(bm))
         assert raw.tobytes() == written_out.tobytes()
         assert clip_probability(raw, BOUNDS).tobytes() == \
-            optimal_p(a, bm, BOUNDS).tobytes()
+            clip_probability(written_out, BOUNDS).tobytes()
 
 
 class TestConfigValidation:
+    @pytest.mark.parametrize("make", [
+        lambda: ConstantPolicy(float("nan")), lambda: ConstantPolicy(float("inf")),
+        lambda: AffinePolicy((float("nan"), 0.0)),
+        lambda: AffinePolicy((0.1, 0.0), bias=float("-inf"))],
+        ids=["nan-p", "inf-p", "nan-weight", "inf-bias"])
+    def test_non_finite_policy_rejected(self, make):
+        with pytest.raises(ValueError, match="finite"):
+            make()
+
     def test_strategy_names(self):
         with pytest.raises(ValueError):
             ProtocolConfig(budget=10, strategy="greedy")
