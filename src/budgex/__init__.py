@@ -10,8 +10,8 @@ empirically. Past the feature map everything reads phi rows, mapped once.
 from .core import (FeatureMap, ObsLog, Pool, PropensityBounds, RctStream,
                    read_jsonl, validate_rct_stream, write_jsonl)
 from .envs import (BoxMarginal, HardInstance, LinearEnv, LogisticPolicy,
-                   MarginalShift, SegmentMarginal, ThresholdPolicy,
-                   default_hard_delta, env_from_json, sample_obs, sample_pool)
+                   SegmentMarginal, ThresholdPolicy, default_hard_delta,
+                   env_from_json, sample_obs, sample_pool)
 from .estimator import (ConfidenceParams, RidgeSolution, SandwichEstimate,
                         beta_bound, confidence_width, default_sigma,
                         fit_ridge_arrays, pseudo_outcome_values,

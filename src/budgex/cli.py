@@ -6,9 +6,11 @@ Subcommands:
   evaluate  env.json + solution.json -> metrics.csv, summary.json
   sweep     sweep.json -> one metrics row per (budget, strategy, replication)
 
-Each command parses its inputs once: run's replications and sweep's cells (in
-workers too) get the parsed world and a base ProtocolConfig, and a sweep
-rejects bad inputs before any cell runs. Cells draw through metrics.replicate.
+Each command parses its inputs once, into the objects the run uses: the env,
+the log's policy and covariate marginal, and a base ProtocolConfig. Run's
+replications and sweep's cells (in workers too) get those, and run and sweep
+reject bad inputs, an affine randomization of the wrong length included,
+before any output is made. Cells draw through metrics.replicate.
 All outputs but run's wall-clock timing.json are byte-deterministic given
 identical configs and master seed.
 BUDGEX_THREADS caps worker parallelism for sweeps (default 1).
@@ -30,7 +32,7 @@ import numpy as np
 from ._rng import derive_seed, rng_for
 from .acquisition import AcquisitionWeights
 from .core import known_keys, read_jsonl, write_jsonl
-from .envs import SegmentMarginal, load_env, sample_obs, sample_pool
+from .envs import SegmentMarginal, kind_of, load_env, sample_obs, sample_pool
 from .estimator import solution_to_json, solution_from_json
 from .metrics import auuc, pehe, pehe_exact_segments, replicate
 from .protocol import (DEFAULT_BOUNDS, AffinePolicy, ConstantPolicy,
@@ -68,15 +70,14 @@ def _given(doc, *keys):
 
 
 def _randomization_from_json(doc):
-    known_keys(doc, "protocol.json randomization", "kind", "p", "weights", "bias")
-    kind = doc.get("kind", "constant")
+    """The assignment policy of a randomization block; no "kind" means constant."""
+    kind = kind_of({"kind": "constant", **doc}, "protocol.json randomization", {
+        "constant": ("p",), "affine": ("weights", "bias"), "variance-optimal": ()})
     if kind == "constant":
         return ConstantPolicy(**_given(doc, "p"))
     if kind == "affine":
         return AffinePolicy(tuple(doc["weights"]), **_given(doc, "bias"))
-    if kind == "variance-optimal":
-        return VarianceOptimalPolicy()
-    raise ValueError(f"unknown randomization kind {kind!r}")
+    return VarianceOptimalPolicy()
 
 
 def protocol_config_from_json(doc):
@@ -95,19 +96,28 @@ def protocol_config_from_json(doc):
         **given)
 
 
+def _fits_phi(config, env):
+    """config, once an affine randomization has one weight per phi coordinate."""
+    rz, d = config.randomization, env.feature_map.output_dim
+    if isinstance(rz, AffinePolicy) and len(rz.weights) != d:
+        raise ValueError(f"randomization weights has length {len(rz.weights)}; phi has "
+                         f"{d} coordinates")
+    return config
+
+
 # ---------------------------------------------------------------------------
 # generate
 
 
 def cmd_generate(args):
-    env, policy, shift, doc = load_env(args.env)
+    env, policy, obs_marginal, doc = load_env(args.env)
     os.makedirs(args.out, exist_ok=True)
     seed = doc.get("seed", 0) if args.seed is None else args.seed
     pool = sample_pool(env, doc.get("n_pool", 1000), seed)
     write_jsonl(os.path.join(args.out, "pool.jsonl"), pool)
     n_obs = doc.get("n_obs", 0)
     if policy is not None and n_obs > 0:
-        obs = sample_obs(env, policy, shift, n_obs, seed)
+        obs = sample_obs(env, policy, obs_marginal, n_obs, seed)
         write_jsonl(os.path.join(args.out, "obs.jsonl"), obs)
     _write_json(os.path.join(args.out, "manifest.json"),
                 {"env_spec_sha256": _sha256_file(args.env), "seed": seed})
@@ -119,9 +129,9 @@ def cmd_generate(args):
 
 
 def cmd_run(args):
-    env, policy, shift, env_doc = load_env(args.env)
+    env, _, _, _ = load_env(args.env)
     with open(args.protocol) as fh:
-        base = protocol_config_from_json(json.load(fh))
+        base = _fits_phi(protocol_config_from_json(json.load(fh)), env)
     if args.reps < 1:
         raise ValueError(f"run replications must be >= 1, got {args.reps}")
     os.makedirs(args.out, exist_ok=True)
@@ -193,7 +203,7 @@ def cmd_evaluate(args):
 
 def _sweep_cell(payload):
     """One (budget, strategy, replication) cell; pure function of its inputs."""
-    (env, policy, shift, base, budget, strategy, rep, master_seed, n_pool,
+    (env, policy, obs_marginal, base, budget, strategy, rep, master_seed, n_pool,
      n_obs) = payload
     seed = derive_seed(master_seed, budget,
                        zlib.crc32(strategy.encode()) & 0xFFFF, rep)
@@ -201,7 +211,7 @@ def _sweep_cell(payload):
     cfg = replace(base, budget=budget, seed=seed,
                   strategy="random" if weights is None else "active",
                   weights=base.weights if weights is None else weights)
-    result = replicate(env, policy, shift, cfg, n_pool, n_obs)
+    result = replicate(env, policy, obs_marginal, cfg, n_pool, n_obs)
     theta_hat = result.solution.theta_hat
     if isinstance(env.marginal, SegmentMarginal):
         pehe_val = pehe_exact_segments(theta_hat, env)
@@ -219,12 +229,12 @@ def cmd_sweep(args):
     with open(args.sweep) as fh:
         sdoc = known_keys(json.load(fh), "sweep.json", "env", "budgets", "strategies",
                           "replications", "n_pool", "n_obs", "protocol")
-    env, policy, shift, _ = load_env(sdoc["env"])
+    env, policy, obs_marginal, _ = load_env(sdoc["env"])
     pdoc = sdoc.get("protocol", {})
     per_cell = sorted({"budget", "strategy", "weights"} & set(pdoc))
     if per_cell:
         raise ValueError(f"sweep.json protocol must not set {per_cell}: each cell sets them")
-    base = protocol_config_from_json({**pdoc, "budget": 0})
+    base = _fits_phi(protocol_config_from_json({**pdoc, "budget": 0}), env)
     budgets = sdoc["budgets"]
     strategies = sdoc["strategies"]
     reps = sdoc.get("replications", 1) if args.reps is None else args.reps
@@ -242,12 +252,15 @@ def cmd_sweep(args):
     unknown = [s for s in strategies if s not in STRATEGIES]
     if unknown:
         raise ValueError(f"unknown sweep strategies {unknown}; known: {list(STRATEGIES)}")
+    for name, grid in (("budgets", budgets), ("strategies", strategies)):
+        if len(set(grid)) < len(grid):
+            raise ValueError(f"sweep {name} must not repeat, got {grid}")
     if (policy is None or n_obs < 1) and any(STRATEGIES[s] is not None for s in strategies):
         raise ValueError("active sweep strategies need an obs policy and n_obs > 0")
     os.makedirs(args.out, exist_ok=True)
 
     payloads = [
-        (env, policy, shift, base, b, s, r, args.seed, n_pool, n_obs)
+        (env, policy, obs_marginal, base, b, s, r, args.seed, n_pool, n_obs)
         for b in budgets for s in strategies for r in range(reps)
     ]
     workers = int(os.environ.get("BUDGEX_THREADS", "1"))
@@ -270,7 +283,7 @@ def cmd_sweep(args):
             aucs = [float(r[5]) for r in rows if r[0] == b and r[1] == s]
             per_budget[str(b)] = {
                 "mean_pehe": float(np.mean(vals)),
-                "mean_auuc": float(np.nanmean(aucs)) if aucs else float("nan"),
+                "mean_auuc": float(np.nanmean(aucs)),
             }
         summary["cells"][s] = per_budget
         if len(budgets) >= 4:

@@ -28,7 +28,8 @@ class FeatureMap:
 
     kind is one of "identity", "segment-one-hot", "affine-projection".
     For segment-one-hot the covariate is a length-1 vector holding the
-    segment index; for affine-projection, phi(x) = W x + b.
+    segment index; for affine-projection, phi(x) = W x + b. Only
+    affine-projection takes a weight or an offset.
     """
 
     kind: str
@@ -44,6 +45,9 @@ class FeatureMap:
             raise ValueError("output_dim must be positive")
         if not 0.0 <= self.norm_bound < np.inf:  # NaN fails too
             raise ValueError(f"norm_bound must be finite and >= 0, got {self.norm_bound}")
+        if self.kind != "affine-projection" and (self.weight is not None
+                                                 or self.offset is not None):
+            raise ValueError(f"feature map kind {self.kind!r} takes no weight or offset")
         if self.kind == "affine-projection":
             W = np.asarray(self.weight, dtype=float)
             b = np.zeros(self.output_dim) if self.offset is None else np.asarray(self.offset, dtype=float)

@@ -9,8 +9,9 @@ floor: d equally likely segments, one-hot phi, m0 = 1/2, w_m = 0 and effects
 +-Delta.
 
 Observational logs are drawn under an explicit historical policy e_obs(phi)
-(logistic or near-deterministic threshold) and an optionally tilted covariate
-marginal; conditional outcome laws are shared with the pool by construction.
+(logistic or near-deterministic threshold) from the log's own covariate
+marginal, which env_from_json builds once: the pool's marginal, or its tilt.
+Conditional outcome laws are shared with the pool by construction.
 """
 
 import json
@@ -25,7 +26,8 @@ C_KL = 16.0 / 3.0
 
 
 class EnvSpecError(ValueError):
-    """The environment specification violates a construction invariant."""
+    """The environment specification violates a construction invariant, or a
+    tagged block of env.json or protocol.json names a kind that does not exist."""
 
 
 # ---------------------------------------------------------------------------
@@ -137,22 +139,6 @@ class ThresholdPolicy:
         return np.where(above, 1.0 - self.leak, self.leak)
 
 
-@dataclass(frozen=True)
-class MarginalShift:
-    """How the OBS covariate marginal differs from the pool marginal."""
-
-    kind: str = "none"  # "none" | "tilt"
-    direction: tuple = ()
-    strength: float = 0.0
-
-    def apply(self, marginal):
-        if self.kind == "none":
-            return marginal
-        if self.kind == "tilt":
-            return marginal.tilted(self.direction, self.strength)
-        raise EnvSpecError(f"unknown marginal shift kind {self.kind!r}")
-
-
 # ---------------------------------------------------------------------------
 # Environments
 
@@ -242,12 +228,12 @@ def sample_pool(env, n_pool, seed):
     return Pool(ids=np.arange(n_pool), xs=env.sample_x(n_pool, rng))
 
 
-def sample_obs(env, policy, shift, n_obs, seed):
-    """Historical ObsLog: shifted marginal, t ~ Bern(e_obs(x)), shared outcome laws."""
+def sample_obs(env, policy, marginal, n_obs, seed):
+    """Historical ObsLog: x from the log's marginal (env.marginal, or the tilt
+    env_from_json built), t ~ Bern(e_obs(x)), and the env's outcome laws."""
     if n_obs < 1:
         raise ValueError("n_obs must be >= 1")
     rng = rng_for(seed, 0x6F6273)
-    marginal = shift.apply(env.marginal)
     xs = marginal.sample(n_obs, rng)
     phis = env.feature_map.apply_many(xs)
     e = policy.propensity(phis)
@@ -257,75 +243,77 @@ def sample_obs(env, policy, shift, n_obs, seed):
 
 
 # ---------------------------------------------------------------------------
-# JSON environment specs (env.json). The schema is written down once, as the
-# known_keys calls of env_from_json: seed, n_obs, n_pool and env (kind "hard" or
-# "linear"), with an optional obs_policy ("logistic" or "threshold") and obs_shift.
+# JSON environment specs (env.json), written down once as env_from_json's key
+# lists: seed, n_obs, n_pool and env (kind "hard" or "linear"), with optional
+# obs_policy ("logistic" or "threshold") and obs_shift ("none" or "tilt"). Each
+# tagged block holds "kind" and that kind's own keys, and no other key.
+
+
+def kind_of(doc, where, keys_by_kind):
+    """doc's kind, once it is a key of keys_by_kind and doc has no key outside
+    "kind" and that kind's keys: a key only a sibling kind reads is an error."""
+    kind = doc.get("kind")
+    if kind not in keys_by_kind:
+        raise EnvSpecError(f"unknown {where} kind {kind!r}; known: {list(keys_by_kind)}")
+    known_keys(doc, f"{where} ({kind})", "kind", *keys_by_kind[kind])
+    return kind
 
 
 def env_from_json(doc):
-    """Build (env, obs_policy, obs_shift) from an env.json document.
-    A key outside the env.json schema is a ValueError."""
+    """(env, obs_policy, obs_marginal) from an env.json document; obs_marginal is
+    the log's covariate marginal, env.marginal or its tilt. A key outside the
+    schema is a ValueError, and shapes and invariants fail here, before any draw."""
     known_keys(doc, "env.json", "seed", "n_obs", "n_pool", "env", "obs_policy",
                "obs_shift")
     e = doc["env"]
-    if e["kind"] == "hard":
-        known_keys(e, "env.json env", "kind", "d", "delta", "theta_signs", "S")
+    if kind_of(e, "env.json env", {
+            "hard": ("d", "delta", "theta_signs", "S"),
+            "linear": ("theta_star", "S", "baseline_intercept", "baseline_weights",
+                       "feature_map", "marginal")}) == "hard":
         env = HardInstance(d=e["d"], delta=e["delta"], theta_signs=e["theta_signs"],
                            norm_budget=e.get("S"))
-    elif e["kind"] == "linear":
-        known_keys(e, "env.json env", "kind", "theta_star", "S", "baseline_intercept",
-                   "baseline_weights", "feature_map", "marginal")
+    else:
         fmj = known_keys(e["feature_map"], "env.json feature_map", "kind", "output_dim",
                          "norm_bound", "weight", "offset")
         fmap = FeatureMap(kind=fmj["kind"], output_dim=fmj["output_dim"],
                           norm_bound=fmj["norm_bound"], weight=fmj.get("weight"),
                           offset=fmj.get("offset"))
         mj = e["marginal"]
-        if mj["kind"] == "segments":
-            known_keys(mj, "env.json marginal", "kind", "probs", "points")
+        if kind_of(mj, "env.json marginal", {"segments": ("probs", "points"),
+                                             "box": ("lows", "highs")}) == "segments":
             pts = mj.get("points")
-            marginal = SegmentMarginal(
-                tuple(mj["probs"]), None if pts is None else tuple(map(tuple, pts))
-            )
-        elif mj["kind"] == "box":
-            known_keys(mj, "env.json marginal", "kind", "lows", "highs")
-            marginal = BoxMarginal(tuple(mj["lows"]), tuple(mj["highs"]))
+            marginal = SegmentMarginal(tuple(mj["probs"]),
+                                       None if pts is None else tuple(map(tuple, pts)))
         else:
-            raise EnvSpecError(f"unknown marginal kind {mj['kind']!r}")
+            marginal = BoxMarginal(tuple(mj["lows"]), tuple(mj["highs"]))
         env = LinearEnv(theta_star=e["theta_star"], feature_map=fmap, norm_budget=e["S"],
                         marginal=marginal, baseline_intercept=e["baseline_intercept"],
                         baseline_weights=e["baseline_weights"])
-    else:
-        raise EnvSpecError(f"unknown environment kind {e['kind']!r}")
 
     policy = None
     if "obs_policy" in doc:
         pj = doc["obs_policy"]
-        if pj["kind"] == "logistic":
-            known_keys(pj, "env.json obs_policy", "kind", "weights", "sharpness")
+        if kind_of(pj, "env.json obs_policy", {"logistic": ("weights", "sharpness"),
+                                               "threshold": ("direction", "cutoff",
+                                                             "leak")}) == "logistic":
             policy = LogisticPolicy(tuple(pj["weights"]), pj.get("sharpness", 1.0))
             name, vector = "weights", policy.weights
-        elif pj["kind"] == "threshold":
-            known_keys(pj, "env.json obs_policy", "kind", "direction", "cutoff", "leak")
+        else:
             policy = ThresholdPolicy(tuple(pj["direction"]), pj["cutoff"], pj.get("leak", 0.0))
             name, vector = "direction", policy.direction
-        else:
-            raise EnvSpecError(f"unknown policy kind {pj['kind']!r}")
         if np.shape(vector) != (env.feature_map.output_dim,):
             raise EnvSpecError(f"obs_policy {name} has shape {np.shape(vector)}; phi has "
                                f"{env.feature_map.output_dim} coordinates")
-    shift = MarginalShift()
-    if "obs_shift" in doc:
-        sj = known_keys(doc["obs_shift"], "env.json obs_shift", "kind", "direction",
-                        "strength")
-        shift = MarginalShift(kind=sj["kind"], direction=tuple(sj.get("direction", ())),
-                              strength=sj.get("strength", 0.0))
-        shift.apply(env.marginal)  # a bad kind, direction or marginal fails before any draw
-    return env, policy, shift
+    sj = doc.get("obs_shift", {"kind": "none"})
+    if kind_of(sj, "env.json obs_shift", {"none": (),
+                                          "tilt": ("direction", "strength")}) == "tilt":
+        return env, policy, env.marginal.tilted(sj.get("direction", ()),
+                                                sj.get("strength", 0.0))
+    return env, policy, env.marginal
 
 
 def load_env(path):
+    """(env, obs_policy, obs_marginal, doc) of the env.json file at path."""
     with open(path) as fh:
         doc = json.load(fh)
-    env, policy, shift = env_from_json(doc)
-    return env, policy, shift, doc
+    return *env_from_json(doc), doc

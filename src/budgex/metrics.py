@@ -102,11 +102,11 @@ def auuc(theta_hat, env, n, seed):
 # Replication harnesses
 
 
-def replicate(env, policy, shift, config, n_pool, n_obs):
+def replicate(env, policy, obs_marginal, config, n_pool, n_obs):
     """One protocol run on a fresh pool, seeded by config.seed; the log is
-    drawn only for an active config with a policy and n_obs > 0."""
+    drawn from obs_marginal only for an active config with a policy and n_obs > 0."""
     pool = sample_pool(env, n_pool, derive_seed(config.seed, 0x706C))
-    obs = (sample_obs(env, policy, shift, n_obs, derive_seed(config.seed, 0x6F62))
+    obs = (sample_obs(env, policy, obs_marginal, n_obs, derive_seed(config.seed, 0x6F62))
            if config.strategy == "active" and policy is not None and n_obs > 0
            else None)
     return run_protocol(config, env, pool_units=pool, obs=obs)

@@ -11,9 +11,8 @@ from budgex.acquisition import (AcquisitionWeights, LogisticHead,
                                 overlap_deficit_many, rank_normalize, score_pool,
                                 select_top_m, train_domain_classifier)
 from budgex.core import FeatureMap, ObsLog, RctStream, sigmoid
-from budgex.envs import (BoxMarginal, LinearEnv, LogisticPolicy, MarginalShift,
-                         SegmentMarginal, ThresholdPolicy, sample_obs,
-                         sample_pool)
+from budgex.envs import (BoxMarginal, LinearEnv, LogisticPolicy, SegmentMarginal,
+                         ThresholdPolicy, sample_obs, sample_pool)
 from budgex.protocol import ProtocolConfig, run_protocol
 from budgex._rng import rng_for
 
@@ -209,7 +208,7 @@ def box_threshold_world(seed, n_pool=2000, n_obs=2000):
     policy = ThresholdPolicy(direction=(1.0, 0.0, 0.0, 0.0, 0.0), cutoff=0.0,
                              leak=0.02)
     return (env, sample_pool(env, n_pool, seed),
-            sample_obs(env, policy, MarginalShift(), n_obs, seed + 1))
+            sample_obs(env, policy, env.marginal, n_obs, seed + 1))
 
 
 def gradient_descent_fit(phis, labels, lr=1.0, steps=2000):
@@ -385,7 +384,7 @@ class TestScorePool:
                                                  ((-1.0,), (0.0,), (1.0,))))
         policy = LogisticPolicy(weights=(3.0,), sharpness=2.0)
         pool = sample_pool(env, 60, seed)
-        obs = sample_obs(env, policy, MarginalShift(), 300, seed + 1)
+        obs = sample_obs(env, policy, env.marginal, 300, seed + 1)
         return env, fmap, pool, obs, policy
 
     def test_scoring_determinism(self):

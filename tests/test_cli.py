@@ -14,7 +14,7 @@ from budgex import acquisition
 from budgex.acquisition import AcquisitionWeights
 from budgex.cli import main, protocol_config_from_json
 from budgex.core import FeatureMap, PropensityBounds, read_jsonl
-from budgex.envs import EnvSpecError, HardInstance, MarginalShift
+from budgex.envs import EnvSpecError, HardInstance
 from budgex.protocol import AffinePolicy, ProtocolConfig
 
 
@@ -249,6 +249,7 @@ class TestRun:
         ("randomization", {"kind": "constant", "p": float("nan")}, ValueError),
         ("randomization", {"kind": "affine", "weights": [0.1, 0.0, 0.0, 0.0],
                            "bias": float("nan")}, ValueError),
+        ("randomization", {"kind": "affine", "weights": [0.1]}, ValueError),
     ])
     def test_bad_protocol_rejected_before_any_output(self, generated, tmp_path,
                                                      key, value, error):
@@ -303,6 +304,7 @@ class TestProtocolConfigFromJson:
         ({"budget": 5, "ensemble": {"n_members": 4}}, "'ensemble'"),
         ({"budget": 5, "max_rounds": 4}, "'max_rounds'"),
         ({"budget": 5, "mode": "fusion"}, "'mode'"),
+        ({"budget": 5, "randomization": {"kind": "thompson"}}, "'thompson'"),
     ])
     def test_unknown_keys_rejected(self, doc, key):
         with pytest.raises(ValueError, match=key):
@@ -406,9 +408,14 @@ class TestSweep:
         ({"protocol": {"budget": 5}}, [], True, "'budget'"),
         ({"protocol": {"strategy": "random"}}, [], True, "'strategy'"),
         ({"protocol": {"weights": {"alpha": 1.0}}}, [], True, "'weights'"),
+        ({"protocol": {"randomization": {"kind": "affine", "weights": [0.1]}}}, [], True,
+         "weights has length 1; phi has 4 coordinates"),
+        ({"budgets": [20, 20, 30, 40]}, [], True, "budgets must not repeat"),
+        ({"strategies": ["random", "random"]}, [], True, "strategies must not repeat"),
     ], ids=["float-budgets", "fractional-budget", "zero-replications", "zero-reps",
             "zero-pool", "unknown-strategy", "no-log-rows", "no-log-policy",
-            "protocol-budget", "protocol-strategy", "protocol-weights"])
+            "protocol-budget", "protocol-strategy", "protocol-weights",
+            "short-affine-weights", "repeated-budget", "repeated-strategy"])
     def test_bad_inputs_fail_before_any_cell_runs(self, tmp_path, monkeypatch, change,
                                                    argv, with_policy, message):
         cells = []
@@ -438,7 +445,7 @@ class TestSweep:
         env = HardInstance(d=4, delta=0.2, theta_signs=(1, -1, 1, -1))
         base = ProtocolConfig(budget=0, max_batch=10)
         mapped_rows.clear()  # the env's own check of its support
-        budgex.cli._sweep_cell((env, None, MarginalShift(), base, 30, "random", 0, 7,
+        budgex.cli._sweep_cell((env, None, env.marginal, base, 30, "random", 0, 7,
                                 60, 0))
         assert mapped_rows == [60, 4, 4000]
 

@@ -54,6 +54,16 @@ class TestFeatureMap:
         with pytest.raises(ValueError):
             FeatureMap(kind="fourier", output_dim=2, norm_bound=1.0)
 
+    @pytest.mark.parametrize("kind", ["identity", "segment-one-hot"])
+    @pytest.mark.parametrize("given", [{"weight": [[5.0, 0.0], [0.0, 5.0]]},
+                                       {"offset": [1.0, 1.0]}])
+    def test_weight_or_offset_of_a_non_affine_map_rejected(self, kind, given):
+        """An identity map with a weight and an offset used to map phi = x,
+        silently; a null weight and offset stay valid."""
+        FeatureMap(kind=kind, output_dim=2, norm_bound=2.0, weight=None, offset=None)
+        with pytest.raises(ValueError, match="no weight or offset"):
+            FeatureMap(kind=kind, output_dim=2, norm_bound=2.0, **given)
+
     @pytest.mark.parametrize("bound", [-1.0, -1e-12, np.nan, np.inf, -np.inf])
     def test_invalid_norm_bound_rejected_at_construction(self, bound):
         """A bad bound fails where it is declared, not at the first mapped

@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
+from budgex.cli import protocol_config_from_json
 from budgex.core import FeatureMap
 from budgex.envs import (BoxMarginal, EnvSpecError, HardInstance, LinearEnv,
-                         LogisticPolicy, MarginalShift, SegmentMarginal,
-                         ThresholdPolicy, default_hard_delta, env_from_json,
-                         sample_obs, sample_pool)
+                         LogisticPolicy, SegmentMarginal, ThresholdPolicy,
+                         default_hard_delta, env_from_json, sample_obs,
+                         sample_pool)
 from budgex._rng import rng_for
 
 
@@ -48,7 +49,7 @@ class TestSampleObs:
     def test_deterministic_threshold_policy(self):
         env = hard_env(d=2)
         policy = ThresholdPolicy(direction=(1.0, 0.0), cutoff=0.5, leak=0.0)
-        obs = sample_obs(env, policy, MarginalShift(), 2000, seed=11)
+        obs = sample_obs(env, policy, env.marginal, 2000, seed=11)
         for x, t in zip(obs.xs, obs.ts):
             expected = 1 if int(x[0]) == 0 else 0
             assert t == expected
@@ -56,15 +57,15 @@ class TestSampleObs:
     def test_balanced_logistic_policy(self):
         env = hard_env(d=2)
         policy = LogisticPolicy(weights=(0.0, 0.0))
-        obs = sample_obs(env, policy, MarginalShift(), 4000, seed=5)
+        obs = sample_obs(env, policy, env.marginal, 4000, seed=5)
         treated = int(obs.ts.sum())
         assert abs(treated - 2000) < 4 * np.sqrt(4000 * 0.25)
 
     def test_determinism(self):
         env = hard_env()
         policy = LogisticPolicy(weights=(1.0, -1.0))
-        a = sample_obs(env, policy, MarginalShift(), 200, seed=9)
-        b = sample_obs(env, policy, MarginalShift(), 200, seed=9)
+        a = sample_obs(env, policy, env.marginal, 200, seed=9)
+        b = sample_obs(env, policy, env.marginal, 200, seed=9)
         assert all(np.array_equal(getattr(a, c), getattr(b, c))
                    for c in ("xs", "ts", "ys"))
 
@@ -72,7 +73,7 @@ class TestSampleObs:
         """P(Y=1 | x, t) matches the environment's conditional mean."""
         env = hard_env(d=2, delta=0.3, signs=(1, -1))
         policy = LogisticPolicy(weights=(0.0, 0.0))
-        obs = sample_obs(env, policy, MarginalShift(), 100_000, seed=21)
+        obs = sample_obs(env, policy, env.marginal, 100_000, seed=21)
         for j in (0, 1):
             for t in (0, 1):
                 ys = obs.ys[(obs.xs[:, 0].astype(int) == j) & (obs.ts == t)]
@@ -287,7 +288,7 @@ class TestMarginals:
             SegmentMarginal((0.5, 0.5), ((0.0,),))
 
 
-NO_SHIFT = {"kind": "none", "direction": [], "strength": 0.0}
+NO_SHIFT = {"kind": "none"}
 
 
 def linear_doc(theta_star, marginal, feature_map=None, baseline_weights=(0.0, 0.0),
@@ -317,10 +318,10 @@ class TestEnvJson:
     def test_hard_round_trip(self):
         env = HardInstance(d=3, delta=0.2, theta_signs=(1, -1, 1))
         doc = hard_doc([1, -1, 1], 0.34641016151377546, seed=5, n_obs=10, n_pool=20)
-        env2, policy, shift = env_from_json(doc)
+        env2, policy, obs_marginal = env_from_json(doc)
         np.testing.assert_allclose(env2.theta_star, env.theta_star)
         assert policy is None
-        assert shift.kind == "none"
+        assert obs_marginal is env2.marginal
 
     def test_linear_round_trip_with_policy(self):
         fmap = FeatureMap(kind="identity", output_dim=2, norm_bound=2.0)
@@ -328,18 +329,17 @@ class TestEnvJson:
         env = LinearEnv(theta_star=(0.2, 0.1), feature_map=fmap, norm_budget=1.0,
                         marginal=SegmentMarginal((0.4, 0.6), pts))
         policy = ThresholdPolicy(direction=(0.0, 1.0), cutoff=0.0, leak=0.02)
-        shift = MarginalShift(kind="tilt", direction=(1.0, 0.0), strength=0.8)
         doc = linear_doc((0.2, 0.1), {"kind": "segments", "probs": [0.4, 0.6],
                                       "points": [[-1.0, -0.5], [1.0, 0.5]]},
                          obs_policy={"kind": "threshold", "direction": [0.0, 1.0],
                                      "cutoff": 0.0, "leak": 0.02},
                          obs_shift={"kind": "tilt", "direction": [1.0, 0.0],
                                     "strength": 0.8})
-        env2, policy2, shift2 = env_from_json(doc)
+        env2, policy2, obs_marginal2 = env_from_json(doc)
         np.testing.assert_allclose(env2.theta_star, env.theta_star)
         assert env2.marginal.points == pts
         assert policy2 == policy
-        assert shift2 == shift
+        assert obs_marginal2 == env.marginal.tilted((1.0, 0.0), 0.8)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(EnvSpecError):
@@ -390,8 +390,33 @@ class TestEnvJson:
             env_from_json(doc)
 
 
+@pytest.mark.parametrize("parse, doc, key", [
+    (protocol_config_from_json,
+     {"budget": 5, "randomization": {"kind": "constant", "weights": [0.1, 0.0]}},
+     "weights"),
+    (protocol_config_from_json,
+     {"budget": 5, "randomization": {"kind": "variance-optimal", "p": 0.3}}, "p"),
+    (env_from_json, hard_doc([1, -1], 0.3, obs_shift={"kind": "none", "strength": 3.0}),
+     "strength"),
+    (env_from_json, {"env": {"kind": "hard", "d": 2, "delta": 0.2, "theta_signs": [1, -1],
+                             "theta_star": [0.2, -0.2]}}, "theta_star"),
+    (env_from_json, linear_doc((0.2, 0.1), {"kind": "segments", "probs": [0.4, 0.6],
+                                            "points": [[-1.0, 0.0], [1.0, 0.0]],
+                                            "lows": [-1.0, -1.0]}), "lows"),
+    (env_from_json, hard_doc([1, -1], 0.3, obs_policy={
+        "kind": "threshold", "direction": [1.0, 0.0], "cutoff": 0.5, "sharpness": 2.0}),
+     "sharpness"),
+], ids=["constant-weights", "variance-optimal-p", "none-strength", "hard-theta_star",
+        "segments-lows", "threshold-sharpness"])
+def test_a_key_only_a_sibling_kind_reads_is_rejected(parse, doc, key):
+    """Each tagged block used to accept the union of its kinds' keys, so
+    {"kind": "none", "strength": 3.0} drew an unshifted log without an error."""
+    with pytest.raises(ValueError, match=f"'{key}'"):
+        parse(doc)
+
+
 def parsed_worlds():
-    """Parsed (env, policy, shift) worlds of every feature map and marginal kind."""
+    """Parsed (env, policy, obs_marginal) worlds of every feature map and marginal kind."""
     logistic = {"kind": "logistic", "weights": [1.0, -0.5], "sharpness": 2.0}
     affine = {"kind": "affine-projection", "output_dim": 2, "norm_bound": 3.0,
               "weight": [[0.5, 0.2, -0.3], [0.1, -0.4, 0.6]], "offset": [0.1, 0.0]}
@@ -423,9 +448,9 @@ def test_parsed_world_survives_a_process_boundary(name):
     """Sweep workers get the parsed world by pickle: the copy maps and draws
     bit for bit as the original does."""
     world = parsed_worlds()[name]
-    env, policy, shift = world
-    copy_env, copy_policy, copy_shift = pickle.loads(pickle.dumps(world))
-    assert (copy_policy, copy_shift) == (policy, shift)
+    env, policy, obs_marginal = world
+    copy_env, copy_policy, copy_marginal = pickle.loads(pickle.dumps(world))
+    assert (copy_policy, copy_marginal) == (policy, obs_marginal)
     rng = rng_for(5)
     xs = env.sample_x(200, rng)
     ts = (rng.random(200) < 0.5).astype(int)

@@ -285,17 +285,17 @@ class TestReplicate:
         assert seeds == [derive_seed(5, 0x726570, r) for r in range(4)]
 
     def test_log_is_drawn_only_for_an_active_run(self, monkeypatch):
-        env, policy, shift = self.world()
+        env, policy, obs_marginal = self.world()
         drawn = []
         monkeypatch.setattr(metrics, "sample_obs",
                             lambda *args: drawn.append(args) or sample_obs(*args))
         for strategy, pol, n_obs in [("random", policy, 50), ("active", policy, 0),
                                      ("active", None, 50)]:
             cfg = ProtocolConfig(budget=10, max_batch=5, strategy=strategy)
-            metrics.replicate(env, pol, shift, cfg, 30, n_obs)
+            metrics.replicate(env, pol, obs_marginal, cfg, 30, n_obs)
         assert drawn == []
-        metrics.replicate(env, policy, shift, ProtocolConfig(budget=10, seed=4), 30, 50)
-        assert drawn == [(env, policy, shift, 50, derive_seed(4, 0x6F62))]
+        metrics.replicate(env, policy, obs_marginal, ProtocolConfig(budget=10, seed=4), 30, 50)
+        assert drawn == [(env, policy, obs_marginal, 50, derive_seed(4, 0x6F62))]
 
     def test_sweep_cell_row_is_recomputed_from_replicate(self, monkeypatch):
         world = self.world()

@@ -13,9 +13,8 @@ from budgex.acquisition import (SCORE_DTYPE, AcquisitionWeights, fit_propensity,
                                 score_pool, select_top_m)
 from budgex.core import (FeatureMap, NormBoundError, ObsLog, Pool,
                          PropensityBounds, read_jsonl, write_jsonl)
-from budgex.envs import (HardInstance, LinearEnv, MarginalShift,
-                         SegmentMarginal, ThresholdPolicy, sample_obs,
-                         sample_pool)
+from budgex.envs import (HardInstance, LinearEnv, SegmentMarginal,
+                         ThresholdPolicy, sample_obs, sample_pool)
 from budgex.estimator import pseudo_outcome_values
 from budgex.protocol import (AffinePolicy, ConstantPolicy, ProtocolConfig,
                              VarianceOptimalPolicy, _assign_and_observe,
@@ -38,11 +37,9 @@ def weak_overlap_world(seed, n_pool=300, n_obs=400):
     env = LinearEnv(theta_star=(0.2, 0.5), feature_map=fmap, norm_budget=1.0,
                     marginal=SegmentMarginal(probs, tuple(pts)))
     policy = ThresholdPolicy(direction=(0.0, 1.0), cutoff=0.0, leak=0.02)
-    shift = MarginalShift(kind="tilt",
-                          direction=(-1.0, -1.0, 0.0, 0.0, -1.0, -1.0),
-                          strength=1.0)
+    obs_marginal = env.marginal.tilted((-1.0, -1.0, 0.0, 0.0, -1.0, -1.0), 1.0)
     pool = sample_pool(env, n_pool, seed)
-    obs = sample_obs(env, policy, shift, n_obs, seed + 1)
+    obs = sample_obs(env, policy, obs_marginal, n_obs, seed + 1)
     return env, pool, obs
 
 
