@@ -3,8 +3,8 @@
 Treatment and outcome draws use counter-style hashing keyed by
 (seed, unit id, purpose) so that re-running selection with different
 downstream consumption can never change an individual unit's draws.
-Everything else (pool sampling, bootstrap resampling, tie shuffles)
-uses numpy Generators derived from a master seed.
+Everything else (pool and log draws, evaluation samples, the random
+strategy's picks) uses numpy Generators derived from a master seed.
 One splitmix64 with Python-int constants mixes both: on Python ints it is
 integer arithmetic masked to 64 bits; on uint64 arrays the constants take the
 array's dtype (NEP 50) and the same lines wrap modulo 2^64 to the same bits.

@@ -5,9 +5,13 @@ pool-vs-current domain discriminability (d), and historical overlap deficit
 (o) -- are rank-normalized over the current pool and combined into a single
 weighted score used for top-m selection.
 
-v comes from a fixed ensemble: MEMBERS ridge fits with the run's penalty, on
-resamples of RESAMPLE_FRACTION of the labeled rows drawn from the stream of
-(run seed, round k), so replications and seeds resample independently.
+v is the bootstrap ensemble's many-member limit in closed form: the variance of
+<theta_hat(w), phi> over multinomial resample weights w, to first order in w
+around 1 (the infinitesimal jackknife; Wager, Hastie & Efron, JMLR 2014). With
+the run's ridge fit (V, theta_hat) and per-row scores
+g_t = phi_t (Y~_t - phi_t^T theta_hat), centred at their mean g_bar,
+v(phi) = phi^T V^-1 G V^-1 phi, where G = sum_t (g_t - g_bar)(g_t - g_bar)^T.
+It reads no random stream: one ridge fit per scored round.
 d and o come from logistic heads fitted by ridge-penalized IRLS (ESL 4.4):
 Newton steps from zero on the weighted mean cross-entropy + (RIDGE / 2) ||w||^2
 (bias free), halved while they raise it, until no step component exceeds
@@ -19,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._rng import rng_for
 from .core import ObsLog, sigmoid
 from .estimator import fit_ridge_arrays
 
@@ -112,29 +115,18 @@ def overlap_deficit_many(propensity, phis):
 # ---------------------------------------------------------------------------
 # Ensemble uncertainty
 
-MEMBERS = 15
-RESAMPLE_FRACTION = 0.8
 
-
-def ensemble_variance(labeled_phis, labeled_yts, candidate_phis, lam, seed, k):
-    """Population variance of member CATE predictions per candidate.
-
-    MEMBERS ridge fits with penalty lam, each on a bootstrap resample of
-    RESAMPLE_FRACTION of the labeled pseudo-outcome set, drawn from the
-    stream of (run seed, round k). With no labeled data, every member
-    predicts 0 (cold start).
-    """
-    n = len(labeled_phis)
-    if n == 0:
+def ensemble_variance(labeled_phis, labeled_yts, candidate_phis, lam):
+    """v per candidate: phi^T A phi with A = V^-1 G V^-1, from one ridge fit
+    with penalty lam (see the module docstring). With no labeled data every
+    candidate gets 0 (cold start)."""
+    if len(labeled_phis) == 0:
         return np.zeros(len(candidate_phis))
-    rng = rng_for(seed, 0x656E73, k)
-    m = max(1, int(round(RESAMPLE_FRACTION * n)))
-    preds = np.empty((MEMBERS, len(candidate_phis)))
-    for j in range(MEMBERS):
-        idx = rng.integers(0, n, size=m)
-        preds[j] = candidate_phis @ fit_ridge_arrays(labeled_phis[idx],
-                                                     labeled_yts[idx], lam).theta_hat
-    return preds.var(axis=0)
+    fit = fit_ridge_arrays(labeled_phis, labeled_yts, lam)
+    g = labeled_phis * (labeled_yts - labeled_phis @ fit.theta_hat)[:, None]
+    # one column V^-1 (g_t - g_bar) per labeled row, so A = h h^T
+    h = np.linalg.solve(fit.V, (g - g.mean(axis=0)).T)
+    return ((candidate_phis @ (h @ h.T)) * candidate_phis).sum(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -192,17 +184,16 @@ def select_top_m(table, m):
 
 
 def score_pool(ids, cand_phis, labeled_phis, labeled_yts, obs_phis, propensity,
-               weights, lam, seed, k):
-    """Round k's scoring in the run of this seed: train round models, score
-    every candidate.
+               weights, lam):
+    """One round's scoring: train round models, score every candidate.
 
     ids and cand_phis are the candidates (the unqueried units) as unit ids
     and feature rows, already mapped; labeled_phis and labeled_yts are the
     randomized stream so far as features and pseudo-outcomes; lam is the
     run's ridge penalty.
     """
-    # v: bootstrap ensemble over the labeled randomized stream
-    v = ensemble_variance(labeled_phis, labeled_yts, cand_phis, lam, seed, k)
+    # v: the bootstrap ensemble's closed form over the labeled randomized stream
+    v = ensemble_variance(labeled_phis, labeled_yts, cand_phis, lam)
 
     # d: pool vs obs + rct, retrained from zero each round
     current = np.vstack([obs_phis, labeled_phis])

@@ -241,14 +241,14 @@ def cmd_sweep(args):
     if not budgets or not strategies:
         print("error: sweep needs nonempty budgets and strategies", file=sys.stderr)
         return 2
-    n_pool = sdoc.get("n_pool", max(budgets) * 2)
-    n_obs = sdoc.get("n_obs", 2000)
     if not all(type(b) is int and b > 0 for b in budgets):
         raise ValueError(f"sweep budgets must be positive integers, got {budgets}")
-    if reps < 1:
-        raise ValueError(f"sweep replications must be >= 1, got {reps}")
-    if n_pool < 1:
-        raise ValueError(f"sweep n_pool must be >= 1, got {n_pool}")
+    n_pool = sdoc.get("n_pool", max(budgets) * 2)
+    n_obs = sdoc.get("n_obs", 2000)
+    for name, value, low in (("replications", reps, 1), ("n_pool", n_pool, 1),
+                             ("n_obs", n_obs, 0)):
+        if type(value) is not int or value < low:
+            raise ValueError(f"sweep {name} must be >= {low} and an integer, got {value!r}")
     unknown = [s for s in strategies if s not in STRATEGIES]
     if unknown:
         raise ValueError(f"unknown sweep strategies {unknown}; known: {list(STRATEGIES)}")

@@ -265,6 +265,9 @@ def env_from_json(doc):
     schema is a ValueError, and shapes and invariants fail here, before any draw."""
     known_keys(doc, "env.json", "seed", "n_obs", "n_pool", "env", "obs_policy",
                "obs_shift")
+    for key in ("seed", "n_obs", "n_pool"):
+        if key in doc and type(doc[key]) is not int:
+            raise EnvSpecError(f"env.json {key} must be an integer, got {doc[key]!r}")
     e = doc["env"]
     if kind_of(e, "env.json env", {
             "hard": ("d", "delta", "theta_signs", "S"),
@@ -307,8 +310,10 @@ def env_from_json(doc):
     sj = doc.get("obs_shift", {"kind": "none"})
     if kind_of(sj, "env.json obs_shift", {"none": (),
                                           "tilt": ("direction", "strength")}) == "tilt":
-        return env, policy, env.marginal.tilted(sj.get("direction", ()),
-                                                sj.get("strength", 0.0))
+        missing = [key for key in ("direction", "strength") if key not in sj]
+        if missing:
+            raise EnvSpecError(f"env.json obs_shift (tilt) needs {missing}")
+        return env, policy, env.marginal.tilted(sj["direction"], sj["strength"])
     return env, policy, env.marginal
 
 

@@ -143,8 +143,7 @@ def run_round(state, k, m_k, config, env, pool, pool_phis, context):
         # scored in unit-id order: float sums and BLAS kernels round by row
         # position, and ranks turn those last-digit differences into picks
         candidates = candidates[np.argsort(pool.ids[candidates], kind="stable")]
-        scores = context.score_round(state, k, pool.ids[candidates],
-                                     pool_phis[candidates])
+        scores = context.score_round(state, pool.ids[candidates], pool_phis[candidates])
         chosen = candidates[select_top_m(scores, m_k)]
 
     batch = slice(state.n, state.n + m_k)
@@ -169,13 +168,13 @@ class _ActiveContext:
     obs_phis: np.ndarray
     propensity: object
 
-    def score_round(self, state, k, ids, cand_phis):
-        """Round k's score table over the unqueried units (ids, phi rows), from
-        the stream so far."""
+    def score_round(self, state, ids, cand_phis):
+        """The round's score table over the unqueried units (ids, phi rows),
+        from the stream so far."""
         n, cfg = state.n, self.config
         return score_pool(ids, cand_phis, self.pool_phis.take(state.rows[:n], axis=0),
                           state.yts[:n], self.obs_phis, self.propensity, cfg.weights,
-                          cfg.estimator_lambda, cfg.seed, k)
+                          cfg.estimator_lambda)
 
 
 def run_protocol(config, env, pool_units, obs=None, out_dir=None):

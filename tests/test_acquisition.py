@@ -27,38 +27,46 @@ class TestEnsembleVariance:
         member is the same fit."""
         phis = np.ones((4, 1))
         yts = np.full(4, 2.0)
-        v = ensemble_variance(phis, yts, np.ones((3, 1)), 1.0, 0, 1)
+        v = ensemble_variance(phis, yts, np.ones((3, 1)), 1.0)
         np.testing.assert_array_equal(v, 0.0)
 
     def test_cold_start_zero_everywhere(self):
-        v = ensemble_variance(*NO_LABELS, np.ones((7, 1)), 1.0, 0, 0)
+        v = ensemble_variance(*NO_LABELS, np.ones((7, 1)), 1.0)
         np.testing.assert_array_equal(v, 0.0)
 
-    def test_runs_at_two_seeds_draw_different_bootstrap_keys(self, monkeypatch):
-        """Round k resamples from the stream of (run seed, k): replications
-        and --seed values do not share bootstrap indices."""
-        env, pool, obs = box_threshold_world(11, n_pool=200, n_obs=200)
-        keys = {}
-        for seed in (11, 9999):
-            seen = keys[seed] = []
-            monkeypatch.setattr(acquisition, "rng_for",
-                                lambda *key, seen=seen: seen.append(key) or rng_for(*key))
-            cfg = ProtocolConfig(budget=60, max_batch=20, strategy="active", seed=seed)
-            run_protocol(cfg, env, pool_units=pool, obs=obs)
-        assert len(keys[11]) == len(keys[9999]) == 2  # rounds 2 and 3 have labels
-        assert not set(keys[11]) & set(keys[9999])
-
-    def test_bootstrap_variance_matches_enumeration(self, monkeypatch):
+    def test_bootstrap_variance_matches_enumeration(self):
         """Two conflicting labels: member predictions are -4/(lam+2), 0, or
         +4/(lam+2) with probabilities 1/4, 1/2, 1/4 over resample draws, so
         the variance of member predictions converges to 8/(lam+2)^2."""
-        monkeypatch.setattr(acquisition, "MEMBERS", 800)
         lam = 1.0
         phis = np.ones((2, 1))
         yts = np.array([2.0, -2.0])
-        v = float(ensemble_variance(phis, yts, np.ones((1, 1)), lam, 3, 1)[0])
+        v = float(ensemble_variance(phis, yts, np.ones((1, 1)), lam)[0])
         assert v > 0.0
         assert abs(v - 8.0 / (lam + 2.0) ** 2) < 0.15
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 3), st.floats(0.1, 10.0), st.data())
+    def test_equals_the_jackknife_of_weighted_ridge(self, n, d, lam, data):
+        """v is the centred sum of squares of each row's weight derivative of
+        the weighted-ridge prediction at w = 1, here by central differences."""
+        entries = st.floats(-2.0, 2.0)
+        phis = np.array(data.draw(st.lists(entries, min_size=n * d, max_size=n * d))
+                        ).reshape(n, d)
+        yts = np.array(data.draw(st.lists(entries, min_size=n, max_size=n)))
+        cands = np.array(data.draw(st.lists(entries, min_size=3 * d, max_size=3 * d))
+                         ).reshape(3, d)
+
+        def predict(w):
+            V = lam * np.eye(d) + (phis * w[:, None]).T @ phis
+            return cands @ np.linalg.solve(V, (phis * (w * yts)[:, None]).sum(axis=0))
+
+        eps = 1e-5
+        slopes = np.array([(predict(1.0 + eps * e) - predict(1.0 - eps * e)) / (2 * eps)
+                           for e in np.eye(n)])
+        reference = ((slopes - slopes.mean(axis=0)) ** 2).sum(axis=0)
+        np.testing.assert_allclose(ensemble_variance(phis, yts, cands, lam), reference,
+                                   rtol=1e-6, atol=1e-9)
 
 
 class TestDomainClassifier:
@@ -393,9 +401,9 @@ class TestScorePool:
         prop = fit_propensity(obs, obs_phis)
         cand_phis = fmap.apply_many(pool.xs)
         a = score_pool(pool.ids, cand_phis, *NO_LABELS, obs_phis, prop,
-                       AcquisitionWeights(), 1.0, 9, 0)
+                       AcquisitionWeights(), 1.0)
         b = score_pool(pool.ids, cand_phis, *NO_LABELS, obs_phis, prop,
-                       AcquisitionWeights(), 1.0, 9, 0)
+                       AcquisitionWeights(), 1.0)
         assert np.array_equal(a, b)
 
     def test_overlap_targeting_beats_pool_average(self):
@@ -407,7 +415,7 @@ class TestScorePool:
             prop = fit_propensity(obs, obs_phis)
             bds = score_pool(pool.ids, fmap.apply_many(pool.xs), *NO_LABELS,
                              obs_phis, prop,
-                             AcquisitionWeights(0.0, 0.0, 0.7), 1.0, 1, 0)
+                             AcquisitionWeights(0.0, 0.0, 0.7), 1.0)
             chosen = bds["id"][select_top_m(bds, 15)]
             phis = fmap.apply_many(pool.xs)
             true_dev = np.abs(policy.propensity(phis) - 0.5)
@@ -421,6 +429,6 @@ class TestScorePool:
         obs_phis = fmap.apply_many(obs.xs)
         prop = fit_propensity(obs, obs_phis)
         bds = score_pool(pool.ids[1:], fmap.apply_many(pool.xs[1:]), *NO_LABELS,
-                         obs_phis, prop, AcquisitionWeights(), 1.0, 0, 0)
+                         obs_phis, prop, AcquisitionWeights(), 1.0)
         assert 0 not in set(bds["id"])
         assert len(bds) == len(pool) - 1

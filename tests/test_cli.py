@@ -129,6 +129,17 @@ class TestGenerate:
             main(["generate", "--env", str(env), "--out", str(tmp_path / "d")])
         assert not (tmp_path / "d").exists()
 
+    @pytest.mark.parametrize("key, value", [("n_pool", 100.5), ("n_obs", 50.5)])
+    def test_fractional_size_rejected_before_any_output(self, tmp_path, key, value):
+        """A fractional size used to fail in sampling after --out was made."""
+        env = write_env(tmp_path / "env.json")
+        doc = json.loads(env.read_text())
+        doc[key] = value
+        env.write_text(json.dumps(doc))
+        with pytest.raises(EnvSpecError, match=f"{key} must be an integer"):
+            main(["generate", "--env", str(env), "--out", str(tmp_path / "d")])
+        assert not (tmp_path / "d").exists()
+
     def test_box_tilt_rejected_before_any_output(self, tmp_path):
         """A tilt is defined on segment marginals only; on a box world it used
         to fail in sample_obs after pool.jsonl had been written."""
@@ -268,8 +279,8 @@ class TestProtocolConfigFromJson:
 
     def test_estimator_lambda_is_the_ensemble_default(self, generated, tmp_path,
                                                       monkeypatch):
-        """Every bootstrap member of an active run is fitted with the
-        protocol's estimator_lambda, as the final fit is."""
+        """v's one ridge fit per scored round of an active run uses the
+        protocol's estimator_lambda, as the final fit does."""
         env, data = generated
         lams, fit = [], acquisition.fit_ridge_arrays
         monkeypatch.setattr(acquisition, "fit_ridge_arrays",
@@ -279,7 +290,7 @@ class TestProtocolConfigFromJson:
                                      "estimator_lambda": 3.0}))
         assert main(["run", "--env", str(env), "--protocol", str(proto),
                      "--data", str(data), "--out", str(tmp_path / "run")]) == 0
-        assert len(lams) == 2 * acquisition.MEMBERS and set(lams) == {3.0}
+        assert len(lams) == 2 and set(lams) == {3.0}
         solution = json.loads((tmp_path / "run" / "rep_0000" / "solution.json").read_text())
         assert solution["lambda"] == 3.0
 
@@ -412,10 +423,16 @@ class TestSweep:
          "weights has length 1; phi has 4 coordinates"),
         ({"budgets": [20, 20, 30, 40]}, [], True, "budgets must not repeat"),
         ({"strategies": ["random", "random"]}, [], True, "strategies must not repeat"),
+        ({"replications": 2.5}, [], True, "replications must be >= 1 and an integer"),
+        ({"n_pool": 100.5}, [], True, "n_pool must be >= 1 and an integer"),
+        ({"n_obs": 50.5}, [], True, "n_obs must be >= 0 and an integer"),
+        ({"budgets": [16, "24"]}, [], True, "positive integers"),
     ], ids=["float-budgets", "fractional-budget", "zero-replications", "zero-reps",
             "zero-pool", "unknown-strategy", "no-log-rows", "no-log-policy",
             "protocol-budget", "protocol-strategy", "protocol-weights",
-            "short-affine-weights", "repeated-budget", "repeated-strategy"])
+            "short-affine-weights", "repeated-budget", "repeated-strategy",
+            "fractional-replications", "fractional-pool", "fractional-log",
+            "string-budget"])
     def test_bad_inputs_fail_before_any_cell_runs(self, tmp_path, monkeypatch, change,
                                                    argv, with_policy, message):
         cells = []

@@ -1,5 +1,6 @@
 """Static checks on the source tree: every module-level name in budgex has a
-reader outside the tests, and no module imports a name it never reads."""
+reader outside the tests, every parameter of a module-level function is read
+in its body, and no module imports a name it never reads."""
 
 import ast
 from pathlib import Path
@@ -43,6 +44,22 @@ def test_every_top_level_name_has_a_reader_outside_the_tests():
     unread = {name: p.name for p in MODULES for name in top_level_names(parse(p))
               if name not in read}
     assert set(unread) == set(UNREAD_ALLOWED), unread
+
+
+def test_every_parameter_of_a_module_level_function_is_read():
+    """Methods are exempt: the policies' raw(phis, env) share one interface."""
+    unread = []
+    for path in MODULES:
+        for node in parse(path).body:
+            if isinstance(node, ast.FunctionDef):
+                a = node.args
+                params = a.posonlyargs + a.args + a.kwonlyargs + \
+                    [p for p in (a.vararg, a.kwarg) if p is not None]
+                read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+                unread += [f"{path.name}: {node.name}({p.arg})" for p in params
+                           if p.arg not in read]
+    assert unread == []
 
 
 def test_no_module_imports_a_name_it_never_reads():

@@ -383,6 +383,17 @@ class TestEnvJson:
         with pytest.raises(ValueError, match=f"'{key}'"):
             env_from_json(doc)
 
+    @pytest.mark.parametrize("key", ["direction", "strength"])
+    def test_tilt_without_a_key_rejected(self, key):
+        """A tilt without its strength used to parse to strength 0, an
+        untilted log, and one without its direction failed on its shape."""
+        doc = self.hard_doc()
+        doc["obs_shift"] = {"kind": "tilt", "direction": [1.0, -1.0], "strength": 0.5}
+        env_from_json(doc)
+        del doc["obs_shift"][key]
+        with pytest.raises(EnvSpecError, match=f"'{key}'"):
+            env_from_json(doc)
+
     def test_unknown_marginal_kind_rejected(self):
         doc = self.box_doc()
         doc["env"]["marginal"]["kind"] = "boxes"

@@ -387,12 +387,11 @@ class TestFiltrationSoundness:
         phis = fmap.apply_many(result.stream.xs)
         yts = pseudo_outcome_values(result.stream.ts, result.stream.ys, result.stream.ps)
         start = 0
-        for k, (bds, m_k) in enumerate(zip(result.scores,
-                                           result.batch_sizes)):
+        for bds, m_k in zip(result.scores, result.batch_sizes):
             keep = ~np.isin(pool.ids, result.unit_ids[:start])
             redone = score_pool(pool.ids[keep], fmap.apply_many(pool.xs[keep]),
                                 phis[:start], yts[:start], obs_phis, prop,
-                                cfg.weights, cfg.estimator_lambda, cfg.seed, k)
+                                cfg.weights, cfg.estimator_lambda)
             assert np.array_equal(redone, bds)
             assert list(redone["id"][select_top_m(redone, m_k)]) == \
                 list(result.unit_ids[start:start + m_k])
