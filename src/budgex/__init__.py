@@ -13,8 +13,8 @@ from .envs import (BoxMarginal, HardInstance, LinearEnv, LogisticPolicy,
                    SegmentMarginal, ThresholdPolicy, default_hard_delta,
                    env_from_json, sample_obs, sample_pool)
 from .estimator import (ConfidenceParams, RidgeSolution, SandwichEstimate,
-                        beta_bound, confidence_width, default_sigma,
-                        fit_ridge_arrays, pseudo_outcome_values,
+                        beta_bound, default_sigma, fit_ridge_arrays,
+                        pool_leverage, pseudo_outcome_values,
                         sandwich_from_arrays)
 from .acquisition import (SCORE_DTYPE, AcquisitionWeights, LogisticHead,
                           composite_scores, ensemble_variance, fit_propensity,

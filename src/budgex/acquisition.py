@@ -1,17 +1,17 @@
 """Acquisition scoring for pool-based active experimentation.
 
-Three per-candidate signals -- bootstrap-ensemble prediction variance (v),
+Three per-candidate signals -- leverage under the randomized design (v),
 pool-vs-current domain discriminability (d), and historical overlap deficit
 (o) -- are rank-normalized over the current pool and combined into a single
 weighted score used for top-m selection.
 
-v is the bootstrap ensemble's many-member limit in closed form: the variance of
-<theta_hat(w), phi> over multinomial resample weights w, to first order in w
-around 1 (the infinitesimal jackknife; Wager, Hastie & Efron, JMLR 2014). With
-the run's ridge fit (V, theta_hat) and per-row scores
-g_t = phi_t (Y~_t - phi_t^T theta_hat), centred at their mean g_bar,
-v(phi) = phi^T V^-1 G V^-1 phi, where G = sum_t (g_t - g_bar)(g_t - g_bar)^T.
-It reads no random stream: one ridge fit per scored round.
+v is the leverage phi^T V^-1 phi, with V = lam I + sum_t phi_t phi_t^T over the
+randomized stream so far: the quantity under the root of the self-normalized
+width beta ||phi||_V^-1 (Abbasi-Yadkori, Pal & Szepesvari 2011). It grows in
+every direction that no labeled row spans. The round's ridge fit stays only for
+its V, and v, d and o read x and the log's treatments, never a randomized
+outcome: selection reads no Y~. So the CLT audit cannot test outcome-adaptive
+selection until an outcome-dependent variant of v exists.
 d and o come from logistic heads fitted by ridge-penalized IRLS (ESL 4.4):
 Newton steps from zero on the weighted mean cross-entropy + (RIDGE / 2) ||w||^2
 (bias free), halved while they raise it, until no step component exceeds
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ObsLog, sigmoid
-from .estimator import fit_ridge_arrays
+from .estimator import fit_ridge_arrays, pool_leverage
 
 # ---------------------------------------------------------------------------
 # Logistic heads (shared by domain classifier and propensity model)
@@ -113,20 +113,16 @@ def overlap_deficit_many(propensity, phis):
 
 
 # ---------------------------------------------------------------------------
-# Ensemble uncertainty
+# Design leverage (v)
 
 
 def ensemble_variance(labeled_phis, labeled_yts, candidate_phis, lam):
-    """v per candidate: phi^T A phi with A = V^-1 G V^-1, from one ridge fit
-    with penalty lam (see the module docstring). With no labeled data every
+    """v per candidate: the leverage phi^T V^-1 phi of the ridge fit with
+    penalty lam (see the module docstring). With no labeled data every
     candidate gets 0 (cold start)."""
     if len(labeled_phis) == 0:
         return np.zeros(len(candidate_phis))
-    fit = fit_ridge_arrays(labeled_phis, labeled_yts, lam)
-    g = labeled_phis * (labeled_yts - labeled_phis @ fit.theta_hat)[:, None]
-    # one column V^-1 (g_t - g_bar) per labeled row, so A = h h^T
-    h = np.linalg.solve(fit.V, (g - g.mean(axis=0)).T)
-    return ((candidate_phis @ (h @ h.T)) * candidate_phis).sum(axis=1)
+    return pool_leverage(fit_ridge_arrays(labeled_phis, labeled_yts, lam), candidate_phis)
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +188,7 @@ def score_pool(ids, cand_phis, labeled_phis, labeled_yts, obs_phis, propensity,
     randomized stream so far as features and pseudo-outcomes; lam is the
     run's ridge penalty.
     """
-    # v: the bootstrap ensemble's closed form over the labeled randomized stream
+    # v: the leverage under the labeled randomized stream's design; reads no Y~
     v = ensemble_variance(labeled_phis, labeled_yts, cand_phis, lam)
 
     # d: pool vs obs + rct, retrained from zero each round

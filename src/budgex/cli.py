@@ -8,9 +8,9 @@ Subcommands:
 
 Each command parses its inputs once, into the objects the run uses: the env,
 the log's policy and covariate marginal, and a base ProtocolConfig. Run's
-replications and sweep's cells (in workers too) get those, and run and sweep
-reject bad inputs, an affine randomization of the wrong length included,
-before any output is made. Cells draw through metrics.replicate.
+replications and sweep's cells (in workers too) get those. Each command rejects
+bad inputs, a size below its bound or an affine randomization of the wrong
+length included, before any output is made. Cells draw through metrics.replicate.
 All outputs but run's wall-clock timing.json are byte-deterministic given
 identical configs and master seed.
 BUDGEX_THREADS caps worker parallelism for sweeps (default 1).
@@ -105,17 +105,25 @@ def _fits_phi(config, env):
     return config
 
 
+def _check_sizes(where, *sizes):
+    """Raise ValueError unless each (name, value, low) has an integer value >= low."""
+    for name, value, low in sizes:
+        if type(value) is not int or value < low:
+            raise ValueError(f"{where} {name} must be >= {low} and an integer, got {value!r}")
+
+
 # ---------------------------------------------------------------------------
 # generate
 
 
 def cmd_generate(args):
     env, policy, obs_marginal, doc = load_env(args.env)
+    n_pool, n_obs = doc.get("n_pool", 1000), doc.get("n_obs", 0)
+    _check_sizes("env.json", ("n_pool", n_pool, 1), ("n_obs", n_obs, 0))
     os.makedirs(args.out, exist_ok=True)
     seed = doc.get("seed", 0) if args.seed is None else args.seed
-    pool = sample_pool(env, doc.get("n_pool", 1000), seed)
+    pool = sample_pool(env, n_pool, seed)
     write_jsonl(os.path.join(args.out, "pool.jsonl"), pool)
-    n_obs = doc.get("n_obs", 0)
     if policy is not None and n_obs > 0:
         obs = sample_obs(env, policy, obs_marginal, n_obs, seed)
         write_jsonl(os.path.join(args.out, "obs.jsonl"), obs)
@@ -245,10 +253,8 @@ def cmd_sweep(args):
         raise ValueError(f"sweep budgets must be positive integers, got {budgets}")
     n_pool = sdoc.get("n_pool", max(budgets) * 2)
     n_obs = sdoc.get("n_obs", 2000)
-    for name, value, low in (("replications", reps, 1), ("n_pool", n_pool, 1),
-                             ("n_obs", n_obs, 0)):
-        if type(value) is not int or value < low:
-            raise ValueError(f"sweep {name} must be >= {low} and an integer, got {value!r}")
+    _check_sizes("sweep", ("replications", reps, 1), ("n_pool", n_pool, 1),
+                 ("n_obs", n_obs, 0))
     unknown = [s for s in strategies if s not in STRATEGIES]
     if unknown:
         raise ValueError(f"unknown sweep strategies {unknown}; known: {list(STRATEGIES)}")

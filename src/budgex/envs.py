@@ -201,8 +201,6 @@ class HardInstance(LinearEnv):
         signs = np.asarray(theta_signs, dtype=float)
         if signs.shape != (d,) or not np.all(np.abs(signs) == 1.0):
             raise EnvSpecError("theta_signs must be a length-d vector over {-1, +1}")
-        self.d = d
-        self.delta = float(delta)
         # LinearEnv checks ||theta||_2 = sqrt(d) * Delta against S
         super().__init__(signs * delta,
                          FeatureMap(kind="segment-one-hot", output_dim=d, norm_bound=1.0),

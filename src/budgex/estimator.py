@@ -106,12 +106,10 @@ def beta_bound(params, solution):
     return params.sigma * np.sqrt(2.0 * log_ratio) + np.sqrt(lam) * params.S
 
 
-def confidence_width(solution, params, phi):
-    """Half-width beta * sqrt(phi^T V^-1 phi) of the pointwise CATE bound.
-    The paper's width; no CLI caller, as the audit checks ||theta_hat - theta*||_V."""
-    beta = beta_bound(params, solution)
-    lev = float(phi @ np.linalg.solve(solution.V, phi))
-    return beta * np.sqrt(max(lev, 0.0))
+def pool_leverage(solution, phis):
+    """phi^T V^-1 phi per row of phis, from one d x d inverse of the solution's V;
+    the paper's pointwise width is beta * sqrt(pool_leverage)."""
+    return np.einsum("ij,ij->i", phis @ np.linalg.inv(solution.V), phis)
 
 
 def ellipsoid_radius(solution, theta_star):

@@ -17,7 +17,7 @@ import numpy as np
 from ._rng import derive_seed, rng_for
 from .envs import sample_obs, sample_pool
 from .estimator import (ConfidenceParams, beta_bound, default_sigma,
-                        ellipsoid_radius, sandwich_from_arrays)
+                        ellipsoid_radius, pool_leverage, sandwich_from_arrays)
 from .protocol import run_protocol
 
 
@@ -159,10 +159,8 @@ def bound_violation_audit(env, config, n_pool, replications, delta, master_seed=
         sol, pool_phis = result.solution, result.pool_phis
         radii[r] = ellipsoid_radius(sol, env.theta_star)
         betas[r] = beta_bound(params, sol)
-        lev = np.einsum("ij,ij->i", pool_phis,
-                        np.linalg.solve(sol.V, pool_phis.T).T)
         pehes[r] = pehe(sol.theta_hat, env, pool_phis)
-        pbounds[r] = betas[r] * np.sqrt(max(np.mean(lev), 0.0))
+        pbounds[r] = betas[r] * np.sqrt(max(np.mean(pool_leverage(sol, pool_phis)), 0.0))
     violations = int(np.sum(radii > betas))
     return BoundCheckResult(replications=replications, violations=violations,
                             delta=delta, radii=radii, betas=betas,

@@ -78,6 +78,8 @@ class ProtocolConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if isinstance(self.budget, bool) or isinstance(self.max_batch, bool):
+            raise ValueError("budget and max_batch must be integers, not bools")
         if index(self.budget) < 0:
             raise ValueError("budget must be nonnegative")
         if index(self.max_batch) < 1:

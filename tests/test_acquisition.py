@@ -11,8 +11,8 @@ from budgex.acquisition import (AcquisitionWeights, LogisticHead,
                                 overlap_deficit_many, rank_normalize, score_pool,
                                 select_top_m, train_domain_classifier)
 from budgex.core import FeatureMap, ObsLog, RctStream, sigmoid
-from budgex.envs import (BoxMarginal, LinearEnv, LogisticPolicy, SegmentMarginal,
-                         ThresholdPolicy, sample_obs, sample_pool)
+from budgex.envs import (BoxMarginal, HardInstance, LinearEnv, LogisticPolicy,
+                         SegmentMarginal, ThresholdPolicy, sample_obs, sample_pool)
 from budgex.protocol import ProtocolConfig, run_protocol
 from budgex._rng import rng_for
 
@@ -22,51 +22,57 @@ NO_LABELS = (np.zeros((0, 1)), np.zeros(0))  # empty randomized stream, d = 1
 
 
 class TestEnsembleVariance:
-    def test_identical_members_zero_variance(self):
-        """Identical labeled rows: every resample is the same set, so every
-        member is the same fit."""
-        phis = np.ones((4, 1))
-        yts = np.full(4, 2.0)
-        v = ensemble_variance(phis, yts, np.ones((3, 1)), 1.0)
-        np.testing.assert_array_equal(v, 0.0)
-
     def test_cold_start_zero_everywhere(self):
         v = ensemble_variance(*NO_LABELS, np.ones((7, 1)), 1.0)
         np.testing.assert_array_equal(v, 0.0)
 
-    def test_bootstrap_variance_matches_enumeration(self):
-        """Two conflicting labels: member predictions are -4/(lam+2), 0, or
-        +4/(lam+2) with probabilities 1/4, 1/2, 1/4 over resample draws, so
-        the variance of member predictions converges to 8/(lam+2)^2."""
-        lam = 1.0
-        phis = np.ones((2, 1))
-        yts = np.array([2.0, -2.0])
-        v = float(ensemble_variance(phis, yts, np.ones((1, 1)), lam)[0])
-        assert v > 0.0
-        assert abs(v - 8.0 / (lam + 2.0) ** 2) < 0.15
-
     @settings(max_examples=80, deadline=None)
     @given(st.integers(1, 6), st.integers(1, 3), st.floats(0.1, 10.0), st.data())
-    def test_equals_the_jackknife_of_weighted_ridge(self, n, d, lam, data):
-        """v is the centred sum of squares of each row's weight derivative of
-        the weighted-ridge prediction at w = 1, here by central differences."""
+    def test_equals_the_leverage_of_the_ridge_design(self, n, d, lam, data):
+        """v is c^T (lam I + Phi^T Phi)^-1 c per candidate c, by a brute-force
+        inverse per candidate."""
         entries = st.floats(-2.0, 2.0)
         phis = np.array(data.draw(st.lists(entries, min_size=n * d, max_size=n * d))
                         ).reshape(n, d)
         yts = np.array(data.draw(st.lists(entries, min_size=n, max_size=n)))
         cands = np.array(data.draw(st.lists(entries, min_size=3 * d, max_size=3 * d))
                          ).reshape(3, d)
-
-        def predict(w):
-            V = lam * np.eye(d) + (phis * w[:, None]).T @ phis
-            return cands @ np.linalg.solve(V, (phis * (w * yts)[:, None]).sum(axis=0))
-
-        eps = 1e-5
-        slopes = np.array([(predict(1.0 + eps * e) - predict(1.0 - eps * e)) / (2 * eps)
-                           for e in np.eye(n)])
-        reference = ((slopes - slopes.mean(axis=0)) ** 2).sum(axis=0)
+        reference = [c @ np.linalg.inv(lam * np.eye(d) + phis.T @ phis) @ c
+                     for c in cands]
         np.testing.assert_allclose(ensemble_variance(phis, yts, cands, lam), reference,
                                    rtol=1e-6, atol=1e-9)
+
+    def test_unlabeled_segments_rank_above_labeled_ones(self):
+        """On a one-hot design, v is 1/lam in a segment with no labeled row and
+        1/(lam + n_j) in one with n_j rows: after round 1, every candidate of
+        an unlabeled segment scores strictly above every labeled-segment one."""
+        env = HardInstance(d=8, delta=0.2, theta_signs=(1, -1) * 4)
+        pool = sample_pool(env, 200, seed=4)
+        result = run_protocol(ProtocolConfig(budget=10, max_batch=5, seed=4), env,
+                              pool_units=pool)
+        segment = result.pool_phis.argmax(axis=1)
+        labeled = np.isin(segment, segment[result.unit_ids[:5]])
+        table = result.scores[1]
+        v_labeled = table["v"][labeled[table["id"]]]
+        v_unlabeled = table["v"][~labeled[table["id"]]]
+        assert len(v_labeled) and len(v_unlabeled)
+        assert v_unlabeled.min() > v_labeled.max()
+
+
+class TestSelectionReadsNoOutcome:
+    def test_worlds_that_differ_only_in_theta_star_select_alike(self):
+        """v, d and o read x and the log's treatments, never a randomized
+        outcome: the same pool and log pick the same units with the same
+        scores whatever the effect."""
+        env, pool, obs = box_threshold_world(seed=8, n_pool=300, n_obs=300)
+        flipped = LinearEnv(theta_star=-env.theta_star, feature_map=env.feature_map,
+                            norm_budget=env.S, marginal=env.marginal)
+        config = ProtocolConfig(budget=60, max_batch=20, seed=8)
+        a, b = (run_protocol(config, world, pool_units=pool, obs=obs)
+                for world in (env, flipped))
+        np.testing.assert_array_equal(a.unit_ids, b.unit_ids)
+        assert not np.array_equal(a.yts, b.yts)
+        assert [t.tobytes() for t in a.scores] == [t.tobytes() for t in b.scores]
 
 
 class TestDomainClassifier:

@@ -140,6 +140,17 @@ class TestGenerate:
             main(["generate", "--env", str(env), "--out", str(tmp_path / "d")])
         assert not (tmp_path / "d").exists()
 
+    @pytest.mark.parametrize("key, value", [("n_pool", 0), ("n_obs", -1)])
+    def test_size_below_its_bound_rejected_before_any_output(self, tmp_path, key, value):
+        """n_pool 0 used to fail in sampling after --out was made."""
+        env = write_env(tmp_path / "env.json")
+        doc = json.loads(env.read_text())
+        doc[key] = value
+        env.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=f"{key} must be >= "):
+            main(["generate", "--env", str(env), "--out", str(tmp_path / "d")])
+        assert not (tmp_path / "d").exists()
+
     def test_box_tilt_rejected_before_any_output(self, tmp_path):
         """A tilt is defined on segment marginals only; on a box world it used
         to fail in sample_obs after pool.jsonl had been written."""
@@ -261,6 +272,8 @@ class TestRun:
         ("randomization", {"kind": "affine", "weights": [0.1, 0.0, 0.0, 0.0],
                            "bias": float("nan")}, ValueError),
         ("randomization", {"kind": "affine", "weights": [0.1]}, ValueError),
+        ("budget", True, ValueError),
+        ("max_batch", True, ValueError),
     ])
     def test_bad_protocol_rejected_before_any_output(self, generated, tmp_path,
                                                      key, value, error):

@@ -11,7 +11,6 @@ MODULES = [p for p in SRC if p.name != "__init__.py"]  # __init__ only re-export
 
 # Library API with no reader in the package or the benchmark, and why it stays.
 UNREAD_ALLOWED = {
-    "confidence_width": "the paper's pointwise width beta * ||phi||_V^-1",
     "default_hard_delta": "the Delta_B of the sqrt(d/B) minimax floor",
 }
 

@@ -6,11 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from budgex.core import FeatureMap, PropensityBounds, RctStream
 from budgex.estimator import (ConfidenceParams, RidgeSolution,
-                              SingularDesignError, beta_bound, confidence_width,
-                              default_sigma, ellipsoid_radius,
-                              fit_ridge_arrays, pseudo_outcome_values,
-                              sandwich_from_arrays, solution_from_json,
-                              solution_to_json)
+                              SingularDesignError, beta_bound, default_sigma,
+                              ellipsoid_radius, fit_ridge_arrays, pool_leverage,
+                              pseudo_outcome_values, sandwich_from_arrays,
+                              solution_from_json, solution_to_json)
 from budgex._rng import rng_for
 
 ONE_HOT_2 = FeatureMap(kind="segment-one-hot", output_dim=2, norm_bound=1.0)
@@ -181,7 +180,9 @@ class TestConfidenceWidth:
     def test_empty_design_width(self):
         sol = fit_ridge_arrays(np.zeros((0, 2)), np.zeros(0), 1.0)
         params = ConfidenceParams(sigma=1.0, S=1.0, delta=np.exp(-0.5))
-        assert confidence_width(sol, params, ONE_HOT_2.apply_many([[0.0]])[0]) == pytest.approx(2.0)
+        phi = ONE_HOT_2.apply_many([[0.0]])[0]
+        width = beta_bound(params, sol) * np.sqrt(pool_leverage(sol, phi[None])[0])
+        assert width == pytest.approx(2.0)
 
     def test_width_shrinks_with_data(self):
         params = ConfidenceParams(sigma=1.0, S=1.0, delta=0.1)
@@ -191,7 +192,8 @@ class TestConfidenceWidth:
         for n in (1, 2, 4, 8, 16):
             phis = np.ones((n, 1))
             sol = fit_ridge_arrays(phis, np.full(n, 2.0), 1.0)
-            width = confidence_width(sol, params, fmap.apply_many([[0.0]])[0])
+            phi = fmap.apply_many([[0.0]])[0]
+            width = beta_bound(params, sol) * np.sqrt(pool_leverage(sol, phi[None])[0])
             assert width < prev
             prev = width
 
@@ -199,7 +201,8 @@ class TestConfidenceWidth:
         fmap = FeatureMap(kind="identity", output_dim=2, norm_bound=2.0)
         sol = fit_ridge_arrays(np.eye(2), np.ones(2), 1.0)
         params = ConfidenceParams(sigma=1.0, S=1.0, delta=0.1)
-        assert confidence_width(sol, params, fmap.apply_many([[0.0, 0.0]])[0]) == 0.0
+        phi = fmap.apply_many([[0.0, 0.0]])[0]
+        assert beta_bound(params, sol) * np.sqrt(pool_leverage(sol, phi[None])[0]) == 0.0
 
 
 class TestSandwich:

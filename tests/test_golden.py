@@ -53,18 +53,18 @@ GOLDEN = {
     "box/manifest.json": "a13065acf75b2b845547d1cffbc929780f0803b78e21108ba13f03153815a378",
     "box/obs.jsonl": "08275489fab22a4ed675ad6de77a85f5195bcefe89f5baf9496571b0eb4d755d",
     "box/pool.jsonl": "48da91d4d8d7162768987abb6211b977a9a87587c943470d7bdb3397969ebb20",
-    "evaluate/metrics.csv": "8d48973c418d4386c80995dc27441a9333133d13273e5cde3df65d414ab1c676",
-    "evaluate/summary.json": "d42deddd08ccf82254275020e0bae7c6d2e0dc6a8770032a967a0564c5480f78",
+    "evaluate/metrics.csv": "6eee2ba366225aec661e4043c0984e8bbaaef9bb553866ded193a53df4144249",
+    "evaluate/summary.json": "86e337e6514a0f3e0d7ae264f7d3ed426f15a5da6be9ddef9cf0d36bdf14f62d",
     "hard/manifest.json": "85bf15d9527832a372a7c1583e8c7448b0690add2de396344228d89ced1290a8",
     "hard/obs.jsonl": "aa117d5b3665314034ebcb2a232c7eeb4b370670a6b9298f2affc31baa03378b",
     "hard/pool.jsonl": "275912da401942bf33a0a426f16a82a0ea15a83cd555d8a8c312424634ab61b1",
     "run-active/manifest.json": "5bb191af3da6992ac409f9dd77598d45d6be2a64802eaa22e41fe6e92d89249a",
-    "run-active/rep_0000/rct.jsonl": "7b507052ce45ce4c8d764f0c95b87caa4c76ef08a6b4200895020dd2b8acf3cb",
+    "run-active/rep_0000/rct.jsonl": "979ba2d1956eb3d1d39f87dd211708820c9b8eef5bb26524bc1414ff8bf51448",
     "run-active/rep_0000/run_summary.json": "51afbb826aa56ed248e96a7fde6c69f35d87265321d0566e709ecb348fcf004f",
     "run-active/rep_0000/scores_round_1.csv": "406df359c7f191afeebcf088ceb61b10eae520c3f2d5160daccea3a65c47171a",
-    "run-active/rep_0000/scores_round_2.csv": "b332f14fb3fcb2c84515deb8ac1341f840ad0db1bac2495f70d94a00535789eb",
-    "run-active/rep_0000/scores_round_3.csv": "718ed715612fd1f0be86409dd32b4e5022288641fbfb3f88d9e6225bf0f306b2",
-    "run-active/rep_0000/solution.json": "a7cf5a2061d5f8a570a60c28603259d440f9d51900db1d91bdebce5b8a9c08c9",
+    "run-active/rep_0000/scores_round_2.csv": "bdbbe1bac7241a8ed78c81ede88f4dbfc67c4031b42044ab811eba927a029054",
+    "run-active/rep_0000/scores_round_3.csv": "239114d40b2e9db57611e3190f5c83a70c112c4f9e36c7138d623d3297ba3b8a",
+    "run-active/rep_0000/solution.json": "4508ce18d0fffcbb3297ce22487e3342cc4ea0d26cbbe752830ccdd248f0a501",
     "run-random/manifest.json": "955bf014655585dcce26f6587b3a033a7d44777757ec0d3e545160b7de95c503",
     "run-random/rep_0000/rct.jsonl": "cad188a661f01d2f52e8fc237555b9a7b56370abf7178a4aa3d70b8921aaa0f1",
     "run-random/rep_0000/run_summary.json": "51afbb826aa56ed248e96a7fde6c69f35d87265321d0566e709ecb348fcf004f",
