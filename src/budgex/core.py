@@ -53,15 +53,16 @@ class FeatureMap:
             b = np.zeros(self.output_dim) if self.offset is None else np.asarray(self.offset, dtype=float)
             if W.shape[0] != self.output_dim or b.shape != (self.output_dim,):
                 raise DimensionError("affine-projection shapes inconsistent with output_dim")
+            if not (np.isfinite(W).all() and np.isfinite(b).all()):
+                raise ValueError("affine-projection weight and offset must be finite")
             object.__setattr__(self, "weight", W)
             object.__setattr__(self, "offset", b)
 
     def apply_many(self, xs):
         """Vectorized phi over rows of xs; returns an (n, d) array."""
         xs = np.atleast_2d(np.asarray(xs, dtype=float))
-        finite = np.isfinite(xs).all(axis=1)
-        if not finite.all():  # before the product, which would warn on it
-            row = int(np.argmin(finite))
+        if not np.isfinite(xs).all():  # before the product, which would warn on it
+            row = int(np.argmin(np.isfinite(xs).all(axis=1)))
             raise NormBoundError(f"covariate row {row} is not finite")
         if self.kind == "identity":
             if xs.shape[1] != self.output_dim:
@@ -70,16 +71,19 @@ class FeatureMap:
         elif self.kind == "segment-one-hot":
             if xs.shape[1] != 1:
                 raise DimensionError("segment covariate must be a single index coordinate")
-            idx = xs[:, 0].astype(int)
-            if np.any(idx != xs[:, 0]) or idx.min(initial=0) < 0 or idx.max(initial=0) >= self.output_dim:
+            col = xs[:, 0]  # checked before the cast, which would warn on 1e20
+            if col.min(initial=0) < 0 or col.max(initial=0) >= self.output_dim \
+                    or np.any(np.floor(col) != col):
                 raise DimensionError("segment index out of range")
+            idx = col.astype(int)
             out = np.zeros((len(idx), self.output_dim))
             out[np.arange(len(idx)), idx] = 1.0
         else:
             if xs.shape[1] != self.weight.shape[1]:
                 raise DimensionError(f"expected dim {self.weight.shape[1]}, got {xs.shape[1]}")
             out = xs @ self.weight.T + self.offset
-        norms = np.linalg.norm(out, axis=1)
+        # at most an ulp from linalg.norm's rounding, far inside the 1e-12 slack
+        norms = np.sqrt(np.einsum("ij,ij->i", out, out))
         if not np.all(norms <= self.norm_bound + 1e-12):  # a NaN row fails too
             bad = float(norms.max())
             raise NormBoundError(f"||phi(x)|| = {bad:.6g} exceeds declared bound {self.norm_bound}")

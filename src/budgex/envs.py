@@ -87,13 +87,21 @@ class BoxMarginal:
         hi = np.asarray(self.highs, dtype=float)
         if lo.shape != hi.shape or np.any(lo > hi):
             raise EnvSpecError("box bounds inconsistent")
+        with np.errstate(over="ignore", invalid="ignore"):
+            width = hi - lo
+        if not np.all(np.isfinite(width)):  # NaN, infinite or overflowing bounds
+            raise EnvSpecError(f"box widths must be finite, got {width.tolist()}")
         object.__setattr__(self, "lows", tuple(lo))
         object.__setattr__(self, "highs", tuple(hi))
 
     def sample(self, n, rng):
+        """n rows drawn as Generator.uniform(lows, highs) draws them, bit for
+        bit: lo + (hi - lo) * u for the same doubles u, in the same order."""
         lo = np.asarray(self.lows)
-        hi = np.asarray(self.highs)
-        return rng.uniform(lo, hi, size=(n, len(lo)))
+        u = rng.random((n, len(lo)))
+        u *= np.asarray(self.highs) - lo
+        u += lo
+        return u
 
     def support_points(self):
         """Box corners; affine conditional means attain extremes there."""

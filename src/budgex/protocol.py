@@ -34,8 +34,8 @@ class ConstantPolicy:
     p: float = 0.5
 
     def __post_init__(self):
-        if not np.isfinite(self.p):
-            raise ValueError(f"constant assignment probability {self.p!r} is not finite")
+        if isinstance(self.p, bool) or not np.isfinite(self.p):
+            raise ValueError(f"constant assignment probability {self.p!r} is not a finite number")
 
     def raw(self, phis, env):
         return np.full(len(phis), self.p)
@@ -47,8 +47,9 @@ class AffinePolicy:
     bias: float = 0.5
 
     def __post_init__(self):
-        if not np.all(np.isfinite(np.append(self.weights, self.bias))):
-            raise ValueError("affine assignment weights and bias must be finite")
+        if any(isinstance(w, bool) for w in (*self.weights, self.bias)) \
+                or not np.all(np.isfinite(np.append(self.weights, self.bias))):
+            raise ValueError("affine assignment weights and bias must be finite numbers")
 
     def raw(self, phis, env):
         return self.bias + phis @ np.asarray(self.weights)
@@ -78,8 +79,8 @@ class ProtocolConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if isinstance(self.budget, bool) or isinstance(self.max_batch, bool):
-            raise ValueError("budget and max_batch must be integers, not bools")
+        if any(isinstance(v, bool) for v in (self.budget, self.max_batch, self.estimator_lambda)):
+            raise ValueError("budget, max_batch and estimator_lambda must be numbers, not bools")
         if index(self.budget) < 0:
             raise ValueError("budget must be nonnegative")
         if index(self.max_batch) < 1:

@@ -274,6 +274,15 @@ class TestRun:
         ("randomization", {"kind": "affine", "weights": [0.1]}, ValueError),
         ("budget", True, ValueError),
         ("max_batch", True, ValueError),
+        ("estimator_lambda", True, ValueError),
+        ("weights", {"alpha": True}, ValueError),
+        ("weights", {"beta": True}, ValueError),
+        ("weights", {"gamma": True}, ValueError),
+        ("randomization", {"kind": "constant", "p": True}, ValueError),
+        ("randomization", {"kind": "affine", "weights": [0.1, 0.0, 0.0, 0.0],
+                           "bias": True}, ValueError),
+        ("randomization", {"kind": "affine", "weights": [True, 0.0, 0.0, 0.0]},
+         ValueError),
     ])
     def test_bad_protocol_rejected_before_any_output(self, generated, tmp_path,
                                                      key, value, error):

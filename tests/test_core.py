@@ -46,9 +46,14 @@ class TestFeatureMap:
             fmap.apply_many([[1.0, 2.0, 3.0]])
 
     def test_segment_index_out_of_range(self):
+        """The range is checked on the float column, before the cast to int
+        that warned on +-1e20."""
         fmap = FeatureMap(kind="segment-one-hot", output_dim=2, norm_bound=1.0)
-        with pytest.raises(DimensionError):
-            fmap.apply_many([[5.0]])
+        for index in (5.0, 1e20, -1e20):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(DimensionError):
+                    fmap.apply_many([[index]])
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
@@ -70,6 +75,15 @@ class TestFeatureMap:
         row; an infinite one would disable the check."""
         with pytest.raises(ValueError, match="norm_bound"):
             FeatureMap(kind="identity", output_dim=2, norm_bound=bound)
+
+    @pytest.mark.parametrize("given", [{"weight": [[np.inf, 0.0], [0.0, 1.0]]},
+                                       {"weight": [[np.nan, 0.0], [0.0, 1.0]]},
+                                       {"weight": np.eye(2), "offset": [0.0, -np.inf]}])
+    def test_non_finite_affine_weight_or_offset_rejected_at_construction(self, given):
+        """It used to construct, and the first apply_many warned in the matmul
+        instead of raising."""
+        with pytest.raises(ValueError, match="weight and offset must be finite"):
+            FeatureMap(kind="affine-projection", output_dim=2, norm_bound=2.0, **given)
 
     @pytest.mark.parametrize("fmap", [
         FeatureMap(kind="identity", output_dim=2, norm_bound=2.0),
@@ -95,6 +109,30 @@ class TestFeatureMap:
             warnings.simplefilter("error")
             with pytest.raises(NormBoundError, match="row 1 is not finite"):
                 fmap.apply_many([np.zeros(len(row)), row])
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from([
+        FeatureMap(kind="identity", output_dim=3, norm_bound=1.0),
+        FeatureMap(kind="affine-projection", output_dim=2, norm_bound=1.0,
+                   weight=np.ones((2, 3))),
+        FeatureMap(kind="segment-one-hot", output_dim=4, norm_bound=1.0),
+    ]), st.integers(1, 8), st.data())
+    def test_first_non_finite_row_named_without_a_warning(self, fmap, n, data):
+        """Non-finite entries at random positions, among arbitrary finite ones:
+        the error names the first row that holds one, and nothing warns."""
+        k = 1 if fmap.kind == "segment-one-hot" else 3
+        xs = np.array(data.draw(st.lists(st.floats(-1e300, 1e300), min_size=n * k,
+                                         max_size=n * k))).reshape(n, k)
+        bad = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, k - 1),
+                                           st.sampled_from([np.nan, np.inf, -np.inf])),
+                                 min_size=1, max_size=6))
+        for i, j, value in bad:
+            xs[i, j] = value
+        first = min(i for i, _, _ in bad)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NormBoundError, match=f"^covariate row {first} is not finite$"):
+                fmap.apply_many(xs)
 
     @settings(max_examples=300, deadline=None)
     @given(st.sampled_from(["identity", "affine-projection"]), st.integers(0, 5),

@@ -1,6 +1,7 @@
 """Tests for the synthetic two-source world generators."""
 
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -286,6 +287,37 @@ class TestMarginals:
     def test_points_length_mismatch_rejected(self):
         with pytest.raises(EnvSpecError):
             SegmentMarginal((0.5, 0.5), ((0.0,),))
+
+    @pytest.mark.parametrize("lows, highs", [
+        ((np.nan,), (1.0,)), ((0.0,), (np.nan,)), ((0.0,), (np.inf,)),
+        ((-np.inf,), (0.0,)), ((np.inf,), (np.inf,)), ((-1.0, -1e308), (1.0, 1e308)),
+    ])
+    def test_box_width_must_be_finite(self, lows, highs):
+        """NaN and infinite bounds, and +-1e308 whose width overflows, fail at
+        construction without a warning; they used to fail only at the first
+        draw, with numpy's OverflowError."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EnvSpecError, match="box widths must be finite"):
+                BoxMarginal(lows, highs)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 40), st.integers(0, 2**63 - 1),
+           st.lists(st.tuples(st.floats(-1e150, 1e150), st.floats(-1e150, 1e150),
+                              st.booleans()), min_size=1, max_size=5))
+    def test_box_sample_is_generator_uniform_bit_for_bit(self, n, seed, dims):
+        """BoxMarginal.sample scales rng.random in place; Generator.uniform on
+        the same bounds is the reference, for every byte of the draw and the
+        state of the stream after it. A True flag makes a zero-width dimension."""
+        lows = [min(a, b) for a, b, _ in dims]
+        highs = [lo if flat else max(a, b) for lo, (a, b, flat) in zip(lows, dims)]
+        box = BoxMarginal(tuple(lows), tuple(highs))
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = box.sample(n, rng)
+        want = ref.uniform(np.asarray(lows), np.asarray(highs), size=(n, len(dims)))
+        assert got.shape == want.shape == (n, len(dims))
+        assert got.tobytes() == want.tobytes()
+        assert rng.random() == ref.random()
 
 
 NO_SHIFT = {"kind": "none"}
