@@ -21,7 +21,7 @@ from .acquisition import (SCORE_DTYPE, AcquisitionWeights, LogisticHead,
                           overlap_deficit_many, rank_normalize, select_top_m,
                           train_domain_classifier)
 from .protocol import (AffinePolicy, ConstantPolicy, ProtocolConfig,
-                       VarianceOptimalPolicy, clip_probability, run_protocol)
+                       clip_probability, run_protocol)
 from .metrics import (BoundCheckResult, NormalityDiagnostic, UpliftCurve,
                       bound_violation_audit, clt_diagnostic, pehe, uplift_curve)
 

@@ -148,8 +148,6 @@ class AcquisitionWeights:
     gamma: float = 0.7
 
     def __post_init__(self):
-        if any(isinstance(w, bool) for w in (self.alpha, self.beta, self.gamma)):
-            raise ValueError("acquisition weights must be numbers, not bools")
         if self.alpha < 0 or self.beta < 0 or self.gamma < 0:
             raise ValueError("weights must be nonnegative")
         if self.alpha == self.beta == self.gamma == 0:

@@ -9,8 +9,8 @@ Subcommands:
 Each command parses its inputs once, into the objects the run uses: the env,
 the log's policy and covariate marginal, and a base ProtocolConfig. Run's
 replications and sweep's cells (in workers too) get those. Each command rejects
-bad inputs, a size below its bound or an affine randomization of the wrong
-length included, before any output is made. Cells draw through metrics.replicate.
+bad inputs, a size below its bound, a JSON bool or non-finite number and an
+affine randomization of the wrong length included, before any output is made. Cells draw through metrics.replicate.
 All outputs but run's wall-clock timing.json are byte-deterministic given
 identical configs and master seed.
 BUDGEX_THREADS caps worker parallelism for sweeps (default 1).
@@ -31,12 +31,12 @@ import numpy as np
 
 from ._rng import derive_seed, rng_for
 from .acquisition import AcquisitionWeights
-from .core import known_keys, read_jsonl, write_jsonl
+from .core import finite_numbers, known_keys, read_jsonl, write_jsonl
 from .envs import SegmentMarginal, kind_of, load_env, sample_obs, sample_pool
 from .estimator import solution_to_json, solution_from_json
 from .metrics import auuc, pehe, pehe_exact_segments, replicate
 from .protocol import (DEFAULT_BOUNDS, AffinePolicy, ConstantPolicy,
-                       ProtocolConfig, VarianceOptimalPolicy, run_protocol)
+                       ProtocolConfig, run_protocol)
 
 METRIC_COLUMNS = ["budget", "strategy", "replication", "seed", "pehe", "auuc",
                   "min_eig_normalized"]
@@ -70,21 +70,21 @@ def _given(doc, *keys):
 
 
 def _randomization_from_json(doc):
-    """The assignment policy of a randomization block; no "kind" means constant."""
-    kind = kind_of({"kind": "constant", **doc}, "protocol.json randomization", {
-        "constant": ("p",), "affine": ("weights", "bias"), "variance-optimal": ()})
-    if kind == "constant":
+    """The assignment policy of a randomization block: "constant" (p, the default
+    kind) or "affine" (weights and bias over the phi row)."""
+    if kind_of({"kind": "constant", **doc}, "protocol.json randomization", {
+            "constant": ("p",), "affine": ("weights", "bias")}) == "constant":
         return ConstantPolicy(**_given(doc, "p"))
-    if kind == "affine":
-        return AffinePolicy(tuple(doc["weights"]), **_given(doc, "bias"))
-    return VarianceOptimalPolicy()
+    return AffinePolicy(tuple(doc["weights"]), **_given(doc, "bias"))
 
 
 def protocol_config_from_json(doc):
     """A ProtocolConfig from protocol.json; each key it leaves out keeps its
-    dataclass default (seed 0). A key it does not know is a ValueError."""
-    known_keys(doc, "protocol.json", "budget", "max_batch", "strategy",
-               "estimator_lambda", "f_min", "f_max", "randomization", "weights")
+    dataclass default (seed 0). A key it does not know, a bool and a NaN or
+    infinite number are ValueErrors."""
+    known_keys(finite_numbers(doc, "protocol.json"), "protocol.json", "budget",
+               "max_batch", "strategy", "estimator_lambda", "f_min", "f_max",
+               "randomization", "weights")
     given = _given(doc, "max_batch", "strategy", "estimator_lambda")
     return ProtocolConfig(
         budget=doc["budget"],
@@ -142,12 +142,10 @@ def cmd_run(args):
         base = _fits_phi(protocol_config_from_json(json.load(fh)), env)
     if args.reps < 1:
         raise ValueError(f"run replications must be >= 1, got {args.reps}")
-    os.makedirs(args.out, exist_ok=True)
-
-    pool_path = os.path.join(args.data, "pool.jsonl")
+    pool = read_jsonl(os.path.join(args.data, "pool.jsonl"), "pool")
     obs_path = os.path.join(args.data, "obs.jsonl")
-    pool = read_jsonl(pool_path, "pool")
     obs = read_jsonl(obs_path, "obs") if os.path.exists(obs_path) else None
+    os.makedirs(args.out, exist_ok=True)
     if base.budget > len(pool):
         print(f"warning: budget {base.budget} exceeds pool size {len(pool)}; "
               "pool will be exhausted", file=sys.stderr)

@@ -97,6 +97,17 @@ def known_keys(doc, where, *keys):
     return doc
 
 
+def finite_numbers(doc, where):
+    """doc, once no value in it is a bool or a NaN or infinite number: JSON
+    true/false would pass as 1/0, and NaN or Infinity as a number."""
+    if isinstance(doc, (dict, list, tuple)):
+        for key, value in doc.items() if isinstance(doc, dict) else enumerate(doc):
+            finite_numbers(value, f"{where}.{key}")
+    elif isinstance(doc, bool) or isinstance(doc, float) and not np.isfinite(doc):
+        raise ValueError(f"{where} must be a finite number, got {doc!r}")
+    return doc
+
+
 def sigmoid(z):
     """Logistic function; z is clipped so that exp never overflows."""
     return 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500)))

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rng import rng_for
-from .core import FeatureMap, ObsLog, Pool, known_keys, sigmoid
+from .core import FeatureMap, ObsLog, Pool, finite_numbers, known_keys, sigmoid
 
 C_KL = 16.0 / 3.0
 
@@ -268,9 +268,10 @@ def kind_of(doc, where, keys_by_kind):
 def env_from_json(doc):
     """(env, obs_policy, obs_marginal) from an env.json document; obs_marginal is
     the log's covariate marginal, env.marginal or its tilt. A key outside the
-    schema is a ValueError, and shapes and invariants fail here, before any draw."""
-    known_keys(doc, "env.json", "seed", "n_obs", "n_pool", "env", "obs_policy",
-               "obs_shift")
+    schema, a bool and a NaN or infinite number are ValueErrors, and shapes and
+    invariants fail here, before any draw."""
+    known_keys(finite_numbers(doc, "env.json"), "env.json", "seed", "n_obs", "n_pool",
+               "env", "obs_policy", "obs_shift")
     for key in ("seed", "n_obs", "n_pool"):
         if key in doc and type(doc[key]) is not int:
             raise EnvSpecError(f"env.json {key} must be an integer, got {doc[key]!r}")

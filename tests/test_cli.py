@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -16,6 +17,8 @@ from budgex.cli import main, protocol_config_from_json
 from budgex.core import FeatureMap, PropensityBounds, read_jsonl
 from budgex.envs import EnvSpecError, HardInstance
 from budgex.protocol import AffinePolicy, ProtocolConfig
+
+NAN, INF = float("nan"), float("inf")
 
 
 def write_env(path, n_obs=80, n_pool=150, delta=0.2, with_policy=True):
@@ -160,6 +163,34 @@ class TestGenerate:
             main(["generate", "--env", str(env), "--out", str(tmp_path / "d")])
         assert not (tmp_path / "d").exists()
 
+    @pytest.mark.parametrize("box, change, path", [
+        (False, {"S": NAN}, "env.json.env.S"),
+        (False, {"S": True}, "env.json.env.S"),
+        (False, {"delta": INF}, "env.json.env.delta"),
+        (False, {"sharpness": NAN}, "env.json.obs_policy.sharpness"),
+        (True, {"theta_star": [NAN, -0.1]}, "env.json.env.theta_star.0"),
+        (True, {"marginal": {"kind": "segments", "probs": [0.5, NAN],
+                             "points": [[-1.0, 0.0], [1.0, 0.0]]}},
+         "env.json.env.marginal.probs.1"),
+        (True, {"feature_map": {"kind": "identity", "output_dim": True,
+                                "norm_bound": 2.0}}, "env.json.env.feature_map.output_dim"),
+        (True, {"cutoff": NAN}, "env.json.obs_policy.cutoff"),
+        (True, {"direction": [True, False]}, "env.json.obs_policy.direction.0"),
+    ], ids=["nan-S", "bool-S", "inf-delta", "nan-sharpness", "nan-theta_star",
+            "nan-segment-probs", "bool-output_dim", "nan-cutoff", "bool-direction"])
+    def test_bool_or_non_finite_number_rejected_before_any_output(self, tmp_path, box,
+                                                                  change, path):
+        """A NaN S used to make every width NaN and the audit report no violation,
+        and a bool to pass as 1 or 0."""
+        env = (write_box_env if box else write_env)(tmp_path / "env.json")
+        doc = json.loads(env.read_text())
+        for key, value in change.items():
+            doc["obs_policy" if key in doc["obs_policy"] else "env"][key] = value
+        env.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=re.escape(f"{path} must be a finite number")):
+            main(["generate", "--env", str(env), "--out", str(tmp_path / "d")])
+        assert not (tmp_path / "d").exists()
+
     def test_regeneration_is_byte_identical(self, tmp_path):
         env = write_env(tmp_path / "env.json")
         a, b = tmp_path / "a", tmp_path / "b"
@@ -262,6 +293,25 @@ class TestRun:
                   "--reps", reps])
         assert not (tmp_path / "runs").exists()
 
+    @pytest.mark.parametrize("pool_lines, error, message", [
+        (None, FileNotFoundError, "pool.jsonl"),
+        (['{"id": 4, "x": [1.0]}', '{"id": 4, "x": [2.0]}'], ValueError, "distinct"),
+    ], ids=["no-pool-file", "repeated-id"])
+    def test_bad_data_rejected_before_any_output(self, generated, tmp_path, pool_lines,
+                                                 error, message):
+        """Both used to raise after an empty --out directory was made."""
+        env, _ = generated
+        data = tmp_path / "bad-data"
+        data.mkdir()
+        if pool_lines is not None:
+            (data / "pool.jsonl").write_text("\n".join(pool_lines) + "\n")
+        proto = write_protocol(tmp_path / "protocol.json")
+        out = tmp_path / "runs"
+        with pytest.raises(error, match=message):
+            main(["run", "--env", str(env), "--protocol", str(proto),
+                  "--data", str(data), "--out", str(out)])
+        assert not out.exists()
+
     @pytest.mark.parametrize("key, value, error", [
         ("budget", 30.5, TypeError),
         ("max_batch", 2.5, TypeError),
@@ -283,6 +333,9 @@ class TestRun:
                            "bias": True}, ValueError),
         ("randomization", {"kind": "affine", "weights": [True, 0.0, 0.0, 0.0]},
          ValueError),
+        ("weights", {"alpha": NAN}, ValueError),
+        ("weights", {"beta": INF}, ValueError),
+        ("weights", {"gamma": INF}, ValueError),
     ])
     def test_bad_protocol_rejected_before_any_output(self, generated, tmp_path,
                                                      key, value, error):
@@ -338,6 +391,7 @@ class TestProtocolConfigFromJson:
         ({"budget": 5, "max_rounds": 4}, "'max_rounds'"),
         ({"budget": 5, "mode": "fusion"}, "'mode'"),
         ({"budget": 5, "randomization": {"kind": "thompson"}}, "'thompson'"),
+        ({"budget": 5, "randomization": {"kind": "variance-optimal"}}, "'variance-optimal'"),
     ])
     def test_unknown_keys_rejected(self, doc, key):
         with pytest.raises(ValueError, match=key):
@@ -449,12 +503,13 @@ class TestSweep:
         ({"n_pool": 100.5}, [], True, "n_pool must be >= 1 and an integer"),
         ({"n_obs": 50.5}, [], True, "n_obs must be >= 0 and an integer"),
         ({"budgets": [16, "24"]}, [], True, "positive integers"),
+        ({"protocol": {"f_max": NAN}}, [], True, "protocol.json.f_max must be a finite"),
     ], ids=["float-budgets", "fractional-budget", "zero-replications", "zero-reps",
             "zero-pool", "unknown-strategy", "no-log-rows", "no-log-policy",
             "protocol-budget", "protocol-strategy", "protocol-weights",
             "short-affine-weights", "repeated-budget", "repeated-strategy",
             "fractional-replications", "fractional-pool", "fractional-log",
-            "string-budget"])
+            "string-budget", "nan-protocol-f_max"])
     def test_bad_inputs_fail_before_any_cell_runs(self, tmp_path, monkeypatch, change,
                                                    argv, with_policy, message):
         cells = []

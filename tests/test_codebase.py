@@ -1,6 +1,7 @@
 """Static checks on the source tree: every module-level name in budgex has a
-reader outside the tests, every parameter of a module-level function is read
-in its body, and no module imports a name it never reads."""
+reader outside the tests, every parameter of a module-level function or of a
+top-level class's method is read in its body, and no module imports a name it
+never reads."""
 
 import ast
 from pathlib import Path
@@ -45,19 +46,33 @@ def test_every_top_level_name_has_a_reader_outside_the_tests():
     assert set(unread) == set(UNREAD_ALLOWED), unread
 
 
+def functions(tree):
+    """(name, def) of each module-level function and each top-level class's method."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            yield from ((f"{node.name}.{m.name}", m) for m in node.body
+                        if isinstance(m, ast.FunctionDef))
+
+
 def test_every_parameter_of_a_module_level_function_is_read():
-    """Methods are exempt: the policies' raw(phis, env) share one interface."""
+    """Methods of top-level classes too, but for self, which a method may pass
+    on through super() alone, and a method that only raises, which refuses its
+    arguments (as a box marginal refuses a tilt)."""
     unread = []
     for path in MODULES:
-        for node in parse(path).body:
-            if isinstance(node, ast.FunctionDef):
-                a = node.args
-                params = a.posonlyargs + a.args + a.kwonlyargs + \
-                    [p for p in (a.vararg, a.kwarg) if p is not None]
-                read = {n.id for stmt in node.body for n in ast.walk(stmt)
-                        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
-                unread += [f"{path.name}: {node.name}({p.arg})" for p in params
-                           if p.arg not in read]
+        for name, node in functions(parse(path)):
+            body = node.body[1:] if ast.get_docstring(node) else node.body
+            if len(body) == 1 and isinstance(body[0], ast.Raise):
+                continue
+            a = node.args
+            params = a.posonlyargs + a.args + a.kwonlyargs + \
+                [p for p in (a.vararg, a.kwarg) if p is not None]
+            read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            unread += [f"{path.name}: {name}({p.arg})" for p in params
+                       if p.arg not in read | {"self"}]
     assert unread == []
 
 

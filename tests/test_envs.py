@@ -438,7 +438,7 @@ class TestEnvJson:
      {"budget": 5, "randomization": {"kind": "constant", "weights": [0.1, 0.0]}},
      "weights"),
     (protocol_config_from_json,
-     {"budget": 5, "randomization": {"kind": "variance-optimal", "p": 0.3}}, "p"),
+     {"budget": 5, "randomization": {"kind": "affine", "weights": [0.1], "p": 0.3}}, "p"),
     (env_from_json, hard_doc([1, -1], 0.3, obs_shift={"kind": "none", "strength": 3.0}),
      "strength"),
     (env_from_json, {"env": {"kind": "hard", "d": 2, "delta": 0.2, "theta_signs": [1, -1],
@@ -449,7 +449,7 @@ class TestEnvJson:
     (env_from_json, hard_doc([1, -1], 0.3, obs_policy={
         "kind": "threshold", "direction": [1.0, 0.0], "cutoff": 0.5, "sharpness": 2.0}),
      "sharpness"),
-], ids=["constant-weights", "variance-optimal-p", "none-strength", "hard-theta_star",
+], ids=["constant-weights", "affine-p", "none-strength", "hard-theta_star",
         "segments-lows", "threshold-sharpness"])
 def test_a_key_only_a_sibling_kind_reads_is_rejected(parse, doc, key):
     """Each tagged block used to accept the union of its kinds' keys, so

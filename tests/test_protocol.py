@@ -13,12 +13,12 @@ from budgex.acquisition import (SCORE_DTYPE, AcquisitionWeights, fit_propensity,
                                 score_pool, select_top_m)
 from budgex.core import (FeatureMap, NormBoundError, ObsLog, Pool,
                          PropensityBounds, read_jsonl, write_jsonl)
-from budgex.envs import (HardInstance, LinearEnv, SegmentMarginal,
+from budgex.envs import (BoxMarginal, HardInstance, LinearEnv, SegmentMarginal,
                          ThresholdPolicy, sample_obs, sample_pool)
 from budgex.estimator import pseudo_outcome_values
 from budgex.protocol import (AffinePolicy, ConstantPolicy, ProtocolConfig,
-                             VarianceOptimalPolicy, _assign_and_observe,
-                             _dump_scores, clip_probability, run_protocol)
+                             _assign_and_observe, _dump_scores, clip_probability,
+                             run_protocol)
 from budgex._rng import rng_for
 
 BOUNDS = PropensityBounds(0.2, 0.8)
@@ -43,51 +43,11 @@ def weak_overlap_world(seed, n_pool=300, n_obs=400):
     return env, pool, obs
 
 
-class MomentsEnv:
-    """A stub env whose arm means at its one phi row are the moments (A, B)."""
-
-    def __init__(self, a, bm):
-        self.moments = np.array([a], dtype=float), np.array([bm], dtype=float)
-
-    def arm_means(self, phis):
-        return self.moments
-
-
-def policy_p(a, bm, bounds):
-    """The clipped VarianceOptimalPolicy probability for second moments (A, B)."""
-    raw = VarianceOptimalPolicy().raw(np.zeros((1, 1)), MomentsEnv(a, bm))
-    return clip_probability(raw, bounds)[0]
-
-
 class TestClipAndOptimalP:
     def test_clip_values(self):
         assert clip_probability(0.05, BOUNDS) == 0.2
         assert clip_probability(0.5, BOUNDS) == 0.5
         assert clip_probability(0.95, BOUNDS) == 0.8
-
-    def test_optimal_p_equal_moments(self):
-        assert policy_p(3.0, 3.0, BOUNDS) == 0.5
-
-    def test_optimal_p_formula(self):
-        wide = PropensityBounds(0.01, 0.99)
-        assert policy_p(4.0, 1.0, wide) == pytest.approx(2.0 / 3.0)
-
-    def test_optimal_p_clips_at_floor(self):
-        assert policy_p(0.0, 1.0, BOUNDS) == 0.2
-
-    def test_optimal_p_degenerate_case(self):
-        assert policy_p(0.0, 0.0, BOUNDS) == 0.5
-
-    def test_policy_matches_optimal_p_bitwise(self):
-        env = hard4()
-        xs = env.marginal.support_points()
-        phis = env.feature_map.apply_many(xs)
-        raw = VarianceOptimalPolicy().raw(phis, env)
-        a, bm = env.arm_means(phis)
-        written_out = np.sqrt(a) / (np.sqrt(a) + np.sqrt(bm))
-        assert raw.tobytes() == written_out.tobytes()
-        assert clip_probability(raw, BOUNDS).tobytes() == \
-            clip_probability(written_out, BOUNDS).tobytes()
 
 
 class TestConfigValidation:
@@ -209,16 +169,6 @@ class TestRunProtocol:
         assert np.all(result.stream.ps >= BOUNDS.f_min)
         assert np.all(result.stream.ps <= BOUNDS.f_max)
 
-    def test_variance_optimal_policy_uses_moments(self):
-        env = hard4()
-        cfg = ProtocolConfig(budget=30, strategy="random",
-                             randomization=VarianceOptimalPolicy(), seed=17)
-        result = run_protocol(cfg, env, pool_units=sample_pool(env, 60, 18))
-        a, bm = env.arm_means(result.phis)
-        expected = clip_probability(np.sqrt(a) / (np.sqrt(a) + np.sqrt(bm)),
-                                    BOUNDS)
-        np.testing.assert_allclose(result.stream.ps, expected)
-
     def test_pool_exhaustion_stops_gracefully(self):
         env = hard4()
         cfg = ProtocolConfig(budget=100, strategy="random", seed=19)
@@ -247,22 +197,50 @@ WORLD_21 = weak_overlap_world(21)
 class TestRandomizationIndependence:
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2**64 - 1), st.integers(1, 60),
-           st.sampled_from(["random", "active"]), st.permutations(range(300)))
+           st.sampled_from(["random", "active"]), st.permutations(range(300)),
+           st.one_of(st.none(), st.tuples(st.floats(-1, 1), st.floats(-1, 1),
+                                          st.floats(0, 1))))
     def test_assignment_keyed_by_unit_not_selection_order(self, seed, max_batch,
-                                                          strategy, order):
-        """A unit's (t, y) depends on the run seed and its id alone: whatever
-        strategy, batch size, round or pool order selects it, it gets the
-        draws it gets when the whole pool is assigned in one batch."""
+                                                          strategy, order, affine):
+        """A unit's (p, t, y) depends on the run seed, its phi row and its id
+        alone: whatever strategy, batch size, round or pool order selects it,
+        it gets the draws it gets when the whole pool is assigned in one batch,
+        and p is the clipped b + phi . w of the constant or affine policy."""
         env, pool, obs = WORLD_21
         shuffled = Pool(ids=pool.ids[list(order)], xs=pool.xs[list(order)])
-        cfg = ProtocolConfig(budget=60, max_batch=max_batch, strategy=strategy,
-                             seed=seed)
+        (w0, w1), b = ((0.0, 0.0), 0.5) if affine is None else (affine[:2], affine[2])
+        cfg = ProtocolConfig(budget=60, max_batch=max_batch, strategy=strategy, seed=seed,
+                             randomization=ConstantPolicy(b) if affine is None
+                             else AffinePolicy((w0, w1), b))
         result = run_protocol(cfg, env, pool_units=shuffled, obs=obs)
-        ts, ys, _ = _assign_and_observe(env, cfg, pool.ids,
-                                        env.feature_map.apply_many(pool.xs))
+        phis = env.feature_map.apply_many(pool.xs)
+        ts, ys, ps = _assign_and_observe(env, cfg, pool.ids, phis)
         at = np.searchsorted(pool.ids, result.unit_ids)
         assert result.stream.ts.tolist() == ts[at].tolist()
         assert result.stream.ys.tolist() == ys[at].tolist()
+        assert result.stream.ps.tobytes() == ps[at].tobytes()
+        written_out = clip_probability(b + (phis[:, 0] * w0 + phis[:, 1] * w1), cfg.bounds)
+        assert ps.tobytes() == written_out.tobytes()
+
+    @pytest.mark.parametrize("max_batch", [1, 7])
+    def test_affine_p_on_continuous_phi_ignores_the_batch(self, max_batch):
+        """On a box world's continuous phi rows, a unit's affine p is the same
+        in a batch of 1 or 7 as in the whole pool's: phis @ w rounded a one-row
+        batch apart from a longer one in about a third of the rows."""
+        fmap = FeatureMap(kind="identity", output_dim=2, norm_bound=1.5)
+        env = LinearEnv(theta_star=(0.2, -0.1), feature_map=fmap, norm_budget=1.0,
+                        marginal=BoxMarginal((-1.0, -1.0), (1.0, 1.0)))
+        pool = sample_pool(env, 80, 22)
+        w0, w1, b = 0.3141592653589793, -0.2718281828459045, 0.4
+        cfg = ProtocolConfig(budget=40, max_batch=max_batch, strategy="random", seed=23,
+                             randomization=AffinePolicy((w0, w1), b))
+        result = run_protocol(cfg, env, pool_units=pool)
+        phis = fmap.apply_many(pool.xs)
+        _, _, ps = _assign_and_observe(env, cfg, pool.ids, phis)
+        at = np.searchsorted(pool.ids, result.unit_ids)
+        assert result.stream.ps.tobytes() == ps[at].tobytes()
+        written_out = clip_probability(b + (phis[:, 0] * w0 + phis[:, 1] * w1), cfg.bounds)
+        assert ps.tobytes() == written_out.tobytes()
 
 
 class TestIdsAreNotPositions:
