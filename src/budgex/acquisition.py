@@ -1,7 +1,7 @@
 """Acquisition scoring for pool-based active experimentation.
 
 Three per-candidate signals -- leverage under the randomized design (v),
-pool-vs-current domain discriminability (d), and historical overlap deficit
+the pool-vs-current density ratio (d), and historical overlap deficit
 (o) -- are rank-normalized over the current pool and combined into a single
 weighted score used for top-m selection.
 
@@ -12,11 +12,11 @@ every direction that no labeled row spans. The round's ridge fit stays only for
 its V, and v, d and o read x and the log's treatments, never a randomized
 outcome: selection reads no Y~. So the CLT audit cannot test outcome-adaptive
 selection until an outcome-dependent variant of v exists.
-d and o come from logistic heads fitted by ridge-penalized IRLS (ESL 4.4):
-Newton steps from zero on the weighted mean cross-entropy + (RIDGE / 2) ||w||^2
-(bias free), halved while they raise it, until no step component exceeds
-TOLERANCE or the step promises a drop below float64's resolution of the loss,
-or RuntimeError at MAX_ITER.
+d is the uLSIF density ratio pool / current (Kanamori, Hido & Sugiyama 2009),
+one linear solve in [phi, 1] per round. Only o uses IRLS (ESL 4.4): Newton steps from
+zero on the mean cross-entropy + (RIDGE / 2) ||w||^2 (bias free), halved while
+they raise it, until no step component exceeds TOLERANCE or the step promises a
+drop below float64's resolution of the loss, or RuntimeError at MAX_ITER.
 """
 
 from dataclasses import dataclass
@@ -27,7 +27,7 @@ from .core import ObsLog, sigmoid
 from .estimator import fit_ridge_arrays, pool_leverage
 
 # ---------------------------------------------------------------------------
-# Logistic heads (shared by domain classifier and propensity model)
+# Logistic propensity head (o)
 
 RIDGE = 1e-3
 TOLERANCE = 1e-8
@@ -72,8 +72,7 @@ def _fit_logistic(phis, labels, sw):
 
 @dataclass(frozen=True)
 class LogisticHead:
-    """An affine logistic head: the domain classifier (label 1 = target pool)
-    or the e_obs propensity model (label 1 = treated in the log)."""
+    """The affine logistic e_obs propensity head (label 1 = treated in the log)."""
 
     weights: np.ndarray
     bias: float
@@ -82,23 +81,9 @@ class LogisticHead:
         return sigmoid(np.atleast_2d(phis) @ self.weights + self.bias)
 
 
-def train_domain_classifier(pool_phis, current_phis):
-    """Fit pool (label 1) vs current sample (label 0) by IRLS on the class-
-    balanced mean cross-entropy + (RIDGE / 2) ||w||^2, steps below TOLERANCE
-    within MAX_ITER. Balance keeps unequal sizes from faking a shift; the
-    penalty keeps w finite where the classes separate perfectly."""
-    n1, n0 = len(pool_phis), len(current_phis)
-    if n1 == 0 or n0 == 0:
-        raise ValueError("both classes must be nonempty")
-    return LogisticHead(*_fit_logistic(np.vstack([pool_phis, current_phis]),
-                                       np.repeat([1.0, 0.0], [n1, n0]),
-                                       np.repeat([0.5 / n1, 0.5 / n0], [n1, n0])))
-
-
 def fit_propensity(obs, phis):
     """Fit e_obs on an ObsLog (labels obs.ts) from its phi rows, mapped by the
-    caller; randomized records are rejected. IRLS on the mean cross-entropy +
-    (RIDGE / 2) ||w||^2, steps below TOLERANCE within MAX_ITER; the penalty
+    caller; randomized records are rejected. The penalty of the module's IRLS
     keeps e_obs inside (0, 1) on a log that phi separates perfectly."""
     if not isinstance(obs, ObsLog):
         raise ValueError("propensity model must be trained on an OBS log only")
@@ -113,7 +98,19 @@ def overlap_deficit_many(propensity, phis):
 
 
 # ---------------------------------------------------------------------------
-# Design leverage (v)
+# Closed-form signals: density ratio (d) and design leverage (v)
+
+
+def train_domain_classifier(pool_phis, current_phis):
+    """alpha of the density ratio pool / current, psi^T alpha on psi = [phi, 1]:
+    (H + RIDGE diag(1, .., 1, 0))^-1 h, with H the mean of psi psi^T over the
+    current rows and h that of psi over the pool. The free bias gives identical
+    classes a ratio of 1 at any sizes; the penalty bounds alpha on separable ones."""
+    pool, current = (np.column_stack([p, np.ones(len(p))]) for p in (pool_phis, current_phis))
+    if not all(len(psi) and np.isfinite(psi).all() for psi in (pool, current)):
+        raise ValueError("a density ratio needs two nonempty classes of finite rows")
+    penalty = np.diag(np.append(np.full(pool.shape[1] - 1, RIDGE), 0.0))
+    return np.linalg.solve(current.T @ current / len(current) + penalty, pool.mean(axis=0))
 
 
 def ensemble_variance(labeled_phis, labeled_yts, candidate_phis, lam):
@@ -191,10 +188,11 @@ def score_pool(ids, cand_phis, labeled_phis, labeled_yts, obs_phis, propensity,
     # v: the leverage under the labeled randomized stream's design; reads no Y~
     v = ensemble_variance(labeled_phis, labeled_yts, cand_phis, lam)
 
-    # d: pool vs obs + rct, retrained from zero each round
+    # d: the candidates' density ratio against obs + rct, one solve per round
     current = np.vstack([obs_phis, labeled_phis])
-    d = train_domain_classifier(cand_phis, current).predict(cand_phis) if len(current) \
-        else np.full(len(ids), 0.5)
+    alpha = train_domain_classifier(cand_phis, current) if len(current) \
+        else np.append(np.zeros(cand_phis.shape[1]), 0.5)  # cold start: d = 0.5
+    d = cand_phis @ alpha[:-1] + alpha[-1]
 
     # o: overlap deficit from the OBS-trained propensity head
     o = overlap_deficit_many(propensity, cand_phis) if propensity is not None \

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import finite_numbers
+
 MAX_CONDITION = 1e12
 SOLVE_RTOL = 1e-10
 
@@ -155,6 +157,7 @@ def solution_to_json(solution):
 
 
 def solution_from_json(doc):
+    doc = finite_numbers(doc, "solution.json")
     dim = len(doc["theta_hat"])
     return RidgeSolution(theta_hat=doc["theta_hat"], lam=doc["lambda"], n=doc["n"],
                          V=np.reshape(doc["V"], (dim, dim)))

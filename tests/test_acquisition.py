@@ -75,36 +75,76 @@ class TestSelectionReadsNoOutcome:
         assert [t.tobytes() for t in a.scores] == [t.tobytes() for t in b.scores]
 
 
+def ratio(alpha, phis):
+    """The density ratio psi^T alpha, psi = [phi, 1], of each row, as score_pool takes d."""
+    return phis @ alpha[:-1] + alpha[-1]
+
+
 class TestDomainClassifier:
     def test_identical_distributions_stay_near_chance(self):
         rng = rng_for(51)
         pool = rng.standard_normal((400, 2))
         current = rng.standard_normal((400, 2))
-        clf = train_domain_classifier(pool, current)
+        alpha = train_domain_classifier(pool, current)
         held_out = rng.standard_normal((1000, 2))
-        assert abs(float(clf.predict(held_out).mean()) - 0.5) < 0.05
+        assert abs(float(ratio(alpha, held_out).mean()) - 1.0) < 0.05
 
-    def test_identical_classes_score_half(self):
+    def test_identical_classes_score_one(self):
         rng = rng_for(53)
         rows = rng.standard_normal((10, 2))
-        clf = train_domain_classifier(rows, rows.copy())
-        np.testing.assert_allclose(clf.predict(rng.standard_normal((5, 2))), 0.5,
+        alpha = train_domain_classifier(rows, rows.copy())
+        np.testing.assert_allclose(ratio(alpha, rng.standard_normal((5, 2))), 1.0,
                                    rtol=0, atol=1e-12)
 
     def test_separable_classes_scored_apart(self):
         pool = np.column_stack([np.full(200, 3.0), np.zeros(200)])
         current = np.column_stack([np.full(200, -3.0), np.zeros(200)])
-        clf = train_domain_classifier(pool, current)
-        assert float(clf.predict(pool).mean()) > 0.9
+        alpha = train_domain_classifier(pool, current)
+        assert float(ratio(alpha, pool).mean()) > 0.9
 
     def test_class_imbalance_does_not_fake_shift(self):
         """Same marginal in both classes but 5x more pool rows: scores must
         not order units by how common they are."""
         rng = rng_for(57)
         base = rng.standard_normal((200, 2))
-        clf = train_domain_classifier(np.repeat(base, 5, axis=0), base)
-        scores = clf.predict(base)
-        assert abs(float(scores.mean()) - 0.5) < 0.02
+        alpha = train_domain_classifier(np.repeat(base, 5, axis=0), base)
+        scores = ratio(alpha, base)
+        assert abs(float(scores.mean()) - 1.0) < 0.02
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 30), st.integers(1, 30), st.integers(1, 4),
+           st.floats(0.0, 8.0), st.data())
+    def test_ratio_solves_its_penalized_normal_equations(self, n_pool, n_cur, d, shift,
+                                                          data):
+        """(H + 1e-3 diag(1, .., 1, 0)) alpha = h, with H the mean of psi psi^T
+        over the current rows and h the mean of psi over the pool, psi = [phi, 1];
+        a shift above 6 separates the classes."""
+        pool = np.column_stack([draw_rows(data, n_pool, d) + shift, np.ones(n_pool)])
+        current = np.column_stack([draw_rows(data, n_cur, d), np.ones(n_cur)])
+        alpha = train_domain_classifier(pool[:, :-1], current[:, :-1])
+        penalty = np.diag(np.append(np.full(d, 1e-3), 0.0))
+        lhs = sum(np.outer(psi, psi) for psi in current) / n_cur + penalty
+        h = pool.sum(axis=0) / n_pool
+        assert np.all(np.isfinite(alpha))
+        np.testing.assert_allclose(lhs @ alpha, h, rtol=0,
+                                   atol=1e-9 * np.max(np.abs(h)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 8), st.data())
+    def test_one_hot_ratio_is_the_smoothed_count_ratio(self, k, data):
+        """On one-hot segment rows with pool frequencies q_s and current
+        frequencies c_s, every row of segment s gets (q_s + 1e-3 alpha_b) /
+        (c_s + 1e-3), alpha_b the bias: monotone in the segment counts. The
+        free bias makes the ratio average 1 over the current rows."""
+        segments = st.lists(st.integers(0, k - 1), min_size=1, max_size=60)
+        pool_seg = np.array(data.draw(segments))
+        cur_seg = np.array(data.draw(segments))
+        alpha = train_domain_classifier(np.eye(k)[pool_seg], np.eye(k)[cur_seg])
+        q = np.bincount(pool_seg, minlength=k) / len(pool_seg)
+        c = np.bincount(cur_seg, minlength=k) / len(cur_seg)
+        np.testing.assert_allclose(ratio(alpha, np.eye(k)),
+                                   (q + 1e-3 * alpha[-1]) / (c + 1e-3), rtol=1e-9)
+        assert c @ ratio(alpha, np.eye(k)) == pytest.approx(1.0, rel=1e-9)
 
     def test_empty_class_rejected(self):
         with pytest.raises(ValueError):
@@ -155,20 +195,6 @@ class TestLogisticHeadFit:
         model = fit_propensity(ObsLog(xs=phis, ts=ts, ys=np.zeros(n)), phis)
         assert_stationary(phis, ts, np.ones(n), model.weights, model.bias)
 
-    @settings(max_examples=60, deadline=None)
-    @given(st.integers(1, 30), st.integers(1, 30), st.integers(1, 4),
-           st.floats(0.0, 8.0), st.data())
-    def test_balanced_domain_head_is_stationary(self, n_pool, n_cur, d, shift, data):
-        """Class-balanced weights; a shift above 6 separates the classes."""
-        pool = draw_rows(data, n_pool, d) + shift
-        current = draw_rows(data, n_cur, d)
-        clf = train_domain_classifier(pool, current)
-        sw = np.concatenate([np.full(n_pool, 0.5 / n_pool),
-                             np.full(n_cur, 0.5 / n_cur)])
-        labels = np.concatenate([np.ones(n_pool), np.zeros(n_cur)])
-        assert_stationary(np.vstack([pool, current]), labels, sw, clf.weights,
-                          clf.bias)
-
     def test_non_finite_input_rejected(self):
         rng = rng_for(87)
         rows = rng.standard_normal((10, 2))
@@ -200,10 +226,10 @@ class TestLogisticHeadFit:
 
     def test_iteration_cap_raises(self, monkeypatch):
         monkeypatch.setattr(acquisition, "MAX_ITER", 1)
-        pool = np.column_stack([np.full(20, 3.0), np.zeros(20)])
-        current = np.column_stack([np.full(20, -3.0), np.zeros(20)])
+        phis = np.column_stack([np.repeat([3.0, -3.0], 20), np.zeros(40)])
+        ts = np.repeat([1, 0], 20)
         with pytest.raises(RuntimeError, match="converge"):
-            train_domain_classifier(pool, current)
+            fit_propensity(ObsLog(xs=phis, ts=ts, ys=np.zeros(40)), phis)
 
     @pytest.mark.parametrize("seed", [9, 11, 23])
     def test_converges_at_feature_scale_1e4(self, seed):

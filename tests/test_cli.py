@@ -443,6 +443,23 @@ class TestEvaluate:
                   "--out", str(tmp_path / "eval"), "--n-eval", n_eval])
         assert not (tmp_path / "eval").exists()
 
+    @pytest.mark.parametrize("field, value", [
+        ("theta_hat", [float("nan"), 0.0]),
+        ("V", [1.0, 0.0, float("nan"), 1.0]),
+        ("lambda", True),
+    ], ids=["nan-theta_hat", "nan-V", "bool-lambda"])
+    def test_bool_or_non_finite_solution_rejected_before_any_output(self, tmp_path,
+                                                                    field, value):
+        env = write_box_env(tmp_path / "env.json")
+        doc = {"theta_hat": [0.05, -0.02], "lambda": 1.0, "n": 3,
+               "V": [1.0, 0.0, 0.0, 1.0], field: value}
+        solution = tmp_path / "solution.json"
+        solution.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=f"solution.json.{field}"):
+            main(["evaluate", "--env", str(env), "--solution", str(solution),
+                  "--out", str(tmp_path / "eval"), "--n-eval", "50"])
+        assert not (tmp_path / "eval").exists()
+
 
 class TestSweep:
     def write_sweep(self, tmp_path, env):

@@ -53,18 +53,18 @@ GOLDEN = {
     "box/manifest.json": "a13065acf75b2b845547d1cffbc929780f0803b78e21108ba13f03153815a378",
     "box/obs.jsonl": "08275489fab22a4ed675ad6de77a85f5195bcefe89f5baf9496571b0eb4d755d",
     "box/pool.jsonl": "48da91d4d8d7162768987abb6211b977a9a87587c943470d7bdb3397969ebb20",
-    "evaluate/metrics.csv": "6eee2ba366225aec661e4043c0984e8bbaaef9bb553866ded193a53df4144249",
-    "evaluate/summary.json": "86e337e6514a0f3e0d7ae264f7d3ed426f15a5da6be9ddef9cf0d36bdf14f62d",
+    "evaluate/metrics.csv": "d74b9f13bf9cd1e69ac5ad7a18aabb143e920368ce13f28e9e3fd0580da87041",
+    "evaluate/summary.json": "f064efdfab004b1c4b5ab0adb06032e687a7c817b982ad83c62a26e215428e35",
     "hard/manifest.json": "85bf15d9527832a372a7c1583e8c7448b0690add2de396344228d89ced1290a8",
     "hard/obs.jsonl": "aa117d5b3665314034ebcb2a232c7eeb4b370670a6b9298f2affc31baa03378b",
     "hard/pool.jsonl": "275912da401942bf33a0a426f16a82a0ea15a83cd555d8a8c312424634ab61b1",
     "run-active/manifest.json": "5bb191af3da6992ac409f9dd77598d45d6be2a64802eaa22e41fe6e92d89249a",
-    "run-active/rep_0000/rct.jsonl": "979ba2d1956eb3d1d39f87dd211708820c9b8eef5bb26524bc1414ff8bf51448",
+    "run-active/rep_0000/rct.jsonl": "971f667f9e48be8a59edf81f63f99605adef8ade5d2983cccc588ac1e17de390",
     "run-active/rep_0000/run_summary.json": "51afbb826aa56ed248e96a7fde6c69f35d87265321d0566e709ecb348fcf004f",
-    "run-active/rep_0000/scores_round_1.csv": "406df359c7f191afeebcf088ceb61b10eae520c3f2d5160daccea3a65c47171a",
-    "run-active/rep_0000/scores_round_2.csv": "bdbbe1bac7241a8ed78c81ede88f4dbfc67c4031b42044ab811eba927a029054",
-    "run-active/rep_0000/scores_round_3.csv": "239114d40b2e9db57611e3190f5c83a70c112c4f9e36c7138d623d3297ba3b8a",
-    "run-active/rep_0000/solution.json": "4508ce18d0fffcbb3297ce22487e3342cc4ea0d26cbbe752830ccdd248f0a501",
+    "run-active/rep_0000/scores_round_1.csv": "320b28ea4275f1c75a940a655866d18c95931296c0002e2b8f0cfe8ed38619e4",
+    "run-active/rep_0000/scores_round_2.csv": "31d3b67fa9611059a04377027e31118f2042c188c9e9fc899671dd94a282acf8",
+    "run-active/rep_0000/scores_round_3.csv": "3fa23239c397c8cbc71ad06c3b2df38dc8f3aa4f7173ef3de6a3de97fb8706a3",
+    "run-active/rep_0000/solution.json": "b3518270c2232402934425ef807978517bb9b1583216364ac6cce4f0cc35aff4",
     "run-random/manifest.json": "955bf014655585dcce26f6587b3a033a7d44777757ec0d3e545160b7de95c503",
     "run-random/rep_0000/rct.jsonl": "cad188a661f01d2f52e8fc237555b9a7b56370abf7178a4aa3d70b8921aaa0f1",
     "run-random/rep_0000/run_summary.json": "51afbb826aa56ed248e96a7fde6c69f35d87265321d0566e709ecb348fcf004f",
