@@ -12,10 +12,8 @@ from .core import (FeatureMap, ObsLog, Pool, PropensityBounds, RctStream,
 from .envs import (BoxMarginal, HardInstance, LinearEnv, LogisticPolicy,
                    SegmentMarginal, ThresholdPolicy, default_hard_delta,
                    env_from_json, sample_obs, sample_pool)
-from .estimator import (ConfidenceParams, RidgeSolution, SandwichEstimate,
-                        beta_bound, default_sigma, fit_ridge_arrays,
-                        pool_leverage, pseudo_outcome_values,
-                        sandwich_from_arrays)
+from .estimator import (RidgeSolution, beta_bound, default_sigma, fit_ridge_arrays,
+                        pool_leverage, pseudo_outcome_values, sandwich_from_arrays)
 from .acquisition import (SCORE_DTYPE, AcquisitionWeights, LogisticHead,
                           composite_scores, ensemble_variance, fit_propensity,
                           overlap_deficit_many, rank_normalize, select_top_m,

@@ -34,9 +34,9 @@ TOLERANCE = 1e-8
 MAX_ITER = 50
 
 
-def _fit_logistic(phis, labels, sw):
-    """(w, b) of the module's penalized loss under sample weights sw (sum 1);
-    one (d+1) x (d+1) solve per Newton step. A step that raises the loss
+def _fit_logistic(phis, labels):
+    """(w, b) of the module's penalized loss, the cross-entropy averaged over
+    the rows; one (d+1) x (d+1) solve per Newton step. A step that raises the loss
     (beyond rounding) is halved until it does not, so no step can saturate
     every sigmoid and leave the bias without curvature."""
     phis = np.asarray(phis, dtype=float)
@@ -45,6 +45,8 @@ def _fit_logistic(phis, labels, sw):
         raise ValueError("a logistic head needs finite rows and both classes")
     design = np.vstack([phis.T, np.ones(len(phis))])  # one row per weight, bias last
     penalty = np.append(np.full(phis.shape[1], RIDGE), 0.0)
+    # 1/n weights inside the products: dividing by n afterwards rounds differently
+    sw = np.full(len(phis), 1.0 / len(phis))
 
     def logits_and_loss(theta):
         z = theta @ design
@@ -89,7 +91,7 @@ def fit_propensity(obs, phis):
         raise ValueError("propensity model must be trained on an OBS log only")
     if not len(obs) or len(phis) != len(obs):
         raise ValueError("need a nonempty observational log and one phi row per row")
-    return LogisticHead(*_fit_logistic(phis, obs.ts, np.full(len(obs), 1.0 / len(obs))))
+    return LogisticHead(*_fit_logistic(phis, obs.ts))
 
 
 def overlap_deficit_many(propensity, phis):
@@ -131,11 +133,7 @@ def rank_normalize(values):
     v = np.asarray(values, dtype=float)
     if len(v) == 0:
         raise ValueError("cannot rank an empty pool")
-    order = np.argsort(v, kind="stable")
-    sorted_v = v[order]
-    # for each value, the number of entries <= it
-    counts = np.searchsorted(sorted_v, v, side="right")
-    return counts / len(v)
+    return np.searchsorted(np.sort(v), v, side="right") / len(v)
 
 
 @dataclass(frozen=True)

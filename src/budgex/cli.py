@@ -44,7 +44,7 @@ METRIC_COLUMNS = ["budget", "strategy", "replication", "seed", "pehe", "auuc",
 # sweep strategy name -> the active strategy's weights, or None for random
 STRATEGIES = {
     "random": None,
-    "active-full": AcquisitionWeights(0.5, 1.0, 0.7),
+    "active-full": AcquisitionWeights(),  # protocol.json's default weights
     "active-v-only": AcquisitionWeights(0.5, 0.0, 0.0),
     "active-d-only": AcquisitionWeights(0.0, 1.0, 0.0),
     "active-o-only": AcquisitionWeights(0.0, 0.0, 0.7),

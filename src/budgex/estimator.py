@@ -51,19 +51,6 @@ class RidgeSolution:
             object.__setattr__(self, name, a)
 
 
-@dataclass(frozen=True)
-class ConfidenceParams:
-    sigma: float
-    S: float
-    delta: float
-
-    def __post_init__(self):
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
-        if not (0.0 < self.delta < 1.0):
-            raise ValueError("delta must lie in (0, 1)")
-
-
 def default_sigma(bounds):
     """Sub-Gaussian scale 2 L_p implied by the propensity bounds."""
     return 2.0 * bounds.pseudo_outcome_bound
@@ -94,9 +81,15 @@ def fit_ridge_arrays(phis, yts, lam):
 # Finite-sample confidence machinery
 
 
-def beta_bound(params, solution):
+def beta_bound(solution, sigma, S, delta):
     """sigma sqrt(2 log(det(V)^1/2 / (det(lambda I)^1/2 delta))) + sqrt(lambda) S,
-    with the solution's V and the lambda that V was built with."""
+    a float, with the solution's V and the lambda that V was built with.
+    ValueError unless sigma > 0, 0 < delta < 1 (NaN fails both) and lambda > 0;
+    LinAlgError unless V is positive definite."""
+    if not sigma > 0:
+        raise ValueError(f"sigma must be positive, got {sigma!r}")
+    if not 0.0 < delta < 1.0:
+        raise ValueError(f"delta must lie in (0, 1), got {delta!r}")
     lam = solution.lam
     if lam <= 0:
         raise ValueError("the determinant-ratio bound requires lambda > 0")
@@ -104,8 +97,8 @@ def beta_bound(params, solution):
     sign, logdet = np.linalg.slogdet(solution.V)
     if sign <= 0:
         raise np.linalg.LinAlgError("information matrix is not positive definite")
-    log_ratio = 0.5 * logdet - 0.5 * dim * np.log(lam) - np.log(params.delta)
-    return params.sigma * np.sqrt(2.0 * log_ratio) + np.sqrt(lam) * params.S
+    log_ratio = 0.5 * logdet - 0.5 * dim * np.log(lam) - np.log(delta)
+    return sigma * np.sqrt(2.0 * log_ratio) + np.sqrt(lam) * S
 
 
 def pool_leverage(solution, phis):
@@ -120,15 +113,11 @@ def ellipsoid_radius(solution, theta_star):
     return float(np.sqrt(diff @ solution.V @ diff))
 
 
-@dataclass(frozen=True)
-class SandwichEstimate:
-    sigma_hat: np.ndarray
-    omega_hat: np.ndarray
-    avar: np.ndarray
-
-
 def sandwich_from_arrays(phis, yts, solution):
-    """Plug-in Sigma^-1 Omega Sigma^-1 from the fitted residuals."""
+    """The plug-in asymptotic covariance Sigma^-1 Omega Sigma^-1, a d x d array,
+    with Sigma = sum phi phi^T / n and Omega = sum r^2 phi phi^T / n over the n
+    rows and their residuals r = Y~ - <theta_hat, phi>. ValueError for n < d;
+    LinAlgError when Sigma's condition number exceeds MAX_CONDITION."""
     n = len(phis)
     dim = phis.shape[1]
     if n < dim:
@@ -139,8 +128,7 @@ def sandwich_from_arrays(phis, yts, solution):
     resid = yts - phis @ solution.theta_hat
     omega_hat = (phis * (resid**2)[:, None]).T @ phis / n
     sigma_inv = np.linalg.inv(sigma_hat)
-    avar = sigma_inv @ omega_hat @ sigma_inv
-    return SandwichEstimate(sigma_hat=sigma_hat, omega_hat=omega_hat, avar=avar)
+    return sigma_inv @ omega_hat @ sigma_inv
 
 
 # ---------------------------------------------------------------------------

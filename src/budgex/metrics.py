@@ -16,8 +16,8 @@ import numpy as np
 
 from ._rng import derive_seed, rng_for
 from .envs import sample_obs, sample_pool
-from .estimator import (ConfidenceParams, beta_bound, default_sigma,
-                        ellipsoid_radius, pool_leverage, sandwich_from_arrays)
+from .estimator import (beta_bound, default_sigma, ellipsoid_radius, pool_leverage,
+                        sandwich_from_arrays)
 from .protocol import run_protocol
 
 
@@ -150,7 +150,7 @@ def bound_violation_audit(env, config, n_pool, replications, delta, master_seed=
         raise ValueError("delta must lie in (0, 1)")
     if config.estimator_lambda <= 0:
         raise ValueError("the coverage audit requires lambda > 0")
-    params = ConfidenceParams(sigma=default_sigma(config.bounds), S=env.S, delta=delta)
+    sigma = default_sigma(config.bounds)
     radii = np.empty(replications)
     betas = np.empty(replications)
     pehes = np.empty(replications)
@@ -158,7 +158,7 @@ def bound_violation_audit(env, config, n_pool, replications, delta, master_seed=
     for r, result in enumerate(runs):
         sol, pool_phis = result.solution, result.pool_phis
         radii[r] = ellipsoid_radius(sol, env.theta_star)
-        betas[r] = beta_bound(params, sol)
+        betas[r] = beta_bound(sol, sigma, env.S, delta)
         pehes[r] = pehe(sol.theta_hat, env, pool_phis)
         pbounds[r] = betas[r] * np.sqrt(max(np.mean(pool_leverage(sol, pool_phis)), 0.0))
     violations = int(np.sum(radii > betas))
@@ -183,8 +183,8 @@ def clt_diagnostic(env, config, n_pool, replications, x, master_seed=0):
     tau_x = float(phi @ env.theta_star)
     zs = np.empty(replications)
     for r, result in enumerate(runs):
-        sw = sandwich_from_arrays(result.phis, result.yts, result.solution)
-        se2 = float(phi @ sw.avar @ phi)
+        avar = sandwich_from_arrays(result.phis, result.yts, result.solution)
+        se2 = float(phi @ avar @ phi)
         b = len(result.stream)
         tau_hat = float(phi @ result.solution.theta_hat)
         zs[r] = np.sqrt(b) * (tau_hat - tau_x) / np.sqrt(se2)

@@ -205,8 +205,7 @@ class TestLogisticHeadFit:
         with pytest.raises(ValueError, match="finite"):
             fit_propensity(obs, rows)
         with pytest.raises(ValueError, match="finite"):
-            acquisition._fit_logistic(np.ones((2, 1)), np.array([1.0, np.nan]),
-                                      np.full(2, 0.5))
+            acquisition._fit_logistic(np.ones((2, 1)), np.array([1.0, np.nan]))
 
     def test_one_class_log_rejected(self):
         obs = ObsLog(xs=np.zeros((4, 1)), ts=np.ones(4, dtype=int), ys=np.zeros(4))
@@ -237,7 +236,7 @@ class TestLogisticHeadFit:
         n = rng.integers(4, 12)
         X = rng.uniform(-1e4, 1e4, (n, 4))
         y = (rng.random(n) < 0.5)
-        acquisition._fit_logistic(X, y.astype(float), np.full(n, 1.0 / n))
+        acquisition._fit_logistic(X, y.astype(float))
 
 
 def box_threshold_world(seed, n_pool=2000, n_obs=2000):

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from budgex.core import FeatureMap, PropensityBounds, RctStream
-from budgex.estimator import (ConfidenceParams, RidgeSolution,
-                              SingularDesignError, beta_bound, default_sigma,
-                              ellipsoid_radius, fit_ridge_arrays, pool_leverage,
-                              pseudo_outcome_values, sandwich_from_arrays,
-                              solution_from_json, solution_to_json)
+from budgex.estimator import (RidgeSolution, SingularDesignError, beta_bound,
+                              default_sigma, ellipsoid_radius, fit_ridge_arrays,
+                              pool_leverage, pseudo_outcome_values,
+                              sandwich_from_arrays, solution_from_json,
+                              solution_to_json)
 from budgex._rng import rng_for
 
 ONE_HOT_2 = FeatureMap(kind="segment-one-hot", output_dim=2, norm_bound=1.0)
@@ -141,13 +141,13 @@ class TestPredictCate:
 
 class TestBetaBound:
     def test_empty_design_closed_form(self):
-        params = ConfidenceParams(sigma=1.0, S=1.0, delta=np.exp(-0.5))
-        assert beta_bound(params, prior_only(2, 1.0)) == pytest.approx(2.0)
+        assert beta_bound(prior_only(2, 1.0), sigma=1.0, S=1.0,
+                          delta=np.exp(-0.5)) == pytest.approx(2.0)
 
     def test_monotone_in_delta(self):
         phis = rng_for(5).standard_normal((10, 2))
         sol = fit_ridge_arrays(phis, np.zeros(10), 1.0)
-        widths = [beta_bound(ConfidenceParams(1.0, 1.0, d), sol)
+        widths = [beta_bound(sol, 1.0, 1.0, d)
                   for d in (0.01, 0.05, 0.1, 0.2, 0.4, 0.8)]
         assert all(a > b for a, b in zip(widths, widths[1:]))
 
@@ -155,23 +155,30 @@ class TestBetaBound:
         # V = 2, det ratio sqrt(2), S = 0:
         # beta = sqrt(2 (0.5 ln 2 + 0.5)) = sqrt(ln 2 + 1)
         sol = fit_ridge_arrays(np.array([[1.0]]), np.zeros(1), 1.0)
-        params = ConfidenceParams(sigma=1.0, S=0.0, delta=np.exp(-0.5))
-        assert beta_bound(params, sol) == pytest.approx(np.sqrt(np.log(2.0) + 1.0))
+        assert beta_bound(sol, sigma=1.0, S=0.0, delta=np.exp(-0.5)) \
+            == pytest.approx(np.sqrt(np.log(2.0) + 1.0))
 
     def test_lambda_zero_unsupported(self):
         sol = fit_ridge_arrays(np.array([[1.0]]), np.zeros(1), 0.0)
         with pytest.raises(ValueError):
-            beta_bound(ConfidenceParams(1.0, 1.0, 0.1), sol)
+            beta_bound(sol, 1.0, 1.0, 0.1)
 
     def test_delta_domain(self):
         with pytest.raises(ValueError):
-            ConfidenceParams(sigma=1.0, S=1.0, delta=1.0)
+            beta_bound(prior_only(2, 1.0), sigma=1.0, S=1.0, delta=1.0)
+
+    @pytest.mark.parametrize("sigma, delta, bad", [
+        (0.0, 0.1, "sigma"), (-1.0, 0.1, "sigma"), (np.nan, 0.1, "sigma"),
+        (1.0, 0.0, "delta"), (1.0, 1.0, "delta"), (1.0, np.nan, "delta")])
+    def test_sigma_and_delta_checked(self, sigma, delta, bad):
+        """sigma > 0 and 0 < delta < 1, NaN failing both."""
+        with pytest.raises(ValueError, match=bad):
+            beta_bound(prior_only(2, 1.0), sigma, 1.0, delta)
 
     def test_lambda_is_the_one_v_was_built_with(self):
         # V = 4 I from the prior alone: det V = det(lam I), so the log-det
         # ratio is 0 and beta = sqrt(2 ln(1 / delta)) + sqrt(4) S = 4.15.
-        params = ConfidenceParams(sigma=1.0, S=1.0, delta=0.1)
-        beta = beta_bound(params, prior_only(2, 4.0))
+        beta = beta_bound(prior_only(2, 4.0), sigma=1.0, S=1.0, delta=0.1)
         assert beta == pytest.approx(np.sqrt(2.0 * np.log(10.0)) + 2.0)
         assert beta == pytest.approx(4.15, abs=5e-3)
 
@@ -179,13 +186,12 @@ class TestBetaBound:
 class TestConfidenceWidth:
     def test_empty_design_width(self):
         sol = fit_ridge_arrays(np.zeros((0, 2)), np.zeros(0), 1.0)
-        params = ConfidenceParams(sigma=1.0, S=1.0, delta=np.exp(-0.5))
         phi = ONE_HOT_2.apply_many([[0.0]])[0]
-        width = beta_bound(params, sol) * np.sqrt(pool_leverage(sol, phi[None])[0])
+        width = beta_bound(sol, 1.0, 1.0, np.exp(-0.5)) \
+            * np.sqrt(pool_leverage(sol, phi[None])[0])
         assert width == pytest.approx(2.0)
 
     def test_width_shrinks_with_data(self):
-        params = ConfidenceParams(sigma=1.0, S=1.0, delta=0.1)
         fmap = ONE_HOT_1
         # leverage shrinks linearly while beta grows only logarithmically
         prev = np.inf
@@ -193,16 +199,15 @@ class TestConfidenceWidth:
             phis = np.ones((n, 1))
             sol = fit_ridge_arrays(phis, np.full(n, 2.0), 1.0)
             phi = fmap.apply_many([[0.0]])[0]
-            width = beta_bound(params, sol) * np.sqrt(pool_leverage(sol, phi[None])[0])
+            width = beta_bound(sol, 1.0, 1.0, 0.1) * np.sqrt(pool_leverage(sol, phi[None])[0])
             assert width < prev
             prev = width
 
     def test_zero_feature_zero_width(self):
         fmap = FeatureMap(kind="identity", output_dim=2, norm_bound=2.0)
         sol = fit_ridge_arrays(np.eye(2), np.ones(2), 1.0)
-        params = ConfidenceParams(sigma=1.0, S=1.0, delta=0.1)
         phi = fmap.apply_many([[0.0, 0.0]])[0]
-        assert beta_bound(params, sol) * np.sqrt(pool_leverage(sol, phi[None])[0]) == 0.0
+        assert beta_bound(sol, 1.0, 1.0, 0.1) * np.sqrt(pool_leverage(sol, phi[None])[0]) == 0.0
 
 
 class TestSandwich:
@@ -215,24 +220,23 @@ class TestSandwich:
         yts = pseudo_outcome_values(ts, ys, np.full(n, 0.5))
         phis = np.ones((n, 1))
         sol = fit_ridge_arrays(phis, yts, 0.0)
-        sw = sandwich_from_arrays(phis, yts, sol)
-        assert abs(float(sw.avar[0, 0]) - 2.0) < 0.1
+        avar = sandwich_from_arrays(phis, yts, sol)
+        assert abs(float(avar[0, 0]) - 2.0) < 0.1
 
     def test_zero_residuals_zero_omega(self):
         phis = np.ones((5, 1))
         yts = np.full(5, 2.0)
         sol = fit_ridge_arrays(phis, yts, 0.0)
-        sw = sandwich_from_arrays(phis, yts, sol)
-        np.testing.assert_allclose(sw.omega_hat, 0.0, atol=1e-12)
+        np.testing.assert_allclose(sandwich_from_arrays(phis, yts, sol), 0.0, atol=1e-12)
 
     def test_avar_symmetric_psd(self):
         rng = rng_for(37)
         phis = rng.standard_normal((50, 3))
         yts = rng.standard_normal(50)
         sol = fit_ridge_arrays(phis, yts, 0.0)
-        sw = sandwich_from_arrays(phis, yts, sol)
-        np.testing.assert_allclose(sw.avar, sw.avar.T, atol=1e-10)
-        assert np.linalg.eigvalsh(sw.avar).min() > -1e-10
+        avar = sandwich_from_arrays(phis, yts, sol)
+        np.testing.assert_allclose(avar, avar.T, atol=1e-10)
+        assert np.linalg.eigvalsh(avar).min() > -1e-10
 
     def test_too_few_records_rejected(self):
         phis = np.ones((1, 2))
@@ -243,8 +247,7 @@ class TestSandwich:
     def test_record_interface(self):
         recs = [rct([0.0], 1, 1.0, 0.5, s + 1) for s in range(3)]
         sol = fit_ridge_arrays(*design(recs, ONE_HOT_1), 0.0)
-        sw = sandwich_from_arrays(*design(recs, ONE_HOT_1), sol)
-        assert sw.avar.shape == (1, 1)
+        assert sandwich_from_arrays(*design(recs, ONE_HOT_1), sol).shape == (1, 1)
 
 
 class TestInfoMatrix:

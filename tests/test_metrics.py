@@ -1,5 +1,6 @@
 """Tests for evaluation metrics and the verification harnesses."""
 
+import hashlib
 import json
 import math
 import zlib
@@ -240,18 +241,69 @@ class TestBoundAudit:
         bound_violation_audit(hard4(), cfg, 60, 3, delta=0.1, master_seed=5)
         assert rows.count(60) == 3
 
-    def test_invalid_delta_rejected(self):
+    def runs_counted(self, monkeypatch):
+        """The list that records one None per protocol run the audit starts."""
+        calls, run = [], metrics.run_protocol
+        monkeypatch.setattr(metrics, "run_protocol",
+                            lambda *args, **kw: calls.append(None) or run(*args, **kw))
+        return calls
+
+    def test_invalid_delta_rejected(self, monkeypatch):
         env = hard4()
         cfg = ProtocolConfig(budget=50, strategy="random", seed=0)
+        runs = self.runs_counted(monkeypatch)
         with pytest.raises(ValueError):
             bound_violation_audit(env, cfg, 50, 5, delta=1.0)
+        assert runs == []
 
-    def test_lambda_zero_rejected(self):
+    def test_lambda_zero_rejected(self, monkeypatch):
         env = hard4()
         cfg = ProtocolConfig(budget=50, strategy="random",
                              estimator_lambda=0.0, seed=0)
+        runs = self.runs_counted(monkeypatch)
         with pytest.raises(ValueError):
             bound_violation_audit(env, cfg, 50, 5, delta=0.1)
+        assert runs == []
+
+
+def box5():
+    """A 5-d identity box world, as in the CLI's golden run set."""
+    return env_from_json({"env": {
+        "kind": "linear", "theta_star": [0.08, -0.06, 0.05, -0.04, 0.03], "S": 0.2,
+        "baseline_intercept": 0.5, "baseline_weights": [0.0] * 5,
+        "feature_map": {"kind": "identity", "output_dim": 5,
+                        "norm_bound": math.sqrt(5), "weight": None, "offset": None},
+        "marginal": {"kind": "box", "lows": [-1.0] * 5, "highs": [1.0] * 5}}})[0]
+
+
+def sha256_of(*arrays):
+    return hashlib.sha256(b"".join(np.asarray(a, dtype=float).tobytes()
+                                   for a in arrays)).hexdigest()
+
+
+# (world, strategy) -> sha256 of the coverage audit's radii, betas, pehe_values
+# and pehe_bounds, and of the CLT diagnostic's z_scores. A refactor of either
+# audit leaves every digest as it is.
+AUDIT_DIGESTS = {
+    ("hard4", "random"): ("cf6453da980ef544f905ef86fb3d7b4076f6949c50f6a9ecd6651ab60bd82def",
+                          "47b66a5fff242aca6cea6c6b813d1b8753491d0ba5ecfaa0f1a4096f90736886"),
+    ("hard4", "active"): ("b12e442a2e9f64989abd6354645b93d2d321f4cb84d41964db60c5e06ee5548d",
+                          "35df8a3e6d1c48b4d3c6dfe00035bfa4f936a1640aa47ae344a623cee310bd7a"),
+    ("box5", "random"): ("d41654e47de3ad4d7b021d2b3f553d9e33bd8cf09db7882c2ca0c40854b9bcf9",
+                         "9deabfaa2415492c12404efcb81b73ee5266026ad1fce0fe1c08a8cd05c4b9a8"),
+    ("box5", "active"): ("7ead2f857eee99d31c3941566dee7d6b79a6fdd3d7fe2502c58b94de26c7cacf",
+                         "7b0cc1ab66f21fa07a2a7937029f1d3a257a6c54c9f97084607ce2b434f504af"),
+}
+
+
+@pytest.mark.parametrize("world, strategy", list(AUDIT_DIGESTS))
+def test_audit_numbers_are_pinned(world, strategy):
+    env, x = (hard4(), [0.0]) if world == "hard4" else (box5(), [0.5] * 5)
+    cfg = ProtocolConfig(budget=120, max_batch=30, strategy=strategy, seed=0)
+    bound = bound_violation_audit(env, cfg, 200, 8, delta=0.1, master_seed=3)
+    clt = clt_diagnostic(env, cfg, 200, 8, x, master_seed=3)
+    assert (sha256_of(bound.radii, bound.betas, bound.pehe_values, bound.pehe_bounds),
+            sha256_of(clt.z_scores)) == AUDIT_DIGESTS[world, strategy]
 
 
 @pytest.mark.parametrize("audit", [
