@@ -14,8 +14,8 @@ from .envs import (BoxMarginal, HardInstance, LinearEnv, LogisticPolicy,
                    env_from_json, sample_obs, sample_pool)
 from .estimator import (RidgeSolution, beta_bound, default_sigma, fit_ridge_arrays,
                         pool_leverage, pseudo_outcome_values, sandwich_from_arrays)
-from .acquisition import (SCORE_DTYPE, AcquisitionWeights, LogisticHead,
-                          composite_scores, ensemble_variance, fit_propensity,
+from .acquisition import (SCORE_DTYPE, AcquisitionWeights, composite_scores,
+                          ensemble_variance, fit_propensity,
                           overlap_deficit_many, rank_normalize, select_top_m,
                           train_domain_classifier)
 from .protocol import (AffinePolicy, ConstantPolicy, ProtocolConfig,

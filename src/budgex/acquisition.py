@@ -3,7 +3,10 @@
 Three per-candidate signals -- leverage under the randomized design (v),
 the pool-vs-current density ratio (d), and historical overlap deficit
 (o) -- are rank-normalized over the current pool and combined into a single
-weighted score used for top-m selection.
+weighted score used for top-m selection. v and d change with the stream, so
+each round computes them; o reads a unit's phi row and the log only, so a run
+computes it once per pool unit (0 with no log), a column that each round's
+score_pool takes for its candidates.
 
 v is the leverage phi^T V^-1 phi, with V = lam I + sum_t phi_t phi_t^T over the
 randomized stream so far: the quantity under the root of the self-normalized
@@ -13,10 +16,12 @@ its V, and v, d and o read x and the log's treatments, never a randomized
 outcome: selection reads no Y~. So the CLT audit cannot test outcome-adaptive
 selection until an outcome-dependent variant of v exists.
 d is the uLSIF density ratio pool / current (Kanamori, Hido & Sugiyama 2009),
-one linear solve in [phi, 1] per round. Only o uses IRLS (ESL 4.4): Newton steps from
-zero on the mean cross-entropy + (RIDGE / 2) ||w||^2 (bias free), halved while
-they raise it, until no step component exceeds TOLERANCE or the step promises a
-drop below float64's resolution of the loss, or RuntimeError at MAX_ITER.
+one linear solve in [phi, 1] per round. Only o uses IRLS (ESL 4.4), for the
+log's e_obs head, whose (weights, bias) fit_propensity returns: Newton steps
+from zero on the mean cross-entropy + (RIDGE / 2) ||w||^2 (bias free), halved
+while they raise it, until no step component exceeds TOLERANCE or the step
+promises a drop below float64's resolution of the loss, or RuntimeError at
+MAX_ITER.
 """
 
 from dataclasses import dataclass
@@ -72,31 +77,23 @@ def _fit_logistic(phis, labels):
     raise RuntimeError(f"logistic head did not converge in {MAX_ITER} Newton steps")
 
 
-@dataclass(frozen=True)
-class LogisticHead:
-    """The affine logistic e_obs propensity head (label 1 = treated in the log)."""
-
-    weights: np.ndarray
-    bias: float
-
-    def predict(self, phis):
-        return sigmoid(np.atleast_2d(phis) @ self.weights + self.bias)
-
-
 def fit_propensity(obs, phis):
-    """Fit e_obs on an ObsLog (labels obs.ts) from its phi rows, mapped by the
-    caller; randomized records are rejected. The penalty of the module's IRLS
-    keeps e_obs inside (0, 1) on a log that phi separates perfectly."""
+    """(weights, bias) of e_obs(phi) = sigmoid(phi weights + bias), fitted on an
+    ObsLog (labels obs.ts, 1 = treated) from its phi rows, mapped by the caller;
+    randomized records are rejected. The penalty of the module's IRLS keeps
+    e_obs inside (0, 1) on a log that phi separates perfectly."""
     if not isinstance(obs, ObsLog):
         raise ValueError("propensity model must be trained on an OBS log only")
     if not len(obs) or len(phis) != len(obs):
         raise ValueError("need a nonempty observational log and one phi row per row")
-    return LogisticHead(*_fit_logistic(phis, obs.ts))
+    return _fit_logistic(phis, obs.ts)
 
 
-def overlap_deficit_many(propensity, phis):
-    """o_u = 2 |e_obs(phi_u) - 0.5| per row; near 1 where history was deterministic."""
-    return 2.0 * np.abs(propensity.predict(phis) - 0.5)
+def overlap_deficit_many(head, phis):
+    """o_u = 2 |e_obs(phi_u) - 0.5| per row of phis, with head = (weights, bias)
+    from fit_propensity; near 1 where history was deterministic."""
+    weights, bias = head
+    return 2.0 * np.abs(sigmoid(phis @ weights + bias) - 0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -143,8 +140,8 @@ class AcquisitionWeights:
     gamma: float = 0.7
 
     def __post_init__(self):
-        if self.alpha < 0 or self.beta < 0 or self.gamma < 0:
-            raise ValueError("weights must be nonnegative")
+        if not all(0.0 <= w < np.inf for w in (self.alpha, self.beta, self.gamma)):
+            raise ValueError("weights must be finite and nonnegative")
         if self.alpha == self.beta == self.gamma == 0:
             raise ValueError("at least one acquisition weight must be positive")
 
@@ -174,14 +171,13 @@ def select_top_m(table, m):
     return np.lexsort((table["id"], -table["S"]))[:m]
 
 
-def score_pool(ids, cand_phis, labeled_phis, labeled_yts, obs_phis, propensity,
-               weights, lam):
-    """One round's scoring: train round models, score every candidate.
+def score_pool(ids, cand_phis, labeled_phis, labeled_yts, obs_phis, o, weights, lam):
+    """One round's scoring: train the round's models, score every candidate.
 
-    ids and cand_phis are the candidates (the unqueried units) as unit ids
-    and feature rows, already mapped; labeled_phis and labeled_yts are the
-    randomized stream so far as features and pseudo-outcomes; lam is the
-    run's ridge penalty.
+    ids, cand_phis and o are the candidates (the unqueried units) as unit
+    ids, feature rows, already mapped, and overlap deficits, computed once per
+    run; labeled_phis and labeled_yts are the randomized stream so far as
+    features and pseudo-outcomes; lam is the run's ridge penalty.
     """
     # v: the leverage under the labeled randomized stream's design; reads no Y~
     v = ensemble_variance(labeled_phis, labeled_yts, cand_phis, lam)
@@ -191,9 +187,5 @@ def score_pool(ids, cand_phis, labeled_phis, labeled_yts, obs_phis, propensity,
     alpha = train_domain_classifier(cand_phis, current) if len(current) \
         else np.append(np.zeros(cand_phis.shape[1]), 0.5)  # cold start: d = 0.5
     d = cand_phis @ alpha[:-1] + alpha[-1]
-
-    # o: overlap deficit from the OBS-trained propensity head
-    o = overlap_deficit_many(propensity, cand_phis) if propensity is not None \
-        else np.zeros(len(ids))
 
     return composite_scores(ids, v, d, o, weights)

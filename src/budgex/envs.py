@@ -126,6 +126,10 @@ class LogisticPolicy:
     weights: tuple
     sharpness: float = 1.0
 
+    def __post_init__(self):
+        if not np.all(np.isfinite(np.append(self.weights, self.sharpness))):
+            raise EnvSpecError("logistic policy weights and sharpness must be finite")
+
     def propensity(self, phis):
         return sigmoid(self.sharpness * (phis @ np.asarray(self.weights)))
 
@@ -141,6 +145,8 @@ class ThresholdPolicy:
     def __post_init__(self):
         if not (0.0 <= self.leak <= 0.05):
             raise EnvSpecError("threshold leak must lie in [0, 0.05]")
+        if not np.all(np.isfinite(np.append(self.direction, self.cutoff))):
+            raise EnvSpecError("threshold direction and cutoff must be finite")
 
     def propensity(self, phis):
         above = (phis @ np.asarray(self.direction)) > self.cutoff
@@ -175,8 +181,9 @@ class LinearEnv(_BernoulliEnv):
                    else np.asarray(baseline_weights, dtype=float))
         if self.theta_star.shape != (feature_map.output_dim,):
             raise EnvSpecError("theta dimension must match the feature map")
-        if np.linalg.norm(self.theta_star) > self.S + 1e-12:
-            raise EnvSpecError(f"||theta||_2 = {np.linalg.norm(self.theta_star):.4f} exceeds S = {self.S}")
+        norm = np.linalg.norm(self.theta_star)
+        if not norm <= self.S + 1e-12 < np.inf:  # a NaN S fails too
+            raise EnvSpecError(f"||theta||_2 = {norm:.4f} exceeds S = {self.S}, or S is not finite")
         self._check_means()
 
     def arm_means(self, phis):

@@ -15,7 +15,6 @@ import numpy as np
 from .core import finite_numbers
 
 MAX_CONDITION = 1e12
-SOLVE_RTOL = 1e-10
 
 
 class SingularDesignError(np.linalg.LinAlgError):
@@ -57,7 +56,8 @@ def default_sigma(bounds):
 
 
 def fit_ridge_arrays(phis, yts, lam):
-    """Solve (lambda I + sum phi phi^T) theta = sum phi Y~."""
+    """Solve (lambda I + sum phi phi^T) theta = sum phi Y~; at lambda = 0 a
+    design whose condition number exceeds MAX_CONDITION is a SingularDesignError."""
     dim = phis.shape[1]
     # The copy keeps the general matrix product: phis.T @ phis itself takes
     # BLAS's symmetric rank-k path, which rounds differently in the last bits.
@@ -70,11 +70,7 @@ def fit_ridge_arrays(phis, yts, lam):
             raise SingularDesignError(
                 f"lambda = 0 with singular design: rank {rank} < {dim}"
             )
-    theta = np.linalg.solve(V, b)
-    resid = np.linalg.norm(V @ theta - b) / (1.0 + np.linalg.norm(b))
-    if resid > SOLVE_RTOL:
-        theta, *_ = np.linalg.lstsq(V, b, rcond=None)
-    return RidgeSolution(theta_hat=theta, V=V, lam=lam, n=len(phis))
+    return RidgeSolution(theta_hat=np.linalg.solve(V, b), V=V, lam=lam, n=len(phis))
 
 
 # ---------------------------------------------------------------------------

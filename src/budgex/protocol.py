@@ -18,7 +18,8 @@ from operator import index
 import numpy as np
 
 from ._rng import OUTCOME, TREATMENT, rng_for, unit_uniform
-from .acquisition import AcquisitionWeights, fit_propensity, score_pool, select_top_m
+from .acquisition import (AcquisitionWeights, fit_propensity, overlap_deficit_many,
+                          score_pool, select_top_m)
 from .core import PropensityBounds, RctStream
 from .estimator import fit_ridge_arrays, pseudo_outcome_values, RidgeSolution
 
@@ -85,12 +86,14 @@ class RoundState:
     min(budget, pool size) queries.
 
     Rows [0, n) are filled: rows holds the pool position of each stream row, in
-    selection order, beside its draws (ts, ys, ps) and pseudo-outcome Y~ (yts);
-    unqueried is a mask over pool positions.
+    selection order, beside its phi row (phis), written once when the unit is
+    picked, its draws (ts, ys, ps) and its pseudo-outcome Y~ (yts); unqueried
+    is a mask over pool positions.
     """
 
     n: int
     rows: np.ndarray
+    phis: np.ndarray
     ts: np.ndarray
     ys: np.ndarray
     ps: np.ndarray
@@ -125,23 +128,21 @@ def run_round(state, k, m_k, config, env, pool, pool_phis, context):
     """Round k (from 0): choose m_k unqueried pool positions, randomize and
     observe them into the next m_k rows of state. Returns the round's score
     table, or None for the random strategy."""
-    candidates = np.flatnonzero(state.unqueried)
     scores = None
     if config.strategy == "random":
         rng = rng_for(config.seed, 0x73656C, k)
-        chosen = np.sort(rng.choice(candidates, size=m_k, replace=False))
+        chosen = np.sort(rng.choice(np.flatnonzero(state.unqueried), m_k, replace=False))
     else:
-        # scored in unit-id order: float sums and BLAS kernels round by row
-        # position, and ranks turn those last-digit differences into picks
-        candidates = candidates[np.argsort(pool.ids[candidates], kind="stable")]
-        scores = context.score_round(state, pool.ids[candidates], pool_phis[candidates])
+        candidates = context.by_id[state.unqueried[context.by_id]]
+        scores = context.score_round(state, candidates, pool.ids[candidates],
+                                     pool_phis[candidates])
         chosen = candidates[select_top_m(scores, m_k)]
 
     batch = slice(state.n, state.n + m_k)
     state.rows[batch] = chosen
     # take gathers rows of a 2-d array several times faster than fancy indexing
-    ts, ys, ps = _assign_and_observe(env, config, pool.ids[chosen],
-                                     pool_phis.take(chosen, axis=0))
+    state.phis[batch] = pool_phis.take(chosen, axis=0)
+    ts, ys, ps = _assign_and_observe(env, config, pool.ids[chosen], state.phis[batch])
     state.ts[batch], state.ys[batch], state.ps[batch] = ts, ys, ps
     state.yts[batch] = pseudo_outcome_values(ts, ys, ps)
     state.unqueried[chosen] = False
@@ -151,21 +152,21 @@ def run_round(state, k, m_k, config, env, pool, pool_phis, context):
 
 @dataclass(frozen=True)
 class _ActiveContext:
-    """The pool's and the log's phi rows and the e_obs head, plus per-round
-    scoring for the active strategy."""
+    """What the active strategy fixes once per run, plus per-round scoring:
+    by_id, the pool positions in unit-id order; the log's phi rows; and o, the
+    overlap deficit of every pool unit, by pool position."""
 
     config: ProtocolConfig
-    pool_phis: np.ndarray
+    by_id: np.ndarray
     obs_phis: np.ndarray
-    propensity: object
+    o: np.ndarray
 
-    def score_round(self, state, ids, cand_phis):
-        """The round's score table over the unqueried units (ids, phi rows),
-        from the stream so far."""
+    def score_round(self, state, candidates, ids, cand_phis):
+        """The round's score table over the unqueried units (pool positions,
+        their ids and phi rows), from the stream so far."""
         n, cfg = state.n, self.config
-        return score_pool(ids, cand_phis, self.pool_phis.take(state.rows[:n], axis=0),
-                          state.yts[:n], self.obs_phis, self.propensity, cfg.weights,
-                          cfg.estimator_lambda)
+        return score_pool(ids, cand_phis, state.phis[:n], state.yts[:n], self.obs_phis,
+                          self.o[candidates], cfg.weights, cfg.estimator_lambda)
 
 
 def run_protocol(config, env, pool_units, obs=None, out_dir=None):
@@ -173,31 +174,35 @@ def run_protocol(config, env, pool_units, obs=None, out_dir=None):
 
     The schedule is fixed before round 1: n = min(budget, pool size) queries in
     batch_sizes [M, ..., M, r] (M = max_batch), so a budget above the pool size
-    exhausts it. The stream is kept as pool positions plus draws and Y~; its xs,
-    phis and unit ids are gathered from the pool once at the end, into one
-    read-only RctStream (seq 1..n) and one frozen RidgeSolution fitted with
-    config.estimator_lambda. Per-unit draws, score dumps and unit_ids carry the
-    pool's unit ids. The pool is never modified, and its phi rows (the result's
-    pool_phis) are mapped once per run.
-    obs is an ObsLog (None or no rows: no log). Only the active strategy
-    reads it: it maps the log and fits e_obs once, for scoring. The final fit
-    is the ridge on the stream's IPW pseudo-outcomes, whatever the strategy.
+    exhausts it. The stream is kept as pool positions plus phi rows, draws and
+    Y~; its xs and unit ids are gathered from the pool once at the end, into one
+    read-only RctStream (seq 1..n), and one frozen RidgeSolution is fitted on
+    its phi rows with config.estimator_lambda. Per-unit draws, score dumps and
+    unit_ids carry the pool's unit ids. The pool is never modified, and its phi
+    rows (the result's pool_phis) are mapped once per run.
+    obs is an ObsLog (None or no rows: no log). Only the active strategy reads
+    it: it maps the log, fits e_obs and computes every pool unit's o once (0
+    with no log). The final fit is the ridge on the stream's IPW
+    pseudo-outcomes, whatever the strategy.
     """
     pool = pool_units
     fmap = env.feature_map
     pool_phis = fmap.apply_many(pool.xs)
     n, m = min(config.budget, len(pool)), config.max_batch
     batch_sizes = [min(m, n - s) for s in range(0, n, m)]
-    state = RoundState(n=0, rows=np.empty(n, dtype=np.intp), ts=np.empty(n, dtype=int),
+    state = RoundState(n=0, rows=np.empty(n, dtype=np.intp),
+                       phis=np.empty((n, fmap.output_dim)), ts=np.empty(n, dtype=int),
                        ys=np.empty(n), ps=np.empty(n), yts=np.empty(n),
                        unqueried=np.ones(len(pool), dtype=bool))
     context = None
     if config.strategy == "active":
-        obs_phis, propensity = np.zeros((0, fmap.output_dim)), None
+        obs_phis, o = np.zeros((0, fmap.output_dim)), np.zeros(len(pool))
         if obs:
             obs_phis = fmap.apply_many(obs.xs)
-            propensity = fit_propensity(obs, obs_phis)
-        context = _ActiveContext(config, pool_phis, obs_phis, propensity)
+            o = overlap_deficit_many(fit_propensity(obs, obs_phis), pool_phis)
+        # scored in unit-id order: float sums and BLAS kernels round by row
+        # position, and ranks turn those last-digit differences into picks
+        context = _ActiveContext(config, np.argsort(pool.ids, kind="stable"), obs_phis, o)
 
     all_scores = []
     for k, m_k in enumerate(batch_sizes):
@@ -208,13 +213,11 @@ def run_protocol(config, env, pool_units, obs=None, out_dir=None):
                 batch = state.rows[state.n - m_k:state.n]
                 _dump_scores(out_dir, k + 1, scores, pool.ids[batch])
 
-    rows = state.rows
-    stream = RctStream(xs=pool.xs.take(rows, axis=0), ts=state.ts, ys=state.ys,
+    stream = RctStream(xs=pool.xs.take(state.rows, axis=0), ts=state.ts, ys=state.ys,
                        ps=state.ps, seq=np.arange(1, n + 1))
-    phis = pool_phis.take(rows, axis=0)
-    solution = fit_ridge_arrays(phis, state.yts, config.estimator_lambda)
-    return ProtocolResult(solution=solution, stream=stream, phis=phis, yts=state.yts,
-                          unit_ids=pool.ids[rows], scores=all_scores,
+    solution = fit_ridge_arrays(state.phis, state.yts, config.estimator_lambda)
+    return ProtocolResult(solution=solution, stream=stream, phis=state.phis, yts=state.yts,
+                          unit_ids=pool.ids[state.rows], scores=all_scores,
                           batch_sizes=batch_sizes, pool_phis=pool_phis)
 
 

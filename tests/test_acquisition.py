@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 from scipy import stats
 
 from budgex import acquisition
-from budgex.acquisition import (AcquisitionWeights, LogisticHead,
+from budgex.acquisition import (AcquisitionWeights,
                                 composite_scores, ensemble_variance, fit_propensity,
                                 overlap_deficit_many, rank_normalize, score_pool,
                                 select_top_m, train_domain_classifier)
@@ -151,14 +151,14 @@ class TestDomainClassifier:
             train_domain_classifier(np.zeros((0, 2)), np.ones((3, 2)))
 
     def test_score_formula(self):
-        clf = LogisticHead(weights=np.array([1.0, 0.0]), bias=0.0)
-        phi = IDENTITY_2.apply_many([[np.log(3.0), 0.0]])[0]
-        assert clf.predict(phi)[0] == pytest.approx(0.75)
-        zero = LogisticHead(weights=np.zeros(2), bias=0.0)
-        assert zero.predict(IDENTITY_2.apply_many([[1.0, 1.0]])[0])[0] == 0.5
-        saturated = LogisticHead(weights=np.zeros(2), bias=1e4)
-        phi = IDENTITY_2.apply_many([[0.0, 0.0]])[0]
-        assert saturated.predict(phi)[0] == pytest.approx(1.0)
+        clf = (np.array([1.0, 0.0]), 0.0)
+        phi = IDENTITY_2.apply_many([[np.log(3.0), 0.0]])
+        assert overlap_deficit_many(clf, phi)[0] == pytest.approx(0.5)  # e_obs = 0.75
+        zero = (np.zeros(2), 0.0)
+        assert overlap_deficit_many(zero, IDENTITY_2.apply_many([[1.0, 1.0]]))[0] == 0.0
+        saturated = (np.zeros(2), 1e4)
+        phi = IDENTITY_2.apply_many([[0.0, 0.0]])
+        assert overlap_deficit_many(saturated, phi)[0] == pytest.approx(1.0)
 
 
 FEATURE = st.floats(-3.0, 3.0)
@@ -193,7 +193,7 @@ class TestLogisticHeadFit:
                                              max_size=n)))
         assume(0 < ts.sum() < n)
         model = fit_propensity(ObsLog(xs=phis, ts=ts, ys=np.zeros(n)), phis)
-        assert_stationary(phis, ts, np.ones(n), model.weights, model.bias)
+        assert_stationary(phis, ts, np.ones(n), *model)
 
     def test_non_finite_input_rejected(self):
         rng = rng_for(87)
@@ -221,7 +221,7 @@ class TestLogisticHeadFit:
         phis = rng.uniform(-100.0, 100.0, (12, 2))
         ts = (phis @ rng.standard_normal(2) > 0).astype(int)
         model = fit_propensity(ObsLog(xs=phis, ts=ts, ys=np.zeros(12)), phis)
-        assert_stationary(phis, ts, np.ones(12), model.weights, model.bias)
+        assert_stationary(phis, ts, np.ones(12), *model)
 
     def test_iteration_cap_raises(self, monkeypatch):
         monkeypatch.setattr(acquisition, "MAX_ITER", 1)
@@ -268,7 +268,7 @@ class TestBoxThresholdLog:
         pool_phis = env.feature_map.apply_many(pool.xs)
         o = overlap_deficit_many(fit_propensity(obs, obs_phis), pool_phis)
         w, b = gradient_descent_fit(obs_phis, obs.ts)
-        o_old = overlap_deficit_many(LogisticHead(weights=w, bias=b), pool_phis)
+        o_old = overlap_deficit_many((w, b), pool_phis)
         assert stats.spearmanr(o, o_old).statistic >= 0.99
 
     def test_first_round_domain_signal_is_not_flat(self):
@@ -283,13 +283,17 @@ class TestBoxThresholdLog:
 
 class TestPropensityAndOverlap:
     def test_overlap_deficit_values(self):
-        m = LogisticHead(weights=np.zeros(1), bias=0.0)
+        m = (np.zeros(1), 0.0)
         assert overlap_deficit_many(m, IDENTITY_1.apply_many([[0.0]]))[0] == 0.0
-        m9 = LogisticHead(weights=np.zeros(1),
-                          bias=float(np.log(9.0)))  # e_hat = 0.9
+        m9 = (np.zeros(1), float(np.log(9.0)))  # e_hat = 0.9
         assert overlap_deficit_many(m9, IDENTITY_1.apply_many([[0.0]]))[0] == pytest.approx(0.8)
-        m99 = LogisticHead(weights=np.zeros(1), bias=float(np.log(99.0)))
+        m99 = (np.zeros(1), float(np.log(99.0)))
         assert overlap_deficit_many(m99, IDENTITY_1.apply_many([[0.0]]))[0] == pytest.approx(0.98)
+
+    def test_fit_needs_one_phi_row_per_log_row(self):
+        obs = ObsLog(xs=np.zeros((4, 1)), ts=[0, 1, 0, 1], ys=np.zeros(4))
+        with pytest.raises(ValueError, match="one phi row per row"):
+            fit_propensity(obs, np.zeros((3, 1)))
 
     def test_fit_rejects_randomized_records(self):
         stream = RctStream(xs=[[0.0]], ts=[1], ys=[1.0], ps=[0.5], seq=[1])
@@ -431,10 +435,10 @@ class TestScorePool:
         obs_phis = fmap.apply_many(obs.xs)
         prop = fit_propensity(obs, obs_phis)
         cand_phis = fmap.apply_many(pool.xs)
-        a = score_pool(pool.ids, cand_phis, *NO_LABELS, obs_phis, prop,
-                       AcquisitionWeights(), 1.0)
-        b = score_pool(pool.ids, cand_phis, *NO_LABELS, obs_phis, prop,
-                       AcquisitionWeights(), 1.0)
+        a = score_pool(pool.ids, cand_phis, *NO_LABELS, obs_phis,
+                       overlap_deficit_many(prop, cand_phis), AcquisitionWeights(), 1.0)
+        b = score_pool(pool.ids, cand_phis, *NO_LABELS, obs_phis,
+                       overlap_deficit_many(prop, cand_phis), AcquisitionWeights(), 1.0)
         assert np.array_equal(a, b)
 
     def test_overlap_targeting_beats_pool_average(self):
@@ -445,7 +449,7 @@ class TestScorePool:
             obs_phis = fmap.apply_many(obs.xs)
             prop = fit_propensity(obs, obs_phis)
             bds = score_pool(pool.ids, fmap.apply_many(pool.xs), *NO_LABELS,
-                             obs_phis, prop,
+                             obs_phis, overlap_deficit_many(prop, fmap.apply_many(pool.xs)),
                              AcquisitionWeights(0.0, 0.0, 0.7), 1.0)
             chosen = bds["id"][select_top_m(bds, 15)]
             phis = fmap.apply_many(pool.xs)
@@ -460,6 +464,7 @@ class TestScorePool:
         obs_phis = fmap.apply_many(obs.xs)
         prop = fit_propensity(obs, obs_phis)
         bds = score_pool(pool.ids[1:], fmap.apply_many(pool.xs[1:]), *NO_LABELS,
-                         obs_phis, prop, AcquisitionWeights(), 1.0)
+                         obs_phis, overlap_deficit_many(prop, fmap.apply_many(pool.xs[1:])),
+                         AcquisitionWeights(), 1.0)
         assert 0 not in set(bds["id"])
         assert len(bds) == len(pool) - 1

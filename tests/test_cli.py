@@ -15,8 +15,10 @@ from budgex import acquisition
 from budgex.acquisition import AcquisitionWeights
 from budgex.cli import main, protocol_config_from_json
 from budgex.core import FeatureMap, PropensityBounds, read_jsonl
-from budgex.envs import EnvSpecError, HardInstance
+from budgex.envs import EnvSpecError, HardInstance, load_env
+from budgex.metrics import pehe, replicate
 from budgex.protocol import AffinePolicy, ProtocolConfig
+from budgex._rng import rng_for
 
 NAN, INF = float("nan"), float("inf")
 
@@ -574,6 +576,33 @@ class TestSweep:
             (parallel / "metrics.csv").read_bytes()
         assert (serial / "summary.json").read_bytes() == \
             (parallel / "summary.json").read_bytes()
+
+    def test_box_world_cells_score_pehe_on_4000_sampled_x(self, tmp_path, monkeypatch):
+        """A continuous world has no exact PEHE: a cell evaluates its theta_hat
+        on the 4,000 x that rng_for(seed, 0x6576) draws, in workers too."""
+        env = write_box_env(tmp_path / "env.json")
+        sweep = tmp_path / "sweep.json"
+        sweep.write_text(json.dumps({"env": str(env), "budgets": [20, 40],
+                                     "strategies": ["random", "active-full"],
+                                     "replications": 1, "n_pool": 60, "n_obs": 50,
+                                     "protocol": {"max_batch": 10}}))
+        serial, parallel = tmp_path / "serial", tmp_path / "parallel"
+        monkeypatch.delenv("BUDGEX_THREADS", raising=False)
+        assert main(["sweep", "--sweep", str(sweep), "--out", str(serial)]) == 0
+        monkeypatch.setenv("BUDGEX_THREADS", "2")
+        assert main(["sweep", "--sweep", str(sweep), "--out", str(parallel)]) == 0
+        assert (serial / "metrics.csv").read_bytes() == \
+            (parallel / "metrics.csv").read_bytes()
+
+        with open(serial / "metrics.csv") as fh:
+            row = next(r for r in csv.DictReader(fh)
+                       if r["budget"] == "40" and r["strategy"] == "random")
+        world, policy, obs_marginal, _ = load_env(env)
+        seed = int(row["seed"])
+        cfg = ProtocolConfig(budget=40, max_batch=10, strategy="random", seed=seed)
+        theta_hat = replicate(world, policy, obs_marginal, cfg, 60, 50).solution.theta_hat
+        xs = world.sample_x(4000, rng_for(seed, 0x6576))
+        assert row["pehe"] == repr(pehe(theta_hat, world, world.feature_map.apply_many(xs)))
 
 
 def test_import_loads_no_scipy():

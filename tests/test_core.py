@@ -59,6 +59,29 @@ class TestFeatureMap:
         with pytest.raises(ValueError):
             FeatureMap(kind="fourier", output_dim=2, norm_bound=1.0)
 
+    def test_output_dim_below_one_rejected(self):
+        with pytest.raises(ValueError, match="output_dim"):
+            FeatureMap(kind="identity", output_dim=0, norm_bound=1.0)
+
+    @pytest.mark.parametrize("weight, offset", [(np.eye(3), None),
+                                                (np.eye(2), np.zeros(3))],
+                             ids=["weight-rows", "offset-length"])
+    def test_affine_shapes_checked_against_output_dim(self, weight, offset):
+        with pytest.raises(DimensionError, match="shapes"):
+            FeatureMap(kind="affine-projection", output_dim=2, norm_bound=3.0,
+                       weight=weight, offset=offset)
+
+    def test_segment_covariate_is_one_coordinate(self):
+        fmap = FeatureMap(kind="segment-one-hot", output_dim=3, norm_bound=1.0)
+        with pytest.raises(DimensionError, match="single"):
+            fmap.apply_many([[0.0, 1.0]])
+
+    def test_affine_input_dimension_checked(self):
+        fmap = FeatureMap(kind="affine-projection", output_dim=2, norm_bound=9.0,
+                          weight=np.ones((2, 3)))
+        with pytest.raises(DimensionError, match="expected dim 3, got 2"):
+            fmap.apply_many([[1.0, 1.0]])
+
     @pytest.mark.parametrize("kind", ["identity", "segment-one-hot"])
     @pytest.mark.parametrize("given", [{"weight": [[5.0, 0.0], [0.0, 5.0]]},
                                        {"offset": [1.0, 1.0]}])
@@ -367,6 +390,10 @@ class TestJsonlRoundTrip:
         for name in ("xs", "ts", "ys", "ps", "seq"):
             a, b = getattr(back, name), getattr(stream, name)
             assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    def test_unknown_record_kind_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="unknown record kind 'stream'"):
+            read_jsonl(tmp_path / "never-opened.jsonl", "stream")
 
     def test_obs_and_pool_round_trip(self, tmp_path):
         obs = ObsLog(xs=[[0.5]], ts=[0], ys=[1.0])

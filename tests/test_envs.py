@@ -236,6 +236,29 @@ class TestSpecValidation:
                       marginal=BoxMarginal((-1.0,), (1.0,)),
                       baseline_intercept=0.9)
 
+    @pytest.mark.parametrize("make", [
+        lambda: SegmentMarginal((0.5, 0.6)),
+        lambda: SegmentMarginal((1.2, -0.2)),
+        lambda: BoxMarginal((0.0, 1.0), (1.0, 0.0)),
+        lambda: BoxMarginal((0.0,), (1.0, 1.0)),
+        lambda: ThresholdPolicy(direction=(1.0,), cutoff=0.0, leak=0.1),
+        lambda: LinearEnv(theta_star=(0.1, 0.1), norm_budget=1.0,
+                          feature_map=FeatureMap("identity", 1, 1.0),
+                          marginal=BoxMarginal((-1.0,), (1.0,)))],
+        ids=["probs-sum", "negative-prob", "box-lo-above-hi", "box-shapes", "leak",
+             "theta-dimension"])
+    def test_construction_invariants(self, make):
+        with pytest.raises(EnvSpecError):
+            make()
+
+    @pytest.mark.parametrize("draw", [lambda env: sample_pool(env, 0, seed=1),
+                                      lambda env: sample_obs(env, ThresholdPolicy((1.0, 0.0), 0.5),
+                                                             env.marginal, 0, seed=1)],
+                             ids=["n_pool", "n_obs"])
+    def test_sample_size_below_one_rejected(self, draw):
+        with pytest.raises(ValueError, match=">= 1"):
+            draw(hard_env())
+
     def test_hard_delta_default(self):
         # large d at tiny budget hits the 1/4 cap
         assert default_hard_delta(100, 10) == 0.25

@@ -151,6 +151,11 @@ class TestBetaBound:
                   for d in (0.01, 0.05, 0.1, 0.2, 0.4, 0.8)]
         assert all(a > b for a, b in zip(widths, widths[1:]))
 
+    def test_indefinite_information_matrix_rejected(self):
+        sol = RidgeSolution(theta_hat=np.zeros(2), V=np.diag([1.0, -1.0]), lam=1.0, n=0)
+        with pytest.raises(np.linalg.LinAlgError, match="positive definite"):
+            beta_bound(sol, sigma=1.0, S=1.0, delta=0.1)
+
     def test_scalar_one_record(self):
         # V = 2, det ratio sqrt(2), S = 0:
         # beta = sqrt(2 (0.5 ln 2 + 0.5)) = sqrt(ln 2 + 1)
@@ -243,6 +248,15 @@ class TestSandwich:
         sol = fit_ridge_arrays(phis, np.ones(1), 1.0)
         with pytest.raises(ValueError):
             sandwich_from_arrays(phis, np.ones(1), sol)
+
+    def test_one_hot_design_with_an_empty_segment_rejected(self):
+        """A design that leaves a segment empty has a singular Sigma: the CLT
+        audit cannot standardize by it, and says so."""
+        phis = np.eye(3)[[0, 0, 1, 1, 0]]  # segment 2 never queried
+        yts = np.arange(5.0)
+        sol = fit_ridge_arrays(phis, yts, 1.0)
+        with pytest.raises(np.linalg.LinAlgError, match="singular"):
+            sandwich_from_arrays(phis, yts, sol)
 
     def test_record_interface(self):
         recs = [rct([0.0], 1, 1.0, 0.5, s + 1) for s in range(3)]

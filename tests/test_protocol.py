@@ -10,11 +10,12 @@ from hypothesis import example, given, settings, strategies as st
 from scipy import stats
 
 from budgex.acquisition import (SCORE_DTYPE, AcquisitionWeights, fit_propensity,
-                                score_pool, select_top_m)
+                                overlap_deficit_many, score_pool, select_top_m)
 from budgex.core import (FeatureMap, NormBoundError, ObsLog, Pool,
                          PropensityBounds, read_jsonl, write_jsonl)
-from budgex.envs import (BoxMarginal, HardInstance, LinearEnv, SegmentMarginal,
-                         ThresholdPolicy, sample_obs, sample_pool)
+from budgex import protocol
+from budgex.envs import (BoxMarginal, HardInstance, LinearEnv, LogisticPolicy,
+                         SegmentMarginal, ThresholdPolicy, sample_obs, sample_pool)
 from budgex.estimator import pseudo_outcome_values
 from budgex.protocol import (AffinePolicy, ConstantPolicy, ProtocolConfig,
                              _assign_and_observe, _dump_scores, clip_probability,
@@ -59,6 +60,33 @@ class TestConfigValidation:
     def test_non_finite_policy_rejected(self, make):
         with pytest.raises(ValueError, match="finite"):
             make()
+
+    @pytest.mark.parametrize("make", [
+        lambda: AcquisitionWeights(alpha=float("nan")),
+        lambda: AcquisitionWeights(beta=float("inf")),
+        lambda: AcquisitionWeights(gamma=-0.1),
+        lambda: LinearEnv(theta_star=(0.1,), norm_budget=float("nan"),
+                          feature_map=FeatureMap("identity", 1, 1.0),
+                          marginal=BoxMarginal((-1.0,), (1.0,))),
+        lambda: LinearEnv(theta_star=(0.1,), norm_budget=float("inf"),
+                          feature_map=FeatureMap("identity", 1, 1.0),
+                          marginal=BoxMarginal((-1.0,), (1.0,))),
+        lambda: ThresholdPolicy(direction=(1.0,), cutoff=float("nan")),
+        lambda: LogisticPolicy(weights=(1.0, float("nan"))),
+        lambda: LogisticPolicy(weights=(1.0,), sharpness=float("inf"))],
+        ids=["nan-alpha", "inf-beta", "negative-gamma", "nan-S", "inf-S", "nan-cutoff",
+             "nan-logistic-weight", "inf-sharpness"])
+    def test_non_finite_or_negative_number_rejected_at_construction(self, make):
+        """A NaN weight or S would score or audit with NaN: a NaN score ranks
+        anywhere, and a NaN beta makes every violation test false."""
+        with pytest.raises(ValueError, match="finite"):
+            make()
+
+    @pytest.mark.parametrize("sizes", [{"budget": -1}, {"budget": 10, "max_batch": 0}],
+                             ids=["negative-budget", "zero-max_batch"])
+    def test_size_below_its_bound_rejected(self, sizes):
+        with pytest.raises(ValueError, match="budget|max_batch"):
+            ProtocolConfig(**sizes)
 
     def test_strategy_names(self):
         with pytest.raises(ValueError):
@@ -351,6 +379,50 @@ class TestObservationalLog:
         assert all(np.array_equal(x, y) for x, y in zip(a.scores, b.scores))
 
 
+def box8_logistic_world(seed, n_pool, n_obs):
+    """An 8-d identity box world whose log follows a logistic policy."""
+    fmap = FeatureMap(kind="identity", output_dim=8, norm_bound=np.sqrt(8.0))
+    env = LinearEnv(theta_star=(0.05, -0.04, 0.03, -0.02) * 2, feature_map=fmap,
+                    norm_budget=0.2, marginal=BoxMarginal((-1.0,) * 8, (1.0,) * 8))
+    policy = LogisticPolicy(weights=(1.0, 0.5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.3),
+                            sharpness=2.0)
+    return (env, sample_pool(env, n_pool, seed),
+            sample_obs(env, policy, env.marginal, n_obs, seed + 1))
+
+
+class TestOverlapColumn:
+    """o reads a unit's phi row and the log only: a run computes it once over
+    the pool, and every round scores a unit with that same value."""
+
+    def test_computed_once_per_active_run_over_the_pool(self, monkeypatch):
+        rows, overlap = [], protocol.overlap_deficit_many
+
+        def recording(head, phis):
+            rows.append(len(phis))
+            return overlap(head, phis)
+
+        monkeypatch.setattr(protocol, "overlap_deficit_many", recording)
+        env, pool, obs = box8_logistic_world(4, 200, 300)
+        for strategy in ("active", "random"):
+            cfg = ProtocolConfig(budget=100, max_batch=7, strategy=strategy, seed=4)
+            result = run_protocol(cfg, env, pool_units=pool, obs=obs)
+        assert rows == [len(pool)]
+        assert len(result.batch_sizes) == 15
+
+    def test_every_round_scores_a_unit_with_one_o(self):
+        """Bit for bit: predicting e_obs over each round's shrinking candidate
+        matrix instead gives some units an o a few ulps apart across rounds
+        (one unit of this pool), as BLAS rounds rows by their position."""
+        env, pool, obs = box8_logistic_world(4, 200, 300)
+        cfg = ProtocolConfig(budget=100, max_batch=7, strategy="active", seed=4)
+        result = run_protocol(cfg, env, pool_units=pool, obs=obs)
+        obs_phis = env.feature_map.apply_many(obs.xs)
+        o = overlap_deficit_many(fit_propensity(obs, obs_phis), result.pool_phis)
+        for table in result.scores:
+            np.testing.assert_array_equal(table["o"], o[table["id"]])
+        assert len(result.scores) == 15
+
+
 class TestFiltrationSoundness:
     def test_round_scores_recomputable_from_truncated_stream(self):
         """Selection at round k must depend only on records queried before
@@ -368,7 +440,8 @@ class TestFiltrationSoundness:
         for bds, m_k in zip(result.scores, result.batch_sizes):
             keep = ~np.isin(pool.ids, result.unit_ids[:start])
             redone = score_pool(pool.ids[keep], fmap.apply_many(pool.xs[keep]),
-                                phis[:start], yts[:start], obs_phis, prop,
+                                phis[:start], yts[:start], obs_phis,
+                                overlap_deficit_many(prop, fmap.apply_many(pool.xs[keep])),
                                 cfg.weights, cfg.estimator_lambda)
             assert np.array_equal(redone, bds)
             assert list(redone["id"][select_top_m(redone, m_k)]) == \
