@@ -9,10 +9,13 @@ Subcommands:
 Each command parses its inputs once, into the objects the run uses: the env,
 the log's policy and covariate marginal, and a base ProtocolConfig. Run's
 replications and sweep's cells (in workers too) get those. Each command rejects
-bad inputs, a size below its bound, a JSON bool or non-finite number and an
-affine randomization of the wrong length included, before any output is made. Cells draw through metrics.replicate.
-All outputs but run's wall-clock timing.json are byte-deterministic given
-identical configs and master seed.
+bad inputs, a missing or unknown key, a size below its bound, a JSON bool or
+non-finite number, an affine randomization of the wrong length and an active
+strategy at estimator_lambda 0 included, before any output is made. The engine
+opens no file: run writes a replication's files once its run has returned, and
+sweep's cells, drawn through metrics.replicate, return numbers that sweep
+writes. All outputs but run's wall-clock timing.json, which times the run
+alone, are byte-deterministic given identical configs and master seed.
 BUDGEX_THREADS caps worker parallelism for sweeps (default 1).
 """
 
@@ -31,12 +34,12 @@ import numpy as np
 
 from ._rng import derive_seed, rng_for
 from .acquisition import AcquisitionWeights
-from .core import finite_numbers, known_keys, read_jsonl, write_jsonl
-from .envs import SegmentMarginal, kind_of, load_env, sample_obs, sample_pool
+from .core import finite_numbers, read_jsonl, write_jsonl
+from .envs import SegmentMarginal, kind_of, known_keys, load_env, sample_obs, sample_pool
 from .estimator import solution_to_json, solution_from_json
 from .metrics import auuc, pehe, pehe_exact_segments, replicate
-from .protocol import (DEFAULT_BOUNDS, AffinePolicy, ConstantPolicy,
-                       ProtocolConfig, run_protocol)
+from .protocol import (DEFAULT_BOUNDS, AffinePolicy, ConstantPolicy, ProtocolConfig,
+                       _dump_scores, check_active_lambda, run_protocol)
 
 METRIC_COLUMNS = ["budget", "strategy", "replication", "seed", "pehe", "auuc",
                   "min_eig_normalized"]
@@ -73,18 +76,18 @@ def _randomization_from_json(doc):
     """The assignment policy of a randomization block: "constant" (p, the default
     kind) or "affine" (weights and bias over the phi row)."""
     if kind_of({"kind": "constant", **doc}, "protocol.json randomization", {
-            "constant": ("p",), "affine": ("weights", "bias")}) == "constant":
+            "constant": ("p?",), "affine": ("weights", "bias?")}) == "constant":
         return ConstantPolicy(**_given(doc, "p"))
     return AffinePolicy(tuple(doc["weights"]), **_given(doc, "bias"))
 
 
 def protocol_config_from_json(doc):
-    """A ProtocolConfig from protocol.json; each key it leaves out keeps its
-    dataclass default (seed 0). A key it does not know, a bool and a NaN or
-    infinite number are ValueErrors."""
+    """A ProtocolConfig from protocol.json; each key it leaves out but budget
+    keeps its dataclass default (seed 0). A key it does not know or lacks, a
+    bool and a NaN or infinite number are ValueErrors."""
     known_keys(finite_numbers(doc, "protocol.json"), "protocol.json", "budget",
-               "max_batch", "strategy", "estimator_lambda", "f_min", "f_max",
-               "randomization", "weights")
+               "max_batch?", "strategy?", "estimator_lambda?", "f_min?", "f_max?",
+               "randomization?", "weights?")
     given = _given(doc, "max_batch", "strategy", "estimator_lambda")
     return ProtocolConfig(
         budget=doc["budget"],
@@ -92,7 +95,7 @@ def protocol_config_from_json(doc):
         randomization=_randomization_from_json(doc.get("randomization", {})),
         weights=AcquisitionWeights(**known_keys(doc.get("weights", {}),
                                                 "protocol.json weights",
-                                                "alpha", "beta", "gamma")),
+                                                "alpha?", "beta?", "gamma?")),
         **given)
 
 
@@ -136,16 +139,22 @@ def cmd_generate(args):
 # run
 
 
+def _write_scores(rep_dir, result):
+    """Each round's score table as scores_round_<k>.csv, its picks flagged."""
+    batches = np.split(result.unit_ids, np.cumsum(result.batch_sizes[:-1]))
+    for k, (table, selected) in enumerate(zip(result.scores, batches), 1):
+        _dump_scores(rep_dir, k, table, selected)
+
+
 def cmd_run(args):
     env, _, _, _ = load_env(args.env)
     with open(args.protocol) as fh:
-        base = _fits_phi(protocol_config_from_json(json.load(fh)), env)
+        base = check_active_lambda(_fits_phi(protocol_config_from_json(json.load(fh)), env))
     if args.reps < 1:
         raise ValueError(f"run replications must be >= 1, got {args.reps}")
     pool = read_jsonl(os.path.join(args.data, "pool.jsonl"), "pool")
     obs_path = os.path.join(args.data, "obs.jsonl")
     obs = read_jsonl(obs_path, "obs") if os.path.exists(obs_path) else None
-    os.makedirs(args.out, exist_ok=True)
     if base.budget > len(pool):
         print(f"warning: budget {base.budget} exceeds pool size {len(pool)}; "
               "pool will be exhausted", file=sys.stderr)
@@ -153,11 +162,12 @@ def cmd_run(args):
     for r in range(args.reps):
         seed_r = derive_seed(args.seed, r)
         cfg = replace(base, seed=seed_r)
+        t0 = time.perf_counter()
+        result = run_protocol(cfg, env, pool_units=pool, obs=obs)
+        elapsed = time.perf_counter() - t0
         rep_dir = os.path.join(args.out, f"rep_{r:04d}")
         os.makedirs(rep_dir, exist_ok=True)
-        t0 = time.perf_counter()
-        result = run_protocol(cfg, env, pool_units=pool, obs=obs, out_dir=rep_dir)
-        elapsed = time.perf_counter() - t0
+        _write_scores(rep_dir, result)
         write_jsonl(os.path.join(rep_dir, "rct.jsonl"), result.stream)
         _write_json(os.path.join(rep_dir, "solution.json"),
                     solution_to_json(result.solution))
@@ -208,7 +218,8 @@ def cmd_evaluate(args):
 
 
 def _sweep_cell(payload):
-    """One (budget, strategy, replication) cell; pure function of its inputs."""
+    """One (budget, strategy, replication) cell's seed, PEHE, AUUC and
+    lambda_min/B, as Python numbers; a pure function of its inputs."""
     (env, policy, obs_marginal, base, budget, strategy, rep, master_seed, n_pool,
      n_obs) = payload
     seed = derive_seed(master_seed, budget,
@@ -228,13 +239,16 @@ def _sweep_cell(payload):
     b_used = max(len(result.stream), 1)
     v0 = result.solution.V - result.solution.lam * np.eye(env.feature_map.output_dim)
     min_eig = float(np.linalg.eigvalsh(v0).min() / b_used)
-    return [budget, strategy, rep, seed, repr(pehe_val), repr(auuc_val), repr(min_eig)]
+    return seed, pehe_val, auuc_val, min_eig
 
 
 def cmd_sweep(args):
     with open(args.sweep) as fh:
         sdoc = known_keys(json.load(fh), "sweep.json", "env", "budgets", "strategies",
-                          "replications", "n_pool", "n_obs", "protocol")
+                          "replications?", "n_pool?", "n_obs?", "protocol?")
+    for key in ("budgets", "strategies"):
+        if type(sdoc[key]) is not list:
+            raise ValueError(f"sweep.json {key} must be a JSON list, got {sdoc[key]!r}")
     env, policy, obs_marginal, _ = load_env(sdoc["env"])
     pdoc = sdoc.get("protocol", {})
     per_cell = sorted({"budget", "strategy", "weights"} & set(pdoc))
@@ -256,43 +270,42 @@ def cmd_sweep(args):
     unknown = [s for s in strategies if s not in STRATEGIES]
     if unknown:
         raise ValueError(f"unknown sweep strategies {unknown}; known: {list(STRATEGIES)}")
-    for name, grid in (("budgets", budgets), ("strategies", strategies)):
-        if len(set(grid)) < len(grid):
-            raise ValueError(f"sweep {name} must not repeat, got {grid}")
-    if (policy is None or n_obs < 1) and any(STRATEGIES[s] is not None for s in strategies):
-        raise ValueError("active sweep strategies need an obs policy and n_obs > 0")
+    for name, values in (("budgets", budgets), ("strategies", strategies)):
+        if len(set(values)) < len(values):
+            raise ValueError(f"sweep {name} must not repeat, got {values}")
+    if any(STRATEGIES[s] is not None for s in strategies):
+        if policy is None or n_obs < 1:
+            raise ValueError("active sweep strategies need an obs policy and n_obs > 0")
+        check_active_lambda(replace(base, strategy="active"))
     os.makedirs(args.out, exist_ok=True)
 
-    payloads = [
-        (env, policy, obs_marginal, base, b, s, r, args.seed, n_pool, n_obs)
-        for b in budgets for s in strategies for r in range(reps)
-    ]
+    grid = [(b, s, r) for b in budgets for s in strategies for r in range(reps)]
+    payloads = [(env, policy, obs_marginal, base, *cell, args.seed, n_pool, n_obs)
+                for cell in grid]
     workers = int(os.environ.get("BUDGEX_THREADS", "1"))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as ex:
-            rows = list(ex.map(_sweep_cell, payloads))
+            cells = list(ex.map(_sweep_cell, payloads))
     else:
-        rows = [_sweep_cell(p) for p in payloads]
+        cells = [_sweep_cell(p) for p in payloads]
+    rows = [(*cell, *numbers) for cell, numbers in zip(grid, cells)]
 
     with open(os.path.join(args.out, "metrics.csv"), "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(METRIC_COLUMNS)
-        w.writerows(rows)
+        w.writerows((*r[:4], *map(repr, r[4:])) for r in rows)
 
     summary = {"cells": {}, "slopes": {}}
     for s in strategies:
         per_budget = {}
         for b in budgets:
-            vals = [float(r[4]) for r in rows if r[0] == b and r[1] == s]
-            aucs = [float(r[5]) for r in rows if r[0] == b and r[1] == s]
-            per_budget[str(b)] = {
-                "mean_pehe": float(np.mean(vals)),
-                "mean_auuc": float(np.nanmean(aucs)),
-            }
+            cell_rows = [r for r in rows if r[:2] == (b, s)]
+            per_budget[str(b)] = {"mean_pehe": float(np.mean([r[4] for r in cell_rows])),
+                                  "mean_auuc": float(np.nanmean([r[5] for r in cell_rows]))}
         summary["cells"][s] = per_budget
         if len(budgets) >= 4:
-            mb = np.array(sorted(budgets), dtype=float)
-            mp = np.array([per_budget[str(int(b))]["mean_pehe"] for b in sorted(budgets)])
+            mb = sorted(budgets)
+            mp = [per_budget[str(b)]["mean_pehe"] for b in mb]
             slope, intercept = np.polyfit(np.log(mb), np.log(mp), 1)
             summary["slopes"][s] = {"slope": float(slope), "intercept": float(intercept)}
     _write_json(os.path.join(args.out, "summary.json"), summary)

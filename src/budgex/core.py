@@ -90,13 +90,6 @@ class FeatureMap:
         return out
 
 
-def known_keys(doc, where, *keys):
-    """doc, once it has no key outside keys: a misspelt key is an error."""
-    if not set(doc) <= set(keys):
-        raise ValueError(f"unknown key(s) in {where}: {sorted(set(doc) - set(keys))}")
-    return doc
-
-
 def finite_numbers(doc, where):
     """doc, once no value in it is a bool or a NaN or infinite number: JSON
     true/false would pass as 1/0, and NaN or Infinity as a number."""

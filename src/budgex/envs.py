@@ -20,14 +20,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rng import rng_for
-from .core import FeatureMap, ObsLog, Pool, finite_numbers, known_keys, sigmoid
+from .core import FeatureMap, ObsLog, Pool, finite_numbers, sigmoid
 
 C_KL = 16.0 / 3.0
 
 
 class EnvSpecError(ValueError):
     """The environment specification violates a construction invariant, or a
-    tagged block of env.json or protocol.json names a kind that does not exist."""
+    block of env.json, protocol.json or sweep.json names a kind that does not
+    exist, has a key outside its schema or lacks one that it requires."""
 
 
 # ---------------------------------------------------------------------------
@@ -47,7 +48,7 @@ class SegmentMarginal:
 
     def __post_init__(self):
         p = np.asarray(self.probs, dtype=float)
-        if np.any(p < 0) or abs(p.sum() - 1.0) > 1e-9:
+        if not (np.all(p >= 0) and abs(p.sum() - 1.0) <= 1e-9):  # NaN fails too
             raise EnvSpecError("segment probabilities must be nonnegative and sum to 1")
         object.__setattr__(self, "probs", tuple(p))
         if self.points is not None:
@@ -259,7 +260,20 @@ def sample_obs(env, policy, marginal, n_obs, seed):
 # JSON environment specs (env.json), written down once as env_from_json's key
 # lists: seed, n_obs, n_pool and env (kind "hard" or "linear"), with optional
 # obs_policy ("logistic" or "threshold") and obs_shift ("none" or "tilt"). Each
-# tagged block holds "kind" and that kind's own keys, and no other key.
+# tagged block holds "kind" and that kind's own keys, and no other key. A key
+# list names each key a block may hold; a trailing "?" marks one it may omit.
+
+
+def known_keys(doc, where, *keys):
+    """doc, once it has every key of keys but those marked "?" and no other:
+    a misspelt key and a missing one are errors."""
+    names = {key.rstrip("?") for key in keys}
+    if not set(doc) <= names:
+        raise EnvSpecError(f"unknown key(s) in {where}: {sorted(set(doc) - names)}")
+    missing = [key for key in keys if not key.endswith("?") and key not in doc]
+    if missing:
+        raise EnvSpecError(f"{where} needs {missing}")
+    return doc
 
 
 def kind_of(doc, where, keys_by_kind):
@@ -275,28 +289,28 @@ def kind_of(doc, where, keys_by_kind):
 def env_from_json(doc):
     """(env, obs_policy, obs_marginal) from an env.json document; obs_marginal is
     the log's covariate marginal, env.marginal or its tilt. A key outside the
-    schema, a bool and a NaN or infinite number are ValueErrors, and shapes and
-    invariants fail here, before any draw."""
-    known_keys(finite_numbers(doc, "env.json"), "env.json", "seed", "n_obs", "n_pool",
-               "env", "obs_policy", "obs_shift")
+    schema, a missing required key, a bool and a NaN or infinite number are
+    ValueErrors, and shapes and invariants fail here, before any draw."""
+    known_keys(finite_numbers(doc, "env.json"), "env.json", "seed?", "n_obs?", "n_pool?",
+               "env", "obs_policy?", "obs_shift?")
     for key in ("seed", "n_obs", "n_pool"):
         if key in doc and type(doc[key]) is not int:
             raise EnvSpecError(f"env.json {key} must be an integer, got {doc[key]!r}")
     e = doc["env"]
     if kind_of(e, "env.json env", {
-            "hard": ("d", "delta", "theta_signs", "S"),
+            "hard": ("d", "delta", "theta_signs", "S?"),
             "linear": ("theta_star", "S", "baseline_intercept", "baseline_weights",
                        "feature_map", "marginal")}) == "hard":
         env = HardInstance(d=e["d"], delta=e["delta"], theta_signs=e["theta_signs"],
                            norm_budget=e.get("S"))
     else:
         fmj = known_keys(e["feature_map"], "env.json feature_map", "kind", "output_dim",
-                         "norm_bound", "weight", "offset")
+                         "norm_bound", "weight?", "offset?")
         fmap = FeatureMap(kind=fmj["kind"], output_dim=fmj["output_dim"],
                           norm_bound=fmj["norm_bound"], weight=fmj.get("weight"),
                           offset=fmj.get("offset"))
         mj = e["marginal"]
-        if kind_of(mj, "env.json marginal", {"segments": ("probs", "points"),
+        if kind_of(mj, "env.json marginal", {"segments": ("probs", "points?"),
                                              "box": ("lows", "highs")}) == "segments":
             pts = mj.get("points")
             marginal = SegmentMarginal(tuple(mj["probs"]),
@@ -310,9 +324,9 @@ def env_from_json(doc):
     policy = None
     if "obs_policy" in doc:
         pj = doc["obs_policy"]
-        if kind_of(pj, "env.json obs_policy", {"logistic": ("weights", "sharpness"),
+        if kind_of(pj, "env.json obs_policy", {"logistic": ("weights", "sharpness?"),
                                                "threshold": ("direction", "cutoff",
-                                                             "leak")}) == "logistic":
+                                                             "leak?")}) == "logistic":
             policy = LogisticPolicy(tuple(pj["weights"]), pj.get("sharpness", 1.0))
             name, vector = "weights", policy.weights
         else:
@@ -324,9 +338,6 @@ def env_from_json(doc):
     sj = doc.get("obs_shift", {"kind": "none"})
     if kind_of(sj, "env.json obs_shift", {"none": (),
                                           "tilt": ("direction", "strength")}) == "tilt":
-        missing = [key for key in ("direction", "strength") if key not in sj]
-        if missing:
-            raise EnvSpecError(f"env.json obs_shift (tilt) needs {missing}")
         return env, policy, env.marginal.tilted(sj["direction"], sj["strength"])
     return env, policy, env.marginal
 

@@ -8,7 +8,8 @@ from the environment, and appends the positions, draws and pseudo-outcomes to
 the chronological stream. The assignment policy reads the units' phi rows
 only, and the environment only draws outcomes. Treatment and outcome draws use
 dedicated per-unit streams keyed by (seed, unit id, purpose), so selection
-order can never alter an individual unit's assignment.
+order can never alter an individual unit's assignment. The loop opens no file:
+it returns the stream, the fit and the score tables to its caller.
 """
 
 import os
@@ -169,7 +170,16 @@ class _ActiveContext:
                           self.o[candidates], cfg.weights, cfg.estimator_lambda)
 
 
-def run_protocol(config, env, pool_units, obs=None, out_dir=None):
+def check_active_lambda(config):
+    """config, once an active run can score every round: the round's leverage
+    fit is a ridge at estimator_lambda, singular at 0 until the stream spans phi."""
+    if config.strategy == "active" and config.estimator_lambda == 0:
+        raise ValueError("the active strategy needs estimator_lambda > 0: each round's "
+                         "leverage fit is a ridge on the stream so far")
+    return config
+
+
+def run_protocol(config, env, pool_units, obs=None):
     """Run the budget loop on a Pool end to end and fit the final estimator.
 
     The schedule is fixed before round 1: n = min(budget, pool size) queries in
@@ -177,14 +187,17 @@ def run_protocol(config, env, pool_units, obs=None, out_dir=None):
     exhausts it. The stream is kept as pool positions plus phi rows, draws and
     Y~; its xs and unit ids are gathered from the pool once at the end, into one
     read-only RctStream (seq 1..n), and one frozen RidgeSolution is fitted on
-    its phi rows with config.estimator_lambda. Per-unit draws, score dumps and
+    its phi rows with config.estimator_lambda. Per-unit draws, score tables and
     unit_ids carry the pool's unit ids. The pool is never modified, and its phi
-    rows (the result's pool_phis) are mapped once per run.
+    rows (the result's pool_phis) are mapped once per run. No file is opened:
+    the score tables leave in the result only. An active run at
+    estimator_lambda 0 is a ValueError before round 1.
     obs is an ObsLog (None or no rows: no log). Only the active strategy reads
     it: it maps the log, fits e_obs and computes every pool unit's o once (0
     with no log). The final fit is the ridge on the stream's IPW
     pseudo-outcomes, whatever the strategy.
     """
+    check_active_lambda(config)
     pool = pool_units
     fmap = env.feature_map
     pool_phis = fmap.apply_many(pool.xs)
@@ -204,20 +217,14 @@ def run_protocol(config, env, pool_units, obs=None, out_dir=None):
         # position, and ranks turn those last-digit differences into picks
         context = _ActiveContext(config, np.argsort(pool.ids, kind="stable"), obs_phis, o)
 
-    all_scores = []
-    for k, m_k in enumerate(batch_sizes):
-        scores = run_round(state, k, m_k, config, env, pool, pool_phis, context)
-        if scores is not None:
-            all_scores.append(scores)
-            if out_dir is not None:
-                batch = state.rows[state.n - m_k:state.n]
-                _dump_scores(out_dir, k + 1, scores, pool.ids[batch])
+    tables = [run_round(state, k, m_k, config, env, pool, pool_phis, context)
+              for k, m_k in enumerate(batch_sizes)]
 
     stream = RctStream(xs=pool.xs.take(state.rows, axis=0), ts=state.ts, ys=state.ys,
                        ps=state.ps, seq=np.arange(1, n + 1))
     solution = fit_ridge_arrays(state.phis, state.yts, config.estimator_lambda)
     return ProtocolResult(solution=solution, stream=stream, phis=state.phis, yts=state.yts,
-                          unit_ids=pool.ids[state.rows], scores=all_scores,
+                          unit_ids=pool.ids[state.rows], scores=tables if context else [],
                           batch_sizes=batch_sizes, pool_phis=pool_phis)
 
 

@@ -11,7 +11,7 @@ from dataclasses import replace
 import pytest
 
 import budgex
-from budgex import acquisition
+from budgex import acquisition, protocol
 from budgex.acquisition import AcquisitionWeights
 from budgex.cli import main, protocol_config_from_json
 from budgex.core import FeatureMap, PropensityBounds, read_jsonl
@@ -338,6 +338,7 @@ class TestRun:
         ("weights", {"alpha": NAN}, ValueError),
         ("weights", {"beta": INF}, ValueError),
         ("weights", {"gamma": INF}, ValueError),
+        ("estimator_lambda", 0.0, ValueError),
     ])
     def test_bad_protocol_rejected_before_any_output(self, generated, tmp_path,
                                                      key, value, error):
@@ -348,6 +349,27 @@ class TestRun:
             main(["run", "--env", str(env), "--protocol", str(proto),
                   "--data", str(data), "--out", str(tmp_path / "runs")])
         assert not (tmp_path / "runs").exists()
+
+    def test_failed_replication_leaves_nothing_behind(self, generated, tmp_path,
+                                                      monkeypatch):
+        """A replication's files are written after its run returns: a run that
+        failed in round 2 used to leave its scores_round_1.csv."""
+        env, data = generated
+        proto = write_protocol(tmp_path / "protocol.json")
+        calls, assign = [], protocol._assign_and_observe
+
+        def failing_in_round_2(*args):
+            calls.append(len(args[2]))
+            if len(calls) == 2:
+                raise RuntimeError("round 2 failed")
+            return assign(*args)
+
+        monkeypatch.setattr(protocol, "_assign_and_observe", failing_in_round_2)
+        out = tmp_path / "runs"
+        with pytest.raises(RuntimeError, match="round 2 failed"):
+            main(["run", "--env", str(env), "--protocol", str(proto),
+                  "--data", str(data), "--out", str(out)])
+        assert calls == [10, 10] and not (out / "rep_0000").exists()
 
 
 class TestProtocolConfigFromJson:
@@ -523,12 +545,17 @@ class TestSweep:
         ({"n_obs": 50.5}, [], True, "n_obs must be >= 0 and an integer"),
         ({"budgets": [16, "24"]}, [], True, "positive integers"),
         ({"protocol": {"f_max": NAN}}, [], True, "protocol.json.f_max must be a finite"),
+        ({"budgets": 100}, [], True, "sweep.json budgets must be a JSON list, got 100"),
+        ({"strategies": "random"}, [], True,
+         "sweep.json strategies must be a JSON list, got 'random'"),
+        ({"protocol": {"estimator_lambda": 0}}, [], True, "estimator_lambda > 0"),
     ], ids=["float-budgets", "fractional-budget", "zero-replications", "zero-reps",
             "zero-pool", "unknown-strategy", "no-log-rows", "no-log-policy",
             "protocol-budget", "protocol-strategy", "protocol-weights",
             "short-affine-weights", "repeated-budget", "repeated-strategy",
             "fractional-replications", "fractional-pool", "fractional-log",
-            "string-budget", "nan-protocol-f_max"])
+            "string-budget", "nan-protocol-f_max", "scalar-budgets", "string-strategies",
+            "active-at-lambda-0"])
     def test_bad_inputs_fail_before_any_cell_runs(self, tmp_path, monkeypatch, change,
                                                    argv, with_policy, message):
         cells = []
@@ -540,6 +567,16 @@ class TestSweep:
         with pytest.raises(ValueError, match=message):
             main(["sweep", "--sweep", str(sweep), "--out", str(out)] + argv)
         assert cells == [] and not out.exists()
+
+    def test_random_grid_at_lambda_zero_runs(self, tmp_path):
+        """Only the active strategy fits a ridge each round; a random cell at
+        estimator_lambda 0 is OLS on its stream."""
+        env = write_env(tmp_path / "env.json")
+        sweep = tmp_path / "sweep.json"
+        sweep.write_text(json.dumps({"env": str(env), "budgets": [40],
+                                     "strategies": ["random"], "n_pool": 80,
+                                     "protocol": {"estimator_lambda": 0}}))
+        assert main(["sweep", "--sweep", str(sweep), "--out", str(tmp_path / "out")]) == 0
 
     @pytest.mark.parametrize("empty", ["budgets", "strategies"])
     def test_empty_grid_is_an_error_exit(self, tmp_path, monkeypatch, capsys, empty):
@@ -603,6 +640,50 @@ class TestSweep:
         theta_hat = replicate(world, policy, obs_marginal, cfg, 60, 50).solution.theta_hat
         xs = world.sample_x(4000, rng_for(seed, 0x6576))
         assert row["pehe"] == repr(pehe(theta_hat, world, world.feature_map.apply_many(xs)))
+
+
+@pytest.mark.parametrize("name, block, key, where", [
+    ("env.json", "", "env", "env.json"),
+    ("env.json", "env", "delta", "env.json env (hard)"),
+    ("env.json", "obs_policy", "weights", "env.json obs_policy (logistic)"),
+    ("env.json", "obs_shift", "strength", "env.json obs_shift (tilt)"),
+    ("box.json", "env", "baseline_intercept", "env.json env (linear)"),
+    ("box.json", "env.feature_map", "norm_bound", "env.json feature_map"),
+    ("box.json", "env.marginal", "highs", "env.json marginal (box)"),
+    ("box.json", "obs_policy", "cutoff", "env.json obs_policy (threshold)"),
+    ("protocol.json", "", "budget", "protocol.json"),
+    ("protocol.json", "randomization", "weights", "protocol.json randomization (affine)"),
+    ("sweep.json", "", "env", "sweep.json"),
+    ("sweep.json", "", "budgets", "sweep.json"),
+    ("sweep.json", "", "strategies", "sweep.json"),
+])
+def test_missing_key_rejected_before_any_output(tmp_path, name, block, key, where):
+    """A missing required key used to be a bare KeyError from wherever it was
+    read; it fails as an unknown key does, naming its block."""
+    env = write_env(tmp_path / "env.json")
+    write_box_env(tmp_path / "box.json")
+    main(["generate", "--env", str(env), "--out", str(tmp_path / "data")])
+    (tmp_path / "protocol.json").write_text(json.dumps(
+        {"budget": 30, "randomization": {"kind": "affine", "weights": [0.1, 0, 0, 0]}}))
+    (tmp_path / "sweep.json").write_text(json.dumps(
+        {"env": str(env), "budgets": [40], "strategies": ["random"], "n_pool": 80}))
+    argv = {"env.json": ["generate", "--env", str(env)],
+            "box.json": ["generate", "--env", str(tmp_path / "box.json")],
+            "protocol.json": ["run", "--env", str(env), "--data", str(tmp_path / "data"),
+                              "--protocol", str(tmp_path / "protocol.json")],
+            "sweep.json": ["sweep", "--sweep", str(tmp_path / "sweep.json")]}[name]
+    assert main(argv + ["--out", str(tmp_path / "whole")]) == 0
+
+    doc = json.loads((tmp_path / name).read_text())
+    target = doc
+    for step in filter(None, block.split(".")):
+        target = target[step]
+    del target[key]
+    (tmp_path / name).write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    with pytest.raises(EnvSpecError, match=re.escape(f"{where} needs ['{key}']")):
+        main(argv + ["--out", str(out)])
+    assert not out.exists()
 
 
 def test_import_loads_no_scipy():

@@ -239,14 +239,15 @@ class TestSpecValidation:
     @pytest.mark.parametrize("make", [
         lambda: SegmentMarginal((0.5, 0.6)),
         lambda: SegmentMarginal((1.2, -0.2)),
+        lambda: SegmentMarginal((float("nan"), 1.0)),
         lambda: BoxMarginal((0.0, 1.0), (1.0, 0.0)),
         lambda: BoxMarginal((0.0,), (1.0, 1.0)),
         lambda: ThresholdPolicy(direction=(1.0,), cutoff=0.0, leak=0.1),
         lambda: LinearEnv(theta_star=(0.1, 0.1), norm_budget=1.0,
                           feature_map=FeatureMap("identity", 1, 1.0),
                           marginal=BoxMarginal((-1.0,), (1.0,)))],
-        ids=["probs-sum", "negative-prob", "box-lo-above-hi", "box-shapes", "leak",
-             "theta-dimension"])
+        ids=["probs-sum", "negative-prob", "nan-prob", "box-lo-above-hi", "box-shapes",
+             "leak", "theta-dimension"])
     def test_construction_invariants(self, make):
         with pytest.raises(EnvSpecError):
             make()

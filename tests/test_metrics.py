@@ -356,7 +356,8 @@ class TestReplicate:
         configs = []
         monkeypatch.setattr(cli, "replicate",
                             lambda *args: configs.append(args[3]) or metrics.replicate(*args))
-        row = cli._sweep_cell((*world, base, 30, "active-full", 1, 7, 80, 60))
+        cell_seed, *values = cli._sweep_cell((*world, base, 30, "active-full", 1, 7, 80, 60))
+        row = [30, "active-full", 1, cell_seed, *map(repr, values)]
 
         seed = derive_seed(7, 30, zlib.crc32(b"active-full") & 0xFFFF, 1)
         cfg = replace(base, budget=30, seed=seed, weights=cli.STRATEGIES["active-full"])

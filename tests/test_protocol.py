@@ -14,6 +14,7 @@ from budgex.acquisition import (SCORE_DTYPE, AcquisitionWeights, fit_propensity,
 from budgex.core import (FeatureMap, NormBoundError, ObsLog, Pool,
                          PropensityBounds, read_jsonl, write_jsonl)
 from budgex import protocol
+from budgex.cli import _write_scores
 from budgex.envs import (BoxMarginal, HardInstance, LinearEnv, LogisticPolicy,
                          SegmentMarginal, ThresholdPolicy, sample_obs, sample_pool)
 from budgex.estimator import pseudo_outcome_values
@@ -203,13 +204,27 @@ class TestRunProtocol:
         result = run_protocol(cfg, env, pool_units=sample_pool(env, 25, 20))
         assert len(result.stream.ts) == 25
 
+    def test_active_run_at_lambda_zero_rejected_before_round_1(self, monkeypatch):
+        """Each round's leverage fit is a ridge at estimator_lambda: at 0 this
+        run raised SingularDesignError in round 2."""
+        env = hard4()
+        pool = sample_pool(env, 200, 1)
+        obs = sample_obs(env, LogisticPolicy((0.8, -0.8, 0.8, -0.8)), env.marginal, 200, 1)
+        calls = []
+        monkeypatch.setattr(protocol, "_assign_and_observe", lambda *args: calls.append(args))
+        cfg = ProtocolConfig(budget=40, max_batch=10, estimator_lambda=0.0)
+        with pytest.raises(ValueError, match="estimator_lambda > 0"):
+            run_protocol(cfg, env, pool_units=pool, obs=obs)
+        assert calls == []
+
     def test_active_run_exhausts_the_pool_on_the_schedule(self, tmp_path):
         """A budget above the pool size queries every unit in rounds
         [M, ..., M, r]; each round scores exactly the units still unqueried,
         so the last table scores the r units it then takes."""
         env, pool, obs = weak_overlap_world(19, n_pool=25)
         cfg = ProtocolConfig(budget=100, max_batch=7, strategy="active", seed=20)
-        result = run_protocol(cfg, env, pool_units=pool, obs=obs, out_dir=tmp_path)
+        result = run_protocol(cfg, env, pool_units=pool, obs=obs)
+        _write_scores(tmp_path, result)
         assert result.batch_sizes == [7, 7, 7, 4]
         assert sorted(result.unit_ids.tolist()) == pool.ids.tolist()
         assert [len(table) for table in result.scores] == [25, 18, 11, 4]
