@@ -2,7 +2,7 @@
 
 Subcommands:
   generate  env.json -> obs.jsonl / pool.jsonl (+ manifest.json)
-  run       env.json + protocol.json -> rct.jsonl, scores, solution.json
+  run       env.json + protocol.json -> rct.jsonl, scores_round_<k>.csv, solution.json
   evaluate  env.json + solution.json -> metrics.csv, summary.json
   sweep     sweep.json -> one metrics row per (budget, strategy, replication)
 
@@ -10,12 +10,14 @@ Each command parses its inputs once, into the objects the run uses: the env,
 the log's policy and covariate marginal, and a base ProtocolConfig. Run's
 replications and sweep's cells (in workers too) get those. Each command rejects
 bad inputs, a missing or unknown key, a size below its bound, a JSON bool or
-non-finite number, an affine randomization of the wrong length and an active
-strategy at estimator_lambda 0 included, before any output is made. The engine
-opens no file: run writes a replication's files once its run has returned, and
-sweep's cells, drawn through metrics.replicate, return numbers that sweep
-writes. All outputs but run's wall-clock timing.json, which times the run
-alone, are byte-deterministic given identical configs and master seed.
+non-finite number, an affine randomization of the wrong length, an active
+strategy at estimator_lambda 0 and a sweep cell at estimator_lambda 0 with
+fewer than d queries included, before any output is made. The engine opens no
+file: run writes a replication's files once its run has returned, its score
+tables in one protocol._dump_scores call, and sweep's cells, drawn through
+metrics.replicate, return numbers that sweep writes. All outputs but run's
+wall-clock timing.json, which times the run alone, are byte-deterministic given
+identical configs and master seed.
 BUDGEX_THREADS caps worker parallelism for sweeps (default 1).
 """
 
@@ -141,9 +143,8 @@ def cmd_generate(args):
 
 def _write_scores(rep_dir, result):
     """Each round's score table as scores_round_<k>.csv, its picks flagged."""
-    batches = np.split(result.unit_ids, np.cumsum(result.batch_sizes[:-1]))
-    for k, (table, selected) in enumerate(zip(result.scores, batches), 1):
-        _dump_scores(rep_dir, k, table, selected)
+    _dump_scores(rep_dir, result.scores,
+                 np.split(result.unit_ids, np.cumsum(result.batch_sizes[:-1])))
 
 
 def cmd_run(args):
@@ -277,6 +278,10 @@ def cmd_sweep(args):
         if policy is None or n_obs < 1:
             raise ValueError("active sweep strategies need an obs policy and n_obs > 0")
         check_active_lambda(replace(base, strategy="active"))
+    d, queries = env.feature_map.output_dim, min(min(budgets), n_pool)
+    if base.estimator_lambda == 0 and queries < d:
+        raise ValueError(f"estimator_lambda 0 fits least squares, which needs at least "
+                         f"d = {d} queries; the smallest cell makes {queries}")
     os.makedirs(args.out, exist_ok=True)
 
     grid = [(b, s, r) for b in budgets for s in strategies for r in range(reps)]

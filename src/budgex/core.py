@@ -262,11 +262,17 @@ def write_jsonl(path, records):
 
 def read_jsonl(path, kind):
     """Read back a 'pool' (a Pool), an 'obs' log (an ObsLog) or an 'rct' stream
-    (an RctStream); a log or stream file with no rows has no rows."""
+    (an RctStream); a log or stream file with no rows has no rows. A line that
+    holds no record (a blank line) or more than one is a ValueError."""
     if kind not in ("obs", "rct", "pool"):
         raise ValueError(f"unknown record kind {kind!r}")
     with open(path) as fh:
-        docs = [json.loads(line) for line in fh]
+        lines = fh.readlines()
+    # one parse of the whole file; a blank line leaves an empty array element
+    docs = json.loads("[" + ",".join(lines) + "]")
+    if len(docs) != len(lines):
+        raise ValueError(f"{path}: {len(docs)} JSON records on {len(lines)} lines; "
+                         "each line must hold one")
     if kind == "pool":
         return Pool(ids=[d["id"] for d in docs], xs=[d["x"] for d in docs])
     arms = {"xs": [d["x"] for d in docs] or np.empty((0, 0)),

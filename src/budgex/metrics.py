@@ -175,7 +175,9 @@ class NormalityDiagnostic:
 
 
 def clt_diagnostic(env, config, n_pool, replications, x, master_seed=0):
-    """Standardized errors sqrt(B)(tau_hat - tau)/se across replications."""
+    """Standardized errors sqrt(B)(tau_hat - tau)/se across replications. A
+    replication whose sandwich variance at x is not positive (all of the
+    probe's pseudo-outcomes on their fit) has no z-score: a ValueError."""
     runs = _audit_runs(env, config, n_pool, replications, master_seed)
     phi = env.feature_map.apply_many([x])[0]
     if np.allclose(phi, 0.0):
@@ -185,6 +187,9 @@ def clt_diagnostic(env, config, n_pool, replications, x, master_seed=0):
     for r, result in enumerate(runs):
         avar = sandwich_from_arrays(result.phis, result.yts, result.solution)
         se2 = float(phi @ avar @ phi)
+        if not se2 > 0:
+            raise ValueError(f"replication {r}: the sandwich variance at x is {se2!r}, "
+                             "so its z-score is undefined")
         b = len(result.stream)
         tau_hat = float(phi @ result.solution.theta_hat)
         zs[r] = np.sqrt(b) * (tau_hat - tau_x) / np.sqrt(se2)

@@ -14,6 +14,7 @@ it returns the stream, the fit and the score tables to its caller.
 
 import os
 from dataclasses import dataclass
+from itertools import compress
 from operator import index
 
 import numpy as np
@@ -228,15 +229,50 @@ def run_protocol(config, env, pool_units, obs=None):
                           batch_sizes=batch_sizes, pool_phis=pool_phis)
 
 
-def _dump_scores(out_dir, round_index, table, selected_ids):
-    path = os.path.join(out_dir, f"scores_round_{round_index}.csv")
-    names = table.dtype.names
-    # Column by column, in csv's excel dialect: no field needs quoting, and each
-    # row ends in "\r\n", carried by its selected flag. repr of Python floats:
-    # repr of a numpy float would change the bytes.
-    columns = [map(str, table["id"].tolist()),
-               *(map(repr, table[name].tolist()) for name in names[1:]),
-               np.where(np.isin(table["id"], selected_ids), "1\r\n", "0\r\n").tolist()]
-    with open(path, "w", newline="") as fh:
-        fh.writelines([",".join(names + ("selected",)) + "\r\n",
-                       *map(",".join, zip(*columns))])
+def _rank_texts(eta, grid, grid_texts):
+    """The text of each value of eta: grid_texts[k] where its bits equal those
+    of grid[k] = k/n, its own repr where not (NaN, +-inf, -0.0, off-grid)."""
+    n = len(grid) - 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        k = np.rint(eta * n)
+    on_grid = (k >= 0) & (k <= n)  # false on NaN
+    k = np.where(on_grid, k, 0).astype(np.intp)
+    miss = ~(on_grid & (grid.view(np.int64)[k] == eta.view(np.int64)))
+    texts = grid_texts[k]
+    texts[miss] = list(map(repr, eta[miss].tolist()))
+    return texts.tolist()
+
+
+def _dump_scores(out_dir, tables, picks):
+    """Write a run's score tables, round k as scores_round_<k>.csv (k from 1),
+    the ids in picks[k - 1] flagged selected.
+
+    The bytes are csv's excel dialect over the id and the repr of each float
+    (no field needs quoting; each row ends in "\r\n"). Each text is repr's,
+    but a repr is made once where the run repeats a value: a round of n rows
+    formats the n + 1 ranks k/n once and gives an eta value the text of the
+    rank whose bits it has; a unit's o is fixed for the run, so each distinct
+    o (by its bits, so -0.0 is not 0.0) is formatted once per run. Every other
+    value is formatted by its own repr.
+    """
+    o_texts = {}
+    for k, (table, selected_ids) in enumerate(zip(tables, picks), 1):
+        n = len(table)
+        grid = np.arange(n + 1) / max(n, 1)
+        grid_texts = np.array(list(map(repr, grid.tolist())), dtype=object)
+        o_keys = table["o"].view(np.int64).tolist()
+        new = [key not in o_texts for key in o_keys]
+        o_texts.update(zip(compress(o_keys, new), map(repr, compress(table["o"].tolist(), new))))
+        # repr of Python floats: repr of a numpy float would change the bytes
+        columns = [map(str, table["id"].tolist())]
+        for name in table.dtype.names[1:]:
+            if name.startswith("eta_"):
+                columns.append(_rank_texts(table[name], grid, grid_texts))
+            elif name == "o":
+                columns.append(map(o_texts.__getitem__, o_keys))
+            else:
+                columns.append(map(repr, table[name].tolist()))
+        columns.append(np.where(np.isin(table["id"], selected_ids), "1\r\n", "0\r\n").tolist())
+        with open(os.path.join(out_dir, f"scores_round_{k}.csv"), "w", newline="") as fh:
+            fh.writelines([",".join(table.dtype.names + ("selected",)) + "\r\n",
+                           *map(",".join, zip(*columns))])

@@ -549,13 +549,18 @@ class TestSweep:
         ({"strategies": "random"}, [], True,
          "sweep.json strategies must be a JSON list, got 'random'"),
         ({"protocol": {"estimator_lambda": 0}}, [], True, "estimator_lambda > 0"),
+        ({"budgets": [3, 40], "strategies": ["random"], "protocol": {"estimator_lambda": 0}},
+         [], True, "needs at least d = 4 queries; the smallest cell makes 3"),
+        ({"n_pool": 3, "strategies": ["random"], "protocol": {"estimator_lambda": 0}},
+         [], True, "needs at least d = 4 queries; the smallest cell makes 3"),
     ], ids=["float-budgets", "fractional-budget", "zero-replications", "zero-reps",
             "zero-pool", "unknown-strategy", "no-log-rows", "no-log-policy",
             "protocol-budget", "protocol-strategy", "protocol-weights",
             "short-affine-weights", "repeated-budget", "repeated-strategy",
             "fractional-replications", "fractional-pool", "fractional-log",
             "string-budget", "nan-protocol-f_max", "scalar-budgets", "string-strategies",
-            "active-at-lambda-0"])
+            "active-at-lambda-0", "random-budget-below-d-at-lambda-0",
+            "random-pool-below-d-at-lambda-0"])
     def test_bad_inputs_fail_before_any_cell_runs(self, tmp_path, monkeypatch, change,
                                                    argv, with_policy, message):
         cells = []

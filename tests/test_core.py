@@ -406,6 +406,18 @@ class TestJsonlRoundTrip:
         back = read_jsonl(tmp_path / "pool.jsonl", "pool")
         assert (back.ids.tolist(), back.xs.tolist()) == (pool.ids.tolist(), pool.xs.tolist())
 
+    @pytest.mark.parametrize("text", [
+        '{"id": 0, "x": [1.0]}, {"id": 1, "x": [2.0]}\n',
+        '{"id": 0, "x": [1.0]}\n\n{"id": 1, "x": [2.0]}\n',
+        '{"id": 0, "x": [1.0]}\n\n',
+        '\n'])
+    def test_a_line_without_exactly_one_record_fails(self, tmp_path, text):
+        """Two records on one line, or a blank line, fail loudly."""
+        path = tmp_path / "pool.jsonl"
+        path.write_text(text)
+        with pytest.raises(ValueError):
+            read_jsonl(path, "pool")
+
 
 # Floats whose text form is easy to get wrong: signed zeros, subnormals and
 # the extremes of the exponent range.

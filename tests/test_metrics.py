@@ -386,6 +386,14 @@ class TestCltDiagnostic:
         with pytest.raises(ValueError):
             clt_diagnostic(env, cfg, 100, 5, x=[0.0])
 
+    def test_zero_sandwich_variance_rejected(self):
+        """At B=12 on the 4-segment hard world, replication 4 is the first
+        whose probe segment's pseudo-outcomes all sit on their fit; its z
+        would be -inf (4 of the 20 would be, beside a finite KS)."""
+        cfg = ProtocolConfig(budget=12, max_batch=12, strategy="random")
+        with pytest.raises(ValueError, match="replication 4: the sandwich variance at x is 0.0"):
+            clt_diagnostic(hard4(), cfg, 40, 20, x=[0], master_seed=1)
+
     def test_small_budget_flagged(self):
         env = HardInstance(d=1, delta=0.0, theta_signs=(1,))
         cfg = ProtocolConfig(budget=20, strategy="random",

@@ -16,7 +16,8 @@ from budgex.core import (FeatureMap, NormBoundError, ObsLog, Pool,
 from budgex import protocol
 from budgex.cli import _write_scores
 from budgex.envs import (BoxMarginal, HardInstance, LinearEnv, LogisticPolicy,
-                         SegmentMarginal, ThresholdPolicy, sample_obs, sample_pool)
+                         SegmentMarginal, ThresholdPolicy, env_from_json, sample_obs,
+                         sample_pool)
 from budgex.estimator import pseudo_outcome_values
 from budgex.protocol import (AffinePolicy, ConstantPolicy, ProtocolConfig,
                              _assign_and_observe, _dump_scores, clip_probability,
@@ -515,9 +516,83 @@ class TestScoreDump:
                     "some": rnd.sample(ids, len(ids) // 2)}[which]
         selected = np.array(selected, dtype=np.int64)
         with tempfile.TemporaryDirectory() as out:
-            _dump_scores(out, 3, table, selected)
+            _dump_scores(out, [table], [selected])
             reference_dump(os.path.join(out, "reference.csv"), table, selected)
-            with open(os.path.join(out, "scores_round_3.csv"), "rb") as fh:
+            with open(os.path.join(out, "scores_round_1.csv"), "rb") as fh:
                 dumped = fh.read()
             with open(os.path.join(out, "reference.csv"), "rb") as fh:
                 assert dumped == fh.read()
+
+
+# Values an eta column may hold that are not its round's k/n, or sit 1 ulp off
+# one; 8.98e307 * n overflows for n >= 2.
+RANK_MISSES = [-0.0, np.nan, np.inf, -np.inf, 8.98e307]
+
+
+@st.composite
+def dumped_runs(draw):
+    """A run's score tables and picks: each round scores a subset of one set
+    of units, each unit with the same o in every round, and its eta columns
+    mix exact ranks k/n with near-misses."""
+    floats = st.sampled_from(EDGE_FLOATS) | st.floats()
+    o_of = draw(st.lists(floats, min_size=1, max_size=40))
+    tables, picks = [], []
+    for _ in range(draw(st.integers(1, 4))):
+        ids = draw(st.lists(st.integers(0, len(o_of) - 1), unique=True))
+        n = len(ids)
+
+        def eta():
+            exact = draw(st.integers(0, n)) / n
+            return draw(st.sampled_from([exact, exact, np.nextafter(exact, -np.inf),
+                                         np.nextafter(exact, np.inf), *RANK_MISSES]))
+
+        tables.append(np.array([(i, draw(floats), draw(floats), o_of[i], eta(), eta(), eta(),
+                                 draw(floats)) for i in ids], dtype=SCORE_DTYPE))
+        picks.append(np.array([i for i in ids if draw(st.booleans())], dtype=np.int64))
+    return tables, picks
+
+
+def assert_dumps_match_reference(out, tables, picks):
+    for k, (table, selected) in enumerate(zip(tables, picks), 1):
+        reference_dump(os.path.join(out, "reference.csv"), table, selected)
+        with open(os.path.join(out, f"scores_round_{k}.csv"), "rb") as fh:
+            dumped = fh.read()
+        with open(os.path.join(out, "reference.csv"), "rb") as fh:
+            assert dumped == fh.read(), f"round {k}"
+
+
+class TestRunScoreDump:
+    """A run's dumps reuse the text of a rank within a round and of a unit's
+    o across rounds; the bytes are the row-wise writer's all the same."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(dumped_runs())
+    def test_multi_round_bytes_match_the_row_wise_writer(self, run):
+        tables, picks = run
+        with tempfile.TemporaryDirectory() as out:
+            _dump_scores(out, tables, picks)
+            assert sorted(os.listdir(out)) == \
+                [f"scores_round_{k}.csv" for k in range(1, len(tables) + 1)]
+            assert_dumps_match_reference(out, tables, picks)
+
+    def test_active_box_run_dumps_match_the_row_wise_writer(self, tmp_path):
+        """The golden active box run's sizes (pool 400, log 200, B=60, M=20),
+        where every eta value is its round's k/n."""
+        env, policy, obs_marginal = env_from_json({
+            "env": {"kind": "linear", "theta_star": [0.08, -0.06, 0.05, -0.04, 0.03],
+                    "S": 0.2, "baseline_intercept": 0.5, "baseline_weights": [0.0] * 5,
+                    "feature_map": {"kind": "identity", "output_dim": 5,
+                                    "norm_bound": np.sqrt(5.0)},
+                    "marginal": {"kind": "box", "lows": [-1.0] * 5, "highs": [1.0] * 5}},
+            "obs_policy": {"kind": "threshold", "direction": [1.0, 0.0, 0.0, 0.0, 0.0],
+                           "cutoff": 0.0, "leak": 0.02}})
+        cfg = ProtocolConfig(budget=60, max_batch=20, seed=3)
+        result = run_protocol(cfg, env, pool_units=sample_pool(env, 400, 3),
+                              obs=sample_obs(env, policy, obs_marginal, 200, 3))
+        for table in result.scores:
+            for name in ("eta_v", "eta_d", "eta_o"):
+                k = table[name] * len(table)
+                np.testing.assert_array_equal(np.rint(k) / len(table), table[name])
+        _write_scores(tmp_path, result)
+        picks = np.split(result.unit_ids, [20, 40])
+        assert_dumps_match_reference(tmp_path, result.scores, picks)
