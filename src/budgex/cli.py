@@ -10,14 +10,14 @@ Each command parses its inputs once, into the objects the run uses: the env,
 the log's policy and covariate marginal, and a base ProtocolConfig. Run's
 replications and sweep's cells (in workers too) get those. Each command rejects
 bad inputs, a missing or unknown key, a size below its bound, a JSON bool or
-non-finite number, an affine randomization of the wrong length, an active
-strategy at estimator_lambda 0 and a sweep cell at estimator_lambda 0 with
-fewer than d queries included, before any output is made. The engine opens no
-file: run writes a replication's files once its run has returned, its score
-tables in one protocol._dump_scores call, and sweep's cells, drawn through
-metrics.replicate, return numbers that sweep writes. All outputs but run's
-wall-clock timing.json, which times the run alone, are byte-deterministic given
-identical configs and master seed.
+non-finite number, a config that protocol.check_config rejects and a sweep
+cell at estimator_lambda 0 with fewer than d queries, before any output is
+made. The engine opens no file: run writes a replication's files once its run
+has returned, its score tables in one protocol._dump_scores call, and sweep's
+cells, drawn through metrics.replicate, return numbers that sweep writes once
+the last one has returned. All outputs but run's wall-clock timing.json, which
+times the run alone, are byte-deterministic given identical configs and master
+seed.
 BUDGEX_THREADS caps worker parallelism for sweeps (default 1).
 """
 
@@ -41,7 +41,7 @@ from .envs import SegmentMarginal, kind_of, known_keys, load_env, sample_obs, sa
 from .estimator import solution_to_json, solution_from_json
 from .metrics import auuc, pehe, pehe_exact_segments, replicate
 from .protocol import (DEFAULT_BOUNDS, AffinePolicy, ConstantPolicy, ProtocolConfig,
-                       _dump_scores, check_active_lambda, run_protocol)
+                       _dump_scores, check_config, run_protocol)
 
 METRIC_COLUMNS = ["budget", "strategy", "replication", "seed", "pehe", "auuc",
                   "min_eig_normalized"]
@@ -101,15 +101,6 @@ def protocol_config_from_json(doc):
         **given)
 
 
-def _fits_phi(config, env):
-    """config, once an affine randomization has one weight per phi coordinate."""
-    rz, d = config.randomization, env.feature_map.output_dim
-    if isinstance(rz, AffinePolicy) and len(rz.weights) != d:
-        raise ValueError(f"randomization weights has length {len(rz.weights)}; phi has "
-                         f"{d} coordinates")
-    return config
-
-
 def _check_sizes(where, *sizes):
     """Raise ValueError unless each (name, value, low) has an integer value >= low."""
     for name, value, low in sizes:
@@ -150,7 +141,7 @@ def _write_scores(rep_dir, result):
 def cmd_run(args):
     env, _, _, _ = load_env(args.env)
     with open(args.protocol) as fh:
-        base = check_active_lambda(_fits_phi(protocol_config_from_json(json.load(fh)), env))
+        base = protocol_config_from_json(json.load(fh))
     if args.reps < 1:
         raise ValueError(f"run replications must be >= 1, got {args.reps}")
     pool = read_jsonl(os.path.join(args.data, "pool.jsonl"), "pool")
@@ -255,7 +246,7 @@ def cmd_sweep(args):
     per_cell = sorted({"budget", "strategy", "weights"} & set(pdoc))
     if per_cell:
         raise ValueError(f"sweep.json protocol must not set {per_cell}: each cell sets them")
-    base = _fits_phi(protocol_config_from_json({**pdoc, "budget": 0}), env)
+    base = protocol_config_from_json({**pdoc, "budget": 0})
     budgets = sdoc["budgets"]
     strategies = sdoc["strategies"]
     reps = sdoc.get("replications", 1) if args.reps is None else args.reps
@@ -274,15 +265,15 @@ def cmd_sweep(args):
     for name, values in (("budgets", budgets), ("strategies", strategies)):
         if len(set(values)) < len(values):
             raise ValueError(f"sweep {name} must not repeat, got {values}")
-    if any(STRATEGIES[s] is not None for s in strategies):
-        if policy is None or n_obs < 1:
-            raise ValueError("active sweep strategies need an obs policy and n_obs > 0")
-        check_active_lambda(replace(base, strategy="active"))
+    kinds = {"random" if STRATEGIES[s] is None else "active" for s in strategies}
+    if "active" in kinds and (policy is None or n_obs < 1):
+        raise ValueError("active sweep strategies need an obs policy and n_obs > 0")
+    for kind in sorted(kinds):
+        check_config(replace(base, strategy=kind), env)
     d, queries = env.feature_map.output_dim, min(min(budgets), n_pool)
     if base.estimator_lambda == 0 and queries < d:
         raise ValueError(f"estimator_lambda 0 fits least squares, which needs at least "
                          f"d = {d} queries; the smallest cell makes {queries}")
-    os.makedirs(args.out, exist_ok=True)
 
     grid = [(b, s, r) for b in budgets for s in strategies for r in range(reps)]
     payloads = [(env, policy, obs_marginal, base, *cell, args.seed, n_pool, n_obs)
@@ -295,6 +286,7 @@ def cmd_sweep(args):
         cells = [_sweep_cell(p) for p in payloads]
     rows = [(*cell, *numbers) for cell, numbers in zip(grid, cells)]
 
+    os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "metrics.csv"), "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(METRIC_COLUMNS)

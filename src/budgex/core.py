@@ -125,9 +125,9 @@ class PropensityBounds:
 class Pool:
     """Unlabeled target units: distinct int64 ids and an (n, k) covariate array.
 
-    A unit's id is not its position: selection works in positions, while
-    records and the per-unit random streams use ids. Both arrays are
-    read-only copies.
+    A unit's id is not its position: a run holds the pool in unit-id order
+    and selects positions in that order, while records and the per-unit random
+    streams use ids. Both arrays are read-only copies.
     """
 
     ids: np.ndarray
@@ -263,16 +263,19 @@ def write_jsonl(path, records):
 def read_jsonl(path, kind):
     """Read back a 'pool' (a Pool), an 'obs' log (an ObsLog) or an 'rct' stream
     (an RctStream); a log or stream file with no rows has no rows. A line that
-    holds no record (a blank line) or more than one is a ValueError."""
+    holds anything but one whole record and whitespace is a ValueError."""
     if kind not in ("obs", "rct", "pool"):
         raise ValueError(f"unknown record kind {kind!r}")
+    decode, space, docs = json.JSONDecoder().raw_decode, " \t\n\r", []
     with open(path) as fh:
-        lines = fh.readlines()
-    # one parse of the whole file; a blank line leaves an empty array element
-    docs = json.loads("[" + ",".join(lines) + "]")
-    if len(docs) != len(lines):
-        raise ValueError(f"{path}: {len(docs)} JSON records on {len(lines)} lines; "
-                         "each line must hold one")
+        for number, line in enumerate(fh, 1):
+            try:
+                doc, end = decode(line, len(line) - len(line.lstrip(space)))
+            except json.JSONDecodeError as e:
+                raise ValueError(f"{path}: line {number}: {e.msg} at column {e.colno}") from None
+            if line[end:].strip(space):
+                raise ValueError(f"{path}: line {number} has text after its JSON record")
+            docs.append(doc)
     if kind == "pool":
         return Pool(ids=[d["id"] for d in docs], xs=[d["x"] for d in docs])
     arms = {"xs": [d["x"] for d in docs] or np.empty((0, 0)),

@@ -188,9 +188,9 @@ class LinearEnv(_BernoulliEnv):
         self._check_means()
 
     def arm_means(self, phis):
-        """(mu_1, mu_0) per phi row."""
-        base = self.m0 + phis @ self.wm
-        half = 0.5 * (phis @ self.theta_star)
+        """(mu_1, mu_0) per phi row; einsum, as BLAS rounds phis @ w by batch size."""
+        base = self.m0 + np.einsum("ij,j->i", phis, self.wm)
+        half = 0.5 * np.einsum("ij,j->i", phis, self.theta_star)
         return base + half, base - half
 
     def sample_x(self, n, rng):

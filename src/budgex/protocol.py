@@ -2,10 +2,10 @@
 
 A run is a batch schedule fixed before round 1: n = min(budget, pool size)
 queries in rounds of m_k = min(M, n - queried so far), i.e. [M, ..., M, r].
-Round k selects m_k unqueried pool positions (acquisition score or uniform at
-random), randomizes treatment with a clipped assignment policy, draws outcomes
-from the environment, and appends the positions, draws and pseudo-outcomes to
-the chronological stream. The assignment policy reads the units' phi rows
+Round k selects m_k unqueried pool positions, in unit-id order (acquisition
+score or uniform at random), randomizes treatment with a clipped assignment
+policy, draws outcomes from the environment, and appends the positions, draws
+and pseudo-outcomes to the chronological stream. The policy reads phi rows
 only, and the environment only draws outcomes. Treatment and outcome draws use
 dedicated per-unit streams keyed by (seed, unit id, purpose), so selection
 order can never alter an individual unit's assignment. The loop opens no file:
@@ -90,7 +90,7 @@ class RoundState:
     Rows [0, n) are filled: rows holds the pool position of each stream row, in
     selection order, beside its phi row (phis), written once when the unit is
     picked, its draws (ts, ys, ps) and its pseudo-outcome Y~ (yts); unqueried
-    is a mask over pool positions.
+    is a mask over pool positions. Positions index the pool in unit-id order.
     """
 
     n: int
@@ -112,7 +112,7 @@ class ProtocolResult:
     unit_ids: np.ndarray  # the pool unit id of every stream row
     scores: list  # per-round score tables (active strategy)
     batch_sizes: list
-    pool_phis: np.ndarray  # the phi row of every pool unit, in pool order
+    pool_phis: np.ndarray  # the phi row of every pool unit, in unit-id order
 
 
 def _assign_and_observe(env, config, ids, phis):
@@ -126,17 +126,17 @@ def _assign_and_observe(env, config, ids, phis):
     return ts, ys, ps
 
 
-def run_round(state, k, m_k, config, env, pool, pool_phis, context):
+def run_round(state, k, m_k, config, env, ids, pool_phis, context):
     """Round k (from 0): choose m_k unqueried pool positions, randomize and
     observe them into the next m_k rows of state. Returns the round's score
     table, or None for the random strategy."""
     scores = None
+    candidates = np.flatnonzero(state.unqueried)
     if config.strategy == "random":
         rng = rng_for(config.seed, 0x73656C, k)
-        chosen = np.sort(rng.choice(np.flatnonzero(state.unqueried), m_k, replace=False))
+        chosen = np.sort(rng.choice(candidates, m_k, replace=False))
     else:
-        candidates = context.by_id[state.unqueried[context.by_id]]
-        scores = context.score_round(state, candidates, pool.ids[candidates],
+        scores = context.score_round(state, candidates, ids[candidates],
                                      pool_phis[candidates])
         chosen = candidates[select_top_m(scores, m_k)]
 
@@ -144,7 +144,7 @@ def run_round(state, k, m_k, config, env, pool, pool_phis, context):
     state.rows[batch] = chosen
     # take gathers rows of a 2-d array several times faster than fancy indexing
     state.phis[batch] = pool_phis.take(chosen, axis=0)
-    ts, ys, ps = _assign_and_observe(env, config, pool.ids[chosen], state.phis[batch])
+    ts, ys, ps = _assign_and_observe(env, config, ids[chosen], state.phis[batch])
     state.ts[batch], state.ys[batch], state.ps[batch] = ts, ys, ps
     state.yts[batch] = pseudo_outcome_values(ts, ys, ps)
     state.unqueried[chosen] = False
@@ -155,11 +155,10 @@ def run_round(state, k, m_k, config, env, pool, pool_phis, context):
 @dataclass(frozen=True)
 class _ActiveContext:
     """What the active strategy fixes once per run, plus per-round scoring:
-    by_id, the pool positions in unit-id order; the log's phi rows; and o, the
-    overlap deficit of every pool unit, by pool position."""
+    the log's phi rows and o, the overlap deficit of every pool unit, by its
+    position in unit-id order."""
 
     config: ProtocolConfig
-    by_id: np.ndarray
     obs_phis: np.ndarray
     o: np.ndarray
 
@@ -171,61 +170,66 @@ class _ActiveContext:
                           self.o[candidates], cfg.weights, cfg.estimator_lambda)
 
 
-def check_active_lambda(config):
-    """config, once an active run can score every round: the round's leverage
-    fit is a ridge at estimator_lambda, singular at 0 until the stream spans phi."""
+def check_config(config, env):
+    """Raise ValueError unless an affine randomization has one weight per phi
+    coordinate and an active run estimator_lambda > 0 (each round's ridge)."""
+    rz, d = config.randomization, env.feature_map.output_dim
+    if isinstance(rz, AffinePolicy) and len(rz.weights) != d:
+        raise ValueError(f"randomization weights has length {len(rz.weights)}; phi has "
+                         f"{d} coordinates")
     if config.strategy == "active" and config.estimator_lambda == 0:
         raise ValueError("the active strategy needs estimator_lambda > 0: each round's "
                          "leverage fit is a ridge on the stream so far")
-    return config
 
 
 def run_protocol(config, env, pool_units, obs=None):
     """Run the budget loop on a Pool end to end and fit the final estimator.
 
-    The schedule is fixed before round 1: n = min(budget, pool size) queries in
-    batch_sizes [M, ..., M, r] (M = max_batch), so a budget above the pool size
-    exhausts it. The stream is kept as pool positions plus phi rows, draws and
-    Y~; its xs and unit ids are gathered from the pool once at the end, into one
-    read-only RctStream (seq 1..n), and one frozen RidgeSolution is fitted on
-    its phi rows with config.estimator_lambda. Per-unit draws, score tables and
-    unit_ids carry the pool's unit ids. The pool is never modified, and its phi
-    rows (the result's pool_phis) are mapped once per run. No file is opened:
-    the score tables leave in the result only. An active run at
-    estimator_lambda 0 is a ValueError before round 1.
-    obs is an ObsLog (None or no rows: no log). Only the active strategy reads
-    it: it maps the log, fits e_obs and computes every pool unit's o once (0
-    with no log). The final fit is the ridge on the stream's IPW
-    pseudo-outcomes, whatever the strategy.
+    check_config rejects a config that cannot run on env before round 1. The
+    pool is held in unit-id order, so the units picked and their draws do not
+    depend on the order of its rows. The schedule is fixed before round 1:
+    n = min(budget, pool size) queries in batch_sizes [M, ..., M, r]
+    (M = max_batch), so a budget above the pool size exhausts it. The stream is
+    kept as pool positions plus phi rows, draws and Y~; its xs and unit ids are
+    gathered from the pool once at the end, into one read-only RctStream
+    (seq 1..n), and one frozen RidgeSolution is fitted on its phi rows with
+    config.estimator_lambda. Per-unit draws, score tables and unit_ids carry
+    the pool's unit ids. The pool is never modified, and its phi rows (the
+    result's pool_phis, in unit-id order) are mapped once per run. No file is
+    opened: the score tables leave in the result only. obs is an ObsLog (None
+    or no rows: no log). Only the active strategy reads it: it maps the log,
+    fits e_obs and computes every pool unit's o once (0 with no log). The final
+    fit is the ridge on the stream's IPW pseudo-outcomes, whatever the strategy.
     """
-    check_active_lambda(config)
-    pool = pool_units
+    check_config(config, env)
+    # in unit-id order: float sums and BLAS kernels round by row position, and
+    # ranks turn those last-digit differences into picks
+    order = np.argsort(pool_units.ids, kind="stable")
+    ids, xs = pool_units.ids[order], pool_units.xs.take(order, axis=0)
     fmap = env.feature_map
-    pool_phis = fmap.apply_many(pool.xs)
-    n, m = min(config.budget, len(pool)), config.max_batch
+    pool_phis = fmap.apply_many(xs)
+    n, m = min(config.budget, len(ids)), config.max_batch
     batch_sizes = [min(m, n - s) for s in range(0, n, m)]
     state = RoundState(n=0, rows=np.empty(n, dtype=np.intp),
                        phis=np.empty((n, fmap.output_dim)), ts=np.empty(n, dtype=int),
                        ys=np.empty(n), ps=np.empty(n), yts=np.empty(n),
-                       unqueried=np.ones(len(pool), dtype=bool))
+                       unqueried=np.ones(len(ids), dtype=bool))
     context = None
     if config.strategy == "active":
-        obs_phis, o = np.zeros((0, fmap.output_dim)), np.zeros(len(pool))
+        obs_phis, o = np.zeros((0, fmap.output_dim)), np.zeros(len(ids))
         if obs:
             obs_phis = fmap.apply_many(obs.xs)
             o = overlap_deficit_many(fit_propensity(obs, obs_phis), pool_phis)
-        # scored in unit-id order: float sums and BLAS kernels round by row
-        # position, and ranks turn those last-digit differences into picks
-        context = _ActiveContext(config, np.argsort(pool.ids, kind="stable"), obs_phis, o)
+        context = _ActiveContext(config, obs_phis, o)
 
-    tables = [run_round(state, k, m_k, config, env, pool, pool_phis, context)
+    tables = [run_round(state, k, m_k, config, env, ids, pool_phis, context)
               for k, m_k in enumerate(batch_sizes)]
 
-    stream = RctStream(xs=pool.xs.take(state.rows, axis=0), ts=state.ts, ys=state.ys,
+    stream = RctStream(xs=xs.take(state.rows, axis=0), ts=state.ts, ys=state.ys,
                        ps=state.ps, seq=np.arange(1, n + 1))
     solution = fit_ridge_arrays(state.phis, state.yts, config.estimator_lambda)
     return ProtocolResult(solution=solution, stream=stream, phis=state.phis, yts=state.yts,
-                          unit_ids=pool.ids[state.rows], scores=tables if context else [],
+                          unit_ids=ids[state.rows], scores=tables if context else [],
                           batch_sizes=batch_sizes, pool_phis=pool_phis)
 
 

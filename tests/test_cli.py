@@ -16,6 +16,7 @@ from budgex.acquisition import AcquisitionWeights
 from budgex.cli import main, protocol_config_from_json
 from budgex.core import FeatureMap, PropensityBounds, read_jsonl
 from budgex.envs import EnvSpecError, HardInstance, load_env
+from budgex.estimator import SingularDesignError
 from budgex.metrics import pehe, replicate
 from budgex.protocol import AffinePolicy, ProtocolConfig
 from budgex._rng import rng_for
@@ -572,6 +573,22 @@ class TestSweep:
         with pytest.raises(ValueError, match=message):
             main(["sweep", "--sweep", str(sweep), "--out", str(out)] + argv)
         assert cells == [] and not out.exists()
+
+    def test_failed_cell_leaves_no_out_directory(self, tmp_path):
+        """--out is made after the last cell returns: this random cell at
+        estimator_lambda 0 queries a pool of 8 units that misses 2 of the 8
+        segments, so its least-squares fit fails after the parse-time checks."""
+        env = tmp_path / "env.json"
+        env.write_text(json.dumps({"env": {"kind": "hard", "d": 8, "delta": 0.2,
+                                           "theta_signs": [1, -1] * 4}}))
+        sweep = tmp_path / "sweep.json"
+        sweep.write_text(json.dumps({"env": str(env), "budgets": [8], "n_pool": 8,
+                                     "strategies": ["random"],
+                                     "protocol": {"estimator_lambda": 0}}))
+        out = tmp_path / "out"
+        with pytest.raises(SingularDesignError, match="rank 6 < 8"):
+            main(["sweep", "--sweep", str(sweep), "--out", str(out), "--seed", "0"])
+        assert not out.exists()
 
     def test_random_grid_at_lambda_zero_runs(self, tmp_path):
         """Only the active strategy fits a ridge each round; a random cell at

@@ -410,9 +410,12 @@ class TestJsonlRoundTrip:
         '{"id": 0, "x": [1.0]}, {"id": 1, "x": [2.0]}\n',
         '{"id": 0, "x": [1.0]}\n\n{"id": 1, "x": [2.0]}\n',
         '{"id": 0, "x": [1.0]}\n\n',
-        '\n'])
+        '\n',
+        '{"id": 0\n"x": [1.0]}\n{"id": 1, "x": [2.0]}, {"id": 2, "x": [3.0]}\n'])
     def test_a_line_without_exactly_one_record_fails(self, tmp_path, text):
-        """Two records on one line, or a blank line, fail loudly."""
+        """Two records on one line, a blank line or a record split over two
+        lines fail loudly, also where the split and the doubled line together
+        leave as many records as lines."""
         path = tmp_path / "pool.jsonl"
         path.write_text(text)
         with pytest.raises(ValueError):

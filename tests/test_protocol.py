@@ -218,6 +218,20 @@ class TestRunProtocol:
             run_protocol(cfg, env, pool_units=pool, obs=obs)
         assert calls == []
 
+    @pytest.mark.parametrize("strategy", ["random", "active"])
+    def test_affine_weights_of_the_wrong_length_rejected_before_round_1(
+            self, monkeypatch, strategy):
+        """The check names both lengths: the policy's einsum raised numpy's
+        broadcast error, in round 1."""
+        env, pool, obs = weak_overlap_world(2, n_pool=40, n_obs=60)
+        calls = []
+        monkeypatch.setattr(protocol, "_assign_and_observe", lambda *args: calls.append(args))
+        cfg = ProtocolConfig(budget=20, max_batch=10, strategy=strategy,
+                             randomization=AffinePolicy((0.1, 0.0, 0.0)))
+        with pytest.raises(ValueError, match="weights has length 3; phi has 2 coordinates"):
+            run_protocol(cfg, env, pool_units=pool, obs=obs)
+        assert calls == []
+
     def test_active_run_exhausts_the_pool_on_the_schedule(self, tmp_path):
         """A budget above the pool size queries every unit in rounds
         [M, ..., M, r]; each round scores exactly the units still unqueried,
@@ -334,6 +348,28 @@ class TestIdsAreNotPositions:
         moved = run_protocol(cfg, env, pool_units=shuffled, obs=obs)
         assert set(moved.unit_ids) == set(base.unit_ids)
         assert self.by_id(moved) == self.by_id(base)
+
+    @settings(max_examples=20, deadline=None)
+    @given(world_seed=st.integers(0, 2**16), perm_seed=st.integers(0, 2**16),
+           n_pool=st.integers(20, 60), budget=st.integers(1, 20),
+           max_batch=st.integers(1, 10))
+    def test_random_selection_invariant_to_any_permutation(
+            self, world_seed, perm_seed, n_pool, budget, max_batch):
+        """The random strategy draws pool positions, so the run holds the pool
+        in unit-id order: drawn in file order, its picks moved with the rows."""
+        env = hard4()
+        pool = sample_pool(env, n_pool, world_seed)
+        perm = rng_for(perm_seed).permutation(n_pool)
+        shuffled = Pool(ids=pool.ids[perm], xs=pool.xs[perm])
+        cfg = ProtocolConfig(budget=budget, max_batch=max_batch,
+                             strategy="random", seed=world_seed + 1)
+        base = run_protocol(cfg, env, pool_units=pool)
+        moved = run_protocol(cfg, env, pool_units=shuffled)
+        assert moved.unit_ids.tolist() == base.unit_ids.tolist()
+        for column in ("ts", "ys", "ps"):
+            assert getattr(moved.stream, column).tobytes() == \
+                getattr(base.stream, column).tobytes()
+        assert moved.solution.theta_hat.tobytes() == base.solution.theta_hat.tobytes()
 
     def test_random_strategy_keeps_each_units_covariates(self):
         env = hard4()
