@@ -20,7 +20,7 @@ from .acquisition import (SCORE_DTYPE, AcquisitionWeights, composite_scores,
                           train_domain_classifier)
 from .protocol import (AffinePolicy, ConstantPolicy, ProtocolConfig,
                        clip_probability, run_protocol)
-from .metrics import (BoundCheckResult, NormalityDiagnostic, UpliftCurve,
-                      bound_violation_audit, clt_diagnostic, pehe, uplift_curve)
+from .metrics import (BoundCheckResult, NormalityDiagnostic, bound_violation_audit,
+                      clt_diagnostic, pehe, uplift_curve)
 
 __version__ = "0.1.0"

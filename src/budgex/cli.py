@@ -1,10 +1,12 @@
 """Command-line orchestration: generate worlds, run protocols, evaluate, sweep.
 
 Subcommands:
-  generate  env.json -> obs.jsonl / pool.jsonl (+ manifest.json)
+  generate  env.json -> obs.jsonl / pool.jsonl (+ manifest.json), at env.json's
+            seed (default 0); with no log to draw it removes a stale obs.jsonl
   run       env.json + protocol.json -> rct.jsonl, scores_round_<k>.csv, solution.json
   evaluate  env.json + solution.json -> metrics.csv, summary.json
-  sweep     sweep.json -> one metrics row per (budget, strategy, replication)
+  sweep     sweep.json -> one metrics row per (budget, strategy, replication), for
+            sweep.json's replications (default 1) at --seed
 
 Each command parses its inputs once, into the objects the run uses: the env,
 the log's policy and covariate marginal, and a base ProtocolConfig. Run's
@@ -117,12 +119,14 @@ def cmd_generate(args):
     n_pool, n_obs = doc.get("n_pool", 1000), doc.get("n_obs", 0)
     _check_sizes("env.json", ("n_pool", n_pool, 1), ("n_obs", n_obs, 0))
     os.makedirs(args.out, exist_ok=True)
-    seed = doc.get("seed", 0) if args.seed is None else args.seed
+    seed = doc.get("seed", 0)
     pool = sample_pool(env, n_pool, seed)
     write_jsonl(os.path.join(args.out, "pool.jsonl"), pool)
+    obs_path = os.path.join(args.out, "obs.jsonl")
     if policy is not None and n_obs > 0:
-        obs = sample_obs(env, policy, obs_marginal, n_obs, seed)
-        write_jsonl(os.path.join(args.out, "obs.jsonl"), obs)
+        write_jsonl(obs_path, sample_obs(env, policy, obs_marginal, n_obs, seed))
+    elif os.path.exists(obs_path):  # an earlier world's log: run would read it
+        os.remove(obs_path)
     _write_json(os.path.join(args.out, "manifest.json"),
                 {"env_spec_sha256": _sha256_file(args.env), "seed": seed})
     return 0
@@ -191,6 +195,10 @@ def cmd_evaluate(args):
     if args.n_eval < 2:
         raise ValueError(f"evaluate needs --n-eval >= 2 (an uplift curve needs 2 units), "
                          f"got {args.n_eval}")
+    d = env.feature_map.output_dim
+    if len(solution.theta_hat) != d:
+        raise ValueError(f"solution.json theta_hat has {len(solution.theta_hat)} "
+                         f"coordinates; the env's phi has {d}")
     os.makedirs(args.out, exist_ok=True)
     eval_xs = env.sample_x(args.n_eval, rng_for(args.seed, 0x65786576))
     pehe_val = pehe(solution.theta_hat, env, env.feature_map.apply_many(eval_xs))
@@ -249,7 +257,7 @@ def cmd_sweep(args):
     base = protocol_config_from_json({**pdoc, "budget": 0})
     budgets = sdoc["budgets"]
     strategies = sdoc["strategies"]
-    reps = sdoc.get("replications", 1) if args.reps is None else args.reps
+    reps = sdoc.get("replications", 1)
     if not budgets or not strategies:
         print("error: sweep needs nonempty budgets and strategies", file=sys.stderr)
         return 2
@@ -323,9 +331,9 @@ def main(argv=None):
     sub = parser.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("generate", help="generate obs/pool datasets from env.json")
-    g.add_argument("--env", required=True)
+    g.add_argument("--env", required=True,
+                   help="env.json; its seed key (default 0) seeds the pool and the log")
     g.add_argument("--out", required=True)
-    g.add_argument("--seed", type=int, default=None)
     g.set_defaults(func=cmd_generate)
 
     r = sub.add_parser("run", help="run the budgeted protocol")
@@ -346,10 +354,11 @@ def main(argv=None):
     e.set_defaults(func=cmd_evaluate)
 
     s = sub.add_parser("sweep", help="budget x strategy sweep")
-    s.add_argument("--sweep", required=True)
+    s.add_argument("--sweep", required=True,
+                   help="sweep.json; its replications key (default 1) sets the "
+                   "replications per (budget, strategy) cell")
     s.add_argument("--out", required=True)
-    s.add_argument("--reps", type=int, default=None)
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--seed", type=int, default=0, help="master seed of the cells")
     s.set_defaults(func=cmd_sweep)
 
     args = parser.parse_args(argv)

@@ -122,17 +122,16 @@ class BoxMarginal:
 
 @dataclass(frozen=True)
 class LogisticPolicy:
-    """e_obs(x) = sigmoid(sharpness * <weights, phi(x)>)."""
+    """e_obs(x) = sigmoid(<weights, phi(x)>)."""
 
     weights: tuple
-    sharpness: float = 1.0
 
     def __post_init__(self):
-        if not np.all(np.isfinite(np.append(self.weights, self.sharpness))):
-            raise EnvSpecError("logistic policy weights and sharpness must be finite")
+        if not np.all(np.isfinite(self.weights)):
+            raise EnvSpecError("logistic policy weights must be finite")
 
     def propensity(self, phis):
-        return sigmoid(self.sharpness * (phis @ np.asarray(self.weights)))
+        return sigmoid(phis @ np.asarray(self.weights))
 
 
 @dataclass(frozen=True)
@@ -324,10 +323,10 @@ def env_from_json(doc):
     policy = None
     if "obs_policy" in doc:
         pj = doc["obs_policy"]
-        if kind_of(pj, "env.json obs_policy", {"logistic": ("weights", "sharpness?"),
+        if kind_of(pj, "env.json obs_policy", {"logistic": ("weights",),
                                                "threshold": ("direction", "cutoff",
                                                              "leak?")}) == "logistic":
-            policy = LogisticPolicy(tuple(pj["weights"]), pj.get("sharpness", 1.0))
+            policy = LogisticPolicy(tuple(pj["weights"]))
             name, vector = "weights", policy.weights
         else:
             policy = ThresholdPolicy(tuple(pj["direction"]), pj["cutoff"], pj.get("leak", 0.0))

@@ -41,18 +41,13 @@ def pehe_exact_segments(theta_hat, env):
 # Uplift curve / normalized AUUC
 
 
-@dataclass(frozen=True)
-class UpliftCurve:
-    gains: np.ndarray  # f(1..N)
-    auuc_normalized: float
-
-
 class ZeroGlobalLiftError(ValueError):
     """f(N) = 0: the normalized area is undefined."""
 
 
 def uplift_curve(scores, ts, ys):
-    """Cumulative incremental gain at each rank, then the normalized area.
+    """The normalized area sum_k f(k) / (N |f(N)|) under the cumulative
+    incremental gain f(k) at each rank k.
 
     Units are sorted by descending score (ties by position). Ranks where
     either cumulative arm is empty contribute f(k) = 0.
@@ -75,8 +70,7 @@ def uplift_curve(scores, ts, ys):
     f = np.where((nt == 0) | (nc == 0), 0.0, f)
     if f[-1] == 0.0:
         raise ZeroGlobalLiftError("global lift f(N) is zero; AUUC undefined")
-    auuc = float(np.sum(f / abs(f[-1])) / n)
-    return UpliftCurve(gains=f, auuc_normalized=auuc)
+    return float(np.sum(f / abs(f[-1])) / n)
 
 
 def randomized_eval_set(env, n, seed):
@@ -93,7 +87,7 @@ def auuc(theta_hat, env, n, seed):
     of n units drawn at seed; NaN when the holdout's global lift is zero."""
     phis, ts, ys = randomized_eval_set(env, n, seed)
     try:
-        return uplift_curve(phis @ theta_hat, ts, ys).auuc_normalized
+        return uplift_curve(phis @ theta_hat, ts, ys)
     except ZeroGlobalLiftError:
         return float("nan")
 
@@ -127,7 +121,6 @@ def _audit_runs(env, config, n_pool, replications, master_seed):
 class BoundCheckResult:
     replications: int
     violations: int
-    delta: float
     radii: np.ndarray
     betas: np.ndarray
     pehe_values: np.ndarray
@@ -163,15 +156,14 @@ def bound_violation_audit(env, config, n_pool, replications, delta, master_seed=
         pbounds[r] = betas[r] * np.sqrt(max(np.mean(pool_leverage(sol, pool_phis)), 0.0))
     violations = int(np.sum(radii > betas))
     return BoundCheckResult(replications=replications, violations=violations,
-                            delta=delta, radii=radii, betas=betas,
-                            pehe_values=pehes, pehe_bounds=pbounds)
+                            radii=radii, betas=betas, pehe_values=pehes,
+                            pehe_bounds=pbounds)
 
 
 @dataclass(frozen=True)
 class NormalityDiagnostic:
     z_scores: np.ndarray
     ks_statistic: float
-    small_budget_warning: bool
 
 
 def clt_diagnostic(env, config, n_pool, replications, x, master_seed=0):
@@ -193,10 +185,7 @@ def clt_diagnostic(env, config, n_pool, replications, x, master_seed=0):
         b = len(result.stream)
         tau_hat = float(phi @ result.solution.theta_hat)
         zs[r] = np.sqrt(b) * (tau_hat - tau_x) / np.sqrt(se2)
-    ks = ks_distance_normal(zs)
-    small_b = len(result.stream) < 100 * env.feature_map.output_dim
-    return NormalityDiagnostic(z_scores=zs, ks_statistic=ks,
-                               small_budget_warning=small_b)
+    return NormalityDiagnostic(z_scores=zs, ks_statistic=ks_distance_normal(zs))
 
 
 def ks_distance_normal(zs):

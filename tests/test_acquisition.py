@@ -425,7 +425,7 @@ class TestScorePool:
         env = LinearEnv(theta_star=(0.3,), feature_map=fmap, norm_budget=1.0,
                         marginal=SegmentMarginal((0.3, 0.4, 0.3),
                                                  ((-1.0,), (0.0,), (1.0,))))
-        policy = LogisticPolicy(weights=(3.0,), sharpness=2.0)
+        policy = LogisticPolicy(weights=(6.0,))
         pool = sample_pool(env, 60, seed)
         obs = sample_obs(env, policy, env.marginal, 300, seed + 1)
         return env, fmap, pool, obs, policy

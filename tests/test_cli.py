@@ -39,8 +39,7 @@ def write_env(path, n_obs=80, n_pool=150, delta=0.2, with_policy=True):
     }
     if with_policy:
         doc["obs_policy"] = {"kind": "logistic",
-                             "weights": [0.8, -0.8, 0.8, -0.8],
-                             "sharpness": 2.0}
+                             "weights": [1.6, -1.6, 1.6, -1.6]}
         doc["obs_shift"] = {"kind": "tilt",
                             "direction": [1, -1, 1, -1], "strength": 0.5}
     with open(path, "w") as fh:
@@ -102,6 +101,20 @@ class TestGenerate:
         assert main(["generate", "--env", str(env), "--out", str(out)]) == 0
         assert not (out / "obs.jsonl").exists()
 
+    @pytest.mark.parametrize("world", [{"n_obs": 0}, {"with_policy": False}],
+                             ids=["no-log-rows", "no-log-policy"])
+    def test_a_world_without_a_log_removes_an_earlier_log(self, tmp_path, world):
+        """Regenerating into a directory used to leave the earlier world's
+        obs.jsonl behind, and an active run then fit e_obs and o from it."""
+        out = tmp_path / "data"
+        env = write_env(tmp_path / "env.json")
+        assert main(["generate", "--env", str(env), "--out", str(out)]) == 0
+        assert len(read_jsonl(out / "obs.jsonl", "obs")) == 80
+        env = write_env(tmp_path / "env.json", n_pool=40, **world)
+        assert main(["generate", "--env", str(env), "--out", str(out)]) == 0
+        assert not (out / "obs.jsonl").exists()
+        assert len(read_jsonl(out / "pool.jsonl", "pool")) == 40
+
     def test_invalid_spec_rejected(self, tmp_path):
         env = write_env(tmp_path / "env.json", delta=0.6)
         with pytest.raises(EnvSpecError):
@@ -110,9 +123,9 @@ class TestGenerate:
     def test_misspelt_env_key_rejected(self, tmp_path):
         env = write_env(tmp_path / "env.json")
         doc = json.loads(env.read_text())
-        doc["obs_policy"]["sharpnes"] = doc["obs_policy"].pop("sharpness")
+        doc["obs_policy"]["weigths"] = doc["obs_policy"].pop("weights")
         env.write_text(json.dumps(doc))
-        with pytest.raises(ValueError, match="'sharpnes'"):
+        with pytest.raises(ValueError, match="'weigths'"):
             main(["generate", "--env", str(env), "--out", str(tmp_path / "d")])
 
     @pytest.mark.parametrize("block, key, value", [
@@ -170,7 +183,6 @@ class TestGenerate:
         (False, {"S": NAN}, "env.json.env.S"),
         (False, {"S": True}, "env.json.env.S"),
         (False, {"delta": INF}, "env.json.env.delta"),
-        (False, {"sharpness": NAN}, "env.json.obs_policy.sharpness"),
         (True, {"theta_star": [NAN, -0.1]}, "env.json.env.theta_star.0"),
         (True, {"marginal": {"kind": "segments", "probs": [0.5, NAN],
                              "points": [[-1.0, 0.0], [1.0, 0.0]]}},
@@ -179,7 +191,7 @@ class TestGenerate:
                                 "norm_bound": 2.0}}, "env.json.env.feature_map.output_dim"),
         (True, {"cutoff": NAN}, "env.json.obs_policy.cutoff"),
         (True, {"direction": [True, False]}, "env.json.obs_policy.direction.0"),
-    ], ids=["nan-S", "bool-S", "inf-delta", "nan-sharpness", "nan-theta_star",
+    ], ids=["nan-S", "bool-S", "inf-delta", "nan-theta_star",
             "nan-segment-probs", "bool-output_dim", "nan-cutoff", "bool-direction"])
     def test_bool_or_non_finite_number_rejected_before_any_output(self, tmp_path, box,
                                                                   change, path):
@@ -209,6 +221,18 @@ def generated(tmp_path):
     data = tmp_path / "data"
     main(["generate", "--env", str(env), "--out", str(data)])
     return env, data
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "--env", "env.json", "--out", "data", "--seed", "3"],
+    ["sweep", "--sweep", "sweep.json", "--out", "out", "--reps", "2"],
+], ids=["generate-seed", "sweep-reps"])
+def test_a_flag_beside_its_json_key_is_a_usage_error(argv):
+    """generate's seed is env.json's seed and sweep's replications are
+    sweep.json's replications: neither has a flag that overrides it."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
 
 
 class TestRun:
@@ -468,6 +492,20 @@ class TestEvaluate:
                   "--out", str(tmp_path / "eval"), "--n-eval", n_eval])
         assert not (tmp_path / "eval").exists()
 
+    def test_theta_hat_of_another_dimension_rejected_before_any_output(self, tmp_path):
+        """A 3-coordinate theta_hat on the d=4 world used to fail inside a
+        numpy matmul after --out was made."""
+        env = write_env(tmp_path / "env.json")
+        solution = tmp_path / "solution.json"
+        solution.write_text(json.dumps({"theta_hat": [0.1, -0.1, 0.1], "lambda": 1.0,
+                                        "n": 0, "V": [1.0, 0.0, 0.0, 0.0, 1.0, 0.0,
+                                                      0.0, 0.0, 1.0]}))
+        with pytest.raises(ValueError, match="solution.json theta_hat has 3 coordinates; "
+                                             "the env's phi has 4"):
+            main(["evaluate", "--env", str(env), "--solution", str(solution),
+                  "--out", str(tmp_path / "eval"), "--n-eval", "50"])
+        assert not (tmp_path / "eval").exists()
+
     @pytest.mark.parametrize("field, value", [
         ("theta_hat", [float("nan"), 0.0]),
         ("V", [1.0, 0.0, float("nan"), 1.0]),
@@ -525,36 +563,35 @@ class TestSweep:
         with pytest.raises(ValueError, match="unknown key"):
             main(["sweep", "--sweep", str(sweep), "--out", str(tmp_path / "out")])
 
-    @pytest.mark.parametrize("change, argv, with_policy, message", [
-        ({"budgets": [20.0, 40.0, 60.0, 80.0]}, [], True, "positive integers"),
-        ({"budgets": [20.5, 40]}, [], True, "positive integers"),
-        ({"replications": 0}, [], True, "replications must be >= 1"),
-        ({}, ["--reps", "0"], True, "replications must be >= 1"),
-        ({"n_pool": 0}, [], True, "n_pool must be >= 1"),
-        ({"strategies": ["random", "active-ful"]}, [], True, "'active-ful'"),
-        ({"n_obs": 0}, [], True, "need an obs policy"),
-        ({}, [], False, "need an obs policy"),
-        ({"protocol": {"budget": 5}}, [], True, "'budget'"),
-        ({"protocol": {"strategy": "random"}}, [], True, "'strategy'"),
-        ({"protocol": {"weights": {"alpha": 1.0}}}, [], True, "'weights'"),
-        ({"protocol": {"randomization": {"kind": "affine", "weights": [0.1]}}}, [], True,
+    @pytest.mark.parametrize("change, with_policy, message", [
+        ({"budgets": [20.0, 40.0, 60.0, 80.0]}, True, "positive integers"),
+        ({"budgets": [20.5, 40]}, True, "positive integers"),
+        ({"replications": 0}, True, "replications must be >= 1"),
+        ({"n_pool": 0}, True, "n_pool must be >= 1"),
+        ({"strategies": ["random", "active-ful"]}, True, "'active-ful'"),
+        ({"n_obs": 0}, True, "need an obs policy"),
+        ({}, False, "need an obs policy"),
+        ({"protocol": {"budget": 5}}, True, "'budget'"),
+        ({"protocol": {"strategy": "random"}}, True, "'strategy'"),
+        ({"protocol": {"weights": {"alpha": 1.0}}}, True, "'weights'"),
+        ({"protocol": {"randomization": {"kind": "affine", "weights": [0.1]}}}, True,
          "weights has length 1; phi has 4 coordinates"),
-        ({"budgets": [20, 20, 30, 40]}, [], True, "budgets must not repeat"),
-        ({"strategies": ["random", "random"]}, [], True, "strategies must not repeat"),
-        ({"replications": 2.5}, [], True, "replications must be >= 1 and an integer"),
-        ({"n_pool": 100.5}, [], True, "n_pool must be >= 1 and an integer"),
-        ({"n_obs": 50.5}, [], True, "n_obs must be >= 0 and an integer"),
-        ({"budgets": [16, "24"]}, [], True, "positive integers"),
-        ({"protocol": {"f_max": NAN}}, [], True, "protocol.json.f_max must be a finite"),
-        ({"budgets": 100}, [], True, "sweep.json budgets must be a JSON list, got 100"),
-        ({"strategies": "random"}, [], True,
+        ({"budgets": [20, 20, 30, 40]}, True, "budgets must not repeat"),
+        ({"strategies": ["random", "random"]}, True, "strategies must not repeat"),
+        ({"replications": 2.5}, True, "replications must be >= 1 and an integer"),
+        ({"n_pool": 100.5}, True, "n_pool must be >= 1 and an integer"),
+        ({"n_obs": 50.5}, True, "n_obs must be >= 0 and an integer"),
+        ({"budgets": [16, "24"]}, True, "positive integers"),
+        ({"protocol": {"f_max": NAN}}, True, "protocol.json.f_max must be a finite"),
+        ({"budgets": 100}, True, "sweep.json budgets must be a JSON list, got 100"),
+        ({"strategies": "random"}, True,
          "sweep.json strategies must be a JSON list, got 'random'"),
-        ({"protocol": {"estimator_lambda": 0}}, [], True, "estimator_lambda > 0"),
+        ({"protocol": {"estimator_lambda": 0}}, True, "estimator_lambda > 0"),
         ({"budgets": [3, 40], "strategies": ["random"], "protocol": {"estimator_lambda": 0}},
-         [], True, "needs at least d = 4 queries; the smallest cell makes 3"),
+         True, "needs at least d = 4 queries; the smallest cell makes 3"),
         ({"n_pool": 3, "strategies": ["random"], "protocol": {"estimator_lambda": 0}},
-         [], True, "needs at least d = 4 queries; the smallest cell makes 3"),
-    ], ids=["float-budgets", "fractional-budget", "zero-replications", "zero-reps",
+         True, "needs at least d = 4 queries; the smallest cell makes 3"),
+    ], ids=["float-budgets", "fractional-budget", "zero-replications",
             "zero-pool", "unknown-strategy", "no-log-rows", "no-log-policy",
             "protocol-budget", "protocol-strategy", "protocol-weights",
             "short-affine-weights", "repeated-budget", "repeated-strategy",
@@ -563,7 +600,7 @@ class TestSweep:
             "active-at-lambda-0", "random-budget-below-d-at-lambda-0",
             "random-pool-below-d-at-lambda-0"])
     def test_bad_inputs_fail_before_any_cell_runs(self, tmp_path, monkeypatch, change,
-                                                   argv, with_policy, message):
+                                                   with_policy, message):
         cells = []
         monkeypatch.setattr(budgex.cli, "_sweep_cell", cells.append)
         env = write_env(tmp_path / "env.json", with_policy=with_policy)
@@ -571,7 +608,7 @@ class TestSweep:
         sweep.write_text(json.dumps({**json.loads(sweep.read_text()), **change}))
         out = tmp_path / "out"
         with pytest.raises(ValueError, match=message):
-            main(["sweep", "--sweep", str(sweep), "--out", str(out)] + argv)
+            main(["sweep", "--sweep", str(sweep), "--out", str(out)])
         assert cells == [] and not out.exists()
 
     def test_failed_cell_leaves_no_out_directory(self, tmp_path):

@@ -1,5 +1,6 @@
 """Static checks on the source tree: every module-level name in budgex has a
-reader outside the tests, every parameter of a module-level function or of a
+reader outside the tests, every dataclass field has an attribute reader
+outside the tests, every parameter of a module-level function or of a
 top-level class's method is read in its body, and no module imports a name it
 never reads."""
 
@@ -13,6 +14,15 @@ MODULES = [p for p in SRC if p.name != "__init__.py"]  # __init__ only re-export
 # Library API with no reader in the package or the benchmark, and why it stays.
 UNREAD_ALLOWED = {
     "default_hard_delta": "the Delta_B of the sqrt(d/B) minimax floor",
+}
+
+# Dataclass fields with no attribute reader in the package or the benchmark, and why
+# they stay.
+PEHE_BOUND_COLUMN = ("the coverage audit's PEHE-bound columns, pinned by the 8 audit "
+                     "digests; ROADMAP item 10 gives them a sweep reader")
+UNREAD_FIELDS_ALLOWED = {
+    "BoundCheckResult.pehe_values": PEHE_BOUND_COLUMN,
+    "BoundCheckResult.pehe_bounds": PEHE_BOUND_COLUMN,
 }
 
 
@@ -38,12 +48,32 @@ def top_level_names(tree):
             yield node.target.id
 
 
+READERS = SRC + sorted((ROOT / "perfbench").glob("*.py"))
+
+
 def test_every_top_level_name_has_a_reader_outside_the_tests():
-    readers = SRC + sorted((ROOT / "perfbench").glob("*.py"))
-    read = set().union(*(reads(parse(p)) for p in readers))
+    read = set().union(*(reads(parse(p)) for p in READERS))
     unread = {name: p.name for p in MODULES for name in top_level_names(parse(p))
               if name not in read}
     assert set(unread) == set(UNREAD_ALLOWED), unread
+
+
+def dataclass_fields(tree):
+    """Class.field of each annotated field in the body of a @dataclass class."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and any(
+                ast.unparse(d).split("(")[0] == "dataclass" for d in node.decorator_list):
+            yield from (f"{node.name}.{f.target.id}" for f in node.body
+                        if isinstance(f, ast.AnnAssign) and isinstance(f.target, ast.Name))
+
+
+def test_every_dataclass_field_has_an_attribute_reader_outside_the_tests():
+    """A result field that only the tests read is an output no caller uses."""
+    read = {n.attr for p in READERS for n in ast.walk(parse(p))
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    unread = [field for p in MODULES for field in dataclass_fields(parse(p))
+              if field.split(".")[1] not in read]
+    assert sorted(unread) == sorted(UNREAD_FIELDS_ALLOWED), unread
 
 
 def functions(tree):

@@ -426,8 +426,7 @@ class TestEnvJson:
     def segment_doc(self):
         return linear_doc((0.2, 0.1), {"kind": "segments", "probs": [0.4, 0.6],
                                        "points": [[-1.0, 0.0], [1.0, 0.0]]},
-                          obs_policy={"kind": "logistic", "weights": [1.0, 0.0],
-                                      "sharpness": 2.0})
+                          obs_policy={"kind": "logistic", "weights": [2.0, 0.0]})
 
     def hard_doc(self):
         return hard_doc([1, -1], 0.28284271247461906, seed=1, n_obs=10, n_pool=10)
@@ -441,11 +440,14 @@ class TestEnvJson:
         ("segment_doc", "marginal", "prob"),
         ("box_doc", "obs_policy", "leek"),
         ("segment_doc", "obs_policy", "sharpnes"),
+        ("segment_doc", "obs_policy", "sharpness"),
         ("box_doc", "obs_shift", "strenght"),
     ])
     def test_unknown_keys_rejected(self, world, block, key):
         """A misspelt key used to be dropped: "leek" gave leak=0 and a
-        top-level "obs_shfit" gave no covariate shift, without an error."""
+        top-level "obs_shfit" gave no covariate shift, without an error. A
+        logistic log's "sharpness" is folded into its weights, so it is
+        unknown too."""
         doc = getattr(self, world)()
         env_from_json(doc)
         target = doc if block is None else doc[block] if block in doc \
@@ -486,10 +488,10 @@ class TestEnvJson:
                                             "points": [[-1.0, 0.0], [1.0, 0.0]],
                                             "lows": [-1.0, -1.0]}), "lows"),
     (env_from_json, hard_doc([1, -1], 0.3, obs_policy={
-        "kind": "threshold", "direction": [1.0, 0.0], "cutoff": 0.5, "sharpness": 2.0}),
-     "sharpness"),
+        "kind": "threshold", "direction": [1.0, 0.0], "cutoff": 0.5,
+        "weights": [1.0, 0.0]}), "weights"),
 ], ids=["constant-weights", "affine-p", "none-strength", "hard-theta_star",
-        "segments-lows", "threshold-sharpness"])
+        "segments-lows", "threshold-weights"])
 def test_a_key_only_a_sibling_kind_reads_is_rejected(parse, doc, key):
     """Each tagged block used to accept the union of its kinds' keys, so
     {"kind": "none", "strength": 3.0} drew an unshifted log without an error."""
@@ -499,7 +501,7 @@ def test_a_key_only_a_sibling_kind_reads_is_rejected(parse, doc, key):
 
 def parsed_worlds():
     """Parsed (env, policy, obs_marginal) worlds of every feature map and marginal kind."""
-    logistic = {"kind": "logistic", "weights": [1.0, -0.5], "sharpness": 2.0}
+    logistic = {"kind": "logistic", "weights": [2.0, -1.0]}
     affine = {"kind": "affine-projection", "output_dim": 2, "norm_bound": 3.0,
               "weight": [[0.5, 0.2, -0.3], [0.1, -0.4, 0.6]], "offset": [0.1, 0.0]}
     docs = {

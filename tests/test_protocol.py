@@ -74,10 +74,9 @@ class TestConfigValidation:
                           feature_map=FeatureMap("identity", 1, 1.0),
                           marginal=BoxMarginal((-1.0,), (1.0,))),
         lambda: ThresholdPolicy(direction=(1.0,), cutoff=float("nan")),
-        lambda: LogisticPolicy(weights=(1.0, float("nan"))),
-        lambda: LogisticPolicy(weights=(1.0,), sharpness=float("inf"))],
+        lambda: LogisticPolicy(weights=(1.0, float("nan")))],
         ids=["nan-alpha", "inf-beta", "negative-gamma", "nan-S", "inf-S", "nan-cutoff",
-             "nan-logistic-weight", "inf-sharpness"])
+             "nan-logistic-weight"])
     def test_non_finite_or_negative_number_rejected_at_construction(self, make):
         """A NaN weight or S would score or audit with NaN: a NaN score ranks
         anywhere, and a NaN beta makes every violation test false."""
@@ -436,8 +435,7 @@ def box8_logistic_world(seed, n_pool, n_obs):
     fmap = FeatureMap(kind="identity", output_dim=8, norm_bound=np.sqrt(8.0))
     env = LinearEnv(theta_star=(0.05, -0.04, 0.03, -0.02) * 2, feature_map=fmap,
                     norm_budget=0.2, marginal=BoxMarginal((-1.0,) * 8, (1.0,) * 8))
-    policy = LogisticPolicy(weights=(1.0, 0.5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.3),
-                            sharpness=2.0)
+    policy = LogisticPolicy(weights=(2.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.6))
     return (env, sample_pool(env, n_pool, seed),
             sample_obs(env, policy, env.marginal, n_obs, seed + 1))
 
