@@ -126,11 +126,23 @@ def ensemble_variance(labeled_phis, labeled_yts, candidate_phis, lam):
 
 
 def rank_normalize(values):
-    """eta(a_u) = (1/n) * #{a_u' <= a_u}; ties share the <=-count rank."""
+    """eta(a_u) = (1/n) * #{a_u' <= a_u}; ties share the <=-count rank, and
+    every NaN gets rank 1 (NaNs sort last, as one tie run).
+
+    One argsort: a value's count is the end of its tie run in sorted order,
+    so an unstable sort gives the same ranks."""
     v = np.asarray(values, dtype=float)
-    if len(v) == 0:
+    n = len(v)
+    if n == 0:
         raise ValueError("cannot rank an empty pool")
-    return np.searchsorted(np.sort(v), v, side="right") / len(v)
+    order = np.argsort(v)
+    s = v[order]
+    starts = np.zeros(n, dtype=bool)  # where a tie run begins, past the first
+    starts[1:] = (s[1:] != s[:-1]) & (s[:-1] == s[:-1])  # NaN != NaN: one run
+    counts = np.append(np.flatnonzero(starts), n)  # the end of each run
+    ranks = np.empty(n, dtype=np.intp)
+    ranks[order] = counts[np.cumsum(starts)]
+    return ranks / n
 
 
 @dataclass(frozen=True)

@@ -12,15 +12,22 @@ Each command parses its inputs once, into the objects the run uses: the env,
 the log's policy and covariate marginal, and a base ProtocolConfig. Run's
 replications and sweep's cells (in workers too) get those. Each command rejects
 bad inputs, a missing or unknown key, a size below its bound, a JSON bool or
-non-finite number, a config that protocol.check_config rejects and a sweep
-cell at estimator_lambda 0 with fewer than d queries, before any output is
-made. The engine opens no file: run writes a replication's files once its run
-has returned, its score tables in one protocol._dump_scores call, and sweep's
+non-finite number, a config that protocol.check_config rejects, a sweep cell
+at estimator_lambda 0 with fewer than d queries and, in generate, an n_obs > 0
+or an obs_shift without an obs_policy, before any output is made. The
+engine opens no file: run writes a replication's files once its run has
+returned, its score tables in one protocol._dump_scores call, and sweep's
 cells, drawn through metrics.replicate, return numbers that sweep writes once
 the last one has returned. All outputs but run's wall-clock timing.json, which
 times the run alone, are byte-deterministic given identical configs and master
 seed.
-BUDGEX_THREADS caps worker parallelism for sweeps (default 1).
+
+Run writes a replication's score dumps on the CPUs in the process's affinity
+mask: protocol._dump_scores forks a child per extra CPU, up to one per round.
+BUDGEX_THREADS caps worker parallelism for sweeps only (default 1); sweep's
+workers are forked too. Caveat, unverified on the Python 3.11 this was
+measured on: Python >= 3.12 warns (DeprecationWarning) when a process that
+runs threads, such as OpenBLAS's, forks.
 """
 
 import argparse
@@ -39,7 +46,8 @@ import numpy as np
 from ._rng import derive_seed, rng_for
 from .acquisition import AcquisitionWeights
 from .core import finite_numbers, read_jsonl, write_jsonl
-from .envs import SegmentMarginal, kind_of, known_keys, load_env, sample_obs, sample_pool
+from .envs import (EnvSpecError, SegmentMarginal, kind_of, known_keys, load_env,
+                   sample_obs, sample_pool)
 from .estimator import solution_to_json, solution_from_json
 from .metrics import auuc, pehe, pehe_exact_segments, replicate
 from .protocol import (DEFAULT_BOUNDS, AffinePolicy, ConstantPolicy, ProtocolConfig,
@@ -118,12 +126,15 @@ def cmd_generate(args):
     env, policy, obs_marginal, doc = load_env(args.env)
     n_pool, n_obs = doc.get("n_pool", 1000), doc.get("n_obs", 0)
     _check_sizes("env.json", ("n_pool", n_pool, 1), ("n_obs", n_obs, 0))
+    if policy is None and (n_obs > 0 or "obs_shift" in doc):
+        key = f"n_obs {n_obs}" if n_obs > 0 else "obs_shift"
+        raise EnvSpecError(f"env.json {key} needs an obs_policy to draw the log")
     os.makedirs(args.out, exist_ok=True)
     seed = doc.get("seed", 0)
     pool = sample_pool(env, n_pool, seed)
     write_jsonl(os.path.join(args.out, "pool.jsonl"), pool)
     obs_path = os.path.join(args.out, "obs.jsonl")
-    if policy is not None and n_obs > 0:
+    if n_obs > 0:
         write_jsonl(obs_path, sample_obs(env, policy, obs_marginal, n_obs, seed))
     elif os.path.exists(obs_path):  # an earlier world's log: run would read it
         os.remove(obs_path)

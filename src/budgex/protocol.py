@@ -13,8 +13,9 @@ it returns the stream, the fit and the score tables to its caller.
 """
 
 import os
+import sys
+import traceback
 from dataclasses import dataclass
-from itertools import compress
 from operator import index
 
 import numpy as np
@@ -247,6 +248,40 @@ def _rank_texts(eta, grid, grid_texts):
     return texts.tolist()
 
 
+def _distinct_texts(columns, fmt):
+    """fmt of each value of each column, called once per distinct value by its
+    bits (so -0.0 is not 0.0): one list of texts per column."""
+    values = np.concatenate(columns)
+    keys, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    texts = np.array(list(map(fmt, keys.view(values.dtype).tolist())), dtype=object)
+    return [part.tolist() for part in
+            np.split(texts[inverse], np.cumsum([len(c) for c in columns[:-1]]))]
+
+
+def _write_rounds(out_dir, tables, picks, ks):
+    """Write rounds ks (from 0) of a run's score dump, as _dump_scores does."""
+    rounds = [tables[k] for k in ks]
+    id_texts = _distinct_texts([table["id"] for table in rounds], str)
+    o_texts = _distinct_texts([table["o"] for table in rounds], repr)
+    for k, table, ids, o in zip(ks, rounds, id_texts, o_texts):
+        n = len(table)
+        grid = np.arange(n + 1) / max(n, 1)
+        grid_texts = np.array(list(map(repr, grid.tolist())), dtype=object)
+        # repr of Python floats: repr of a numpy float would change the bytes
+        columns = [ids]
+        for name in table.dtype.names[1:]:
+            if name.startswith("eta_"):
+                columns.append(_rank_texts(table[name], grid, grid_texts))
+            elif name == "o":
+                columns.append(o)
+            else:
+                columns.append(map(repr, table[name].tolist()))
+        columns.append(np.where(np.isin(table["id"], picks[k]), "1\r\n", "0\r\n").tolist())
+        with open(os.path.join(out_dir, f"scores_round_{k + 1}.csv"), "w", newline="") as fh:
+            fh.writelines([",".join(table.dtype.names + ("selected",)) + "\r\n",
+                           *map(",".join, zip(*columns))])
+
+
 def _dump_scores(out_dir, tables, picks):
     """Write a run's score tables, round k as scores_round_<k>.csv (k from 1),
     the ids in picks[k - 1] flagged selected.
@@ -255,28 +290,44 @@ def _dump_scores(out_dir, tables, picks):
     (no field needs quoting; each row ends in "\r\n"). Each text is repr's,
     but a repr is made once where the run repeats a value: a round of n rows
     formats the n + 1 ranks k/n once and gives an eta value the text of the
-    rank whose bits it has; a unit's o is fixed for the run, so each distinct
-    o (by its bits, so -0.0 is not 0.0) is formatted once per run. Every other
-    value is formatted by its own repr.
+    rank whose bits it has, and each process formats each distinct id and
+    each distinct o (by its bits, so -0.0 is not 0.0) of its rounds once.
+    Every other value is formatted by its own repr.
+
+    The rounds are split over W = min(number of rounds, CPUs in this
+    process's affinity mask) processes: W - 1 children made by os.fork write
+    rounds w, w + W, ... (w = 1 .. W - 1, from 0) and this process writes
+    rounds 0, W, ....  W = 1 (one round, one CPU, or no os.fork or
+    os.sched_getaffinity) writes every round here. No file's bytes depend on
+    W. A child that fails prints its traceback to stderr and exits nonzero;
+    every child is reaped before this returns or raises, and then OSError
+    names the rounds of the children that failed, unless this process's own
+    share raised first.
     """
-    o_texts = {}
-    for k, (table, selected_ids) in enumerate(zip(tables, picks), 1):
-        n = len(table)
-        grid = np.arange(n + 1) / max(n, 1)
-        grid_texts = np.array(list(map(repr, grid.tolist())), dtype=object)
-        o_keys = table["o"].view(np.int64).tolist()
-        new = [key not in o_texts for key in o_keys]
-        o_texts.update(zip(compress(o_keys, new), map(repr, compress(table["o"].tolist(), new))))
-        # repr of Python floats: repr of a numpy float would change the bytes
-        columns = [map(str, table["id"].tolist())]
-        for name in table.dtype.names[1:]:
-            if name.startswith("eta_"):
-                columns.append(_rank_texts(table[name], grid, grid_texts))
-            elif name == "o":
-                columns.append(map(o_texts.__getitem__, o_keys))
-            else:
-                columns.append(map(repr, table[name].tolist()))
-        columns.append(np.where(np.isin(table["id"], selected_ids), "1\r\n", "0\r\n").tolist())
-        with open(os.path.join(out_dir, f"scores_round_{k}.csv"), "w", newline="") as fh:
-            fh.writelines([",".join(table.dtype.names + ("selected",)) + "\r\n",
-                           *map(",".join, zip(*columns))])
+    if not tables:
+        return
+    cpus = len(os.sched_getaffinity(0)) \
+        if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") else 1
+    workers = min(len(tables), cpus)
+    shares = [range(w, len(tables), workers) for w in range(workers)]
+    children = {}
+    try:
+        for share in shares[1:]:
+            pid = os.fork()
+            if pid == 0:  # the child leaves through os._exit, never by returning
+                status = 1
+                try:
+                    _write_rounds(out_dir, tables, picks, share)
+                    status = 0
+                except BaseException:
+                    traceback.print_exc()
+                    sys.stderr.flush()
+                finally:
+                    os._exit(status)
+            children[pid] = share
+        _write_rounds(out_dir, tables, picks, shares[0])
+    finally:
+        failed = [k + 1 for pid, share in children.items() if os.waitpid(pid, 0)[1]
+                  for k in share]
+    if failed:
+        raise OSError(f"writing the score dumps of rounds {sorted(failed)} failed")

@@ -342,11 +342,17 @@ class TestRankNormalize:
             rank_normalize([])
 
     @settings(max_examples=200, deadline=None)
-    @given(st.lists(st.one_of(st.sampled_from([-1.0, -0.0, 0.0, 2.5]),
-                              st.floats(allow_nan=False)), min_size=1, max_size=30))
+    @given(st.lists(st.one_of(st.sampled_from([-1.0, -0.0, 0.0, 2.5, np.nan, np.inf, -np.inf]),
+                              st.floats()), min_size=1, max_size=30))
     def test_monotone_and_tied_values_share_one_rank(self, values):
+        """The bits of the <=-count over the sorted values, NaNs (sorted
+        last) included: every NaN gets rank 1."""
         v = np.array(values)
         eta = rank_normalize(v)
+        counted = np.searchsorted(np.sort(v), v, side="right") / len(v)
+        np.testing.assert_array_equal(eta.view(np.int64), counted.view(np.int64))
+        if np.isnan(v).any():
+            return
         pairs = eta[:, None], eta[None, :]
         assert np.all((pairs[0] < pairs[1])[v[:, None] < v[None, :]])
         assert np.all((pairs[0] == pairs[1])[v[:, None] == v[None, :]])

@@ -96,12 +96,27 @@ class TestGenerate:
         assert manifest["seed"] == 3 and "env_spec_sha256" in manifest
 
     def test_no_policy_means_no_obs_file(self, tmp_path):
-        env = write_env(tmp_path / "env.json", with_policy=False)
+        env = write_env(tmp_path / "env.json", n_obs=0, with_policy=False)
         out = tmp_path / "data"
         assert main(["generate", "--env", str(env), "--out", str(out)]) == 0
         assert not (out / "obs.jsonl").exists()
 
-    @pytest.mark.parametrize("world", [{"n_obs": 0}, {"with_policy": False}],
+    @pytest.mark.parametrize("key, n_obs", [("n_obs", 80), ("obs_shift", 0)])
+    def test_a_log_without_a_policy_rejected_before_any_output(self, tmp_path, key, n_obs):
+        """A log's size or shift without the policy to draw it used to be
+        ignored: generate exited 0 and wrote no log."""
+        env = write_env(tmp_path / "env.json", n_obs=n_obs)
+        doc = json.loads(env.read_text())
+        del doc["obs_policy"]
+        if key == "n_obs":
+            del doc["obs_shift"]
+        env.write_text(json.dumps(doc))
+        out = tmp_path / "data"
+        with pytest.raises(EnvSpecError, match=f"{key}.*obs_policy"):
+            main(["generate", "--env", str(env), "--out", str(out)])
+        assert not out.exists()
+
+    @pytest.mark.parametrize("world", [{"n_obs": 0}, {"n_obs": 0, "with_policy": False}],
                              ids=["no-log-rows", "no-log-policy"])
     def test_a_world_without_a_log_removes_an_earlier_log(self, tmp_path, world):
         """Regenerating into a directory used to leave the earlier world's

@@ -6,7 +6,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 from scipy import stats
 
 from budgex.acquisition import (SCORE_DTYPE, AcquisitionWeights, fit_propensity,
@@ -595,13 +595,22 @@ def assert_dumps_match_reference(out, tables, picks):
             assert dumped == fh.read(), f"round {k}"
 
 
+@pytest.fixture(params=[{0}, {0, 1}], ids=["1-cpu", "2-cpus"])
+def affinity(request, monkeypatch):
+    """The CPUs _dump_scores may use: one writes every round in this process,
+    two fork a child that writes every second round."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: request.param)
+
+
 class TestRunScoreDump:
     """A run's dumps reuse the text of a rank within a round and of a unit's
-    o across rounds; the bytes are the row-wise writer's all the same."""
+    o across rounds, and split the rounds over the CPUs; the bytes are the
+    row-wise writer's all the same."""
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(dumped_runs())
-    def test_multi_round_bytes_match_the_row_wise_writer(self, run):
+    def test_multi_round_bytes_match_the_row_wise_writer(self, affinity, run):
         tables, picks = run
         with tempfile.TemporaryDirectory() as out:
             _dump_scores(out, tables, picks)
@@ -609,7 +618,7 @@ class TestRunScoreDump:
                 [f"scores_round_{k}.csv" for k in range(1, len(tables) + 1)]
             assert_dumps_match_reference(out, tables, picks)
 
-    def test_active_box_run_dumps_match_the_row_wise_writer(self, tmp_path):
+    def test_active_box_run_dumps_match_the_row_wise_writer(self, affinity, tmp_path):
         """The golden active box run's sizes (pool 400, log 200, B=60, M=20),
         where every eta value is its round's k/n."""
         env, policy, obs_marginal = env_from_json({
@@ -630,3 +639,17 @@ class TestRunScoreDump:
         _write_scores(tmp_path, result)
         picks = np.split(result.unit_ids, [20, 40])
         assert_dumps_match_reference(tmp_path, result.scores, picks)
+
+    @pytest.mark.parametrize("k, message", [(1, "scores_round_1.csv"), (2, r"rounds \[2\]")],
+                             ids=["parent-share", "child-share"])
+    def test_a_failed_round_raises_and_leaves_no_child(self, tmp_path, monkeypatch, k,
+                                                       message):
+        """With two CPUs, round 1 is this process's and round 2 a forked
+        child's; either one failing raises OSError once the child is reaped."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        tables = [np.zeros(3, dtype=SCORE_DTYPE), np.zeros(2, dtype=SCORE_DTYPE)]
+        (tmp_path / f"scores_round_{k}.csv").mkdir()
+        with pytest.raises(OSError, match=message):
+            _dump_scores(tmp_path, tables, [np.zeros(1, dtype=np.int64)] * 2)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
