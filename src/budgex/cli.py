@@ -6,19 +6,24 @@ Subcommands:
   run       env.json + protocol.json -> rct.jsonl, scores_round_<k>.csv, solution.json
   evaluate  env.json + solution.json -> metrics.csv, summary.json
   sweep     sweep.json -> one metrics row per (budget, strategy, replication), for
-            sweep.json's replications (default 1) at --seed
+            sweep.json's replications (default 1) at --seed: one run per
+            (strategy, replication) at the largest budget, refitted at each
+            budget, at a seed that every strategy and budget of the
+            replication shares
 
 Each command parses its inputs once, into the objects the run uses: the env,
 the log's policy and covariate marginal, and a base ProtocolConfig. Run's
-replications and sweep's cells (in workers too) get those. Each command rejects
+replications and sweep's runs (in workers too) get those. Each command rejects
 bad inputs, a missing or unknown key, a size below its bound, a JSON bool or
 non-finite number, a config that protocol.check_config rejects, a sweep cell
-at estimator_lambda 0 with fewer than d queries and, in generate, an n_obs > 0
-or an obs_shift without an obs_policy, before any output is made. The
-engine opens no file: run writes a replication's files once its run has
-returned, its score tables in one protocol._dump_scores call, and sweep's
-cells, drawn through metrics.replicate, return numbers that sweep writes once
-the last one has returned. All outputs but run's wall-clock timing.json, which
+at estimator_lambda 0 with fewer than d queries, a sweep size (n_pool, n_obs)
+that sweep.json and env.json set apart (one set in env.json alone is the
+sweep's) and, in generate, an n_obs > 0 or an obs_shift without an
+obs_policy, before any output is made. The engine opens no file: run writes a
+replication's files once its run has returned, its score tables in one
+protocol._dump_scores call, and sweep's runs, drawn through
+metrics.replicate, return numbers that sweep writes once the last one has
+returned. All outputs but run's wall-clock timing.json, which
 times the run alone, are byte-deterministic given identical configs and master
 seed.
 
@@ -37,7 +42,6 @@ import json
 import os
 import sys
 import time
-import zlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
@@ -48,7 +52,7 @@ from .acquisition import AcquisitionWeights
 from .core import finite_numbers, read_jsonl, write_jsonl
 from .envs import (EnvSpecError, SegmentMarginal, kind_of, known_keys, load_env,
                    sample_obs, sample_pool)
-from .estimator import solution_to_json, solution_from_json
+from .estimator import fit_ridge_arrays, solution_to_json, solution_from_json
 from .metrics import auuc, pehe, pehe_exact_segments, replicate
 from .protocol import (DEFAULT_BOUNDS, AffinePolicy, ConstantPolicy, ProtocolConfig,
                        _dump_scores, check_config, run_protocol)
@@ -228,29 +232,67 @@ def cmd_evaluate(args):
 # sweep
 
 
-def _sweep_cell(payload):
-    """One (budget, strategy, replication) cell's seed, PEHE, AUUC and
-    lambda_min/B, as Python numbers; a pure function of its inputs."""
-    (env, policy, obs_marginal, base, budget, strategy, rep, master_seed, n_pool,
-     n_obs) = payload
-    seed = derive_seed(master_seed, budget,
-                       zlib.crc32(strategy.encode()) & 0xFFFF, rep)
-    weights = STRATEGIES[strategy]
-    cfg = replace(base, budget=budget, seed=seed,
-                  strategy="random" if weights is None else "active",
-                  weights=base.weights if weights is None else weights)
-    result = replicate(env, policy, obs_marginal, cfg, n_pool, n_obs)
-    theta_hat = result.solution.theta_hat
+def _sweep_cell(env, result, n, lam, seed):
+    """One (budget, strategy, replication) cell's PEHE, AUUC and lambda_min/n,
+    as Python numbers, from the ridge refit on a finished run's first n stream
+    rows; a pure function of its inputs. A continuous world's PEHE is over the
+    4,000 x that rng_for(seed, 0x6576) draws and the AUUC holdout is drawn at
+    seed: a replication's cells share both."""
+    solution = fit_ridge_arrays(result.phis[:n], result.yts[:n], lam)
+    theta_hat = solution.theta_hat
     if isinstance(env.marginal, SegmentMarginal):
         pehe_val = pehe_exact_segments(theta_hat, env)
     else:
         eval_xs = env.sample_x(4000, rng_for(seed, 0x6576))
         pehe_val = pehe(theta_hat, env, env.feature_map.apply_many(eval_xs))
-    auuc_val = auuc(theta_hat, env, 4000, derive_seed(master_seed, budget, rep))
-    b_used = max(len(result.stream), 1)
-    v0 = result.solution.V - result.solution.lam * np.eye(env.feature_map.output_dim)
-    min_eig = float(np.linalg.eigvalsh(v0).min() / b_used)
-    return seed, pehe_val, auuc_val, min_eig
+    v0 = solution.V - lam * np.eye(len(theta_hat))
+    return (pehe_val, auuc(theta_hat, env, 4000, seed),
+            float(np.linalg.eigvalsh(v0).min() / n))
+
+
+def _sweep_replication(payload):
+    """The cells of one (strategy, replication), one per budget in budgets'
+    order, from one run at the largest budget and config's seed.
+
+    A round reads only the stream so far, so at one seed the run at a budget
+    whose n = min(budget, n_pool) queries fill whole max_batch rounds is the
+    largest run's first n rows: its cell is the refit on that prefix. Any
+    other budget but the largest ends on a partial round, whose random picks
+    are no prefix of a full round's: it gets a run of its own at that seed.
+    """
+    env, policy, obs_marginal, config, budgets, n_pool, n_obs = payload
+
+    def run(budget):
+        return replicate(env, policy, obs_marginal, replace(config, budget=budget),
+                         n_pool, n_obs)
+
+    longest = run(max(budgets))
+    cells = []
+    for budget in budgets:
+        n = min(budget, n_pool)
+        on_prefix = n == len(longest.stream) or n % config.max_batch == 0
+        cells.append(_sweep_cell(env, longest if on_prefix else run(budget), n,
+                                 config.estimator_lambda, config.seed))
+    return cells
+
+
+def _sweep_sizes(sdoc, edoc, budgets):
+    """n_pool and n_obs: sweep.json's, else env.json's, else 2 * max(budgets)
+    and 2000. A size both files set to different values is a ValueError."""
+    sizes = {"n_pool": max(budgets) * 2, "n_obs": 2000}
+    for key in sizes:
+        if key in sdoc and key in edoc and sdoc[key] != edoc[key]:
+            raise ValueError(f"sweep.json {key} {sdoc[key]!r} differs from env.json "
+                             f"{key} {edoc[key]!r}; set it in one file")
+        sizes[key] = sdoc.get(key, edoc.get(key, sizes[key]))
+    return sizes["n_pool"], sizes["n_obs"]
+
+
+def _paired_mean(diffs):
+    """The mean of per-replication differences and its standard error, None
+    for a single replication."""
+    se = float(np.std(diffs, ddof=1) / np.sqrt(len(diffs))) if len(diffs) > 1 else None
+    return {"mean": float(np.mean(diffs)), "se": se}
 
 
 def cmd_sweep(args):
@@ -260,7 +302,7 @@ def cmd_sweep(args):
     for key in ("budgets", "strategies"):
         if type(sdoc[key]) is not list:
             raise ValueError(f"sweep.json {key} must be a JSON list, got {sdoc[key]!r}")
-    env, policy, obs_marginal, _ = load_env(sdoc["env"])
+    env, policy, obs_marginal, edoc = load_env(sdoc["env"])
     pdoc = sdoc.get("protocol", {})
     per_cell = sorted({"budget", "strategy", "weights"} & set(pdoc))
     if per_cell:
@@ -274,8 +316,7 @@ def cmd_sweep(args):
         return 2
     if not all(type(b) is int and b > 0 for b in budgets):
         raise ValueError(f"sweep budgets must be positive integers, got {budgets}")
-    n_pool = sdoc.get("n_pool", max(budgets) * 2)
-    n_obs = sdoc.get("n_obs", 2000)
+    n_pool, n_obs = _sweep_sizes(sdoc, edoc, budgets)
     _check_sizes("sweep", ("replications", reps, 1), ("n_pool", n_pool, 1),
                  ("n_obs", n_obs, 0))
     unknown = [s for s in strategies if s not in STRATEGIES]
@@ -294,16 +335,24 @@ def cmd_sweep(args):
         raise ValueError(f"estimator_lambda 0 fits least squares, which needs at least "
                          f"d = {d} queries; the smallest cell makes {queries}")
 
-    grid = [(b, s, r) for b in budgets for s in strategies for r in range(reps)]
-    payloads = [(env, policy, obs_marginal, base, *cell, args.seed, n_pool, n_obs)
-                for cell in grid]
+    # one run per (strategy, replication), at a seed every strategy shares
+    seeds = [derive_seed(args.seed, 0x737765, r) for r in range(reps)]
+    runs = [(s, r) for s in strategies for r in range(reps)]
+    payloads = []
+    for s, r in runs:
+        weights = STRATEGIES[s]
+        config = replace(base, seed=seeds[r],
+                         strategy="random" if weights is None else "active",
+                         weights=base.weights if weights is None else weights)
+        payloads.append((env, policy, obs_marginal, config, budgets, n_pool, n_obs))
     workers = int(os.environ.get("BUDGEX_THREADS", "1"))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as ex:
-            cells = list(ex.map(_sweep_cell, payloads))
+            cells = dict(zip(runs, ex.map(_sweep_replication, payloads)))
     else:
-        cells = [_sweep_cell(p) for p in payloads]
-    rows = [(*cell, *numbers) for cell, numbers in zip(grid, cells)]
+        cells = {run: _sweep_replication(p) for run, p in zip(runs, payloads)}
+    rows = [(b, s, r, seeds[r], *cells[s, r][i])
+            for i, b in enumerate(budgets) for s in strategies for r in range(reps)]
 
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "metrics.csv"), "w", newline="") as fh:
@@ -311,7 +360,8 @@ def cmd_sweep(args):
         w.writerow(METRIC_COLUMNS)
         w.writerows((*r[:4], *map(repr, r[4:])) for r in rows)
 
-    summary = {"cells": {}, "slopes": {}}
+    pehes = {r[:3]: r[4] for r in rows}
+    summary = {"cells": {}, "slopes": {}, "pehe_minus_random": {}}
     for s in strategies:
         per_budget = {}
         for b in budgets:
@@ -324,6 +374,10 @@ def cmd_sweep(args):
             mp = [per_budget[str(b)]["mean_pehe"] for b in mb]
             slope, intercept = np.polyfit(np.log(mb), np.log(mp), 1)
             summary["slopes"][s] = {"slope": float(slope), "intercept": float(intercept)}
+        if s != "random" and "random" in strategies:
+            summary["pehe_minus_random"][s] = {str(b): _paired_mean(
+                [pehes[b, s, r] - pehes[b, "random", r] for r in range(reps)])
+                for b in budgets}
     _write_json(os.path.join(args.out, "summary.json"), summary)
     _write_json(os.path.join(args.out, "manifest.json"), {
         "sweep_sha256": _sha256_file(args.sweep),
@@ -367,9 +421,11 @@ def main(argv=None):
     s = sub.add_parser("sweep", help="budget x strategy sweep")
     s.add_argument("--sweep", required=True,
                    help="sweep.json; its replications key (default 1) sets the "
-                   "replications per (budget, strategy) cell")
+                   "replications, each one run per strategy at a seed that every "
+                   "strategy and budget of the replication shares")
     s.add_argument("--out", required=True)
-    s.add_argument("--seed", type=int, default=0, help="master seed of the cells")
+    s.add_argument("--seed", type=int, default=0,
+                   help="master seed of the replications")
     s.set_defaults(func=cmd_sweep)
 
     args = parser.parse_args(argv)

@@ -125,9 +125,11 @@ class PropensityBounds:
 class Pool:
     """Unlabeled target units: distinct int64 ids and an (n, k) covariate array.
 
-    A unit's id is not its position: a run holds the pool in unit-id order
-    and selects positions in that order, while records and the per-unit random
-    streams use ids. Both arrays are read-only copies.
+    Both arrays are read-only copies held in unit-id order, each x beside its
+    own id, whatever the order they were given in: float sums and BLAS kernels
+    round by row position, and ranks turn those last-digit differences into
+    picks. A unit's id is not its position: a run selects positions, while
+    records and the per-unit random streams use ids.
     """
 
     ids: np.ndarray
@@ -135,10 +137,12 @@ class Pool:
 
     def __post_init__(self):
         ids = _exact_int64(self.ids, "pool unit ids")
-        ordered = np.sort(ids)
-        if np.any(ordered[1:] == ordered[:-1]):
+        order = np.argsort(ids, kind="stable")
+        xs = _rows_of(self.xs, ids, order)
+        ids = ids[order]
+        if np.any(ids[1:] == ids[:-1]):
             raise ValueError("pool unit ids must be distinct")
-        _freeze(self, ids=ids, xs=_rows_of(self.xs, ids))
+        _freeze(self, ids=ids, xs=xs)
 
     def __len__(self):
         return len(self.ids)
@@ -203,12 +207,13 @@ def _exact_int64(values, name):
     return ints
 
 
-def _rows_of(xs, column):
-    """xs as an (n, k) float array with one row per entry of column."""
-    xs = np.array(xs, dtype=float)
+def _rows_of(xs, column, order=None):
+    """A copy of xs as an (n, k) float array with one row per entry of column,
+    its rows gathered in order when one is given."""
+    xs = np.asarray(xs, dtype=float)
     if xs.ndim != 2 or len(xs) != len(column):
         raise ValueError(f"need xs of shape ({len(column)}, k), got {xs.shape}")
-    return xs
+    return xs.copy() if order is None else xs.take(order, axis=0)
 
 
 def _freeze(obj, **arrays):

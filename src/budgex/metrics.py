@@ -5,8 +5,10 @@ deviation-bound coverage audits and martingale-CLT normality diagnostics, all
 in phi: each sample is mapped once, and theta_hat and theta* read its rows.
 The log-log budget scaling slope is fitted by `budgex sweep`'s summary.
 `replicate` is the one place a replication is drawn (pool at derive_seed(seed,
-0x706C), log at derive_seed(seed, 0x6F62) for active runs only): sweep cells
-call it at their cell seed, the audits at derive_seed(master_seed, 0x726570, r).
+0x706C), log at derive_seed(seed, 0x6F62) for active runs only): a sweep calls
+it once per (strategy, replication) at the replication's seed
+derive_seed(master_seed, 0x737765, r), the audits at
+derive_seed(master_seed, 0x726570, r).
 """
 
 import math

@@ -186,9 +186,9 @@ def check_config(config, env):
 def run_protocol(config, env, pool_units, obs=None):
     """Run the budget loop on a Pool end to end and fit the final estimator.
 
-    check_config rejects a config that cannot run on env before round 1. The
-    pool is held in unit-id order, so the units picked and their draws do not
-    depend on the order of its rows. The schedule is fixed before round 1:
+    check_config rejects a config that cannot run on env before round 1. A
+    Pool holds its units in unit-id order, so the units picked and their draws
+    do not depend on the order of its rows. The schedule is fixed before round 1:
     n = min(budget, pool size) queries in batch_sizes [M, ..., M, r]
     (M = max_batch), so a budget above the pool size exhausts it. The stream is
     kept as pool positions plus phi rows, draws and Y~; its xs and unit ids are
@@ -203,10 +203,7 @@ def run_protocol(config, env, pool_units, obs=None):
     fit is the ridge on the stream's IPW pseudo-outcomes, whatever the strategy.
     """
     check_config(config, env)
-    # in unit-id order: float sums and BLAS kernels round by row position, and
-    # ranks turn those last-digit differences into picks
-    order = np.argsort(pool_units.ids, kind="stable")
-    ids, xs = pool_units.ids[order], pool_units.xs.take(order, axis=0)
+    ids, xs = pool_units.ids, pool_units.xs
     fmap = env.feature_map
     pool_phis = fmap.apply_many(xs)
     n, m = min(config.budget, len(ids)), config.max_batch

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 import budgex
@@ -25,6 +26,7 @@ NAN, INF = float("nan"), float("inf")
 
 
 def write_env(path, n_obs=80, n_pool=150, delta=0.2, with_policy=True):
+    """A 4-segment hard world; a size given as None is left out of env.json."""
     doc = {
         "seed": 3,
         "n_obs": n_obs,
@@ -37,6 +39,7 @@ def write_env(path, n_obs=80, n_pool=150, delta=0.2, with_policy=True):
             "S": 0.4,
         },
     }
+    doc = {key: value for key, value in doc.items() if value is not None}
     if with_policy:
         doc["obs_policy"] = {"kind": "logistic",
                              "weights": [1.6, -1.6, 1.6, -1.6]}
@@ -47,10 +50,10 @@ def write_env(path, n_obs=80, n_pool=150, delta=0.2, with_policy=True):
     return path
 
 
-def write_box_env(path, obs_shift=None):
+def write_box_env(path, obs_shift=None, n_pool=50):
     """A 2-d identity world on the box [-1, 1]^2 with a threshold log."""
     doc = {
-        "seed": 3, "n_obs": 50, "n_pool": 50,
+        "seed": 3, "n_obs": 50, "n_pool": n_pool,
         "env": {"kind": "linear", "theta_star": [0.1, -0.1], "S": 0.2,
                 "baseline_intercept": 0.5, "baseline_weights": [0.0, 0.0],
                 "feature_map": {"kind": "identity", "output_dim": 2, "norm_bound": 2.0},
@@ -540,6 +543,11 @@ class TestEvaluate:
 
 
 class TestSweep:
+    @staticmethod
+    def write_env(path, **kwargs):
+        """A world that leaves the sizes to sweep.json."""
+        return write_env(path, n_obs=None, n_pool=None, **kwargs)
+
     def write_sweep(self, tmp_path, env):
         sweep = tmp_path / "sweep.json"
         with open(sweep, "w") as fh:
@@ -550,7 +558,7 @@ class TestSweep:
         return sweep
 
     def test_grid_cardinality_and_manifest(self, tmp_path):
-        env = write_env(tmp_path / "env.json")
+        env = self.write_env(tmp_path / "env.json")
         sweep = self.write_sweep(tmp_path, env)
         out = tmp_path / "sweep_out"
         assert main(["sweep", "--sweep", str(sweep), "--out", str(out),
@@ -568,10 +576,40 @@ class TestSweep:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["master_seed"] == 11 and manifest["replications"] == 3
 
+    @pytest.mark.parametrize("reps", [1, 3])
+    def test_summary_pairs_each_strategy_with_random(self, tmp_path, reps):
+        """Per (strategy, budget), the mean of the replications' PEHE minus
+        random's PEHE at the same replication, and its standard error: null,
+        not NaN, at one replication."""
+        sweep = self.write_sweep(tmp_path, self.write_env(tmp_path / "env.json"))
+        sweep.write_text(json.dumps({**json.loads(sweep.read_text()), "replications": reps}))
+        out = tmp_path / "out"
+        assert main(["sweep", "--sweep", str(sweep), "--out", str(out), "--seed", "5"]) == 0
+        with open(out / "metrics.csv") as fh:
+            pehe_of = {(r["budget"], r["strategy"], r["replication"]): float(r["pehe"])
+                       for r in csv.DictReader(fh)}
+        text = (out / "summary.json").read_text()
+        assert "NaN" not in text
+        paired = json.loads(text)["pehe_minus_random"]
+        assert list(paired) == ["active-full"]
+        for budget in ("40", "80"):
+            diffs = [pehe_of[budget, "active-full", str(r)] - pehe_of[budget, "random", str(r)]
+                     for r in range(reps)]
+            se = None if reps == 1 else float(np.std(diffs, ddof=1) / np.sqrt(reps))
+            assert paired["active-full"][budget] == {"mean": float(np.mean(diffs)), "se": se}
+
+    def test_summary_without_random_pairs_nothing(self, tmp_path):
+        sweep = self.write_sweep(tmp_path, self.write_env(tmp_path / "env.json"))
+        sweep.write_text(json.dumps({**json.loads(sweep.read_text()),
+                                     "strategies": ["active-full", "active-d-only"]}))
+        assert main(["sweep", "--sweep", str(sweep), "--out", str(tmp_path / "out")]) == 0
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["pehe_minus_random"] == {}
+
     @pytest.mark.parametrize("typo", [{"replication": 2},
                                       {"protocol": {"max_bach": 20}}])
     def test_unknown_keys_rejected(self, tmp_path, typo):
-        env = write_env(tmp_path / "env.json")
+        env = self.write_env(tmp_path / "env.json")
         sweep = tmp_path / "sweep.json"
         sweep.write_text(json.dumps({"env": str(env), "budgets": [40],
                                      "strategies": ["random"], **typo}))
@@ -617,8 +655,8 @@ class TestSweep:
     def test_bad_inputs_fail_before_any_cell_runs(self, tmp_path, monkeypatch, change,
                                                    with_policy, message):
         cells = []
-        monkeypatch.setattr(budgex.cli, "_sweep_cell", cells.append)
-        env = write_env(tmp_path / "env.json", with_policy=with_policy)
+        monkeypatch.setattr(budgex.cli, "_sweep_replication", cells.append)
+        env = self.write_env(tmp_path / "env.json", with_policy=with_policy)
         sweep = self.write_sweep(tmp_path, env)
         sweep.write_text(json.dumps({**json.loads(sweep.read_text()), **change}))
         out = tmp_path / "out"
@@ -628,7 +666,7 @@ class TestSweep:
 
     def test_failed_cell_leaves_no_out_directory(self, tmp_path):
         """--out is made after the last cell returns: this random cell at
-        estimator_lambda 0 queries a pool of 8 units that misses 2 of the 8
+        estimator_lambda 0 queries a pool of 8 units that misses 4 of the 8
         segments, so its least-squares fit fails after the parse-time checks."""
         env = tmp_path / "env.json"
         env.write_text(json.dumps({"env": {"kind": "hard", "d": 8, "delta": 0.2,
@@ -638,14 +676,14 @@ class TestSweep:
                                      "strategies": ["random"],
                                      "protocol": {"estimator_lambda": 0}}))
         out = tmp_path / "out"
-        with pytest.raises(SingularDesignError, match="rank 6 < 8"):
+        with pytest.raises(SingularDesignError, match="rank 4 < 8"):
             main(["sweep", "--sweep", str(sweep), "--out", str(out), "--seed", "0"])
         assert not out.exists()
 
     def test_random_grid_at_lambda_zero_runs(self, tmp_path):
         """Only the active strategy fits a ridge each round; a random cell at
         estimator_lambda 0 is OLS on its stream."""
-        env = write_env(tmp_path / "env.json")
+        env = self.write_env(tmp_path / "env.json")
         sweep = tmp_path / "sweep.json"
         sweep.write_text(json.dumps({"env": str(env), "budgets": [40],
                                      "strategies": ["random"], "n_pool": 80,
@@ -655,8 +693,8 @@ class TestSweep:
     @pytest.mark.parametrize("empty", ["budgets", "strategies"])
     def test_empty_grid_is_an_error_exit(self, tmp_path, monkeypatch, capsys, empty):
         cells = []
-        monkeypatch.setattr(budgex.cli, "_sweep_cell", cells.append)
-        sweep = self.write_sweep(tmp_path, write_env(tmp_path / "env.json"))
+        monkeypatch.setattr(budgex.cli, "_sweep_replication", cells.append)
+        sweep = self.write_sweep(tmp_path, self.write_env(tmp_path / "env.json"))
         sweep.write_text(json.dumps({**json.loads(sweep.read_text()), empty: []}))
         out = tmp_path / "out"
         assert main(["sweep", "--sweep", str(sweep), "--out", str(out)]) == 2
@@ -664,17 +702,46 @@ class TestSweep:
         assert cells == [] and not out.exists()
 
     def test_random_cell_maps_each_sample_once(self, mapped_rows):
-        """A random hard cell maps its pool once, the four segments once for
-        the exact PEHE and its 4,000-unit AUUC holdout once."""
+        """A random hard replication maps its pool once, for its one run; each
+        of its cells maps the four segments once for the exact PEHE and its
+        4,000-unit AUUC holdout once."""
         env = HardInstance(d=4, delta=0.2, theta_signs=(1, -1, 1, -1))
-        base = ProtocolConfig(budget=0, max_batch=10)
+        config = ProtocolConfig(budget=0, max_batch=10, strategy="random", seed=7)
         mapped_rows.clear()  # the env's own check of its support
-        budgex.cli._sweep_cell((env, None, env.marginal, base, 30, "random", 0, 7,
-                                60, 0))
-        assert mapped_rows == [60, 4, 4000]
+        budgex.cli._sweep_replication((env, None, env.marginal, config, [20, 30], 60, 0))
+        assert mapped_rows == [60, 4, 4000, 4, 4000]
+
+    def test_env_sizes_are_the_defaults(self, tmp_path, monkeypatch):
+        """A size sweep.json leaves out is env.json's, and a size both set to
+        the same value is that value."""
+        sizes = []
+        monkeypatch.setattr(budgex.cli, "replicate",
+                            lambda *args: sizes.append(args[4:]) or replicate(*args))
+        env = write_env(tmp_path / "env.json", n_obs=60, n_pool=90)
+        sweep = tmp_path / "sweep.json"
+        sweep.write_text(json.dumps({"env": str(env), "budgets": [20, 40], "n_obs": 60,
+                                     "strategies": ["random", "active-full"],
+                                     "protocol": {"max_batch": 20}}))
+        assert main(["sweep", "--sweep", str(sweep), "--out", str(tmp_path / "out")]) == 0
+        assert sizes == [(90, 60), (90, 60)]
+
+    @pytest.mark.parametrize("key, value", [("n_pool", 200), ("n_obs", 100)])
+    def test_a_size_both_files_set_apart_is_rejected(self, tmp_path, monkeypatch, key,
+                                                     value):
+        cells = []
+        monkeypatch.setattr(budgex.cli, "_sweep_replication", cells.append)
+        env = write_env(tmp_path / "env.json")
+        sweep = tmp_path / "sweep.json"
+        sweep.write_text(json.dumps({"env": str(env), "budgets": [40],
+                                     "strategies": ["random"], key: value}))
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match=f"sweep.json {key} {value} differs from "
+                                             f"env.json {key} "):
+            main(["sweep", "--sweep", str(sweep), "--out", str(out)])
+        assert cells == [] and not out.exists()
 
     def test_parallel_matches_serial_bytes(self, tmp_path, monkeypatch):
-        env = write_env(tmp_path / "env.json")
+        env = self.write_env(tmp_path / "env.json")
         sweep = self.write_sweep(tmp_path, env)
         serial, parallel = tmp_path / "serial", tmp_path / "parallel"
         monkeypatch.delenv("BUDGEX_THREADS", raising=False)
@@ -691,7 +758,7 @@ class TestSweep:
     def test_box_world_cells_score_pehe_on_4000_sampled_x(self, tmp_path, monkeypatch):
         """A continuous world has no exact PEHE: a cell evaluates its theta_hat
         on the 4,000 x that rng_for(seed, 0x6576) draws, in workers too."""
-        env = write_box_env(tmp_path / "env.json")
+        env = write_box_env(tmp_path / "env.json", n_pool=60)
         sweep = tmp_path / "sweep.json"
         sweep.write_text(json.dumps({"env": str(env), "budgets": [20, 40],
                                      "strategies": ["random", "active-full"],
@@ -740,7 +807,7 @@ def test_missing_key_rejected_before_any_output(tmp_path, name, block, key, wher
     (tmp_path / "protocol.json").write_text(json.dumps(
         {"budget": 30, "randomization": {"kind": "affine", "weights": [0.1, 0, 0, 0]}}))
     (tmp_path / "sweep.json").write_text(json.dumps(
-        {"env": str(env), "budgets": [40], "strategies": ["random"], "n_pool": 80}))
+        {"env": str(env), "budgets": [40], "strategies": ["random"]}))
     argv = {"env.json": ["generate", "--env", str(env)],
             "box.json": ["generate", "--env", str(tmp_path / "box.json")],
             "protocol.json": ["run", "--env", str(env), "--data", str(tmp_path / "data"),

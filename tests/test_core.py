@@ -257,7 +257,13 @@ class TestPool:
             with pytest.raises(ValueError, match="distinct"):
                 Pool(ids=ids, xs=xs)
         else:
-            assert Pool(ids=ids, xs=xs).ids.tolist() == ids.tolist()
+            assert Pool(ids=ids, xs=xs).ids.tolist() == sorted(ids.tolist())
+
+    def test_units_are_held_in_id_order_each_x_beside_its_id(self):
+        pool = Pool(ids=[3, 1, 2], xs=[[30.0, 3.0], [10.0, 1.0], [20.0, 2.0]])
+        assert pool.ids.tolist() == [1, 2, 3]
+        assert pool.xs.tolist() == [[10.0, 1.0], [20.0, 2.0], [30.0, 3.0]]
+        assert not pool.xs.flags.writeable and not pool.ids.flags.writeable
 
 
 class TestObsLog:

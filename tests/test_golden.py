@@ -69,8 +69,8 @@ GOLDEN = {
     "run-random/rep_0000/rct.jsonl": "cad188a661f01d2f52e8fc237555b9a7b56370abf7178a4aa3d70b8921aaa0f1",
     "run-random/rep_0000/run_summary.json": "51afbb826aa56ed248e96a7fde6c69f35d87265321d0566e709ecb348fcf004f",
     "run-random/rep_0000/solution.json": "2df67f0be845771f129df78cce3fda47fcfb3f6b3b4e9701a09fbde72decdd51",
-    "sweep/metrics.csv": "7c7f266ef5a27e24c666941a97a2cb7ad9405110a6d7784db145b56754960296",
-    "sweep/summary.json": "5d0f834fbf071042298f0322ed31fefabf8860d4ce45c3798ffe10ba54adf7c6",
+    "sweep/metrics.csv": "83efa464625a9e013e8f3c3b29d1376689558fb665587efc6796ba5b6c000d98",
+    "sweep/summary.json": "c9decc81aca26c2efce9c4b370ae79df3ee89a44e46e386074307dbfd4dd5cf8",
 }
 
 

@@ -3,7 +3,6 @@
 import hashlib
 import json
 import math
-import zlib
 from dataclasses import replace
 from fractions import Fraction
 from itertools import permutations, product
@@ -18,6 +17,7 @@ from budgex.cli import main
 from budgex.core import FeatureMap
 from budgex.envs import (HardInstance, LinearEnv, SegmentMarginal, default_hard_delta,
                          env_from_json, sample_obs)
+from budgex.estimator import fit_ridge_arrays
 from budgex.metrics import (ZeroGlobalLiftError, bound_violation_audit,
                             clt_diagnostic, ks_distance_normal, pehe,
                             pehe_exact_segments, randomized_eval_set,
@@ -346,27 +346,70 @@ class TestReplicate:
         metrics.replicate(env, policy, obs_marginal, ProtocolConfig(budget=10, seed=4), 30, 50)
         assert drawn == [(env, policy, obs_marginal, 50, derive_seed(4, 0x6F62))]
 
-    def test_sweep_cell_row_is_recomputed_from_replicate(self, monkeypatch):
-        world = self.world()
+    def test_sweep_cell_row_is_recomputed_from_replicate(self, tmp_path, monkeypatch):
+        """A sweep runs each (strategy, replication) once, at the largest
+        budget and the replication's seed derive_seed(master, 0x737765, r),
+        which every strategy and budget of r shares. Each row on the max_batch
+        grid is the refit on that run's first B rows; B = 25, which ends on a
+        partial round, gets a run of its own at the seed. The AUUC holdout is
+        drawn at the seed."""
+        doc = {"env": {"kind": "hard", "d": 4, "delta": 0.2, "theta_signs": [1, -1, 1, -1]},
+               "obs_policy": {"kind": "logistic", "weights": [1.6, -1.6, 1.6, -1.6]},
+               "n_pool": 80, "n_obs": 60}
+        world = env_from_json(doc)
         env = world[0]
-        base = ProtocolConfig(budget=0, max_batch=10)
+        (tmp_path / "env.json").write_text(json.dumps(doc))
+        (tmp_path / "sweep.json").write_text(json.dumps({
+            "env": str(tmp_path / "env.json"), "budgets": [20, 25, 30],
+            "strategies": ["random", "active-full"], "replications": 2,
+            "protocol": {"max_batch": 10}}))
         configs = []
         monkeypatch.setattr(cli, "replicate",
                             lambda *args: configs.append(args[3]) or metrics.replicate(*args))
-        cell_seed, *values = cli._sweep_cell((*world, base, 30, "active-full", 1, 7, 80, 60))
-        row = [30, "active-full", 1, cell_seed, *map(repr, values)]
+        assert main(["sweep", "--sweep", str(tmp_path / "sweep.json"),
+                     "--out", str(tmp_path / "out"), "--seed", "7"]) == 0
+        with open(tmp_path / "out" / "metrics.csv") as fh:
+            rows = [line.rstrip("\r\n").split(",") for line in fh][1:]
 
-        seed = derive_seed(7, 30, zlib.crc32(b"active-full") & 0xFFFF, 1)
-        cfg = replace(base, budget=30, seed=seed, weights=cli.STRATEGIES["active-full"])
-        assert configs == [cfg]
-        result = metrics.replicate(*world, cfg, 80, 60)
-        theta_hat = result.solution.theta_hat
-        phis, ts, ys = randomized_eval_set(env, 4000, derive_seed(7, 30, 1))
-        v0 = result.solution.V - result.solution.lam * np.eye(4)
-        assert row == [30, "active-full", 1, seed,
-                       repr(pehe_exact_segments(theta_hat, env)),
-                       repr(uplift_curve(phis @ theta_hat, ts, ys)),
-                       repr(float(np.linalg.eigvalsh(v0).min() / 30))]
+        base = ProtocolConfig(budget=30, max_batch=10)
+        runs = {(s, r): replace(base, seed=derive_seed(7, 0x737765, r),
+                                strategy="random" if s == "random" else "active",
+                                weights=cli.STRATEGIES[s] or base.weights)
+                for s in ("random", "active-full") for r in range(2)}
+        assert configs == [c for cfg in runs.values() for c in (cfg, replace(cfg, budget=25))]
+        expected = []
+        for budget in (20, 25, 30):
+            for (s, r), cfg in runs.items():
+                own = cfg if budget % 10 == 0 else replace(cfg, budget=budget)
+                result = metrics.replicate(*world, own, 80, 60)
+                sol = fit_ridge_arrays(result.phis[:budget], result.yts[:budget], 1.0)
+                phis, ts, ys = randomized_eval_set(env, 4000, cfg.seed)
+                v0 = sol.V - np.eye(4)
+                expected.append([str(budget), s, str(r), str(cfg.seed),
+                                 repr(pehe_exact_segments(sol.theta_hat, env)),
+                                 repr(uplift_curve(phis @ sol.theta_hat, ts, ys)),
+                                 repr(float(np.linalg.eigvalsh(v0).min() / budget))])
+        assert rows == expected
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1), strategy=st.sampled_from(["random", "active"]),
+           max_batch=st.integers(1, 12), data=st.data())
+    def test_a_shorter_run_is_the_prefix_of_a_longer_one(self, seed, strategy,
+                                                         max_batch, data):
+        """At one seed, a run whose n = min(B, n_pool) queries fill whole
+        max_batch rounds is the first n rows of any longer run, and its fit
+        is the refit on them, bit for bit (active runs with a log)."""
+        world, n_pool = self.world(), 40
+        n = max_batch * data.draw(st.integers(1, n_pool // max_batch), label="rounds")
+        longer = data.draw(st.integers(n, 2 * n_pool), label="longer budget")
+        cfg = ProtocolConfig(budget=n, max_batch=max_batch, strategy=strategy, seed=seed)
+        short = metrics.replicate(*world, cfg, n_pool, 50)
+        full = metrics.replicate(*world, replace(cfg, budget=longer), n_pool, 50)
+        refit = fit_ridge_arrays(full.phis[:n], full.yts[:n], cfg.estimator_lambda)
+        assert short.unit_ids.tobytes() == full.unit_ids[:n].tobytes()
+        assert short.yts.tobytes() == full.yts[:n].tobytes()
+        assert short.solution.theta_hat.tobytes() == refit.theta_hat.tobytes()
+        assert short.solution.V.tobytes() == refit.V.tobytes()
 
 
 class TestCltDiagnostic:
