@@ -7,9 +7,10 @@ Subcommands:
   evaluate  env.json + solution.json -> metrics.csv, summary.json
   sweep     sweep.json -> one metrics row per (budget, strategy, replication), for
             sweep.json's replications (default 1) at --seed: one run per
-            (strategy, replication) at the largest budget, refitted at each
-            budget, at a seed that every strategy and budget of the
-            replication shares
+            (strategy, replication) at the largest budget, at a seed every
+            strategy and budget of the replication shares, refitted on its
+            first min(budget, n_pool) rows (the run at that budget) at each
+            budget; a replication's cells share one AUUC holdout
 
 Each command parses its inputs once, into the objects the run uses: the env,
 the log's policy and covariate marginal, and a base ProtocolConfig. Run's
@@ -53,7 +54,7 @@ from .core import finite_numbers, read_jsonl, write_jsonl
 from .envs import (EnvSpecError, SegmentMarginal, kind_of, known_keys, load_env,
                    sample_obs, sample_pool)
 from .estimator import fit_ridge_arrays, solution_to_json, solution_from_json
-from .metrics import auuc, pehe, pehe_exact_segments, replicate
+from .metrics import auuc, pehe, pehe_exact_segments, randomized_eval_set, replicate
 from .protocol import (DEFAULT_BOUNDS, AffinePolicy, ConstantPolicy, ProtocolConfig,
                        _dump_scores, check_config, run_protocol)
 
@@ -217,7 +218,7 @@ def cmd_evaluate(args):
     os.makedirs(args.out, exist_ok=True)
     eval_xs = env.sample_x(args.n_eval, rng_for(args.seed, 0x65786576))
     pehe_val = pehe(solution.theta_hat, env, env.feature_map.apply_many(eval_xs))
-    auuc_val = auuc(solution.theta_hat, env, args.n_eval, args.seed)
+    auuc_val = auuc(solution.theta_hat, randomized_eval_set(env, args.n_eval, args.seed))
 
     with open(os.path.join(args.out, "metrics.csv"), "w", newline="") as fh:
         w = csv.writer(fh)
@@ -232,21 +233,17 @@ def cmd_evaluate(args):
 # sweep
 
 
-def _sweep_cell(env, result, n, lam, seed):
+def _sweep_cell(env, result, n, lam, holdout, eval_phis):
     """One (budget, strategy, replication) cell's PEHE, AUUC and lambda_min/n,
     as Python numbers, from the ridge refit on a finished run's first n stream
-    rows; a pure function of its inputs. A continuous world's PEHE is over the
-    4,000 x that rng_for(seed, 0x6576) draws and the AUUC holdout is drawn at
-    seed: a replication's cells share both."""
+    rows; a pure function of its inputs. The AUUC is on holdout; the PEHE is
+    exact on a segment world (eval_phis None), else over the rows eval_phis."""
     solution = fit_ridge_arrays(result.phis[:n], result.yts[:n], lam)
     theta_hat = solution.theta_hat
-    if isinstance(env.marginal, SegmentMarginal):
-        pehe_val = pehe_exact_segments(theta_hat, env)
-    else:
-        eval_xs = env.sample_x(4000, rng_for(seed, 0x6576))
-        pehe_val = pehe(theta_hat, env, env.feature_map.apply_many(eval_xs))
+    pehe_val = (pehe_exact_segments(theta_hat, env) if eval_phis is None
+                else pehe(theta_hat, env, eval_phis))
     v0 = solution.V - lam * np.eye(len(theta_hat))
-    return (pehe_val, auuc(theta_hat, env, 4000, seed),
+    return (pehe_val, auuc(theta_hat, holdout),
             float(np.linalg.eigvalsh(v0).min() / n))
 
 
@@ -254,26 +251,22 @@ def _sweep_replication(payload):
     """The cells of one (strategy, replication), one per budget in budgets'
     order, from one run at the largest budget and config's seed.
 
-    A round reads only the stream so far, so at one seed the run at a budget
-    whose n = min(budget, n_pool) queries fill whole max_batch rounds is the
-    largest run's first n rows: its cell is the refit on that prefix. Any
-    other budget but the largest ends on a partial round, whose random picks
-    are no prefix of a full round's: it gets a run of its own at that seed.
+    At one seed the run at any budget is the first n = min(budget, n_pool)
+    rows of any longer run (a round reads only the stream so far, the active
+    strategy takes each batch in score order and the random strategy slices
+    one permutation), so each cell is the refit on the largest run's first n
+    rows. The cells share the replication's 4,000-unit AUUC holdout, drawn at
+    the seed, and on a continuous world the 4,000 PEHE x that rng_for(seed,
+    0x6576) draws.
     """
     env, policy, obs_marginal, config, budgets, n_pool, n_obs = payload
-
-    def run(budget):
-        return replicate(env, policy, obs_marginal, replace(config, budget=budget),
-                         n_pool, n_obs)
-
-    longest = run(max(budgets))
-    cells = []
-    for budget in budgets:
-        n = min(budget, n_pool)
-        on_prefix = n == len(longest.stream) or n % config.max_batch == 0
-        cells.append(_sweep_cell(env, longest if on_prefix else run(budget), n,
-                                 config.estimator_lambda, config.seed))
-    return cells
+    longest = replicate(env, policy, obs_marginal, replace(config, budget=max(budgets)),
+                        n_pool, n_obs)
+    holdout = randomized_eval_set(env, 4000, config.seed)
+    eval_phis = None if isinstance(env.marginal, SegmentMarginal) else \
+        env.feature_map.apply_many(env.sample_x(4000, rng_for(config.seed, 0x6576)))
+    return [_sweep_cell(env, longest, min(b, n_pool), config.estimator_lambda, holdout,
+                        eval_phis) for b in budgets]
 
 
 def _sweep_sizes(sdoc, edoc, budgets):

@@ -84,10 +84,11 @@ def randomized_eval_set(env, n, seed):
     return phis, ts, ys
 
 
-def auuc(theta_hat, env, n, seed):
+def auuc(theta_hat, holdout):
     """Normalized AUUC of the scores <theta_hat, phi> on a randomized holdout
-    of n units drawn at seed; NaN when the holdout's global lift is zero."""
-    phis, ts, ys = randomized_eval_set(env, n, seed)
+    (phis, ts, ys), as randomized_eval_set draws it; NaN when the holdout's
+    global lift is zero."""
+    phis, ts, ys = holdout
     try:
         return uplift_curve(phis @ theta_hat, ts, ys)
     except ZeroGlobalLiftError:

@@ -2,14 +2,17 @@
 
 A run is a batch schedule fixed before round 1: n = min(budget, pool size)
 queries in rounds of m_k = min(M, n - queried so far), i.e. [M, ..., M, r].
-Round k selects m_k unqueried pool positions, in unit-id order (acquisition
-score or uniform at random), randomizes treatment with a clipped assignment
-policy, draws outcomes from the environment, and appends the positions, draws
-and pseudo-outcomes to the chronological stream. The policy reads phi rows
-only, and the environment only draws outcomes. Treatment and outcome draws use
-dedicated per-unit streams keyed by (seed, unit id, purpose), so selection
-order can never alter an individual unit's assignment. The loop opens no file:
-it returns the stream, the fit and the score tables to its caller.
+Round k picks m_k unqueried pool positions: the active strategy's m_k highest
+acquisition scores, in score order, or the next m_k entries of the random
+strategy's one permutation of the pool per run. So at one seed a run at any
+budget is the first n rows of a longer one. The round randomizes treatment
+with a clipped assignment policy, draws outcomes from the environment, and
+appends the positions, draws and pseudo-outcomes to the chronological stream.
+The policy reads phi rows only, and the environment only draws outcomes.
+Treatment and outcome draws use dedicated per-unit streams keyed by (seed,
+unit id, purpose), so selection order can never alter an individual unit's
+assignment. The loop opens no file: it returns the stream, the fit and the
+score tables to its caller.
 """
 
 import os
@@ -89,9 +92,10 @@ class RoundState:
     min(budget, pool size) queries.
 
     Rows [0, n) are filled: rows holds the pool position of each stream row, in
-    selection order, beside its phi row (phis), written once when the unit is
-    picked, its draws (ts, ys, ps) and its pseudo-outcome Y~ (yts); unqueried
-    is a mask over pool positions. Positions index the pool in unit-id order.
+    selection order (the random strategy's every row from before round 1),
+    beside its phi row (phis), written once when the unit is picked, its draws
+    (ts, ys, ps) and its pseudo-outcome Y~ (yts); unqueried is a mask over
+    pool positions. Positions index the pool in unit-id order.
     """
 
     n: int
@@ -127,22 +131,18 @@ def _assign_and_observe(env, config, ids, phis):
     return ts, ys, ps
 
 
-def run_round(state, k, m_k, config, env, ids, pool_phis, context):
-    """Round k (from 0): choose m_k unqueried pool positions, randomize and
-    observe them into the next m_k rows of state. Returns the round's score
+def run_round(state, m_k, config, env, ids, pool_phis, context):
+    """Randomize and observe the next m_k rows of state. The active strategy
+    picks their pool positions here, from its context's scores; the random
+    strategy's rows were drawn before round 1. Returns the round's score
     table, or None for the random strategy."""
-    scores = None
-    candidates = np.flatnonzero(state.unqueried)
-    if config.strategy == "random":
-        rng = rng_for(config.seed, 0x73656C, k)
-        chosen = np.sort(rng.choice(candidates, m_k, replace=False))
-    else:
+    scores, batch = None, slice(state.n, state.n + m_k)
+    if config.strategy == "active":
+        candidates = np.flatnonzero(state.unqueried)
         scores = context.score_round(state, candidates, ids[candidates],
                                      pool_phis[candidates])
-        chosen = candidates[select_top_m(scores, m_k)]
-
-    batch = slice(state.n, state.n + m_k)
-    state.rows[batch] = chosen
+        state.rows[batch] = candidates[select_top_m(scores, m_k)]
+    chosen = state.rows[batch]
     # take gathers rows of a 2-d array several times faster than fancy indexing
     state.phis[batch] = pool_phis.take(chosen, axis=0)
     ts, ys, ps = _assign_and_observe(env, config, ids[chosen], state.phis[batch])
@@ -197,10 +197,12 @@ def run_protocol(config, env, pool_units, obs=None):
     config.estimator_lambda. Per-unit draws, score tables and unit_ids carry
     the pool's unit ids. The pool is never modified, and its phi rows (the
     result's pool_phis, in unit-id order) are mapped once per run. No file is
-    opened: the score tables leave in the result only. obs is an ObsLog (None
-    or no rows: no log). Only the active strategy reads it: it maps the log,
-    fits e_obs and computes every pool unit's o once (0 with no log). The final
-    fit is the ridge on the stream's IPW pseudo-outcomes, whatever the strategy.
+    opened: the score tables leave in the result only. The random strategy's
+    rows are the first n entries of one permutation of the pool positions at
+    rng_for(seed, 0x73656C). obs is an ObsLog (None or no rows: no log). Only
+    the active strategy reads it: it maps the log, fits e_obs and computes
+    every pool unit's o once (0 with no log). The final fit is the ridge on
+    the stream's IPW pseudo-outcomes, whatever the strategy.
     """
     check_config(config, env)
     ids, xs = pool_units.ids, pool_units.xs
@@ -208,7 +210,9 @@ def run_protocol(config, env, pool_units, obs=None):
     pool_phis = fmap.apply_many(xs)
     n, m = min(config.budget, len(ids)), config.max_batch
     batch_sizes = [min(m, n - s) for s in range(0, n, m)]
-    state = RoundState(n=0, rows=np.empty(n, dtype=np.intp),
+    rows = rng_for(config.seed, 0x73656C).permutation(len(ids))[:n] \
+        if config.strategy == "random" else np.empty(n, dtype=np.intp)
+    state = RoundState(n=0, rows=rows,
                        phis=np.empty((n, fmap.output_dim)), ts=np.empty(n, dtype=int),
                        ys=np.empty(n), ps=np.empty(n), yts=np.empty(n),
                        unqueried=np.ones(len(ids), dtype=bool))
@@ -220,8 +224,8 @@ def run_protocol(config, env, pool_units, obs=None):
             o = overlap_deficit_many(fit_propensity(obs, obs_phis), pool_phis)
         context = _ActiveContext(config, obs_phis, o)
 
-    tables = [run_round(state, k, m_k, config, env, ids, pool_phis, context)
-              for k, m_k in enumerate(batch_sizes)]
+    tables = [run_round(state, m_k, config, env, ids, pool_phis, context)
+              for m_k in batch_sizes]
 
     stream = RctStream(xs=xs.take(state.rows, axis=0), ts=state.ts, ys=state.ys,
                        ps=state.ps, seq=np.arange(1, n + 1))

@@ -702,14 +702,14 @@ class TestSweep:
         assert cells == [] and not out.exists()
 
     def test_random_cell_maps_each_sample_once(self, mapped_rows):
-        """A random hard replication maps its pool once, for its one run; each
-        of its cells maps the four segments once for the exact PEHE and its
-        4,000-unit AUUC holdout once."""
+        """A random hard replication maps its pool once, for its one run, and
+        its 4,000-unit AUUC holdout once, for every cell; each cell maps the
+        four segments once for the exact PEHE."""
         env = HardInstance(d=4, delta=0.2, theta_signs=(1, -1, 1, -1))
         config = ProtocolConfig(budget=0, max_batch=10, strategy="random", seed=7)
         mapped_rows.clear()  # the env's own check of its support
         budgex.cli._sweep_replication((env, None, env.marginal, config, [20, 30], 60, 0))
-        assert mapped_rows == [60, 4, 4000, 4, 4000]
+        assert mapped_rows == [60, 4000, 4, 4]
 
     def test_env_sizes_are_the_defaults(self, tmp_path, monkeypatch):
         """A size sweep.json leaves out is env.json's, and a size both set to

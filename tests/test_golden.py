@@ -66,11 +66,11 @@ GOLDEN = {
     "run-active/rep_0000/scores_round_3.csv": "3fa23239c397c8cbc71ad06c3b2df38dc8f3aa4f7173ef3de6a3de97fb8706a3",
     "run-active/rep_0000/solution.json": "b3518270c2232402934425ef807978517bb9b1583216364ac6cce4f0cc35aff4",
     "run-random/manifest.json": "955bf014655585dcce26f6587b3a033a7d44777757ec0d3e545160b7de95c503",
-    "run-random/rep_0000/rct.jsonl": "cad188a661f01d2f52e8fc237555b9a7b56370abf7178a4aa3d70b8921aaa0f1",
+    "run-random/rep_0000/rct.jsonl": "df87ef82aab583923a5571f303a790ce22cdedfdb1a8507d129647afd934964d",
     "run-random/rep_0000/run_summary.json": "51afbb826aa56ed248e96a7fde6c69f35d87265321d0566e709ecb348fcf004f",
-    "run-random/rep_0000/solution.json": "2df67f0be845771f129df78cce3fda47fcfb3f6b3b4e9701a09fbde72decdd51",
-    "sweep/metrics.csv": "83efa464625a9e013e8f3c3b29d1376689558fb665587efc6796ba5b6c000d98",
-    "sweep/summary.json": "c9decc81aca26c2efce9c4b370ae79df3ee89a44e46e386074307dbfd4dd5cf8",
+    "run-random/rep_0000/solution.json": "ed3c8d1112eb86432961f47cf45d9d95038f26d82398fcee68b9b8f16c844371",
+    "sweep/metrics.csv": "e7eb5457db240d90296889b59ceadbc45cf7e4e3a383d447c98e0482521ecf45",
+    "sweep/summary.json": "bc9fe5b7305f2e327ab317e42a9395a10058995883890affd4c779dedbe41cd1",
 }
 
 

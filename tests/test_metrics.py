@@ -201,7 +201,7 @@ class TestAuuc:
         hard = hard4()
         env = LinearEnv(theta_star=np.zeros(4), feature_map=hard.feature_map,
                         norm_budget=1.0, marginal=hard.marginal, baseline_intercept=0.0)
-        assert math.isnan(metrics.auuc(np.arange(4.0), env, 200, seed=3))
+        assert math.isnan(metrics.auuc(np.arange(4.0), randomized_eval_set(env, 200, seed=3)))
 
 
 class TestBoundAudit:
@@ -283,12 +283,12 @@ def sha256_of(*arrays):
 # and pehe_bounds, and of the CLT diagnostic's z_scores. A refactor of either
 # audit leaves every digest as it is.
 AUDIT_DIGESTS = {
-    ("hard4", "random"): ("cf6453da980ef544f905ef86fb3d7b4076f6949c50f6a9ecd6651ab60bd82def",
-                          "47b66a5fff242aca6cea6c6b813d1b8753491d0ba5ecfaa0f1a4096f90736886"),
+    ("hard4", "random"): ("b0ddb5f05efcd3972c2d9c7e5f8c6e29358e5b77984711837c61a7eba804d213",
+                          "85c9726cd3875ddde2554deb9d61741513f4b9a8fbbaedd01f65e9229d6f6794"),
     ("hard4", "active"): ("b12e442a2e9f64989abd6354645b93d2d321f4cb84d41964db60c5e06ee5548d",
                           "35df8a3e6d1c48b4d3c6dfe00035bfa4f936a1640aa47ae344a623cee310bd7a"),
-    ("box5", "random"): ("d41654e47de3ad4d7b021d2b3f553d9e33bd8cf09db7882c2ca0c40854b9bcf9",
-                         "9deabfaa2415492c12404efcb81b73ee5266026ad1fce0fe1c08a8cd05c4b9a8"),
+    ("box5", "random"): ("5febfe29540925e97f70c0d54de4fd3e632b98d72afc5678f8fe55d38774dda4",
+                         "fde9d46b6bbd054842995e27f09c2bec268fa32c016422713f982316864e9797"),
     ("box5", "active"): ("7ead2f857eee99d31c3941566dee7d6b79a6fdd3d7fe2502c58b94de26c7cacf",
                          "7b0cc1ab66f21fa07a2a7937029f1d3a257a6c54c9f97084607ce2b434f504af"),
 }
@@ -349,10 +349,9 @@ class TestReplicate:
     def test_sweep_cell_row_is_recomputed_from_replicate(self, tmp_path, monkeypatch):
         """A sweep runs each (strategy, replication) once, at the largest
         budget and the replication's seed derive_seed(master, 0x737765, r),
-        which every strategy and budget of r shares. Each row on the max_batch
-        grid is the refit on that run's first B rows; B = 25, which ends on a
-        partial round, gets a run of its own at the seed. The AUUC holdout is
-        drawn at the seed."""
+        which every strategy and budget of r shares. Each row, B = 25 off the
+        max_batch grid too, equals the fit of a run of its own at budget B and
+        the seed. The AUUC holdout is drawn at the seed."""
         doc = {"env": {"kind": "hard", "d": 4, "delta": 0.2, "theta_signs": [1, -1, 1, -1]},
                "obs_policy": {"kind": "logistic", "weights": [1.6, -1.6, 1.6, -1.6]},
                "n_pool": 80, "n_obs": 60}
@@ -376,13 +375,11 @@ class TestReplicate:
                                 strategy="random" if s == "random" else "active",
                                 weights=cli.STRATEGIES[s] or base.weights)
                 for s in ("random", "active-full") for r in range(2)}
-        assert configs == [c for cfg in runs.values() for c in (cfg, replace(cfg, budget=25))]
+        assert configs == list(runs.values())
         expected = []
         for budget in (20, 25, 30):
             for (s, r), cfg in runs.items():
-                own = cfg if budget % 10 == 0 else replace(cfg, budget=budget)
-                result = metrics.replicate(*world, own, 80, 60)
-                sol = fit_ridge_arrays(result.phis[:budget], result.yts[:budget], 1.0)
+                sol = metrics.replicate(*world, replace(cfg, budget=budget), 80, 60).solution
                 phis, ts, ys = randomized_eval_set(env, 4000, cfg.seed)
                 v0 = sol.V - np.eye(4)
                 expected.append([str(budget), s, str(r), str(cfg.seed),
@@ -396,11 +393,11 @@ class TestReplicate:
            max_batch=st.integers(1, 12), data=st.data())
     def test_a_shorter_run_is_the_prefix_of_a_longer_one(self, seed, strategy,
                                                          max_batch, data):
-        """At one seed, a run whose n = min(B, n_pool) queries fill whole
-        max_batch rounds is the first n rows of any longer run, and its fit
-        is the refit on them, bit for bit (active runs with a log)."""
+        """At one seed, a run of any n = min(B, n_pool) queries, on the
+        max_batch grid or not, is the first n rows of any longer run, and its
+        fit is the refit on them, bit for bit (active runs with a log)."""
         world, n_pool = self.world(), 40
-        n = max_batch * data.draw(st.integers(1, n_pool // max_batch), label="rounds")
+        n = data.draw(st.integers(1, n_pool), label="queries")
         longer = data.draw(st.integers(n, 2 * n_pool), label="longer budget")
         cfg = ProtocolConfig(budget=n, max_batch=max_batch, strategy=strategy, seed=seed)
         short = metrics.replicate(*world, cfg, n_pool, 50)
@@ -410,6 +407,21 @@ class TestReplicate:
         assert short.yts.tobytes() == full.yts[:n].tobytes()
         assert short.solution.theta_hat.tobytes() == refit.theta_hat.tobytes()
         assert short.solution.V.tobytes() == refit.V.tobytes()
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1), budget=st.integers(1, 50),
+           batches=st.lists(st.integers(1, 50), min_size=2, max_size=4))
+    def test_random_picks_do_not_depend_on_max_batch(self, seed, budget, batches):
+        """At one seed, a random run's unit ids, Y~ and fit are the same for
+        every max_batch."""
+        world = self.world()
+        runs = [metrics.replicate(*world, ProtocolConfig(budget=budget, max_batch=m,
+                                                         strategy="random", seed=seed), 40, 0)
+                for m in batches]
+        for run in runs[1:]:
+            assert run.unit_ids.tobytes() == runs[0].unit_ids.tobytes()
+            assert run.yts.tobytes() == runs[0].yts.tobytes()
+            assert run.solution.theta_hat.tobytes() == runs[0].solution.theta_hat.tobytes()
 
 
 class TestCltDiagnostic:
@@ -427,11 +439,12 @@ class TestCltDiagnostic:
             clt_diagnostic(env, cfg, 100, 5, x=[0.0])
 
     def test_zero_sandwich_variance_rejected(self):
-        """At B=12 on the 4-segment hard world, replication 4 is the first
+        """At B=12 on the 4-segment hard world, replication 0 is the first
         whose probe segment's pseudo-outcomes all sit on their fit; its z
-        would be -inf (4 of the 20 would be, beside a finite KS)."""
+        would be -inf (6 of the 20 would be; 2 others leave a segment
+        unqueried, whose information matrix is singular)."""
         cfg = ProtocolConfig(budget=12, max_batch=12, strategy="random")
-        with pytest.raises(ValueError, match="replication 4: the sandwich variance at x is 0.0"):
+        with pytest.raises(ValueError, match="replication 0: the sandwich variance at x is 0.0"):
             clt_diagnostic(hard4(), cfg, 40, 20, x=[0], master_seed=1)
 
     def test_small_budget_gives_one_z_per_replication(self):
