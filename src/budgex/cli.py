@@ -4,13 +4,13 @@ Subcommands:
   generate  env.json -> obs.jsonl / pool.jsonl (+ manifest.json), at env.json's
             seed (default 0); with no log to draw it removes a stale obs.jsonl
   run       env.json + protocol.json -> rct.jsonl, scores_round_<k>.csv, solution.json
-  evaluate  env.json + solution.json -> metrics.csv, summary.json
+  evaluate  env.json + solution.json -> metrics.csv, summary.json, by metrics.score
   sweep     sweep.json -> one metrics row per (budget, strategy, replication), for
             sweep.json's replications (default 1) at --seed: one run per
             (strategy, replication) at the largest budget, at a seed every
             strategy and budget of the replication shares, refitted on its
             first min(budget, n_pool) rows (the run at that budget) at each
-            budget; a replication's cells share one AUUC holdout
+            budget, scored as evaluate scores it on the replication's holdout
 
 Each command parses its inputs once, into the objects the run uses: the env,
 the log's policy and covariate marginal, and a base ProtocolConfig. Run's
@@ -48,13 +48,12 @@ from dataclasses import replace
 
 import numpy as np
 
-from ._rng import derive_seed, rng_for
+from ._rng import derive_seed
 from .acquisition import AcquisitionWeights
 from .core import finite_numbers, read_jsonl, write_jsonl
-from .envs import (EnvSpecError, SegmentMarginal, kind_of, known_keys, load_env,
-                   sample_obs, sample_pool)
+from .envs import EnvSpecError, kind_of, known_keys, load_env, sample_obs, sample_pool
 from .estimator import fit_ridge_arrays, solution_to_json, solution_from_json
-from .metrics import auuc, pehe, pehe_exact_segments, randomized_eval_set, replicate
+from .metrics import randomized_eval_set, replicate, score
 from .protocol import (DEFAULT_BOUNDS, AffinePolicy, ConstantPolicy, ProtocolConfig,
                        _dump_scores, check_config, run_protocol)
 
@@ -216,16 +215,14 @@ def cmd_evaluate(args):
         raise ValueError(f"solution.json theta_hat has {len(solution.theta_hat)} "
                          f"coordinates; the env's phi has {d}")
     os.makedirs(args.out, exist_ok=True)
-    eval_xs = env.sample_x(args.n_eval, rng_for(args.seed, 0x65786576))
-    pehe_val = pehe(solution.theta_hat, env, env.feature_map.apply_many(eval_xs))
-    auuc_val = auuc(solution.theta_hat, randomized_eval_set(env, args.n_eval, args.seed))
-
+    pehe_val, auuc_val = score(solution.theta_hat, env,
+                               randomized_eval_set(env, args.n_eval, args.seed))
+    doc = {"pehe": pehe_val, "auuc": auuc_val, "n_eval": args.n_eval}
     with open(os.path.join(args.out, "metrics.csv"), "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["pehe", "auuc", "n_eval"])
-        w.writerow([repr(pehe_val), repr(auuc_val), len(eval_xs)])
-    _write_json(os.path.join(args.out, "summary.json"),
-                {"pehe": pehe_val, "auuc": auuc_val, "n_eval": len(eval_xs)})
+        w.writerow(doc)
+        w.writerow(map(repr, doc.values()))
+    _write_json(os.path.join(args.out, "summary.json"), doc)
     return 0
 
 
@@ -233,17 +230,14 @@ def cmd_evaluate(args):
 # sweep
 
 
-def _sweep_cell(env, result, n, lam, holdout, eval_phis):
+def _sweep_cell(env, result, n, lam, holdout):
     """One (budget, strategy, replication) cell's PEHE, AUUC and lambda_min/n,
     as Python numbers, from the ridge refit on a finished run's first n stream
-    rows; a pure function of its inputs. The AUUC is on holdout; the PEHE is
-    exact on a segment world (eval_phis None), else over the rows eval_phis."""
+    rows; a pure function of its inputs. Its PEHE and AUUC are metrics.score
+    on holdout, as an evaluate of the refit at the holdout's seed and size."""
     solution = fit_ridge_arrays(result.phis[:n], result.yts[:n], lam)
-    theta_hat = solution.theta_hat
-    pehe_val = (pehe_exact_segments(theta_hat, env) if eval_phis is None
-                else pehe(theta_hat, env, eval_phis))
-    v0 = solution.V - lam * np.eye(len(theta_hat))
-    return (pehe_val, auuc(theta_hat, holdout),
+    v0 = solution.V - lam * np.eye(len(solution.theta_hat))
+    return (*score(solution.theta_hat, env, holdout),
             float(np.linalg.eigvalsh(v0).min() / n))
 
 
@@ -255,18 +249,15 @@ def _sweep_replication(payload):
     rows of any longer run (a round reads only the stream so far, the active
     strategy takes each batch in score order and the random strategy slices
     one permutation), so each cell is the refit on the largest run's first n
-    rows. The cells share the replication's 4,000-unit AUUC holdout, drawn at
-    the seed, and on a continuous world the 4,000 PEHE x that rng_for(seed,
-    0x6576) draws.
+    rows. The cells share the replication's one 4,000-unit holdout, drawn at
+    the seed, which scores both their PEHE and their AUUC.
     """
     env, policy, obs_marginal, config, budgets, n_pool, n_obs = payload
     longest = replicate(env, policy, obs_marginal, replace(config, budget=max(budgets)),
                         n_pool, n_obs)
     holdout = randomized_eval_set(env, 4000, config.seed)
-    eval_phis = None if isinstance(env.marginal, SegmentMarginal) else \
-        env.feature_map.apply_many(env.sample_x(4000, rng_for(config.seed, 0x6576)))
-    return [_sweep_cell(env, longest, min(b, n_pool), config.estimator_lambda, holdout,
-                        eval_phis) for b in budgets]
+    return [_sweep_cell(env, longest, min(b, n_pool), config.estimator_lambda, holdout)
+            for b in budgets]
 
 
 def _sweep_sizes(sdoc, edoc, budgets):
@@ -408,7 +399,8 @@ def main(argv=None):
     e.add_argument("--solution", required=True)
     e.add_argument("--out", required=True)
     e.add_argument("--seed", type=int, default=0)
-    e.add_argument("--n-eval", type=int, default=5000)
+    e.add_argument("--n-eval", type=int, default=5000,
+                   help="size of the one holdout; PEHE is exact on a segment world")
     e.set_defaults(func=cmd_evaluate)
 
     s = sub.add_parser("sweep", help="budget x strategy sweep")

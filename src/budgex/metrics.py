@@ -1,6 +1,7 @@
 """Evaluation and empirical verification of the statistical guarantees.
 
-PEHE against ground truth, normalized AUUC on randomized held-out data,
+`score` is the one scoring of a theta_hat, evaluate's and each sweep cell's: PEHE
+against ground truth and normalized AUUC, on one randomized holdout. Beside it,
 deviation-bound coverage audits and martingale-CLT normality diagnostics, all
 in phi: each sample is mapped once, and theta_hat and theta* read its rows.
 The log-log budget scaling slope is fitted by `budgex sweep`'s summary.
@@ -17,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._rng import derive_seed, rng_for
-from .envs import sample_obs, sample_pool
+from .envs import SegmentMarginal, sample_obs, sample_pool
 from .estimator import (beta_bound, default_sigma, ellipsoid_radius, pool_leverage,
                         sandwich_from_arrays)
 from .protocol import run_protocol
@@ -84,15 +85,18 @@ def randomized_eval_set(env, n, seed):
     return phis, ts, ys
 
 
-def auuc(theta_hat, holdout):
-    """Normalized AUUC of the scores <theta_hat, phi> on a randomized holdout
-    (phis, ts, ys), as randomized_eval_set draws it; NaN when the holdout's
-    global lift is zero."""
+def score(theta_hat, env, holdout):
+    """(PEHE, normalized AUUC) of theta_hat on a holdout (phis, ts, ys) from
+    randomized_eval_set: PEHE exact on a segment world, else over phis; AUUC of
+    <theta_hat, phi>, NaN at zero global lift and holdout noise on a world whose
+    global lift is 0, as the hard one's (ROADMAP item 22 replaces it there)."""
     phis, ts, ys = holdout
+    pehe_val = (pehe_exact_segments(theta_hat, env)
+                if isinstance(env.marginal, SegmentMarginal) else pehe(theta_hat, env, phis))
     try:
-        return uplift_curve(phis @ theta_hat, ts, ys)
+        return pehe_val, uplift_curve(phis @ theta_hat, ts, ys)
     except ZeroGlobalLiftError:
-        return float("nan")
+        return pehe_val, float("nan")
 
 
 # ---------------------------------------------------------------------------
@@ -171,8 +175,8 @@ class NormalityDiagnostic:
 
 def clt_diagnostic(env, config, n_pool, replications, x, master_seed=0):
     """Standardized errors sqrt(B)(tau_hat - tau)/se across replications. A
-    replication whose sandwich variance at x is not positive (all of the
-    probe's pseudo-outcomes on their fit) has no z-score: a ValueError."""
+    replication with no z-score (its sandwich fails, or its variance at x is not
+    positive: the probe's pseudo-outcomes all on their fit) raises, naming r."""
     runs = _audit_runs(env, config, n_pool, replications, master_seed)
     phi = env.feature_map.apply_many([x])[0]
     if np.allclose(phi, 0.0):
@@ -180,7 +184,10 @@ def clt_diagnostic(env, config, n_pool, replications, x, master_seed=0):
     tau_x = float(phi @ env.theta_star)
     zs = np.empty(replications)
     for r, result in enumerate(runs):
-        avar = sandwich_from_arrays(result.phis, result.yts, result.solution)
+        try:
+            avar = sandwich_from_arrays(result.phis, result.yts, result.solution)
+        except ValueError as exc:  # LinAlgError too
+            raise type(exc)(f"replication {r}: {exc}") from exc
         se2 = float(phi @ avar @ phi)
         if not se2 > 0:
             raise ValueError(f"replication {r}: the sandwich variance at x is {se2!r}, "

@@ -17,10 +17,9 @@ from budgex.acquisition import AcquisitionWeights
 from budgex.cli import main, protocol_config_from_json
 from budgex.core import FeatureMap, PropensityBounds, read_jsonl
 from budgex.envs import EnvSpecError, HardInstance, load_env
-from budgex.estimator import SingularDesignError
-from budgex.metrics import pehe, replicate
+from budgex.estimator import SingularDesignError, fit_ridge_arrays, solution_to_json
+from budgex.metrics import pehe, randomized_eval_set, replicate
 from budgex.protocol import AffinePolicy, ProtocolConfig
-from budgex._rng import rng_for
 
 NAN, INF = float("nan"), float("inf")
 
@@ -486,15 +485,15 @@ class TestEvaluate:
         assert float(rows[1][0]) == pytest.approx(summary["pehe"])
 
     def test_maps_each_evaluation_sample_once(self, tmp_path, mapped_rows):
-        """Past the parse's map of the four box corners, the PEHE sample and
-        the AUUC holdout are mapped once each and scored in phi."""
+        """Past the parse's map of the four box corners, the one holdout, which
+        scores both the PEHE and the AUUC, is mapped once and scored in phi."""
         env = write_box_env(tmp_path / "env.json")
         solution = tmp_path / "solution.json"
         solution.write_text(json.dumps({"theta_hat": [0.05, -0.02], "lambda": 1.0,
                                         "n": 0, "V": [1.0, 0.0, 0.0, 1.0]}))
         assert main(["evaluate", "--env", str(env), "--solution", str(solution),
                      "--out", str(tmp_path / "eval"), "--n-eval", "50"]) == 0
-        assert mapped_rows == [4, 50, 50]
+        assert mapped_rows == [4, 50]
 
     @pytest.mark.parametrize("n_eval", ["0", "1"])
     def test_n_eval_below_two_rejected_before_any_output(self, generated, tmp_path,
@@ -701,9 +700,50 @@ class TestSweep:
         assert "error: sweep needs nonempty budgets and strategies" in capsys.readouterr().err
         assert cells == [] and not out.exists()
 
+    @pytest.mark.parametrize("world", ["hard", "box"])
+    def test_each_cell_is_an_evaluate_of_its_prefix_refit(self, tmp_path, monkeypatch,
+                                                         world):
+        """A cell's PEHE and AUUC texts are those `budgex evaluate --seed <its
+        seed> --n-eval 4000` writes for the refit on its run's first n rows: one
+        scoring path, with the PEHE exact on a segment world and over the
+        holdout's x on a box."""
+        env = (self.write_env(tmp_path / "env.json") if world == "hard"
+               else write_box_env(tmp_path / "env.json", n_pool=60))
+        sweep = tmp_path / "sweep.json"
+        sweep.write_text(json.dumps({"env": str(env), "budgets": [20, 30],
+                                     "strategies": ["random", "active-full"],
+                                     "replications": 2, "n_pool": 60, "n_obs": 50,
+                                     "protocol": {"max_batch": 10}}))
+        runs = {}
+
+        def recording(*args):
+            config = args[3]
+            key = config.seed, None if config.strategy == "random" else config.weights
+            runs[key] = config, replicate(*args)
+            return runs[key][1]
+
+        monkeypatch.delenv("BUDGEX_THREADS", raising=False)
+        monkeypatch.setattr(budgex.cli, "replicate", recording)
+        assert main(["sweep", "--sweep", str(sweep), "--out", str(tmp_path / "out")]) == 0
+        with open(tmp_path / "out" / "metrics.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 2 * 2 * 2 and len(runs) == 2 * 2
+        for i, row in enumerate(rows):
+            config, result = runs[int(row["seed"]), budgex.cli.STRATEGIES[row["strategy"]]]
+            n = int(row["budget"])
+            solution = tmp_path / f"solution_{i}.json"
+            solution.write_text(json.dumps(solution_to_json(fit_ridge_arrays(
+                result.phis[:n], result.yts[:n], config.estimator_lambda))))
+            out = tmp_path / f"eval_{i}"
+            assert main(["evaluate", "--env", str(env), "--solution", str(solution),
+                         "--out", str(out), "--seed", row["seed"], "--n-eval", "4000"]) == 0
+            with open(out / "metrics.csv") as fh:
+                evaluated = next(csv.DictReader(fh))
+            assert (evaluated["pehe"], evaluated["auuc"]) == (row["pehe"], row["auuc"])
+
     def test_random_cell_maps_each_sample_once(self, mapped_rows):
         """A random hard replication maps its pool once, for its one run, and
-        its 4,000-unit AUUC holdout once, for every cell; each cell maps the
+        its 4,000-unit holdout once, for every cell; each cell maps the
         four segments once for the exact PEHE."""
         env = HardInstance(d=4, delta=0.2, theta_signs=(1, -1, 1, -1))
         config = ProtocolConfig(budget=0, max_batch=10, strategy="random", seed=7)
@@ -755,9 +795,11 @@ class TestSweep:
         assert (serial / "summary.json").read_bytes() == \
             (parallel / "summary.json").read_bytes()
 
-    def test_box_world_cells_score_pehe_on_4000_sampled_x(self, tmp_path, monkeypatch):
+    def test_box_world_cells_score_pehe_on_the_4000_unit_holdout(self, tmp_path,
+                                                                 monkeypatch):
         """A continuous world has no exact PEHE: a cell evaluates its theta_hat
-        on the 4,000 x that rng_for(seed, 0x6576) draws, in workers too."""
+        on the x of its replication's 4,000-unit holdout,
+        randomized_eval_set(world, 4000, seed), in workers too."""
         env = write_box_env(tmp_path / "env.json", n_pool=60)
         sweep = tmp_path / "sweep.json"
         sweep.write_text(json.dumps({"env": str(env), "budgets": [20, 40],
@@ -779,8 +821,8 @@ class TestSweep:
         seed = int(row["seed"])
         cfg = ProtocolConfig(budget=40, max_batch=10, strategy="random", seed=seed)
         theta_hat = replicate(world, policy, obs_marginal, cfg, 60, 50).solution.theta_hat
-        xs = world.sample_x(4000, rng_for(seed, 0x6576))
-        assert row["pehe"] == repr(pehe(theta_hat, world, world.feature_map.apply_many(xs)))
+        phis = randomized_eval_set(world, 4000, seed)[0]
+        assert row["pehe"] == repr(pehe(theta_hat, world, phis))
 
 
 @pytest.mark.parametrize("name, block, key, where", [

@@ -53,8 +53,8 @@ GOLDEN = {
     "box/manifest.json": "a13065acf75b2b845547d1cffbc929780f0803b78e21108ba13f03153815a378",
     "box/obs.jsonl": "08275489fab22a4ed675ad6de77a85f5195bcefe89f5baf9496571b0eb4d755d",
     "box/pool.jsonl": "48da91d4d8d7162768987abb6211b977a9a87587c943470d7bdb3397969ebb20",
-    "evaluate/metrics.csv": "d74b9f13bf9cd1e69ac5ad7a18aabb143e920368ce13f28e9e3fd0580da87041",
-    "evaluate/summary.json": "f064efdfab004b1c4b5ab0adb06032e687a7c817b982ad83c62a26e215428e35",
+    "evaluate/metrics.csv": "4d4585bf9742369a1a502db43457d463766a963ee7d0aff1f47cbf62b3e291d4",
+    "evaluate/summary.json": "ccd513389aa1b74858bac39fc85f089f767b886d555ab63b865dcb276ab30c86",
     "hard/manifest.json": "85bf15d9527832a372a7c1583e8c7448b0690add2de396344228d89ced1290a8",
     "hard/obs.jsonl": "aa117d5b3665314034ebcb2a232c7eeb4b370670a6b9298f2affc31baa03378b",
     "hard/pool.jsonl": "275912da401942bf33a0a426f16a82a0ea15a83cd555d8a8c312424634ab61b1",

@@ -201,7 +201,8 @@ class TestAuuc:
         hard = hard4()
         env = LinearEnv(theta_star=np.zeros(4), feature_map=hard.feature_map,
                         norm_budget=1.0, marginal=hard.marginal, baseline_intercept=0.0)
-        assert math.isnan(metrics.auuc(np.arange(4.0), randomized_eval_set(env, 200, seed=3)))
+        assert math.isnan(metrics.score(np.arange(4.0), env,
+                                        randomized_eval_set(env, 200, seed=3))[1])
 
 
 class TestBoundAudit:
@@ -446,6 +447,18 @@ class TestCltDiagnostic:
         cfg = ProtocolConfig(budget=12, max_batch=12, strategy="random")
         with pytest.raises(ValueError, match="replication 0: the sandwich variance at x is 0.0"):
             clt_diagnostic(hard4(), cfg, 40, 20, x=[0], master_seed=1)
+
+    @pytest.mark.parametrize("budget, error, message", [
+        (12, np.linalg.LinAlgError, "normalized information matrix is singular"),
+        (3, ValueError, "need at least d = 4 records, got 3"),
+    ])
+    def test_sandwich_failure_names_its_replication(self, budget, error, message):
+        """On the 4-segment hard world, a replication that leaves a segment
+        unqueried at B=12 has a singular Sigma-hat, and one of B=3 < d rows has
+        no sandwich; each error keeps its type and names its replication."""
+        cfg = ProtocolConfig(budget=budget, max_batch=12, strategy="random")
+        with pytest.raises(error, match=rf"^replication \d+: {message}$"):
+            clt_diagnostic(hard4(), cfg, 40, 20, x=[1], master_seed=4)
 
     def test_small_budget_gives_one_z_per_replication(self):
         env = HardInstance(d=1, delta=0.0, theta_signs=(1,))
