@@ -28,12 +28,12 @@ returned. All outputs but run's wall-clock timing.json, which
 times the run alone, are byte-deterministic given identical configs and master
 seed.
 
-Run writes a replication's score dumps on the CPUs in the process's affinity
-mask: protocol._dump_scores forks a child per extra CPU, up to one per round.
-BUDGEX_THREADS caps worker parallelism for sweeps only (default 1); sweep's
-workers are forked too. Caveat, unverified on the Python 3.11 this was
-measured on: Python >= 3.12 warns (DeprecationWarning) when a process that
-runs threads, such as OpenBLAS's, forks.
+Three loops fork, through core.fork_map, with no output depending on how
+many processes they use: run's score dumps (rounds) and the audits
+(replications) on every CPU in the affinity mask, and sweep's runs on
+BUDGEX_THREADS processes (a positive integer, default 1). Python >= 3.12,
+unlike the 3.11 this was measured on, may warn when a process that runs
+threads, such as OpenBLAS's, forks.
 """
 
 import argparse
@@ -43,14 +43,13 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 import numpy as np
 
 from ._rng import derive_seed
 from .acquisition import AcquisitionWeights
-from .core import finite_numbers, read_jsonl, write_jsonl
+from .core import finite_numbers, fork_map, read_jsonl, write_jsonl
 from .envs import EnvSpecError, kind_of, known_keys, load_env, sample_obs, sample_pool
 from .estimator import fit_ridge_arrays, solution_to_json, solution_from_json
 from .metrics import randomized_eval_set, replicate, score
@@ -319,6 +318,10 @@ def cmd_sweep(args):
         raise ValueError(f"estimator_lambda 0 fits least squares, which needs at least "
                          f"d = {d} queries; the smallest cell makes {queries}")
 
+    threads = os.environ.get("BUDGEX_THREADS", "1")
+    if not (threads.isdecimal() and int(threads) > 0):
+        raise ValueError(f"BUDGEX_THREADS must be a positive integer, got {threads!r}")
+
     # one run per (strategy, replication), at a seed every strategy shares
     seeds = [derive_seed(args.seed, 0x737765, r) for r in range(reps)]
     runs = [(s, r) for s in strategies for r in range(reps)]
@@ -329,12 +332,8 @@ def cmd_sweep(args):
                          strategy="random" if weights is None else "active",
                          weights=base.weights if weights is None else weights)
         payloads.append((env, policy, obs_marginal, config, budgets, n_pool, n_obs))
-    workers = int(os.environ.get("BUDGEX_THREADS", "1"))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as ex:
-            cells = dict(zip(runs, ex.map(_sweep_replication, payloads)))
-    else:
-        cells = {run: _sweep_replication(p) for run, p in zip(runs, payloads)}
+    cells = dict(zip(runs, fork_map(lambda i: _sweep_replication(payloads[i]),
+                                    len(payloads), int(threads))))
     rows = [(b, s, r, seeds[r], *cells[s, r][i])
             for i, b in enumerate(budgets) for s in strategies for r in range(reps)]
 

@@ -5,10 +5,14 @@ observational log (covariate rows, treatments, outcomes) and the randomized
 stream (the log's columns plus assignment probabilities and sequence numbers)
 are read-only array columns from where they are drawn or read to where they
 are used. Rows exist only in the files: all three persist as newline-delimited
-JSON, one object per unit.
+JSON, one object per unit. fork_map is the one loop that runs in parallel.
 """
 
 import json
+import os
+import pickle
+import sys
+import traceback
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -241,6 +245,64 @@ def validate_rct_stream(stream, bounds):
     if not (bounds.f_min <= p <= bounds.f_max):
         return StreamViolation(i, f"p={p} outside [{bounds.f_min}, {bounds.f_max}] at seq {s}")
     return StreamViolation(i, f"seq {s} not strictly increasing after {int(seq[i - 1])}")
+
+
+def usable_cpus():
+    """The CPUs in this process's affinity mask; 1 without os.fork or os.sched_getaffinity."""
+    return (len(os.sched_getaffinity(0))
+            if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") else 1)
+
+
+def fork_map(fn, n, workers):
+    """[fn(i) for i in range(n)] from W = min(n, workers) processes: index i
+    runs in process i % W, this one for 0 and os.fork children, which pickle
+    their outcomes into a pipe, for the rest. Each process stops at its first
+    exception; once every child is reaped, the lowest index's is raised, as by
+    the serial loop. A child that sends nothing (it died, or its outcomes do
+    not pickle: it prints why to stderr) raises ChildProcessError at its
+    lowest index, naming its indices. W = 1, or no os.fork, forks nothing."""
+    workers, children = max(1, min(n, workers) if hasattr(os, "fork") else 1), []
+
+    def run(w):  # (i, None, fn(i)) up to (i, exception, None) at its first raise
+        done = []
+        for i in range(w, n, workers):
+            try:
+                done.append((i, None, fn(i)))
+            except Exception as exc:
+                return done + [(i, exc, None)]
+        return done
+
+    try:
+        for w in range(1, workers):
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # the child leaves through os._exit, never by returning
+                try:
+                    with open(write_fd, "wb") as pipe:
+                        pipe.write(pickle.dumps(run(w)))
+                except BaseException:
+                    traceback.print_exc()
+                    sys.stderr.flush()
+                finally:
+                    os._exit(0)
+            os.close(write_fd)
+            children.append((pid, open(read_fd, "rb"), range(w, n, workers)))
+        outcomes = run(0)
+        for _, pipe, share in children:
+            try:
+                outcomes += pickle.loads(pipe.read())
+            except Exception:
+                outcomes.append((share[0], ChildProcessError(
+                    f"the child process for indices {list(share)} sent no result"), None))
+    finally:
+        for pid, pipe, _ in children:
+            pipe.close()
+            os.waitpid(pid, 0)
+    outcomes.sort(key=lambda outcome: outcome[0])
+    for _, exc, _ in outcomes:
+        if exc is not None:
+            raise exc
+    return [value for _, _, value in outcomes]
 
 
 # ---------------------------------------------------------------------------

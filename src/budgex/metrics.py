@@ -18,6 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._rng import derive_seed, rng_for
+from .core import fork_map, usable_cpus
 from .envs import SegmentMarginal, sample_obs, sample_pool
 from .estimator import (beta_bound, default_sigma, ellipsoid_radius, pool_leverage,
                         sandwich_from_arrays)
@@ -113,15 +114,18 @@ def replicate(env, policy, obs_marginal, config, n_pool, n_obs):
     return run_protocol(config, env, pool_units=pool, obs=obs)
 
 
-def _audit_runs(env, config, n_pool, replications, master_seed):
-    """The audits' replications, lazily: replication r runs without a log at
-    seed derive_seed(master_seed, 0x726570, r)."""
+def _audit_map(reduce, env, config, n_pool, replications, master_seed):
+    """[reduce(r, run r) for r in range(replications)] over every usable CPU
+    (core.fork_map), where run r is replication r without a log at seed
+    derive_seed(master_seed, 0x726570, r)."""
     if replications < 1:
         raise ValueError(f"need at least 1 replication, got {replications}")
-    return (replicate(env, None, None,
-                      replace(config, seed=derive_seed(master_seed, 0x726570, r)),
-                      n_pool, 0)
-            for r in range(replications))
+
+    def one(r):
+        seed = derive_seed(master_seed, 0x726570, r)
+        return reduce(r, replicate(env, None, None, replace(config, seed=seed), n_pool, 0))
+
+    return fork_map(one, replications, usable_cpus())
 
 
 @dataclass(frozen=True)
@@ -143,24 +147,23 @@ def bound_violation_audit(env, config, n_pool, replications, delta, master_seed=
     beta, with sigma = default_sigma(config.bounds) and S = env.S.
 
     Also records, per replication, the measured PEHE over the pool and the
-    bound beta * sqrt(mean pool leverage) for the PEHE-bound check.
+    bound beta * sqrt(mean pool leverage) for the PEHE-bound check. The
+    replications may run in child processes; no number depends on how many.
     """
-    runs = _audit_runs(env, config, n_pool, replications, master_seed)
     if not (0.0 < delta < 1.0):
         raise ValueError("delta must lie in (0, 1)")
     if config.estimator_lambda <= 0:
         raise ValueError("the coverage audit requires lambda > 0")
     sigma = default_sigma(config.bounds)
-    radii = np.empty(replications)
-    betas = np.empty(replications)
-    pehes = np.empty(replications)
-    pbounds = np.empty(replications)
-    for r, result in enumerate(runs):
+
+    def reduce(_, result):
         sol, pool_phis = result.solution, result.pool_phis
-        radii[r] = ellipsoid_radius(sol, env.theta_star)
-        betas[r] = beta_bound(sol, sigma, env.S, delta)
-        pehes[r] = pehe(sol.theta_hat, env, pool_phis)
-        pbounds[r] = betas[r] * np.sqrt(max(np.mean(pool_leverage(sol, pool_phis)), 0.0))
+        beta = beta_bound(sol, sigma, env.S, delta)
+        return (ellipsoid_radius(sol, env.theta_star), beta, pehe(sol.theta_hat, env, pool_phis),
+                beta * np.sqrt(max(np.mean(pool_leverage(sol, pool_phis)), 0.0)))
+
+    radii, betas, pehes, pbounds = map(np.array, zip(*_audit_map(
+        reduce, env, config, n_pool, replications, master_seed)))
     violations = int(np.sum(radii > betas))
     return BoundCheckResult(replications=replications, violations=violations,
                             radii=radii, betas=betas, pehe_values=pehes,
@@ -176,14 +179,15 @@ class NormalityDiagnostic:
 def clt_diagnostic(env, config, n_pool, replications, x, master_seed=0):
     """Standardized errors sqrt(B)(tau_hat - tau)/se across replications. A
     replication with no z-score (its sandwich fails, or its variance at x is not
-    positive: the probe's pseudo-outcomes all on their fit) raises, naming r."""
-    runs = _audit_runs(env, config, n_pool, replications, master_seed)
+    positive: the probe's pseudo-outcomes all on their fit) raises, naming r;
+    with several, the lowest such r. The replications may run in child
+    processes; no number depends on how many."""
     phi = env.feature_map.apply_many([x])[0]
     if np.allclose(phi, 0.0):
         raise ValueError("phi(x) = 0: asymptotic variance degenerates")
     tau_x = float(phi @ env.theta_star)
-    zs = np.empty(replications)
-    for r, result in enumerate(runs):
+
+    def z_score(r, result):
         try:
             avar = sandwich_from_arrays(result.phis, result.yts, result.solution)
         except ValueError as exc:  # LinAlgError too
@@ -192,9 +196,10 @@ def clt_diagnostic(env, config, n_pool, replications, x, master_seed=0):
         if not se2 > 0:
             raise ValueError(f"replication {r}: the sandwich variance at x is {se2!r}, "
                              "so its z-score is undefined")
-        b = len(result.stream)
         tau_hat = float(phi @ result.solution.theta_hat)
-        zs[r] = np.sqrt(b) * (tau_hat - tau_x) / np.sqrt(se2)
+        return np.sqrt(len(result.stream)) * (tau_hat - tau_x) / np.sqrt(se2)
+
+    zs = np.array(_audit_map(z_score, env, config, n_pool, replications, master_seed))
     return NormalityDiagnostic(z_scores=zs, ks_statistic=ks_distance_normal(zs))
 
 

@@ -16,8 +16,6 @@ score tables to its caller.
 """
 
 import os
-import sys
-import traceback
 from dataclasses import dataclass
 from operator import index
 
@@ -26,7 +24,7 @@ import numpy as np
 from ._rng import OUTCOME, TREATMENT, rng_for, unit_uniform
 from .acquisition import (AcquisitionWeights, fit_propensity, overlap_deficit_many,
                           score_pool, select_top_m)
-from .core import PropensityBounds, RctStream
+from .core import PropensityBounds, RctStream, fork_map, usable_cpus
 from .estimator import fit_ridge_arrays, pseudo_outcome_values, RidgeSolution
 
 DEFAULT_BOUNDS = PropensityBounds(0.2, 0.8)
@@ -295,40 +293,20 @@ def _dump_scores(out_dir, tables, picks):
     each distinct o (by its bits, so -0.0 is not 0.0) of its rounds once.
     Every other value is formatted by its own repr.
 
-    The rounds are split over W = min(number of rounds, CPUs in this
-    process's affinity mask) processes: W - 1 children made by os.fork write
-    rounds w, w + W, ... (w = 1 .. W - 1, from 0) and this process writes
-    rounds 0, W, ....  W = 1 (one round, one CPU, or no os.fork or
-    os.sched_getaffinity) writes every round here. No file's bytes depend on
-    W. A child that fails prints its traceback to stderr and exits nonzero;
-    every child is reaped before this returns or raises, and then OSError
-    names the rounds of the children that failed, unless this process's own
-    share raised first.
+    The rounds are split over W = min(number of rounds, usable CPUs)
+    processes by core.fork_map: process w writes rounds w, w + W, ... (from
+    0), process 0 being this one, so W = 1 forks nothing. No file's bytes
+    depend on W. A failed write raises OSError naming the rounds of the
+    process where it failed.
     """
-    if not tables:
-        return
-    cpus = len(os.sched_getaffinity(0)) \
-        if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") else 1
-    workers = min(len(tables), cpus)
+    workers = min(len(tables), usable_cpus())
     shares = [range(w, len(tables), workers) for w in range(workers)]
-    children = {}
-    try:
-        for share in shares[1:]:
-            pid = os.fork()
-            if pid == 0:  # the child leaves through os._exit, never by returning
-                status = 1
-                try:
-                    _write_rounds(out_dir, tables, picks, share)
-                    status = 0
-                except BaseException:
-                    traceback.print_exc()
-                    sys.stderr.flush()
-                finally:
-                    os._exit(status)
-            children[pid] = share
-        _write_rounds(out_dir, tables, picks, shares[0])
-    finally:
-        failed = [k + 1 for pid, share in children.items() if os.waitpid(pid, 0)[1]
-                  for k in share]
-    if failed:
-        raise OSError(f"writing the score dumps of rounds {sorted(failed)} failed")
+
+    def write(w):
+        try:
+            _write_rounds(out_dir, tables, picks, shares[w])
+        except OSError as exc:
+            raise OSError(f"writing the score dumps of rounds "
+                          f"{[k + 1 for k in shares[w]]} failed: {exc}") from exc
+
+    fork_map(write, workers, workers)

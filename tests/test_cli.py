@@ -663,6 +663,43 @@ class TestSweep:
             main(["sweep", "--sweep", str(sweep), "--out", str(out)])
         assert cells == [] and not out.exists()
 
+    @pytest.mark.parametrize("threads", ["0", "-3", "abc", "2.5", ""])
+    def test_budgex_threads_must_be_a_positive_integer(self, tmp_path, monkeypatch, threads):
+        cells = []
+        monkeypatch.setattr(budgex.cli, "_sweep_replication", cells.append)
+        monkeypatch.setenv("BUDGEX_THREADS", threads)
+        sweep = self.write_sweep(tmp_path, self.write_env(tmp_path / "env.json"))
+        out = tmp_path / "out"
+        with pytest.raises(ValueError, match=f"^BUDGEX_THREADS must be a positive "
+                                             f"integer, got '{re.escape(threads)}'$"):
+            main(["sweep", "--sweep", str(sweep), "--out", str(out)])
+        assert cells == [] and not out.exists()
+
+    def test_a_failed_replication_raises_as_in_serial(self, tmp_path, monkeypatch):
+        """The active run of each replication fails. With two workers the first
+        to fail (run 3 of 6, replication 0's active run) is a forked child's,
+        and the parent's run 4 fails too; the serial loop's exception is
+        raised, with no --out and no child left."""
+        def failing(payload):
+            config = payload[3]
+            if config.strategy == "active":
+                raise ArithmeticError(f"run at seed {config.seed}")
+            return [(0.0, 0.0, 0.0)] * len(payload[4])
+
+        monkeypatch.setattr(budgex.cli, "_sweep_replication", failing)
+        sweep = self.write_sweep(tmp_path, self.write_env(tmp_path / "env.json"))
+        raised = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("BUDGEX_THREADS", threads)
+            out = tmp_path / f"out_{threads}"
+            with pytest.raises(ArithmeticError, match="^run at seed ") as info:
+                main(["sweep", "--sweep", str(sweep), "--out", str(out)])
+            raised.append(str(info.value))
+            assert not out.exists()
+            with pytest.raises(ChildProcessError):
+                os.waitpid(-1, os.WNOHANG)
+        assert raised[0] == raised[1]
+
     def test_failed_cell_leaves_no_out_directory(self, tmp_path):
         """--out is made after the last cell returns: this random cell at
         estimator_lambda 0 queries a pool of 8 units that misses 4 of the 8

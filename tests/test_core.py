@@ -1,5 +1,6 @@
 """Tests for the shared domain types and the chronological stream checks."""
 
+import os
 import warnings
 from functools import partial
 
@@ -8,8 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from budgex.core import (DimensionError, FeatureMap, NormBoundError, ObsLog,
-                         Pool, PropensityBounds, RctStream, StreamViolation,
-                         read_jsonl, validate_rct_stream, write_jsonl)
+                         Pool, PropensityBounds, RctStream, StreamViolation, fork_map,
+                         read_jsonl, usable_cpus, validate_rct_stream, write_jsonl)
 
 
 class TestFeatureMap:
@@ -505,3 +506,76 @@ class TestJsonlRoundTripProperty:
         path = tmp_path / "obs.jsonl"
         path.write_text("")
         assert len(read_jsonl(path, "obs")) == 0
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def fail_at(failing, exc=ValueError):
+    """fn(i) = (i, i / 3) but for the indices in failing, which raise exc."""
+    def fn(i):
+        if i in failing:
+            raise exc(f"index {i}")
+        return i, np.float64(i) / 3
+    return fn
+
+
+def raise_unpicklable(i):
+    raise ValueError(lambda: i)
+
+
+class TestForkMap:
+    """fork_map(fn, n, workers) is [fn(i) for i in range(n)], value for value
+    and exception for exception, whichever process ran each index."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 8])
+    @pytest.mark.parametrize("n", [0, 1, 2, 5, 7])
+    def test_returns_the_serial_loop_values(self, n, workers):
+        fn = fail_at(())
+        assert fork_map(fn, n, workers) == [fn(i) for i in range(n)]
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("failing", [{3, 4}, {4, 5}, {0, 1}, {6}])
+    def test_the_lowest_failing_index_raises(self, failing, workers):
+        """With 2 or 3 processes, the lowest failing index is this process's
+        in some cases and a child's in others, and a higher one fails in
+        another process."""
+        with pytest.raises(KeyError, match=f"^'index {min(failing)}'$"):
+            fork_map(fail_at(failing, KeyError), 7, workers)
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("fn", [
+        lambda i: os._exit(3) if i == 1 else i,
+        lambda i: i if i != 1 else (lambda: i),
+        lambda i: i if i != 3 else raise_unpicklable(i),
+    ], ids=["dies", "unpicklable-value", "unpicklable-exception"])
+    def test_a_child_that_sends_nothing_names_its_indices(self, fn):
+        with pytest.raises(ChildProcessError,
+                           match=r"^the child process for indices \[1, 3\] sent no result$"):
+            fork_map(fn, 4, 2)
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("failing, error", [(0, ValueError), (2, ChildProcessError)])
+    def test_a_silent_child_fails_at_its_lowest_index(self, failing, error):
+        """The child of indices 1 and 3 dies at 3; index 0 failing here
+        comes first, index 2 failing here after it."""
+        fn = fail_at({failing})
+        with pytest.raises(error):
+            fork_map(lambda i: os._exit(3) if i == 3 else fn(i), 4, 2)
+        assert_no_child_left()
+
+    def test_without_os_fork_the_loop_runs_here(self, monkeypatch):
+        monkeypatch.delattr(os, "fork")
+        fn = fail_at(())
+        assert fork_map(fn, 5, 3) == [fn(i) for i in range(5)]
+        with pytest.raises(ValueError, match="^index 2$"):
+            fork_map(fail_at({2, 4}), 5, 3)
+
+    def test_usable_cpus_reads_the_affinity_mask_at_each_call(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5})
+        assert usable_cpus() == 3
+        monkeypatch.delattr(os, "fork")
+        assert usable_cpus() == 1

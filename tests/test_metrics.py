@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import os
 from dataclasses import replace
 from fractions import Fraction
 from itertools import permutations, product
@@ -227,7 +228,9 @@ class TestBoundAudit:
         assert small.violations <= big.violations
 
     def test_maps_each_pool_once_per_replication(self, monkeypatch):
-        """The audit reads the run's pool phi rows instead of mapping again."""
+        """The audit reads the run's pool phi rows instead of mapping again.
+        On one CPU, so that every call reaches the recorder in this process."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         rows = []
         apply_many = FeatureMap.apply_many
 
@@ -305,6 +308,28 @@ def test_audit_numbers_are_pinned(world, strategy):
             sha256_of(clt.z_scores)) == AUDIT_DIGESTS[world, strategy]
 
 
+@pytest.mark.parametrize("world, strategy", list(AUDIT_DIGESTS))
+def test_audit_numbers_do_not_depend_on_the_cpus(monkeypatch, world, strategy):
+    """One CPU runs every replication here; two split them with a forked
+    child. Both give the pinned arrays, bit for bit, and leave no child."""
+    env, x = (hard4(), [0.0]) if world == "hard4" else (box5(), [0.5] * 5)
+    cfg = ProtocolConfig(budget=120, max_batch=30, strategy=strategy, seed=0)
+    arrays = []
+    for cpus in ({0}, {0, 1}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+        bound = bound_violation_audit(env, cfg, 200, 8, delta=0.1, master_seed=3)
+        clt = clt_diagnostic(env, cfg, 200, 8, x, master_seed=3)
+        arrays.append([bound.radii, bound.betas, bound.pehe_values, bound.pehe_bounds,
+                       clt.z_scores])
+        assert (sha256_of(*arrays[-1][:4]), sha256_of(clt.z_scores)) == \
+            AUDIT_DIGESTS[world, strategy]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+    for serial, forked in zip(*arrays):
+        assert serial.dtype == forked.dtype == np.float64
+        assert serial.tobytes() == forked.tobytes()
+
+
 @pytest.mark.parametrize("audit", [
     lambda env, cfg: bound_violation_audit(env, cfg, 50, 0, delta=0.1).rate,
     lambda env, cfg: clt_diagnostic(env, cfg, 50, 0, x=[0.0]),
@@ -324,6 +349,8 @@ class TestReplicate:
             "obs_policy": {"kind": "logistic", "weights": [1.6, -1.6, 1.6, -1.6]}})
 
     def test_audits_draw_once_per_replication_at_the_run_seeds(self, monkeypatch):
+        """On one CPU, so that every call reaches the recorder in this process."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         seeds, draw = [], metrics.replicate
         monkeypatch.setattr(metrics, "replicate",
                             lambda *args: seeds.append(args[3].seed) or draw(*args))
@@ -459,6 +486,23 @@ class TestCltDiagnostic:
         cfg = ProtocolConfig(budget=budget, max_batch=12, strategy="random")
         with pytest.raises(error, match=rf"^replication \d+: {message}$"):
             clt_diagnostic(hard4(), cfg, 40, 20, x=[1], master_seed=4)
+
+    @pytest.mark.parametrize("budget, error, first", [
+        (12, np.linalg.LinAlgError, 6), (3, ValueError, 0)])
+    def test_two_cpus_raise_the_lowest_failing_replication(self, monkeypatch, budget,
+                                                           error, first):
+        """The setup above, with replications split over this process and a
+        forked child: the error is the serial loop's first, type and text."""
+        cfg = ProtocolConfig(budget=budget, max_batch=12, strategy="random")
+        raised = []
+        for cpus in ({0}, {0, 1}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
+            with pytest.raises(error, match=rf"^replication {first}: ") as info:
+                clt_diagnostic(hard4(), cfg, 40, 20, x=[1], master_seed=4)
+            raised.append((type(info.value), str(info.value)))
+            with pytest.raises(ChildProcessError):
+                os.waitpid(-1, os.WNOHANG)
+        assert raised[0] == raised[1]
 
     def test_small_budget_gives_one_z_per_replication(self):
         env = HardInstance(d=1, delta=0.0, theta_signs=(1,))
