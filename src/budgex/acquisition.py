@@ -16,12 +16,12 @@ its V, and v, d and o read x and the log's treatments, never a randomized
 outcome: selection reads no Y~. So the CLT audit cannot test outcome-adaptive
 selection until an outcome-dependent variant of v exists.
 d is the uLSIF density ratio pool / current (Kanamori, Hido & Sugiyama 2009),
-one linear solve in [phi, 1] per round. Only o uses IRLS (ESL 4.4), for the
-log's e_obs head, whose (weights, bias) fit_propensity returns: Newton steps
-from zero on the mean cross-entropy + (RIDGE / 2) ||w||^2 (bias free), halved
-while they raise it, until no step component exceeds TOLERANCE or the step
-promises a drop below float64's resolution of the loss, or RuntimeError at
-MAX_ITER.
+one solve per round from the current class's psi_gram: a run forms the log's
+once and a round adds the stream's. Only o uses IRLS (ESL 4.4), for the log's
+e_obs head, whose (weights, bias) fit_propensity returns: Newton steps from
+zero on the mean cross-entropy + (RIDGE / 2) ||w||^2 (bias free), halved while
+they raise it, until no step component exceeds TOLERANCE or the step promises
+a drop below float64's resolution of the loss, or RuntimeError at MAX_ITER.
 """
 
 from dataclasses import dataclass
@@ -100,16 +100,24 @@ def overlap_deficit_many(head, phis):
 # Closed-form signals: density ratio (d) and design leverage (v)
 
 
-def train_domain_classifier(pool_phis, current_phis):
+def psi_gram(phis):
+    """sum psi psi^T over the rows of phis, psi = [phi, 1]; G[-1, -1] counts them."""
+    psi = np.column_stack([phis, np.ones(len(phis))])
+    return psi.T @ psi
+
+
+def train_domain_classifier(pool_phis, current_gram):
     """alpha of the density ratio pool / current, psi^T alpha on psi = [phi, 1]:
-    (H + RIDGE diag(1, .., 1, 0))^-1 h, with H the mean of psi psi^T over the
-    current rows and h that of psi over the pool. The free bias gives identical
-    classes a ratio of 1 at any sizes; the penalty bounds alpha on separable ones."""
-    pool, current = (np.column_stack([p, np.ones(len(p))]) for p in (pool_phis, current_phis))
-    if not all(len(psi) and np.isfinite(psi).all() for psi in (pool, current)):
+    (H + RIDGE diag(1, .., 1, 0))^-1 h, with H = G / G[-1, -1] the mean of psi
+    psi^T over the current rows, G their psi_gram, and h that of psi over the
+    pool. The free bias gives identical classes a ratio of 1 at any sizes; the
+    penalty bounds alpha on separable ones."""
+    if not (len(pool_phis) and current_gram[-1, -1] > 0 and np.isfinite(pool_phis).all()
+            and np.isfinite(current_gram).all()):
         raise ValueError("a density ratio needs two nonempty classes of finite rows")
-    penalty = np.diag(np.append(np.full(pool.shape[1] - 1, RIDGE), 0.0))
-    return np.linalg.solve(current.T @ current / len(current) + penalty, pool.mean(axis=0))
+    penalty = np.diag(np.append(np.full(len(current_gram) - 1, RIDGE), 0.0))
+    return np.linalg.solve(current_gram / current_gram[-1, -1] + penalty,
+                           np.append(pool_phis.mean(axis=0), 1.0))
 
 
 def ensemble_variance(labeled_phis, labeled_yts, candidate_phis, lam):
@@ -183,20 +191,21 @@ def select_top_m(table, m):
     return np.lexsort((table["id"], -table["S"]))[:m]
 
 
-def score_pool(ids, cand_phis, labeled_phis, labeled_yts, obs_phis, o, weights, lam):
+def score_pool(ids, cand_phis, labeled_phis, labeled_yts, obs_gram, o, weights, lam):
     """One round's scoring: train the round's models, score every candidate.
 
     ids, cand_phis and o are the candidates (the unqueried units) as unit
     ids, feature rows, already mapped, and overlap deficits, computed once per
     run; labeled_phis and labeled_yts are the randomized stream so far as
-    features and pseudo-outcomes; lam is the run's ridge penalty.
+    features and pseudo-outcomes; obs_gram is the log's psi_gram, formed once
+    per run (zeros with no log); lam is the run's ridge penalty.
     """
     # v: the leverage under the labeled randomized stream's design; reads no Y~
     v = ensemble_variance(labeled_phis, labeled_yts, cand_phis, lam)
 
     # d: the candidates' density ratio against obs + rct, one solve per round
-    current = np.vstack([obs_phis, labeled_phis])
-    alpha = train_domain_classifier(cand_phis, current) if len(current) \
+    current = obs_gram + psi_gram(labeled_phis)
+    alpha = train_domain_classifier(cand_phis, current) if current[-1, -1] \
         else np.append(np.zeros(cand_phis.shape[1]), 0.5)  # cold start: d = 0.5
     d = cand_phis @ alpha[:-1] + alpha[-1]
 

@@ -327,12 +327,22 @@ def write_jsonl(path, records):
             fh.write(json.dumps(d, sort_keys=True) + "\n")
 
 
+# The keys of one record of each kind; a pool record may omit "queried".
+_RECORD_KEYS = {"pool": {"id", "x", "queried"}, "obs": {"x", "t", "y"},
+                "rct": {"x", "t", "y", "p", "seq"}}
+
+
 def read_jsonl(path, kind):
     """Read back a 'pool' (a Pool), an 'obs' log (an ObsLog) or an 'rct' stream
-    (an RctStream); a log or stream file with no rows has no rows. A line that
-    holds anything but one whole record and whitespace is a ValueError."""
-    if kind not in ("obs", "rct", "pool"):
+    (an RctStream); a log or stream file with no rows has no rows. Each line
+    holds one JSON object with its kind's keys and no other: pool id, x and an
+    optional "queried": false (a stored pool is unqueried); obs x, t, y; rct
+    x, t, y, p, seq. So an rct file is no log. Any other line, or an x that is
+    not a list as long as line 1's, is a ValueError naming the file and line."""
+    if kind not in _RECORD_KEYS:
         raise ValueError(f"unknown record kind {kind!r}")
+    keys = _RECORD_KEYS[kind]
+    short = keys - {"queried"}
     decode, space, docs = json.JSONDecoder().raw_decode, " \t\n\r", []
     with open(path) as fh:
         for number, line in enumerate(fh, 1):
@@ -342,11 +352,24 @@ def read_jsonl(path, kind):
                 raise ValueError(f"{path}: line {number}: {e.msg} at column {e.colno}") from None
             if line[end:].strip(space):
                 raise ValueError(f"{path}: line {number} has text after its JSON record")
+            if type(doc) is not dict or doc.keys() != keys and doc.keys() != short \
+                    or doc.get("queried", False) is not False:
+                raise ValueError(f"{path}: line {number} is not one JSON object with the "
+                                 f"{kind} keys {sorted(keys)} only"
+                                 + (' ("queried" optional, and false)' if kind == "pool"
+                                    else "") + f": {line.strip()[:80]}")
             docs.append(doc)
-    if kind == "pool":
-        return Pool(ids=[d["id"] for d in docs], xs=[d["x"] for d in docs])
-    arms = {"xs": [d["x"] for d in docs] or np.empty((0, 0)),
-            "ts": [d["t"] for d in docs], "ys": [d["y"] for d in docs]}
-    if kind == "obs":
-        return ObsLog(**arms)
-    return RctStream(**arms, ps=[d["p"] for d in docs], seq=[d["seq"] for d in docs])
+    try:
+        if kind == "pool":
+            return Pool(ids=[d["id"] for d in docs], xs=[d["x"] for d in docs])
+        arms = {"xs": [d["x"] for d in docs] or np.empty((0, 0)),
+                "ts": [d["t"] for d in docs], "ys": [d["y"] for d in docs]}
+        if kind == "obs":
+            return ObsLog(**arms)
+        return RctStream(**arms, ps=[d["p"] for d in docs], seq=[d["seq"] for d in docs])
+    except ValueError:
+        for number, doc in enumerate(docs, 1):
+            if type(doc["x"]) is not list or len(doc["x"]) != len(docs[0]["x"]):
+                raise ValueError(f"{path}: line {number}: x is not a list as long as "
+                                 f"line 1's") from None
+        raise

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import finite_numbers
+from .envs import known_keys
 
 MAX_CONDITION = 1e12
 
@@ -141,7 +142,19 @@ def solution_to_json(solution):
 
 
 def solution_from_json(doc):
-    doc = finite_numbers(doc, "solution.json")
-    dim = len(doc["theta_hat"])
-    return RidgeSolution(theta_hat=doc["theta_hat"], lam=doc["lambda"], n=doc["n"],
-                         V=np.reshape(doc["V"], (dim, dim)))
+    """The RidgeSolution of a solution.json document: theta_hat (d numbers),
+    lambda, n (a nonnegative integer) and V (d x d numbers, row by row), and
+    no other key. Every error names solution.json."""
+    doc = known_keys(finite_numbers(doc, "solution.json"), "solution.json",
+                     "theta_hat", "lambda", "n", "V")
+    theta_hat, V, n = doc["theta_hat"], doc["V"], doc["n"]
+    if type(n) is not int or n < 0:
+        raise ValueError(f"solution.json n must be a nonnegative integer, got {n!r}")
+    if type(theta_hat) is not list or type(V) is not list or len(V) != len(theta_hat)**2:
+        raise ValueError("solution.json V must be a list of d x d numbers, d the length "
+                         "of the list theta_hat")
+    try:
+        return RidgeSolution(theta_hat=theta_hat, lam=doc["lambda"], n=n,
+                             V=np.reshape(V, (len(theta_hat),) * 2))
+    except ValueError as e:
+        raise ValueError(f"solution.json: {e}") from None

@@ -23,7 +23,7 @@ import numpy as np
 
 from ._rng import OUTCOME, TREATMENT, rng_for, unit_uniform
 from .acquisition import (AcquisitionWeights, fit_propensity, overlap_deficit_many,
-                          score_pool, select_top_m)
+                          psi_gram, score_pool, select_top_m)
 from .core import PropensityBounds, RctStream, fork_map, usable_cpus
 from .estimator import fit_ridge_arrays, pseudo_outcome_values, RidgeSolution
 
@@ -154,18 +154,18 @@ def run_round(state, m_k, config, env, ids, pool_phis, context):
 @dataclass(frozen=True)
 class _ActiveContext:
     """What the active strategy fixes once per run, plus per-round scoring:
-    the log's phi rows and o, the overlap deficit of every pool unit, by its
-    position in unit-id order."""
+    the log's psi_gram (zeros with no log; no log row) and o, the overlap
+    deficit of every pool unit, by its position in unit-id order."""
 
     config: ProtocolConfig
-    obs_phis: np.ndarray
+    obs_gram: np.ndarray
     o: np.ndarray
 
     def score_round(self, state, candidates, ids, cand_phis):
         """The round's score table over the unqueried units (pool positions,
         their ids and phi rows), from the stream so far."""
         n, cfg = state.n, self.config
-        return score_pool(ids, cand_phis, state.phis[:n], state.yts[:n], self.obs_phis,
+        return score_pool(ids, cand_phis, state.phis[:n], state.yts[:n], self.obs_gram,
                           self.o[candidates], cfg.weights, cfg.estimator_lambda)
 
 
@@ -198,9 +198,10 @@ def run_protocol(config, env, pool_units, obs=None):
     opened: the score tables leave in the result only. The random strategy's
     rows are the first n entries of one permutation of the pool positions at
     rng_for(seed, 0x73656C). obs is an ObsLog (None or no rows: no log). Only
-    the active strategy reads it: it maps the log, fits e_obs and computes
-    every pool unit's o once (0 with no log). The final fit is the ridge on
-    the stream's IPW pseudo-outcomes, whatever the strategy.
+    the active strategy reads it, once per run: it maps the log, fits e_obs,
+    computes every pool unit's o (0 with no log) and forms the log's psi_gram
+    for d. The final fit is the ridge on the stream's IPW pseudo-outcomes,
+    whatever the strategy.
     """
     check_config(config, env)
     ids, xs = pool_units.ids, pool_units.xs
@@ -220,7 +221,7 @@ def run_protocol(config, env, pool_units, obs=None):
         if obs:
             obs_phis = fmap.apply_many(obs.xs)
             o = overlap_deficit_many(fit_propensity(obs, obs_phis), pool_phis)
-        context = _ActiveContext(config, obs_phis, o)
+        context = _ActiveContext(config, psi_gram(obs_phis), o)
 
     tables = [run_round(state, m_k, config, env, ids, pool_phis, context)
               for m_k in batch_sizes]

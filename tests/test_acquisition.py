@@ -8,8 +8,8 @@ from scipy import stats
 from budgex import acquisition
 from budgex.acquisition import (AcquisitionWeights,
                                 composite_scores, ensemble_variance, fit_propensity,
-                                overlap_deficit_many, rank_normalize, score_pool,
-                                select_top_m, train_domain_classifier)
+                                overlap_deficit_many, psi_gram, rank_normalize,
+                                score_pool, select_top_m, train_domain_classifier)
 from budgex.core import FeatureMap, ObsLog, RctStream, sigmoid
 from budgex.envs import (BoxMarginal, HardInstance, LinearEnv, LogisticPolicy,
                          SegmentMarginal, ThresholdPolicy, sample_obs, sample_pool)
@@ -85,21 +85,21 @@ class TestDomainClassifier:
         rng = rng_for(51)
         pool = rng.standard_normal((400, 2))
         current = rng.standard_normal((400, 2))
-        alpha = train_domain_classifier(pool, current)
+        alpha = train_domain_classifier(pool, psi_gram(current))
         held_out = rng.standard_normal((1000, 2))
         assert abs(float(ratio(alpha, held_out).mean()) - 1.0) < 0.05
 
     def test_identical_classes_score_one(self):
         rng = rng_for(53)
         rows = rng.standard_normal((10, 2))
-        alpha = train_domain_classifier(rows, rows.copy())
+        alpha = train_domain_classifier(rows, psi_gram(rows.copy()))
         np.testing.assert_allclose(ratio(alpha, rng.standard_normal((5, 2))), 1.0,
                                    rtol=0, atol=1e-12)
 
     def test_separable_classes_scored_apart(self):
         pool = np.column_stack([np.full(200, 3.0), np.zeros(200)])
         current = np.column_stack([np.full(200, -3.0), np.zeros(200)])
-        alpha = train_domain_classifier(pool, current)
+        alpha = train_domain_classifier(pool, psi_gram(current))
         assert float(ratio(alpha, pool).mean()) > 0.9
 
     def test_class_imbalance_does_not_fake_shift(self):
@@ -107,7 +107,7 @@ class TestDomainClassifier:
         not order units by how common they are."""
         rng = rng_for(57)
         base = rng.standard_normal((200, 2))
-        alpha = train_domain_classifier(np.repeat(base, 5, axis=0), base)
+        alpha = train_domain_classifier(np.repeat(base, 5, axis=0), psi_gram(base))
         scores = ratio(alpha, base)
         assert abs(float(scores.mean()) - 1.0) < 0.02
 
@@ -121,7 +121,7 @@ class TestDomainClassifier:
         a shift above 6 separates the classes."""
         pool = np.column_stack([draw_rows(data, n_pool, d) + shift, np.ones(n_pool)])
         current = np.column_stack([draw_rows(data, n_cur, d), np.ones(n_cur)])
-        alpha = train_domain_classifier(pool[:, :-1], current[:, :-1])
+        alpha = train_domain_classifier(pool[:, :-1], psi_gram(current[:, :-1]))
         penalty = np.diag(np.append(np.full(d, 1e-3), 0.0))
         lhs = sum(np.outer(psi, psi) for psi in current) / n_cur + penalty
         h = pool.sum(axis=0) / n_pool
@@ -139,16 +139,53 @@ class TestDomainClassifier:
         segments = st.lists(st.integers(0, k - 1), min_size=1, max_size=60)
         pool_seg = np.array(data.draw(segments))
         cur_seg = np.array(data.draw(segments))
-        alpha = train_domain_classifier(np.eye(k)[pool_seg], np.eye(k)[cur_seg])
+        alpha = train_domain_classifier(np.eye(k)[pool_seg], psi_gram(np.eye(k)[cur_seg]))
         q = np.bincount(pool_seg, minlength=k) / len(pool_seg)
         c = np.bincount(cur_seg, minlength=k) / len(cur_seg)
         np.testing.assert_allclose(ratio(alpha, np.eye(k)),
                                    (q + 1e-3 * alpha[-1]) / (c + 1e-3), rtol=1e-9)
         assert c @ ratio(alpha, np.eye(k)) == pytest.approx(1.0, rel=1e-9)
 
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 30), st.integers(0, 30), st.integers(0, 30), st.integers(1, 4),
+           st.booleans(), st.data())
+    def test_gram_solve_is_the_stacked_rows_solve(self, n_pool, n_log, n_stream, d,
+                                                    one_hot, data):
+        """alpha from the current rows' psi_gram equals the solve from the
+        stacked rows psi = [phi, 1] (the form that stacked the log under the
+        stream each round): bit for bit on one-hot rows, whose Gram entries are
+        counts, and within 1e-12 relative on continuous rows. The log's Gram
+        plus the stream's, as score_pool adds them, is the stacked rows' Gram:
+        bit for bit on one-hot rows, within 1e-12 of its largest entry else."""
+        assume(n_log + n_stream > 0)
+
+        def rows(n):
+            if one_hot:
+                segments = data.draw(st.lists(st.integers(0, d - 1), min_size=n, max_size=n))
+                return np.eye(d)[np.array(segments, dtype=int)]
+            return draw_rows(data, n, d).reshape(n, d)
+
+        pool, log, stream = rows(n_pool), rows(n_log), rows(n_stream)
+        current = np.vstack([log, stream])
+        psi = np.column_stack([current, np.ones(len(current))])
+        h = np.column_stack([pool, np.ones(n_pool)]).mean(axis=0)
+        penalty = np.diag(np.append(np.full(d, 1e-3), 0.0))
+        stacked = np.linalg.solve(psi.T @ psi / len(psi) + penalty, h)
+        whole = train_domain_classifier(pool, psi_gram(current))
+        split_gram = psi_gram(log) + psi_gram(stream)
+        if one_hot:
+            assert split_gram.tobytes() == psi_gram(current).tobytes()
+            assert whole.tobytes() == stacked.tobytes()
+            assert train_domain_classifier(pool, split_gram).tobytes() == stacked.tobytes()
+        else:
+            np.testing.assert_allclose(whole, stacked, rtol=1e-12, atol=0)
+            gram = psi_gram(current)
+            np.testing.assert_allclose(split_gram, gram, rtol=0,
+                                       atol=1e-12 * np.max(np.abs(gram)))
+
     def test_empty_class_rejected(self):
         with pytest.raises(ValueError):
-            train_domain_classifier(np.zeros((0, 2)), np.ones((3, 2)))
+            train_domain_classifier(np.zeros((0, 2)), psi_gram(np.ones((3, 2))))
 
     def test_score_formula(self):
         clf = (np.array([1.0, 0.0]), 0.0)
@@ -200,7 +237,7 @@ class TestLogisticHeadFit:
         rows = rng.standard_normal((10, 2))
         rows[3, 1] = np.nan
         with pytest.raises(ValueError, match="finite"):
-            train_domain_classifier(rows, rng.standard_normal((10, 2)))
+            train_domain_classifier(rows, psi_gram(rng.standard_normal((10, 2))))
         obs = ObsLog(xs=np.zeros((10, 1)), ts=np.arange(10) % 2, ys=np.zeros(10))
         with pytest.raises(ValueError, match="finite"):
             fit_propensity(obs, rows)
@@ -441,9 +478,9 @@ class TestScorePool:
         obs_phis = fmap.apply_many(obs.xs)
         prop = fit_propensity(obs, obs_phis)
         cand_phis = fmap.apply_many(pool.xs)
-        a = score_pool(pool.ids, cand_phis, *NO_LABELS, obs_phis,
+        a = score_pool(pool.ids, cand_phis, *NO_LABELS, psi_gram(obs_phis),
                        overlap_deficit_many(prop, cand_phis), AcquisitionWeights(), 1.0)
-        b = score_pool(pool.ids, cand_phis, *NO_LABELS, obs_phis,
+        b = score_pool(pool.ids, cand_phis, *NO_LABELS, psi_gram(obs_phis),
                        overlap_deficit_many(prop, cand_phis), AcquisitionWeights(), 1.0)
         assert np.array_equal(a, b)
 
@@ -455,7 +492,8 @@ class TestScorePool:
             obs_phis = fmap.apply_many(obs.xs)
             prop = fit_propensity(obs, obs_phis)
             bds = score_pool(pool.ids, fmap.apply_many(pool.xs), *NO_LABELS,
-                             obs_phis, overlap_deficit_many(prop, fmap.apply_many(pool.xs)),
+                             psi_gram(obs_phis),
+                             overlap_deficit_many(prop, fmap.apply_many(pool.xs)),
                              AcquisitionWeights(0.0, 0.0, 0.7), 1.0)
             chosen = bds["id"][select_top_m(bds, 15)]
             phis = fmap.apply_many(pool.xs)
@@ -470,7 +508,8 @@ class TestScorePool:
         obs_phis = fmap.apply_many(obs.xs)
         prop = fit_propensity(obs, obs_phis)
         bds = score_pool(pool.ids[1:], fmap.apply_many(pool.xs[1:]), *NO_LABELS,
-                         obs_phis, overlap_deficit_many(prop, fmap.apply_many(pool.xs[1:])),
+                         psi_gram(obs_phis),
+                         overlap_deficit_many(prop, fmap.apply_many(pool.xs[1:])),
                          AcquisitionWeights(), 1.0)
         assert 0 not in set(bds["id"])
         assert len(bds) == len(pool) - 1

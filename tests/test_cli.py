@@ -541,6 +541,28 @@ class TestEvaluate:
         assert not (tmp_path / "eval").exists()
 
 
+    @pytest.mark.parametrize("change, message", [
+        ({"V": None}, "solution.json needs ['V']"),
+        ({"extra": 1.0}, "unknown key(s) in solution.json: ['extra']"),
+        ({"n": 2.5}, "solution.json n must be a nonnegative integer, got 2.5"),
+        ({"n": -1}, "solution.json n must be a nonnegative integer, got -1"),
+        ({"V": [1.0, 0.0, 1.0]}, "solution.json V must be a list of d x d numbers"),
+    ], ids=["no-V", "unknown-key", "fractional-n", "negative-n", "3-entry-V"])
+    def test_malformed_solution_rejected_before_any_output(self, tmp_path, change,
+                                                           message):
+        """A missing V and a 3-entry V on this d = 2 world used to fail
+        without naming solution.json; an unknown key and a fractional n
+        used to be accepted and written to --out."""
+        env = write_box_env(tmp_path / "env.json")
+        doc = {"theta_hat": [0.05, -0.02], "lambda": 1.0, "n": 3,
+               "V": [1.0, 0.0, 0.0, 1.0], **change}
+        solution = tmp_path / "solution.json"
+        solution.write_text(json.dumps({k: v for k, v in doc.items() if v is not None}))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            main(["evaluate", "--env", str(env), "--solution", str(solution),
+                  "--out", str(tmp_path / "eval"), "--n-eval", "50"])
+        assert not (tmp_path / "eval").exists()
+
 class TestSweep:
     @staticmethod
     def write_env(path, **kwargs):

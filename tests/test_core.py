@@ -1,6 +1,7 @@
 """Tests for the shared domain types and the chronological stream checks."""
 
 import os
+import re
 import warnings
 from functools import partial
 
@@ -428,6 +429,23 @@ class TestJsonlRoundTrip:
         with pytest.raises(ValueError):
             read_jsonl(path, "pool")
 
+
+    @pytest.mark.parametrize("kind, text, line", [
+        ("pool", '{"id": 0, "x": [1.0]}\n{"id": 1}\n', 2),
+        ("pool", '{"id": 0, "x": [1.0]}\n[1, 2]\n', 2),
+        ("pool", '{"id": 0, "x": [1.0]}\n{"id": 1, "x": [1.0, 2.0]}\n', 2),
+        ("obs", '{"x": [1.0], "t": 1, "y": 1, "p": 0.5, "seq": 1}\n', 1),
+        ("pool", '{"id": 0, "x": [1.0], "queried": true}\n', 1),
+    ], ids=["pool-without-x", "not-an-object", "ragged-x", "rct-record-as-obs",
+            "queried-pool-unit"])
+    def test_a_malformed_record_names_its_file_and_line(self, tmp_path, kind, text, line):
+        """Each used to pass as a record or fail without naming its file and
+        line: a KeyError, a TypeError, numpy's inhomogeneous-shape error, an
+        rct record read as a log row, and a queried unit read as unqueried."""
+        path = tmp_path / f"{kind}.jsonl"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: line {line}")):
+            read_jsonl(path, kind)
 
 # Floats whose text form is easy to get wrong: signed zeros, subnormals and
 # the extremes of the exponent range.

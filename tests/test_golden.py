@@ -62,8 +62,8 @@ GOLDEN = {
     "run-active/rep_0000/rct.jsonl": "971f667f9e48be8a59edf81f63f99605adef8ade5d2983cccc588ac1e17de390",
     "run-active/rep_0000/run_summary.json": "51afbb826aa56ed248e96a7fde6c69f35d87265321d0566e709ecb348fcf004f",
     "run-active/rep_0000/scores_round_1.csv": "320b28ea4275f1c75a940a655866d18c95931296c0002e2b8f0cfe8ed38619e4",
-    "run-active/rep_0000/scores_round_2.csv": "31d3b67fa9611059a04377027e31118f2042c188c9e9fc899671dd94a282acf8",
-    "run-active/rep_0000/scores_round_3.csv": "3fa23239c397c8cbc71ad06c3b2df38dc8f3aa4f7173ef3de6a3de97fb8706a3",
+    "run-active/rep_0000/scores_round_2.csv": "070f93449e72b43b7deea51861c2542aebf419393950c774c8257f33a99a24a1",
+    "run-active/rep_0000/scores_round_3.csv": "916f931ca6d6798adf9a0eeba00fb158fdeaa5730e7397c4237109516a2b9944",
     "run-active/rep_0000/solution.json": "b3518270c2232402934425ef807978517bb9b1583216364ac6cce4f0cc35aff4",
     "run-random/manifest.json": "955bf014655585dcce26f6587b3a033a7d44777757ec0d3e545160b7de95c503",
     "run-random/rep_0000/rct.jsonl": "df87ef82aab583923a5571f303a790ce22cdedfdb1a8507d129647afd934964d",

@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from scipy import stats
 
 from budgex.acquisition import (SCORE_DTYPE, AcquisitionWeights, fit_propensity,
-                                overlap_deficit_many, score_pool, select_top_m)
+                                overlap_deficit_many, psi_gram, score_pool, select_top_m)
 from budgex.core import (FeatureMap, NormBoundError, ObsLog, Pool,
                          PropensityBounds, read_jsonl, write_jsonl)
 from budgex import protocol
@@ -490,7 +490,7 @@ class TestFiltrationSoundness:
         for bds, m_k in zip(result.scores, result.batch_sizes):
             keep = ~np.isin(pool.ids, result.unit_ids[:start])
             redone = score_pool(pool.ids[keep], fmap.apply_many(pool.xs[keep]),
-                                phis[:start], yts[:start], obs_phis,
+                                phis[:start], yts[:start], psi_gram(obs_phis),
                                 overlap_deficit_many(prop, fmap.apply_many(pool.xs[keep])),
                                 cfg.weights, cfg.estimator_lambda)
             assert np.array_equal(redone, bds)
